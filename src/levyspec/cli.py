@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -24,7 +25,7 @@ from .estimator import (UGrid, default_u_max, default_u_step, default_x_grid,
                         ecf, adaptive_estimate, write_ecf_csv, write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
 from .risk import (ExperimentConfig, adaptive_risk_bound_check,
-                   cutoff_risk_bound_check, relative_l2_risk, risk_table_csv)
+                   cutoff_risk_bound_check, risk_table, risk_table_csv)
 from .sampling import IncrementSample, SeedSpec, sample_increments, write_increments_csv
 
 EXIT_OK = 0
@@ -70,11 +71,14 @@ def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
             if len(cells) not in (1, 2):
                 raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns, got {len(cells)}")
             try:
-                values.append(float(cells[-1]))
+                value = float(cells[-1])
             except ValueError:
                 if not values:
                     continue  # header row before any data
                 raise ValueError(f"{path}:{lineno}: non-numeric cell {cells[-1]!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite cell {cells[-1]!r}")
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no numeric rows found")
     data = np.asarray(values)
@@ -160,10 +164,8 @@ def _cmd_risk_table(args) -> int:
     if args.seed is not None or os.environ.get("LEVYSPEC_SEED"):
         seed = _env_seed(args.seed)
         configs = [replace(c, master_seed=seed) for c in configs]
-    reports = []
-    for config in configs:
-        reports.extend(relative_l2_risk(config, max_workers=args.threads))
-    meta = _meta(args, "risk-table", {"config": args.config, "threads": args.threads})
+    reports = risk_table(configs)
+    meta = _meta(args, "risk-table", {"config": args.config})
     csv_text = risk_table_csv(reports, meta)
     with open(args.out, "w") as fh:
         fh.write(csv_text)
@@ -272,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--config", required=True, help="JSON experiment config")
     pr.add_argument("--out", required=True)
     pr.add_argument("--seed", type=int, default=None, help="override master seed")
-    pr.add_argument("--threads", type=int, default=1)
     pr.add_argument("--no-meta", action="store_true")
     pr.set_defaults(func=_cmd_risk_table)
 

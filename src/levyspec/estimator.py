@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .sampling import IncrementSample
 
@@ -27,6 +28,9 @@ __all__ = ["UGrid", "ECFGrid", "ThresholdSpec", "SpectralEstimate", "ecf",
            "optimal_cutoff", "mixed_cutoff", "plancherel_l2", "default_u_max",
            "default_u_step", "default_x_grid", "write_estimate_csv",
            "write_ecf_csv"]
+
+
+_CUTOFF_RESIDUAL_TOL = 1e-10
 
 
 def default_u_max(delta_t: float) -> float:
@@ -268,12 +272,12 @@ def optimal_cutoff(model_class, sigma2: float, n: float, delta_t: float) -> floa
     raise ValueError(f"unknown class tag {model_class.tag!r}")
 
 
-def mixed_cutoff(sigma2: float, M: float, alpha: float, delta_t: float, n: float,
-                 residual_tol: float = 1e-10) -> float:
-    """Positive root of sigma^2 dt m^2 + c_alpha dt m^alpha = log n, by bisection.
+def mixed_cutoff(sigma2: float, M: float, alpha: float, delta_t: float, n: float) -> float:
+    """Positive root of sigma^2 dt m^2 + c_alpha dt m^alpha = log n, by Brent's method.
 
     c_alpha = 2 M (2/pi)^alpha.  With sigma2 = 0 or M = 0 the closed-form
-    degenerate branch is returned.
+    degenerate branch is returned.  The root is guaranteed to satisfy the
+    equation to an absolute residual below 1e-10.
     """
     if sigma2 < 0 or M < 0 or (sigma2 == 0 and M == 0):
         raise ValueError("need sigma2 >= 0, M >= 0, not both zero")
@@ -291,21 +295,16 @@ def mixed_cutoff(sigma2: float, M: float, alpha: float, delta_t: float, n: float
     def g(m: float) -> float:
         return sigma2 * delta_t * m * m + c_alpha * delta_t * m ** alpha - logn
 
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     while g(hi) < 0:
         hi *= 2.0
         if hi > 1e300:
-            raise ArithmeticError("bisection bracket exploded")
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if abs(val) < residual_tol:
-            return mid
-        if val < 0:
-            lo = mid
-        else:
-            hi = mid
-    raise ArithmeticError("bisection did not reach the residual tolerance")
+            raise ArithmeticError("root bracket exploded")
+    # relative tolerance only: an absolute one would cap the residual at g' * xtol
+    root = brentq(g, 0.0, hi, xtol=1e-300)
+    if not abs(g(root)) < _CUTOFF_RESIDUAL_TOL:
+        raise ArithmeticError(f"cutoff residual {g(root):.2e} exceeds {_CUTOFF_RESIDUAL_TOL:g}")
+    return root
 
 
 def plancherel_l2(a, b, grid: UGrid | None = None) -> float:

@@ -312,23 +312,6 @@ def _stable_scale_constant(P: float, Q: float, alpha: float) -> float:
     return (P + Q) * math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0) / alpha
 
 
-def _stable_jump_exponent(jumps: StableJumpDensity, u: np.ndarray) -> np.ndarray:
-    """Closed form of int (e^{iux} - 1 - iux 1_{|x|<1}) p(x) dx for stable p."""
-    P, Q, alpha = jumps.P, jumps.Q, jumps.alpha
-    beta = jumps.skew
-    c = _stable_scale_constant(P, Q, alpha)
-    au = np.abs(u)
-    sg = np.sign(u)
-    if alpha == 1.0:
-        lg = np.where(au > 0, np.log(np.where(au > 0, au, 1.0)), 0.0)
-        drift = (P - Q) * (1.0 - np.euler_gamma)
-        return (-c * au * (1.0 + 1j * beta * (2.0 / math.pi) * sg * lg)
-                + 1j * u * drift)
-    drift = (Q - P) / (1.0 - alpha)
-    return (-c * au ** alpha * (1.0 - 1j * beta * math.tan(math.pi * alpha / 2.0) * sg)
-            + 1j * u * drift)
-
-
 def _custom_jump_exponent(jumps: CustomJumpDensity, u: float, rtol: float) -> complex:
     """int (e^{iux} - 1 - iux 1_{|x|<1}) p(x) dx for a black-box density.
 
@@ -380,20 +363,21 @@ def _custom_jump_exponent(jumps: CustomJumpDensity, u: float, rtol: float) -> co
 def levy_khintchine_cf(triplet: LevyTriplet, t: float, u, rtol: float = 1e-8):
     """Characteristic function E[e^{iuX_t}] of the increment at time t.
 
-    Stable jump densities use the closed-form exponent; custom densities are
-    integrated numerically (split at 0 and +-1 plus any declared breakpoints).
+    Stable jump densities contribute the factor ``stable_cf`` of their
+    increment law; custom densities are integrated numerically (split at 0
+    and +-1 plus any declared breakpoints).
     """
     if t <= 0:
         raise ValueError("t must be positive")
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     expo = 1j * u_arr * (triplet.b * t) - t * triplet.sigma2 * u_arr ** 2 / 2.0
-    if isinstance(triplet.jumps, StableJumpDensity):
-        expo = expo + t * _stable_jump_exponent(triplet.jumps, u_arr)
-    elif isinstance(triplet.jumps, CustomJumpDensity):
+    if isinstance(triplet.jumps, CustomJumpDensity):
         vals = np.array([_custom_jump_exponent(triplet.jumps, float(x), rtol)
                          for x in u_arr])
         expo = expo + t * vals
     out = np.exp(expo)
+    if isinstance(triplet.jumps, StableJumpDensity):
+        out = out * stable_cf(increment_stable_law(triplet.jumps, t), u_arr)
     return out if np.ndim(u) else complex(out[0])
 
 

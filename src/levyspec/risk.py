@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -26,10 +25,10 @@ from scipy.special import erfc
 
 from .calibration import FALLBACK_KAPPA, KappaGrid, select_kappa
 from .errors import NoStabilizationError, UnsupportedModelError
-from .estimator import (ECFGrid, ThresholdSpec, UGrid, default_u_max,
-                        default_u_step, ecf, plancherel_l2, threshold_cf)
+from .estimator import (ThresholdSpec, UGrid, default_u_max, default_u_step, ecf,
+                        plancherel_l2, threshold_cf)
 from .models import (LevyTriplet, StableJumpDensity, StableLaw, cauchy_triplet,
-                     increment_stable_law, stable_cf, stable_density_l2_norm)
+                     increment_stable_law, levy_khintchine_cf, stable_density_l2_norm)
 from .sampling import SeedSpec, derive_seed, sample_increments
 from .special import upper_incomplete_gamma
 
@@ -54,8 +53,7 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        _check_trials(self.trials)
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
         if isinstance(self.kappa_mode, str) and self.kappa_mode != "auto":
@@ -91,8 +89,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        _check_keys(d, "config", {f.name for f in fields(cls)}, {"model", "delta_t", "n_list"})
         m = d["model"]
+        _check_keys(m, "model", {"b", "sigma2", "jumps"})
         jumps = m.get("jumps")
+        if jumps is not None:
+            _check_keys(jumps, "jumps", {"P", "Q", "alpha"}, {"P", "Q", "alpha"})
         triplet = LevyTriplet(
             float(m.get("b", 0.0)), float(m.get("sigma2", 0.0)),
             None if jumps is None else StableJumpDensity(
@@ -114,6 +116,20 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         return cls.from_dict(json.loads(text))
+
+
+def _check_keys(d: dict, where: str, allowed: set, required: set = frozenset()) -> None:
+    """Reject a config object with keys outside ``allowed`` or without ``required``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r}")
+    for problem, keys in (("unknown", set(d) - allowed), ("missing", required - set(d))):
+        if keys:
+            raise ValueError(f"{problem} {where} key(s): {', '.join(map(repr, sorted(keys)))}")
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -158,12 +174,8 @@ def _stable_part(model: LevyTriplet, delta_t: float) -> StableLaw | None:
 
 def reference_cf(model: LevyTriplet, delta_t: float, grid: UGrid) -> np.ndarray:
     """Exact CF of the increment on the grid: Gaussian factor times stable factor."""
-    u = grid.points
-    out = np.exp(1j * u * model.b * delta_t - delta_t * model.sigma2 * u ** 2 / 2.0)
-    law = _stable_part(model, delta_t)
-    if law is not None:
-        out = out * stable_cf(law, u)
-    return out
+    _stable_part(model, delta_t)  # rejects jump parts without a closed form
+    return levy_khintchine_cf(model, delta_t, grid.points)
 
 
 def reference_tail_integral(model: LevyTriplet, delta_t: float, u_max: float) -> float:
@@ -202,29 +214,10 @@ def reference_l2_norm(model: LevyTriplet, delta_t: float) -> float:
 def relative_risk_of_cf(phi_est, model: LevyTriplet, delta_t: float, grid: UGrid,
                         include_tail: bool = True) -> float:
     """Relative L2 risk of an estimator given by its CF values on the grid."""
-    phi_ref = reference_cf(model, delta_t, grid)
-    num = plancherel_l2(phi_est if not isinstance(phi_est, ECFGrid) else phi_est.values,
-                        phi_ref, grid=grid)
+    num = plancherel_l2(phi_est, reference_cf(model, delta_t, grid), grid=grid)
     if include_tail:
         num += reference_tail_integral(model, delta_t, grid.u_max)
     return num / reference_l2_norm(model, delta_t)
-
-
-def _one_trial(model, delta_t, n, grid, kappa_mode, kappa_grid, cell_seed, trial):
-    sample = sample_increments(model, delta_t, n, SeedSpec(cell_seed, trial))
-    phi_hat = ecf(sample, grid)
-    fallback = 0
-    if kappa_mode == "auto":
-        try:
-            kappa = select_kappa(phi_hat, kappa_grid)
-        except NoStabilizationError:
-            kappa = FALLBACK_KAPPA
-            fallback = 1
-    else:
-        kappa = float(kappa_mode)
-    phi_tilde = threshold_cf(phi_hat, ThresholdSpec(kappa, n))
-    rel = relative_risk_of_cf(phi_tilde.values, model, delta_t, grid)
-    return rel, kappa, fallback
 
 
 def _sd(values: np.ndarray) -> float:
@@ -233,32 +226,47 @@ def _sd(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1))
 
 
-def relative_l2_risk(config: ExperimentConfig, max_workers: int = 1) -> list[RiskReport]:
-    """Run the Monte-Carlo benchmark; one report per sample size in n_list."""
+def relative_l2_risk(config: ExperimentConfig) -> list[RiskReport]:
+    """Run the Monte-Carlo benchmark; one report per sample size in n_list.
+
+    The reference CF, tail integral and norm are computed once per cell; each
+    trial's risk is the arithmetic of :func:`relative_risk_of_cf`.
+    """
     grid_full = config.grid()
     kappa_grid = KappaGrid()
+    auto = config.kappa_mode == "auto"
+    model, delta_t = config.model, config.delta_t
+    alpha = model.jumps.alpha if isinstance(model.jumps, StableJumpDensity) else None
     reports = []
     for idx, n in enumerate(config.n_list):
         grid = grid_full.restrict(float(n))
         cell_seed = derive_seed(config.master_seed, idx)
-        run = lambda tr: _one_trial(config.model, config.delta_t, n, grid,
-                                    config.kappa_mode, kappa_grid, cell_seed, tr)
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(run, range(config.trials)))
-        else:
-            results = [run(tr) for tr in range(config.trials)]
-        risks = np.array([r[0] for r in results])
-        kappas = np.array([r[1] for r in results])
-        if config.kappa_mode != "auto":
-            mean_kappa, sd_kappa = float(config.kappa_mode), 0.0
-        else:
+        phi_ref = reference_cf(model, delta_t, grid)
+        tail = reference_tail_integral(model, delta_t, grid.u_max)
+        norm = reference_l2_norm(model, delta_t)
+        risks = np.empty(config.trials)
+        kappas = np.empty(config.trials)
+        fallbacks = 0
+        for tr in range(config.trials):
+            phi_hat = ecf(sample_increments(model, delta_t, n, SeedSpec(cell_seed, tr)), grid)
+            if auto:
+                try:
+                    kappa = select_kappa(phi_hat, kappa_grid)
+                except NoStabilizationError:
+                    kappa = FALLBACK_KAPPA
+                    fallbacks += 1
+            else:
+                kappa = float(config.kappa_mode)
+            phi_tilde = threshold_cf(phi_hat, ThresholdSpec(kappa, n))
+            risks[tr] = (plancherel_l2(phi_tilde.values, phi_ref, grid=grid) + tail) / norm
+            kappas[tr] = kappa
+        if auto:
             mean_kappa, sd_kappa = float(np.mean(kappas)), _sd(kappas)
-        fallbacks = sum(r[2] for r in results)
-        alpha = config.model.jumps.alpha if isinstance(config.model.jumps, StableJumpDensity) else None
+        else:
+            mean_kappa, sd_kappa = float(config.kappa_mode), 0.0
         reports.append(RiskReport(
-            label=config.label or _default_label(config.model),
-            alpha=alpha, delta_t=config.delta_t, n=int(n), trials=config.trials,
+            label=config.label or _default_label(model),
+            alpha=alpha, delta_t=delta_t, n=int(n), trials=config.trials,
             mean_relative_risk=float(np.mean(risks)), sd_relative_risk=_sd(risks),
             mean_kappa=mean_kappa, sd_kappa=sd_kappa,
             fallback_count=fallbacks, master_seed=config.master_seed))
@@ -295,6 +303,7 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
     seeded trials; the bias term e^{-2 gamma m}/(2 pi gamma) is exact for the
     symmetric 1-stable reference model.
     """
+    _check_trials(trials)
     model = model if model is not None else cauchy_triplet()
     gamma = _symmetric_unit_stable_scale(model, delta_t)
     if m_grid is None:
@@ -302,17 +311,21 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
     m_grid = np.asarray(m_grid, dtype=float)
     step = default_u_step(float(np.max(m_grid)))
     grid = UGrid.make(float(np.max(m_grid)), step)
-    u = grid.points
     phi_ref = reference_cf(model, delta_t, grid)
-    mises = np.zeros((trials, m_grid.size))
+    diff2 = np.empty((trials, grid.points.size))
     for tr in range(trials):
         sample = sample_increments(model, delta_t, n, SeedSpec(master_seed, tr))
-        vals = ecf(sample, grid).values
-        diff2 = np.abs(vals - phi_ref) ** 2
-        for j, m in enumerate(m_grid):
-            keep = np.abs(u) <= m * (1 + 1e-12)
-            inner = np.trapezoid(diff2[keep], dx=grid.step) / (2.0 * math.pi)
-            mises[tr, j] = inner + math.exp(-2.0 * gamma * m) / (2.0 * math.pi * gamma)
+        diff2[tr] = np.abs(ecf(sample, grid).values - phi_ref) ** 2
+    # trapezoid weights over each band |u| <= m: a point carries step/2 for
+    # every grid interval inside the band that it ends
+    keep = np.abs(grid.points) <= m_grid[:, None] * (1 + 1e-12)
+    inside = keep[:, 1:] & keep[:, :-1]
+    weights = np.zeros(keep.shape)
+    weights[:, 1:] += inside
+    weights[:, :-1] += inside
+    weights *= grid.step / 2.0
+    bias2 = np.exp(-2.0 * gamma * m_grid) / (2.0 * math.pi * gamma)
+    mises = diff2 @ weights.T / (2.0 * math.pi) + bias2
     rows = []
     passed = True
     for j, m in enumerate(m_grid):
@@ -335,6 +348,7 @@ def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KA
     RHS: inf over a 20-point m-grid of 9 bias^2(m) + (m/pi n)(5 + (1 +
     (kappa+2) sqrt(log n))^2), plus the remainder 64 n^{1 - kappa^2/4}.
     """
+    _check_trials(trials)
     model = model if model is not None else cauchy_triplet()
     gamma = _symmetric_unit_stable_scale(model, delta_t)
     grid = UGrid.make(default_u_max(delta_t))
@@ -362,10 +376,10 @@ def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KA
 # ---------------------------------------------------------------------------
 # tables
 
-def risk_table(configs: Sequence[ExperimentConfig], max_workers: int = 1) -> list[RiskReport]:
+def risk_table(configs: Sequence[ExperimentConfig]) -> list[RiskReport]:
     reports = []
     for config in configs:
-        reports.extend(relative_l2_risk(config, max_workers=max_workers))
+        reports.extend(relative_l2_risk(config))
     return reports
 
 

@@ -65,6 +65,10 @@ class IncrementSample:
             raise ValueError("delta_t must be positive")
         if len(self.values) != self.n:
             raise ValueError("length of values must equal n")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"increments must be finite; value {self.values[bad[0]]!r} "
+                             f"at index {bad[0]}")
 
 
 def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Gamma(a, x) = int_x^inf t^(a-1) e^(-t) dt, for a > 0, x >= 0.
 
-Series representation for x < a + 1, continued fraction otherwise, following
-the classical Numerical Recipes scheme.  A direct quadrature version is
-provided as an independent cross-check.
+The working version validates its arguments and evaluates scipy's regularized
+Q(a, x) times Gamma(a).  A direct quadrature version is provided as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -12,54 +12,18 @@ from __future__ import annotations
 import math
 
 from scipy.integrate import quad
+from scipy.special import gamma, gammaincc
 
 from .errors import QuadratureError
 
-_TINY = 1e-300
 
-
-def upper_incomplete_gamma(a: float, x: float, rtol: float = 1e-13, max_iter: int = 600) -> float:
-    """Upper incomplete gamma Gamma(a, x); truncation is driven below ``rtol``."""
+def upper_incomplete_gamma(a: float, x: float) -> float:
+    """Upper incomplete gamma Gamma(a, x)."""
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a}")
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return math.gamma(a)
-    gln = math.lgamma(a)
-    if x < a + 1.0:
-        # lower series: P(a,x), then Gamma(a,x) = Gamma(a) (1 - P)
-        ap = a
-        term = 1.0 / a
-        total = term
-        for _ in range(max_iter):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * rtol:
-                p = total * math.exp(-x + a * math.log(x) - gln)
-                return math.exp(gln) * (1.0 - p)
-        raise ArithmeticError(f"series for Gamma({a}, {x}) did not converge")
-    # continued fraction for Q(a,x), modified Lentz
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < rtol:
-            return math.exp(-x + a * math.log(x)) * h
-    raise ArithmeticError(f"continued fraction for Gamma({a}, {x}) did not converge")
+    return float(gammaincc(a, x) * gamma(a))
 
 
 def upper_incomplete_gamma_quad(a: float, x: float, rtol: float = 1e-10) -> float:

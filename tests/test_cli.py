@@ -174,12 +174,16 @@ def test_risk_table_runs_config(tmp_path):
     lines = [l for l in out1.read_text().splitlines() if not l.startswith("#")]
     assert lines[0].startswith("model,alpha,delta,n,")
     assert lines[1].split(",")[0] == "cauchy"
-    # a threaded run must not change any byte of the table itself
-    out3 = tmp_path / "r3.csv"
-    assert run(["risk-table", "--config", str(cfg_path), "--out", str(out3),
-                "--threads", "4", "--no-meta"]) == 0
-    rows = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
-    assert rows(out3) == rows(out1)
+
+
+def test_risk_table_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = {"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [300], "trails": 5}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.csv"
+    assert run(["risk-table", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "'trails'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +200,13 @@ def test_check_bounds_thm4(capsys):
                 "--trials", "10", "--seed", "2"]) == 0
 
 
+@pytest.mark.parametrize("which", ["thm1", "thm4"])
+def test_check_bounds_zero_trials_is_a_validation_error(which, capsys):
+    assert run(["check-bounds", "--which", which, "--delta", "1", "--n", "300",
+                "--trials", "0"]) == 2
+    assert "trials must be at least 1, got 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # validation failures
 
@@ -206,6 +217,17 @@ def test_malformed_csv_reports_line_number(tmp_path, capsys):
                 "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "bad.csv:3" in capsys.readouterr().err
+
+
+def test_non_finite_csv_exits_2_without_output(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.1\nnan\n0.3\n-0.2\ninf\n")
+    out = tmp_path / "x.csv"
+    code = run(["estimate", "--data", str(bad), "--delta", "1", "--out", str(out)])
+    assert code == 2
+    assert "bad.csv:2: non-finite cell 'nan'" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "x_ecf.csv").exists()
 
 
 def test_wrong_column_count(tmp_path, capsys):

@@ -1,15 +1,19 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levyspec import (ExperimentConfig, LevyTriplet, StableJumpDensity, UGrid,
-                      adaptive_risk_bound_check, cauchy_triplet,
-                      cutoff_risk_bound_check, reference_cf, reference_l2_norm,
-                      reference_tail_integral, relative_l2_risk,
-                      relative_risk_of_cf, risk_table, risk_table_csv)
+from levyspec import (FALLBACK_KAPPA, ExperimentConfig, KappaGrid, LevyTriplet,
+                      NoStabilizationError, SeedSpec, StableJumpDensity,
+                      ThresholdSpec, UGrid, adaptive_risk_bound_check,
+                      cauchy_triplet, cutoff_risk_bound_check, derive_seed, ecf,
+                      reference_cf, reference_l2_norm, reference_tail_integral,
+                      relative_l2_risk, relative_risk_of_cf, risk_table,
+                      risk_table_csv, sample_increments, select_kappa,
+                      threshold_cf)
 
 CAUCHY = cauchy_triplet()
 MIXED = LevyTriplet(0.0, 0.5, StableJumpDensity(1.0, 0.5, 1.3))
@@ -92,12 +96,45 @@ def test_relative_risk_single_trial_sd_zero():
     assert rep.trials == 1
 
 
-def test_relative_risk_reproducible_and_thread_invariant():
+def test_relative_risk_reproducible():
     cfg = ExperimentConfig(CAUCHY, 1.0, (300, 600), trials=6, master_seed=77)
     a = relative_l2_risk(cfg)
     b = relative_l2_risk(cfg)
-    c = relative_l2_risk(cfg, max_workers=4)
-    assert a == b == c
+    assert a == b
+
+
+@pytest.mark.parametrize("kappa_mode", ["auto", 0.8])
+def test_relative_risk_equals_per_trial_pipeline(kappa_mode):
+    # each cell rebuilt by hand, one public call per trial step, must match
+    # the cell loop (reference quantities shared across trials) bit for bit
+    cfg = ExperimentConfig(CAUCHY, 1.0, (300, 600), trials=6, kappa_mode=kappa_mode,
+                           master_seed=77)
+    reports = relative_l2_risk(cfg)
+    for idx, (n, rep) in enumerate(zip(cfg.n_list, reports)):
+        grid = cfg.grid().restrict(float(n))
+        risks, kappas, fallbacks = [], [], 0
+        for tr in range(cfg.trials):
+            sample = sample_increments(CAUCHY, 1.0, n, SeedSpec(derive_seed(77, idx), tr))
+            phi_hat = ecf(sample, grid)
+            kappa = kappa_mode
+            if kappa_mode == "auto":
+                try:
+                    kappa = select_kappa(phi_hat, KappaGrid())
+                except NoStabilizationError:
+                    kappa = FALLBACK_KAPPA
+                    fallbacks += 1
+            phi_tilde = threshold_cf(phi_hat, ThresholdSpec(kappa, n))
+            risks.append(relative_risk_of_cf(phi_tilde.values, CAUCHY, 1.0, grid))
+            kappas.append(kappa)
+        assert rep.mean_relative_risk == float(np.mean(risks))
+        assert rep.sd_relative_risk == float(np.std(risks, ddof=1))
+        assert rep.fallback_count == fallbacks
+        if kappa_mode == "auto":
+            assert rep.mean_kappa == float(np.mean(kappas))
+            assert rep.sd_kappa == float(np.std(kappas, ddof=1))
+        else:
+            assert kappas == [kappa_mode] * cfg.trials
+            assert (rep.mean_kappa, rep.sd_kappa) == (kappa_mode, 0.0)
 
 
 def test_relative_risk_decreases_with_n():
@@ -131,6 +168,24 @@ def test_cutoff_risk_bound_smoke():
     assert rep.passed
     assert len(rep.rows) == 10
     assert all(row["margin"] > 0 for row in rep.rows)
+
+
+def test_cutoff_risk_bound_matches_per_m_trapezoid():
+    # the weight-matrix MISE against a trapezoid over each kept band separately
+    m_grid = np.array([0.0, 0.3, 1.0, 2.5, 4.0])
+    rep = cutoff_risk_bound_check(1.0, 400, m_grid=m_grid, trials=7, master_seed=4)
+    grid = UGrid.make(4.0, 0.05)
+    phi_ref = reference_cf(CAUCHY, 1.0, grid)
+    u = grid.points
+    for m, row in zip(m_grid, rep.rows):
+        mises = []
+        for tr in range(7):
+            sample = sample_increments(CAUCHY, 1.0, 400, SeedSpec(4, tr))
+            diff2 = np.abs(ecf(sample, grid).values - phi_ref) ** 2
+            keep = np.abs(u) <= m * (1 + 1e-12)
+            inner = np.trapezoid(diff2[keep], dx=grid.step) / (2.0 * math.pi)
+            mises.append(inner + math.exp(-2.0 * m) / (2.0 * math.pi))
+        assert row["empirical"] == pytest.approx(float(np.mean(mises)), rel=1e-13)
 
 
 def test_cutoff_risk_bound_degenerate_cutoff():
@@ -186,6 +241,20 @@ def test_config_json_roundtrip():
     assert back == cfg
     doc = json.loads(cfg.to_json())
     assert doc["model"]["jumps"]["alpha"] == 1.3
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda d: d.update(trails=5), "'trails'"),
+    (lambda d: d.update(model={"sigma": 2.0}), "'sigma'"),
+    (lambda d: d["model"]["jumps"].update(beta=0.5), "'beta'"),
+    (lambda d: d.pop("model"), "missing config key(s): 'model'"),
+    (lambda d: d.update(model=5), "model must be a JSON object"),
+], ids=["config-trails", "model-sigma", "jumps-beta", "missing-model", "model-not-object"])
+def test_config_rejects_unknown_and_missing_keys(edit, key):
+    doc = ExperimentConfig(MIXED, 0.1, (500,), trials=7).to_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        ExperimentConfig.from_dict(doc)
 
 
 def test_config_validation():

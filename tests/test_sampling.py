@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levyspec import (CustomJumpDensity, LevyTriplet, SeedSpec, StableJumpDensity,
-                      StableLaw, UGrid, UnsupportedModelError, cauchy_triplet,
-                      derive_seed, ecf, gamma_process_density, levy_khintchine_cf,
-                      sample_increments, stable_cf, stable_sample,
-                      write_increments_csv)
+from levyspec import (CustomJumpDensity, IncrementSample, LevyTriplet, SeedSpec,
+                      StableJumpDensity, StableLaw, UGrid, UnsupportedModelError,
+                      cauchy_triplet, derive_seed, ecf, gamma_process_density,
+                      levy_khintchine_cf, sample_increments, stable_cf,
+                      stable_sample, write_increments_csv)
 
 
 def hoeffding_band(n: int) -> float:
@@ -16,8 +16,13 @@ def hoeffding_band(n: int) -> float:
 
 
 def ecf_on(values, grid):
-    from levyspec import IncrementSample
     return ecf(IncrementSample(1.0, np.asarray(values, float), len(values), {}), grid)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_increment_sample_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="at index 2"):
+        IncrementSample(1.0, np.array([0.1, -0.4, bad, 0.3]), 4)
 
 
 def test_determinism():
