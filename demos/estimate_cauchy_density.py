@@ -8,8 +8,9 @@ level, invert, and compare against the truth.
 
 import numpy as np
 
-from levyspec import (SeedSpec, UGrid, adaptive_estimate, cauchy_triplet, ecf,
-                      sample_increments, select_kappa, write_estimate_csv)
+from levyspec import (SeedSpec, ThresholdSpec, UGrid, adaptive_estimate,
+                      cauchy_triplet, ecf, sample_increments, select_kappa,
+                      write_estimate_csv)
 
 DT = 1.0
 N = 5000
@@ -23,12 +24,12 @@ print(f"simulated {N} increments at dt={DT}; "
 grid = UGrid.make(10.0, 0.05)
 phi_hat = ecf(sample, grid)
 kappa = select_kappa(phi_hat)
-level = (1 + kappa * np.sqrt(np.log(N))) / np.sqrt(N)
+level = ThresholdSpec(kappa, N).level
 print(f"selected kappa = {kappa:.2f}  (threshold level {level:.4f})")
 
 # invert the thresholded ECF on a fixed window around the origin
 x_grid = np.linspace(-6.0, 6.0, 241)
-estimate = adaptive_estimate(sample, kappa, grid, x_grid)
+estimate = adaptive_estimate(phi_hat, kappa, x_grid)
 truth = DT / (np.pi * (x_grid ** 2 + DT ** 2))
 
 err = np.max(np.abs(estimate.values - truth))

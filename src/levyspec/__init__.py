@@ -18,7 +18,8 @@ from .estimator import (ECFGrid, SpectralEstimate, ThresholdSpec, UGrid,
                         adaptive_estimate, default_u_max, default_u_step,
                         default_x_grid, ecf, mixed_cutoff, optimal_cutoff,
                         plancherel_l2, spectral_estimate, threshold_cf,
-                        write_ecf_csv, write_estimate_csv)
+                        threshold_level, trapezoid_weights, write_ecf_csv,
+                        write_estimate_csv)
 from .models import (CustomJumpDensity, LevyTriplet, ModelClass, StableJumpDensity,
                      StableLaw, cauchy_triplet, check_small_jump_bound,
                      gamma_process_density, increment_stable_law,

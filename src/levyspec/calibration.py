@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoStabilizationError
-from .estimator import ECFGrid, ThresholdSpec, UGrid
+from .estimator import ECFGrid, ThresholdSpec, UGrid, threshold_level
 
 __all__ = ["KappaGrid", "ThresholdMask", "unthresholded_mask",
            "euler_characteristic", "chi_profile", "stabilization_index",
@@ -63,24 +63,20 @@ def unthresholded_mask(ecf_grid: ECFGrid, kappa: float) -> ThresholdMask:
     return ThresholdMask(ecf_grid.grid, np.abs(ecf_grid.values) >= level)
 
 
-def euler_characteristic(mask) -> int:
-    """Number of maximal runs of consecutive kept points."""
+def euler_characteristic(mask):
+    """Number of maximal runs of consecutive kept points along the last axis:
+    one count per row of a 2-D mask, an int for a 1-D mask."""
     kept = mask.kept if isinstance(mask, ThresholdMask) else np.asarray(mask, dtype=bool)
-    if kept.size == 0 or not kept.any():
-        return 0
-    return int(kept[0]) + int(np.count_nonzero(kept[1:] & ~kept[:-1]))
+    runs = (np.count_nonzero(kept[..., :1], axis=-1)
+            + np.count_nonzero(kept[..., 1:] & ~kept[..., :-1], axis=-1))
+    return int(runs) if kept.ndim == 1 else runs
 
 
 def chi_profile(ecf_grid: ECFGrid, grid: KappaGrid) -> tuple[np.ndarray, np.ndarray]:
-    """chi(A(kappa)) for every kappa on the grid."""
-    mods = np.abs(ecf_grid.values)
-    sqrt_logn = math.sqrt(math.log(ecf_grid.n))
-    sqrt_n = math.sqrt(ecf_grid.n)
-    chis = np.empty(grid.count + 1, dtype=int)
-    for k, kap in enumerate(grid.kappas):
-        level = (1.0 + kap * sqrt_logn) / sqrt_n
-        chis[k] = euler_characteristic(mods >= level)
-    return grid.kappas, chis
+    """chi(A(kappa)) for every kappa on the grid, from one (kappa, u) mask of
+    |phi_hat| against all the threshold levels at once."""
+    kept = np.abs(ecf_grid.values) >= threshold_level(grid.kappas, ecf_grid.n)[:, None]
+    return grid.kappas, euler_characteristic(kept)
 
 
 def stabilization_index(chis) -> int | None:

@@ -21,8 +21,8 @@ from . import __version__
 from .calibration import (FALLBACK_KAPPA, KappaGrid, chi_profile, select_kappa,
                           stabilization_index, write_chi_csv)
 from .errors import NoStabilizationError, QuadratureError, UnsupportedModelError
-from .estimator import (UGrid, default_u_max, default_u_step, default_x_grid,
-                        ecf, adaptive_estimate, write_ecf_csv, write_estimate_csv)
+from .estimator import (ECFGrid, UGrid, default_u_max, default_x_grid, ecf,
+                        adaptive_estimate, write_ecf_csv, write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
 from .risk import (ExperimentConfig, adaptive_risk_bound_check,
                    cutoff_risk_bound_check, risk_table, risk_table_csv)
@@ -105,17 +105,11 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _resolve_grid(delta: float, umax: float | None, step: float | None) -> UGrid:
-    u_max = umax if umax is not None else default_u_max(delta)
-    return UGrid.make(u_max, step if step is not None else default_u_step(u_max))
-
-
-def _cmd_estimate(args) -> int:
-    seed = _env_seed(args.seed)
+def _sample_and_ecf(args, seed: int | None = None) -> tuple[IncrementSample, ECFGrid]:
+    """Increments from --data or the model flags, and their ECF on the grid cut to [-n, n]."""
     if args.data:
         values = read_values_csv(args.data, difference=args.difference)
-        sample = IncrementSample(args.delta, values, len(values),
-                                 {"source": args.data, "differenced": args.difference})
+        sample = IncrementSample(args.delta, values, len(values))
     else:
         if args.alpha is None and args.sigma2 == 0.0:
             raise ValueError("need --data or model flags (--alpha/--P/--Q or --sigma2)")
@@ -123,12 +117,20 @@ def _cmd_estimate(args) -> int:
             raise ValueError("model-based estimation needs --n")
         triplet = _triplet_from_args(args)
         sample = sample_increments(triplet, args.delta, args.n, SeedSpec(seed, args.trial))
-    grid = _resolve_grid(args.delta, args.umax, args.step)
-    grid = grid.restrict(float(sample.n))
-    phi_hat = ecf(sample, grid)
+    u_max = args.umax if args.umax is not None else default_u_max(args.delta)
+    grid = UGrid.make(u_max, args.step).restrict(float(sample.n))
+    return sample, ecf(sample, grid)
+
+
+def _cmd_estimate(args) -> int:
+    seed = _env_seed(args.seed)
+    if args.xgrid < 2:
+        raise ValueError(f"--xgrid must be at least 2, got {args.xgrid}")
+    kgrid = KappaGrid(args.kappa_step, args.kappa_count)
+    sample, phi_hat = _sample_and_ecf(args, seed)
     if args.kappa == "auto":
         try:
-            kappa = select_kappa(phi_hat, KappaGrid(args.kappa_step, args.kappa_count))
+            kappa = select_kappa(phi_hat, kgrid)
             kappa_note = f"auto->{kappa:g}"
         except NoStabilizationError:
             if not args.fallback:
@@ -139,8 +141,8 @@ def _cmd_estimate(args) -> int:
         kappa = float(args.kappa)
         kappa_note = f"{kappa:g}"
     x_grid = default_x_grid(sample.values, points=args.xgrid)
-    est = adaptive_estimate(sample, kappa, grid, x_grid)
-    resolved = {"delta": args.delta, "umax": grid.u_max, "step": grid.step,
+    est = adaptive_estimate(phi_hat, kappa, x_grid)
+    resolved = {"delta": args.delta, "umax": phi_hat.grid.u_max, "step": phi_hat.grid.step,
                 "kappa": kappa_note, "n": sample.n, "seed": seed,
                 "xgrid": args.xgrid}
     write_estimate_csv(est, args.out, _meta(args, "estimate", resolved))
@@ -174,16 +176,12 @@ def _cmd_risk_table(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    values = read_values_csv(args.data, difference=args.difference)
-    sample = IncrementSample(args.delta, values, len(values), {"source": args.data})
-    grid = _resolve_grid(args.delta, args.umax, args.step)
-    grid = grid.restrict(float(sample.n))
-    phi_hat = ecf(sample, grid)
     kgrid = KappaGrid(args.kappa_step, args.kappa_count)
+    _, phi_hat = _sample_and_ecf(args)
     kappas, chis = chi_profile(phi_hat, kgrid)
     meta = _meta(args, "calibrate", {
-        "data": args.data, "delta": args.delta, "umax": grid.u_max,
-        "step": grid.step, "kappa-step": args.kappa_step,
+        "data": args.data, "delta": args.delta, "umax": phi_hat.grid.u_max,
+        "step": phi_hat.grid.step, "kappa-step": args.kappa_step,
         "kappa-count": args.kappa_count})
     if args.out:
         write_chi_csv(kappas, chis, args.out, meta)

@@ -16,7 +16,7 @@ either with a hard cutoff m or after thresholding the ECF at the level
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -27,7 +27,7 @@ __all__ = ["UGrid", "ECFGrid", "ThresholdSpec", "SpectralEstimate", "ecf",
            "spectral_estimate", "threshold_cf", "adaptive_estimate",
            "optimal_cutoff", "mixed_cutoff", "plancherel_l2", "default_u_max",
            "default_u_step", "default_x_grid", "write_estimate_csv",
-           "write_ecf_csv"]
+           "write_ecf_csv", "threshold_level", "trapezoid_weights"]
 
 
 _CUTOFF_RESIDUAL_TOL = 1e-10
@@ -104,6 +104,11 @@ class ECFGrid:
             raise AssertionError("conjugate symmetry violated")
 
 
+def threshold_level(kappa, n: int):
+    """Threshold level (1 + kappa sqrt(log n)) / sqrt(n); ``kappa`` may be an array."""
+    return (1.0 + kappa * math.sqrt(math.log(n))) / math.sqrt(n)
+
+
 @dataclass(frozen=True)
 class ThresholdSpec:
     """Threshold level (1 + kappa sqrt(log n)) / sqrt(n) for an ECF of size n."""
@@ -118,12 +123,8 @@ class ThresholdSpec:
             raise ValueError("n must be positive")
 
     @property
-    def kappa_n(self) -> float:
-        return 1.0 + self.kappa * math.sqrt(math.log(self.n))
-
-    @property
     def level(self) -> float:
-        return self.kappa_n / math.sqrt(self.n)
+        return threshold_level(self.kappa, self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,13 +189,18 @@ def default_x_grid(values: np.ndarray, points: int = 512, spread: float = 8.0) -
     return np.linspace(-spread * iqr, spread * iqr, points)
 
 
+def trapezoid_weights(count: int, step: float) -> np.ndarray:
+    """Trapezoid-rule weights of ``count`` points ``step`` apart; one point weighs 0."""
+    w = np.zeros(count)
+    w[1:] += step / 2.0
+    w[:-1] += step / 2.0
+    return w
+
+
 def _invert(u: np.ndarray, phi: np.ndarray, x_grid: np.ndarray, step: float,
             chunk: int = 256):
     """Trapezoid rule for (1/2pi) int phi(u) e^{-iux} du at each x."""
-    w = np.full(u.size, step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    wphi = phi * w / (2.0 * math.pi)
+    wphi = phi * trapezoid_weights(u.size, step) / (2.0 * math.pi)
     out = np.empty(x_grid.size, dtype=np.complex128)
     for lo in range(0, x_grid.size, chunk):
         xs = x_grid[lo:lo + chunk]
@@ -224,24 +230,13 @@ def threshold_cf(ecf_grid: ECFGrid, spec: ThresholdSpec) -> ECFGrid:
     return ECFGrid(ecf_grid.grid, np.where(kept, ecf_grid.values, 0.0), ecf_grid.n)
 
 
-def adaptive_estimate(sample: IncrementSample, kappa: float,
-                      grid: UGrid | None = None, x_grid=None) -> SpectralEstimate:
-    """Thresholded estimator: invert the ECF kept above the kappa level.
-
-    The integration domain [-n, n] is intersected with the configured grid;
-    in practice u_max << n so the grid wins.
-    """
-    if grid is None:
-        grid = UGrid.make(default_u_max(sample.delta_t))
-    grid = grid.restrict(float(sample.n))
-    if x_grid is None:
-        x_grid = default_x_grid(sample.values)
-    x_grid = np.asarray(x_grid, dtype=float)
-    spec = ThresholdSpec(kappa, sample.n)
-    phi = threshold_cf(ecf(sample, grid), spec)
-    f = _invert(grid.points, phi.values, x_grid, grid.step)
-    return SpectralEstimate(x_grid, f.real, threshold=spec,
-                            imag_residual=float(np.max(np.abs(f.imag))))
+def adaptive_estimate(ecf_grid: ECFGrid, kappa: float, x_grid) -> SpectralEstimate:
+    """Thresholded estimator: the given ECF, zeroed below the kappa level, inverted
+    over [-n, n] cut to the ECF's grid (``grid.restrict(n)``, usually all of it)."""
+    spec = ThresholdSpec(kappa, ecf_grid.n)
+    m = ecf_grid.grid.restrict(float(ecf_grid.n)).u_max
+    est = spectral_estimate(threshold_cf(ecf_grid, spec), m, x_grid)
+    return replace(est, cutoff_m=None, threshold=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +319,7 @@ def plancherel_l2(a, b, grid: UGrid | None = None) -> float:
     if va.shape != vb.shape:
         raise ValueError("operands have different shapes")
     diff = np.abs(va - vb) ** 2
-    return float(np.trapezoid(diff, dx=ga.step) / (2.0 * math.pi))
+    return float(diff @ trapezoid_weights(diff.size, ga.step) / (2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +25,8 @@ from scipy.special import erfc
 
 from .calibration import FALLBACK_KAPPA, KappaGrid, select_kappa
 from .errors import NoStabilizationError, UnsupportedModelError
-from .estimator import (ThresholdSpec, UGrid, default_u_max, default_u_step, ecf,
-                        plancherel_l2, threshold_cf)
+from .estimator import (ThresholdSpec, UGrid, default_u_max, ecf, plancherel_l2,
+                        threshold_cf, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, StableLaw, cauchy_triplet,
                      increment_stable_law, levy_khintchine_cf, stable_density_l2_norm)
 from .sampling import SeedSpec, derive_seed, sample_increments
@@ -63,8 +63,7 @@ class ExperimentConfig:
 
     def grid(self) -> UGrid:
         u_max = self.u_max if self.u_max is not None else default_u_max(self.delta_t)
-        step = self.u_step if self.u_step is not None else default_u_step(u_max)
-        return UGrid.make(u_max, step)
+        return UGrid.make(u_max, self.u_step)
 
     def to_dict(self) -> dict:
         jumps = self.model.jumps
@@ -89,26 +88,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _check_keys(d, "config", {f.name for f in fields(cls)}, {"model", "delta_t", "n_list"})
-        m = d["model"]
-        _check_keys(m, "model", {"b", "sigma2", "jumps"})
-        jumps = m.get("jumps")
-        if jumps is not None:
-            _check_keys(jumps, "jumps", {"P", "Q", "alpha"}, {"P", "Q", "alpha"})
-        triplet = LevyTriplet(
-            float(m.get("b", 0.0)), float(m.get("sigma2", 0.0)),
-            None if jumps is None else StableJumpDensity(
-                float(jumps["P"]), float(jumps["Q"]), float(jumps["alpha"])))
-        return cls(model=triplet,
-                   delta_t=float(d["delta_t"]),
-                   n_list=tuple(int(n) for n in d["n_list"]),
-                   trials=int(d.get("trials", 100)),
-                   u_max=None if d.get("u_max") is None else float(d["u_max"]),
-                   u_step=None if d.get("u_step") is None else float(d["u_step"]),
-                   kappa_mode=(d.get("kappa_mode", "auto") if d.get("kappa_mode", "auto") == "auto"
-                               else float(d["kappa_mode"])),
-                   master_seed=int(d.get("master_seed", 20406080)),
-                   label=str(d.get("label", "")))
+        """Parse a config object; an absent optional key takes the field's default."""
+        return cls(**_parse_object(d, "config", _CONFIG_FIELDS, {"model", "delta_t", "n_list"}))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -118,13 +99,45 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
 
-def _check_keys(d: dict, where: str, allowed: set, required: set = frozenset()) -> None:
-    """Reject a config object with keys outside ``allowed`` or without ``required``."""
+def _parse_object(d: dict, where: str, converters: dict, required: set = frozenset()) -> dict:
+    """Each value of a config object through its key's converter; an unknown,
+    missing or wrongly typed key is a ValueError naming it."""
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {d!r}")
-    for problem, keys in (("unknown", set(d) - allowed), ("missing", required - set(d))):
+    for problem, keys in (("unknown", set(d) - set(converters)), ("missing", required - set(d))):
         if keys:
             raise ValueError(f"{problem} {where} key(s): {', '.join(map(repr, sorted(keys)))}")
+    parsed = {}
+    for key, value in d.items():
+        try:
+            parsed[key] = converters[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where} key {key!r}: {exc}") from None
+    return parsed
+
+
+def _int_list(values) -> tuple:
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of integers, got {values!r}")
+    return tuple(int(n) for n in values)
+
+
+def _parse_jumps(jumps) -> StableJumpDensity | None:
+    keys = {"P", "Q", "alpha"}
+    return None if jumps is None else StableJumpDensity(
+        **_parse_object(jumps, "jumps", dict.fromkeys(keys, float), keys))
+
+
+def _parse_model(model) -> LevyTriplet:
+    m = _parse_object(model, "model", {"b": float, "sigma2": float, "jumps": _parse_jumps})
+    return LevyTriplet(m.get("b", 0.0), m.get("sigma2", 0.0), m.get("jumps"))
+
+
+_CONFIG_FIELDS = {
+    "model": _parse_model, "delta_t": float, "n_list": _int_list,
+    "trials": int, "u_max": lambda v: None if v is None else float(v),
+    "u_step": lambda v: None if v is None else float(v),
+    "kappa_mode": lambda v: v if v == "auto" else float(v), "master_seed": int, "label": str}
 
 
 def _check_trials(trials: int) -> None:
@@ -220,6 +233,12 @@ def relative_risk_of_cf(phi_est, model: LevyTriplet, delta_t: float, grid: UGrid
     return num / reference_l2_norm(model, delta_t)
 
 
+def _trial_ecfs(model: LevyTriplet, delta_t: float, n: int, grid: UGrid, seed: int, trials: int):
+    """ECF on the grid of each trial's sample, keyed by (seed, trial index)."""
+    for tr in range(trials):
+        yield ecf(sample_increments(model, delta_t, n, SeedSpec(seed, tr)), grid)
+
+
 def _sd(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
@@ -247,8 +266,7 @@ def relative_l2_risk(config: ExperimentConfig) -> list[RiskReport]:
         risks = np.empty(config.trials)
         kappas = np.empty(config.trials)
         fallbacks = 0
-        for tr in range(config.trials):
-            phi_hat = ecf(sample_increments(model, delta_t, n, SeedSpec(cell_seed, tr)), grid)
+        for tr, phi_hat in enumerate(_trial_ecfs(model, delta_t, n, grid, cell_seed, config.trials)):
             if auto:
                 try:
                     kappa = select_kappa(phi_hat, kappa_grid)
@@ -309,21 +327,15 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
     if m_grid is None:
         m_grid = np.linspace(0.5, 8.0, 10)
     m_grid = np.asarray(m_grid, dtype=float)
-    step = default_u_step(float(np.max(m_grid)))
-    grid = UGrid.make(float(np.max(m_grid)), step)
+    grid = UGrid.make(float(np.max(m_grid)))
     phi_ref = reference_cf(model, delta_t, grid)
-    diff2 = np.empty((trials, grid.points.size))
-    for tr in range(trials):
-        sample = sample_increments(model, delta_t, n, SeedSpec(master_seed, tr))
-        diff2[tr] = np.abs(ecf(sample, grid).values - phi_ref) ** 2
-    # trapezoid weights over each band |u| <= m: a point carries step/2 for
-    # every grid interval inside the band that it ends
-    keep = np.abs(grid.points) <= m_grid[:, None] * (1 + 1e-12)
-    inside = keep[:, 1:] & keep[:, :-1]
-    weights = np.zeros(keep.shape)
-    weights[:, 1:] += inside
-    weights[:, :-1] += inside
-    weights *= grid.step / 2.0
+    diff2 = np.array([np.abs(phi_hat.values - phi_ref) ** 2
+                      for phi_hat in _trial_ecfs(model, delta_t, n, grid, master_seed, trials)])
+    # one row of trapezoid weights per band |u| <= m, zero outside the band
+    bands = np.abs(grid.points) <= m_grid[:, None] * (1 + 1e-12)
+    weights = np.zeros(bands.shape)
+    for row, band in zip(weights, bands):
+        row[band] = trapezoid_weights(np.count_nonzero(band), grid.step)
     bias2 = np.exp(-2.0 * gamma * m_grid) / (2.0 * math.pi * gamma)
     mises = diff2 @ weights.T / (2.0 * math.pi) + bias2
     rows = []
@@ -354,11 +366,9 @@ def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KA
     grid = UGrid.make(default_u_max(delta_t))
     phi_ref = reference_cf(model, delta_t, grid)
     tail = math.exp(-2.0 * gamma * grid.u_max) / (2.0 * math.pi * gamma)
-    risks = np.zeros(trials)
-    for tr in range(trials):
-        sample = sample_increments(model, delta_t, n, SeedSpec(master_seed, tr))
-        phi_tilde = threshold_cf(ecf(sample, grid), ThresholdSpec(kappa, n))
-        risks[tr] = plancherel_l2(phi_tilde.values, phi_ref, grid=grid) + tail
+    spec = ThresholdSpec(kappa, n)
+    risks = np.array([plancherel_l2(threshold_cf(phi_hat, spec).values, phi_ref, grid=grid) + tail
+                      for phi_hat in _trial_ecfs(model, delta_t, n, grid, master_seed, trials)])
     logn = math.log(n)
     m_grid = np.linspace(grid.u_max / 20.0, grid.u_max, 20)
     rhs_terms = [9.0 * math.exp(-2.0 * gamma * m) / (2.0 * math.pi * gamma)

@@ -65,6 +65,21 @@ def test_chi_counts_runs(bits):
     assert euler_characteristic(arr) == runs
 
 
+@given(data=st.data(), n=st.integers(min_value=1, max_value=10 ** 7),
+       delta_step=st.floats(min_value=0.01, max_value=1.0),
+       count=st.integers(min_value=3, max_value=60))
+@settings(max_examples=200, deadline=None)
+def test_chi_profile_equals_per_kappa_masks(data, n, delta_step, count):
+    k = data.draw(st.integers(min_value=1, max_value=40))
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    parts = data.draw(st.lists(st.tuples(unit, unit), min_size=2 * k + 1, max_size=2 * k + 1))
+    e = ECFGrid(UGrid(k * 0.1, 0.1), np.array([complex(re, im) for re, im in parts]), n)
+    kgrid = KappaGrid(delta_step, count)
+    kappas, chis = chi_profile(e, kgrid)
+    np.testing.assert_array_equal(kappas, kgrid.kappas)
+    assert list(chis) == [euler_characteristic(unthresholded_mask(e, kap)) for kap in kappas]
+
+
 # ---------------------------------------------------------------------------
 # stabilization rule
 

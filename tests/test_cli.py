@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import levyspec.cli
+import levyspec.estimator
 from levyspec.cli import main, read_values_csv
 
 CAUCHY_FLAGS = ["--alpha", "1", "--P", "0.3183098861837907", "--Q", "0.3183098861837907"]
@@ -110,6 +112,42 @@ def test_estimate_from_model_flags(tmp_path, capsys):
     assert code == 0
 
 
+def test_estimate_computes_the_ecf_once(increments_file, tmp_path, monkeypatch):
+    calls = []
+    real_ecf = levyspec.estimator.ecf
+
+    def counted_ecf(*args, **kwargs):
+        calls.append(args)
+        return real_ecf(*args, **kwargs)
+
+    for module in (levyspec.cli, levyspec.estimator):
+        monkeypatch.setattr(module, "ecf", counted_ecf)
+    assert run(["estimate", "--data", str(increments_file), "--delta", "1",
+                "--kappa", "auto", "--out", str(tmp_path / "d.csv"), "--no-meta"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--xgrid", "0"], "--xgrid must be at least 2, got 0"),
+    (["--xgrid", "1"], "--xgrid must be at least 2, got 1"),
+    (["--kappa-count", "2"], "count must be at least 3"),
+    (["--kappa-step", "0"], "delta_step must be positive"),
+], ids=["xgrid-0", "xgrid-1", "kappa-count-2", "kappa-step-0"])
+def test_estimate_rejects_bad_grid_flags_before_reading_data(
+        flags, message, increments_file, tmp_path, monkeypatch, capsys):
+    def refuse_read(*args, **kwargs):
+        raise AssertionError("data read before the flags were validated")
+
+    monkeypatch.setattr(levyspec.cli, "read_values_csv", refuse_read)
+    out = tmp_path / "d.csv"
+    code = run(["estimate", "--data", str(increments_file), "--delta", "1",
+                *flags, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "d_ecf.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -183,6 +221,17 @@ def test_risk_table_unknown_config_key_exits_2(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert run(["risk-table", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "'trails'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("n_list", 5), ("n_list", "55"), ("delta_t", None)])
+def test_risk_table_wrongly_typed_config_value_exits_2(key, value, tmp_path, capsys):
+    cfg = {"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [300], key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.csv"
+    assert run(["risk-table", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

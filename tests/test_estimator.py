@@ -7,7 +7,7 @@ from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpe
                       ThresholdSpec, UGrid, adaptive_estimate, cauchy_triplet,
                       default_u_max, ecf, levy_khintchine_cf, mixed_cutoff,
                       optimal_cutoff, plancherel_l2, sample_increments,
-                      spectral_estimate, threshold_cf)
+                      spectral_estimate, threshold_cf, threshold_level)
 
 
 def sample_of(values, dt=1.0):
@@ -95,6 +95,14 @@ def test_spectral_estimate_of_unit_cf_at_zero():
     assert est.imag_residual < 1e-15
 
 
+def test_spectral_estimate_single_point_band_is_zero():
+    # 0 < m < step keeps only u = 0, a band of zero width
+    g = UGrid.make(4.0, 0.05)
+    e = synthetic_ecf(g, lambda u: np.ones_like(u))
+    est = spectral_estimate(e, 0.01, np.array([-1.0, 0.0, 2.0]))
+    np.testing.assert_array_equal(est.values, 0.0)
+
+
 def test_spectral_estimate_dirichlet_kernel_coarse():
     g = UGrid.make(2.0, 0.002)
     e = synthetic_ecf(g, lambda u: np.ones_like(u))
@@ -150,8 +158,10 @@ def test_spectral_estimate_cauchy_pointwise():
 
 def test_threshold_level_formula():
     spec = ThresholdSpec(0.5, 10_000)
-    assert spec.kappa_n == pytest.approx(1.0 + 0.5 * math.sqrt(math.log(10_000)))
-    assert spec.level == pytest.approx(spec.kappa_n / 100.0)
+    assert spec.level == pytest.approx((1.0 + 0.5 * math.sqrt(math.log(10_000))) / 100.0)
+    kappas = np.array([0.0, 0.5, 2.0])
+    np.testing.assert_array_equal(threshold_level(kappas, 10_000),
+                                  [ThresholdSpec(k, 10_000).level for k in kappas])
 
 
 def test_threshold_zeroes_everything_when_level_above_one():
@@ -202,7 +212,7 @@ def test_threshold_kept_sets_shrink_with_kappa():
 
 def test_adaptive_zero_function_for_huge_kappa():
     s = sample_increments(cauchy_triplet(), 1.0, 100, SeedSpec(33))
-    est = adaptive_estimate(s, 50.0, UGrid.make(10.0, 0.1))
+    est = adaptive_estimate(ecf(s, UGrid.make(10.0, 0.1)), 50.0, np.linspace(-5, 5, 11))
     np.testing.assert_array_equal(est.values, 0.0)
 
 
@@ -214,7 +224,7 @@ def test_adaptive_equals_cutoff_when_nothing_thresholded():
     e = ecf(s, g)
     assert np.min(np.abs(e.values)) >= ThresholdSpec(0.0, s.n).level
     xs = np.linspace(-3, 3, 61)
-    a = adaptive_estimate(s, 0.0, g, xs)
+    a = adaptive_estimate(e, 0.0, xs)
     b = spectral_estimate(e, 2.0, xs)
     np.testing.assert_array_equal(a.values, b.values)
 
@@ -222,8 +232,13 @@ def test_adaptive_equals_cutoff_when_nothing_thresholded():
 def test_adaptive_domain_intersects_n():
     # grid wider than n collapses to [-n, n]
     s = sample_of(np.linspace(-1, 1, 7))
-    est = adaptive_estimate(s, 0.1, UGrid.make(10.0, 1.0), np.array([0.0]))
-    assert est.threshold is not None
+    g = UGrid.make(10.0, 1.0)
+    xs = np.linspace(-2, 2, 9)
+    est = adaptive_estimate(ecf(s, g), 0.1, xs)
+    want = adaptive_estimate(ecf(s, g.restrict(7.0)), 0.1, xs)
+    assert g.restrict(7.0).u_max == 7.0
+    np.testing.assert_array_equal(est.values, want.values)
+    assert est.threshold == ThresholdSpec(0.1, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +325,15 @@ def test_plancherel_exponential_norm():
     e = synthetic_ecf(g, lambda u: np.exp(-np.abs(u)))
     zero = ECFGrid(g, np.zeros(len(g.points), dtype=complex), e.n)
     assert plancherel_l2(e, zero) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-4)
+
+
+@pytest.mark.parametrize("half_count", [1, 2, 200, 1000])
+def test_plancherel_matches_numpy_trapezoid(half_count):
+    g = UGrid(0.05 * half_count, 0.05)
+    rng = np.random.default_rng(half_count)
+    a, b = rng.standard_normal((2, g.points.size)) + 1j * rng.standard_normal((2, g.points.size))
+    want = np.trapezoid(np.abs(a - b) ** 2, dx=g.step) / (2.0 * math.pi)
+    assert plancherel_l2(a, b, grid=g) == pytest.approx(want, rel=1e-14)
 
 
 def test_plancherel_grid_mismatch():
