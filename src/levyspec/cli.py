@@ -122,13 +122,25 @@ def _sample_and_ecf(args, seed: int | None = None) -> tuple[IncrementSample, ECF
     return sample, ecf(sample, grid)
 
 
+def _fixed_kappa(text: str) -> float:
+    """A fixed --kappa value: a finite number >= 0."""
+    try:
+        kappa = float(text)
+    except ValueError:
+        raise ValueError(f"--kappa must be 'auto' or a number, got {text!r}") from None
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"--kappa must be a finite number >= 0, got {text}")
+    return kappa
+
+
 def _cmd_estimate(args) -> int:
     seed = _env_seed(args.seed)
     if args.xgrid < 2:
         raise ValueError(f"--xgrid must be at least 2, got {args.xgrid}")
     kgrid = KappaGrid(args.kappa_step, args.kappa_count)
+    fixed_kappa = None if args.kappa == "auto" else _fixed_kappa(args.kappa)
     sample, phi_hat = _sample_and_ecf(args, seed)
-    if args.kappa == "auto":
+    if fixed_kappa is None:
         try:
             kappa = select_kappa(phi_hat, kgrid)
             kappa_note = f"auto->{kappa:g}"
@@ -138,7 +150,7 @@ def _cmd_estimate(args) -> int:
             kappa = FALLBACK_KAPPA
             kappa_note = f"auto->fallback {kappa:g}"
     else:
-        kappa = float(args.kappa)
+        kappa = fixed_kappa
         kappa_note = f"{kappa:g}"
     x_grid = default_x_grid(sample.values, points=args.xgrid)
     est = adaptive_estimate(phi_hat, kappa, x_grid)

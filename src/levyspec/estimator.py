@@ -4,7 +4,11 @@ The ECF on a symmetric frequency grid is
 
     phi_hat(u) = (1/n) sum_j exp(i u x_j),
 
-computed by direct summation (exact up to float rounding, O(n |grid|)).  The
+summed directly (exact up to float rounding) for the K grid points u = k*step
+>= 0.  Writing k = a*B + b with B ~ sqrt(K) splits exp(iux) into
+exp(i a B step x) * exp(i b step x), so each chunk of samples adds one complex
+matrix product U @ V.T of those two phase factors to an (A, B) table of the
+sums: O(n K) multiply-adds in BLAS plus O(n sqrt(K)) phase products.  The
 density estimators invert it by the trapezoid rule,
 
     f_hat(x)   = Re (1/2pi) int_{-m}^{m} phi_hat(u) e^{-iux} du,
@@ -141,32 +145,52 @@ class SpectralEstimate:
 # ---------------------------------------------------------------------------
 # ECF
 
-_REFRESH = 64  # recompute the phase product every this many grid steps
+_CHUNK = 4096  # samples per matrix product; the phase tables hold (A + B) * _CHUNK values
+
+
+def _phase_powers(out: np.ndarray, theta: np.ndarray) -> None:
+    """Row r of ``out`` becomes exp(i r theta): one complex exp, then repeated products."""
+    out[0] = 1.0
+    if len(out) > 1:
+        np.exp(1j * theta, out=out[1])
+    for r in range(2, len(out)):
+        np.multiply(out[r - 1], out[1], out=out[r])
 
 
 def _ecf_half(values: np.ndarray, count: int, step: float) -> np.ndarray:
-    """phi_hat at u = k*step for k = 0..count, by incremental phase products.
+    """phi_hat at u = k*step for k = 0..count, as one matrix product per sample chunk.
 
-    Equivalent to direct summation of exp(i k step x); the running product is
-    refreshed periodically so rounding drift stays below ~1e-13.
+    With K = count + 1, B = ceil(sqrt(K)) and A = ceil(K / B), frequency
+    k = a*B + b (a < A, b < B) factors as exp(i a B step x) * exp(i b step x).
+    For each chunk of samples, V[b, j] = exp(i b step x_j) and U[a, j] =
+    exp(i a B step x_j), and (U @ V.T)[a, b] sums the phases of frequency
+    a*B + b over the chunk.  Cost: O(n K) multiply-adds in BLAS plus
+    O(n sqrt(K)) phase products; memory O((A + B) * _CHUNK), whatever n is.
     """
-    out = np.empty(count + 1, dtype=np.complex128)
+    size = count + 1
+    cols = math.isqrt(size - 1) + 1  # B = ceil(sqrt(K))
+    rows = -(-size // cols)  # A = ceil(K / B)
+    acc = np.zeros((rows, cols), dtype=np.complex128)
+    width = min(_CHUNK, values.size)
+    coarse = np.empty((rows, width), dtype=np.complex128)  # U, steps of B*step
+    fine = np.empty((cols, width), dtype=np.complex128)  # V, steps of step
+    for lo in range(0, values.size, _CHUNK):
+        x = values[lo:lo + _CHUNK]
+        u, v = coarse[:, :x.size], fine[:, :x.size]
+        _phase_powers(v, step * x)
+        _phase_powers(u, (cols * step) * x)
+        acc += u @ v.T
+    out = acc.ravel()[:size] / values.size
     out[0] = 1.0
-    base = np.exp(1j * step * values)
-    prod = np.ones_like(base)
-    for k in range(1, count + 1):
-        if k % _REFRESH == 0:
-            np.exp(1j * (k * step) * values, out=prod)
-        else:
-            np.multiply(prod, base, out=prod)
-        out[k] = prod.mean()
     return out
 
 
 def ecf(sample: IncrementSample, grid: UGrid) -> ECFGrid:
     """Empirical characteristic function of the sample on the grid.
 
-    Only the nonnegative half-axis is summed; the negative half is filled by
+    Only the nonnegative half-axis is summed, by the chunked matrix products of
+    ``_ecf_half`` (O(n K) multiply-adds in BLAS plus O(n sqrt(K)) phase
+    products for K = ``grid.half_count`` + 1); the negative half is filled by
     conjugate symmetry, so phi_hat(0) = 1 exactly and phi_hat(-u) =
     conj(phi_hat(u)) exactly.
     """

@@ -116,10 +116,19 @@ def _parse_object(d: dict, where: str, converters: dict, required: set = frozens
     return parsed
 
 
+def _int(value) -> int:
+    """An int, or a float with an integral value; booleans and fractions are errors."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _int_list(values) -> tuple:
     if not isinstance(values, list):
         raise TypeError(f"expected a list of integers, got {values!r}")
-    return tuple(int(n) for n in values)
+    return tuple(_int(n) for n in values)
 
 
 def _parse_jumps(jumps) -> StableJumpDensity | None:
@@ -135,9 +144,9 @@ def _parse_model(model) -> LevyTriplet:
 
 _CONFIG_FIELDS = {
     "model": _parse_model, "delta_t": float, "n_list": _int_list,
-    "trials": int, "u_max": lambda v: None if v is None else float(v),
+    "trials": _int, "u_max": lambda v: None if v is None else float(v),
     "u_step": lambda v: None if v is None else float(v),
-    "kappa_mode": lambda v: v if v == "auto" else float(v), "master_seed": int, "label": str}
+    "kappa_mode": lambda v: v if v == "auto" else float(v), "master_seed": _int, "label": str}
 
 
 def _check_trials(trials: int) -> None:

@@ -132,7 +132,9 @@ def test_estimate_computes_the_ecf_once(increments_file, tmp_path, monkeypatch):
     (["--xgrid", "1"], "--xgrid must be at least 2, got 1"),
     (["--kappa-count", "2"], "count must be at least 3"),
     (["--kappa-step", "0"], "delta_step must be positive"),
-], ids=["xgrid-0", "xgrid-1", "kappa-count-2", "kappa-step-0"])
+    (["--kappa", "abc"], "--kappa must be 'auto' or a number, got 'abc'"),
+    (["--kappa", "-1"], "--kappa must be a finite number >= 0, got -1"),
+], ids=["xgrid-0", "xgrid-1", "kappa-count-2", "kappa-step-0", "kappa-abc", "kappa--1"])
 def test_estimate_rejects_bad_grid_flags_before_reading_data(
         flags, message, increments_file, tmp_path, monkeypatch, capsys):
     def refuse_read(*args, **kwargs):
@@ -224,7 +226,9 @@ def test_risk_table_unknown_config_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("n_list", 5), ("n_list", "55"), ("delta_t", None)])
+@pytest.mark.parametrize("key, value", [
+    ("n_list", 5), ("n_list", "55"), ("delta_t", None), ("trials", 2.7),
+    pytest.param("n_list", [500.9], id="n_list-500.9"), ("master_seed", True)])
 def test_risk_table_wrongly_typed_config_value_exits_2(key, value, tmp_path, capsys):
     cfg = {"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [300], key: value}
     cfg_path = tmp_path / "cfg.json"

@@ -84,6 +84,50 @@ def test_ecf_matches_direct_summation():
     np.testing.assert_allclose(e.values, direct, atol=2e-13)
 
 
+ECF_FAMILIES = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "cauchy": lambda rng, n: rng.standard_cauchy(n),
+    "cauchy-x10": lambda rng, n: 10.0 * rng.standard_cauchy(n),
+    "uniform-1e6": lambda rng, n: rng.uniform(-1e6, 1e6, n),
+    "cauchy-cubed": lambda rng, n: rng.standard_cauchy(n) ** 3,
+}
+
+
+def ecf_longdouble(values, count, step):
+    """(1/n) sum_j exp(i k step x_j) for k = 0..count, summed in long double.
+
+    Each phase k*step*x_j is formed and reduced mod 2pi in long double, so only
+    the cos/sin of the reduced phase (|error| ~ 1e-16) is taken in double.
+    """
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    x = values.astype(np.longdouble)
+    out = np.empty(count + 1, dtype=np.clongdouble)
+    for k in range(count + 1):
+        theta = (k * np.longdouble(step)) * x
+        r = (theta - np.round(theta / two_pi) * two_pi).astype(float)
+        out[k] = (np.cos(r).astype(np.longdouble).mean()
+                  + 1j * np.sin(r).astype(np.longdouble).mean())
+    return out
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no more precise than double here")
+@pytest.mark.parametrize("n", [1, 3000, 10_000])  # 10_000: three 4096-sample chunks
+@pytest.mark.parametrize("count, step", [(1, 0.1), (160, 0.05), (200, 0.05), (1000, 0.1)],
+                         ids=["K1", "K160", "K200", "K1000"])
+@pytest.mark.parametrize("family", sorted(ECF_FAMILIES))
+def test_ecf_within_rounding_bound_of_long_double_sum(family, count, step, n):
+    # Rounding s*x alone moves the phase at u by up to eps*u*|x|, so the bound
+    # scales with u_max * mean|x|; direct double summation carries the same term.
+    values = ECF_FAMILIES[family](np.random.default_rng([count, n]), n)
+    g = UGrid.make(count * step, step)
+    e = ecf(sample_of(values), g)
+    e.check_invariants()
+    err = np.abs(e.values[count:] - ecf_longdouble(values, count, step)).astype(float)
+    bound = 1e-14 + np.finfo(float).eps * g.u_max * np.mean(np.abs(values))
+    assert err.max() <= bound
+
+
 # ---------------------------------------------------------------------------
 # spectral cutoff estimator
 
