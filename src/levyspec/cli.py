@@ -122,6 +122,17 @@ def _sample_and_ecf(args, seed: int | None = None) -> tuple[IncrementSample, ECF
     return sample, ecf(sample, grid)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
 def _fixed_kappa(text: str) -> float:
     """A fixed --kappa value: a finite number >= 0."""
     try:
@@ -236,11 +247,11 @@ def _cmd_check_bounds(args) -> int:
 # parser
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=None, help="stable index in (0,2)")
-    p.add_argument("--P", type=float, default=0.0, help="right tail constant")
-    p.add_argument("--Q", type=float, default=0.0, help="left tail constant")
-    p.add_argument("--sigma2", type=float, default=0.0, help="diffusion coefficient")
-    p.add_argument("--b", type=float, default=0.0, help="drift")
+    p.add_argument("--alpha", type=_finite_float, default=None, help="stable index in (0,2)")
+    p.add_argument("--P", type=_finite_float, default=0.0, help="right tail constant")
+    p.add_argument("--Q", type=_finite_float, default=0.0, help="left tail constant")
+    p.add_argument("--sigma2", type=_finite_float, default=0.0, help="diffusion coefficient")
+    p.add_argument("--b", type=_finite_float, default=0.0, help="drift")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sample", help="simulate increments to CSV")
     _add_model_flags(ps)
-    ps.add_argument("--delta", type=float, required=True, help="sampling rate")
+    ps.add_argument("--delta", type=_finite_float, required=True, help="sampling rate")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--trial", type=int, default=0)
@@ -264,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="difference level observations to increments")
     _add_model_flags(pe)
     pe.add_argument("--n", type=int, default=None, help="sample size when simulating")
-    pe.add_argument("--delta", type=float, required=True)
-    pe.add_argument("--umax", type=float, default=None)
-    pe.add_argument("--step", type=float, default=None)
+    pe.add_argument("--delta", type=_finite_float, required=True)
+    pe.add_argument("--umax", type=_finite_float, default=None)
+    pe.add_argument("--step", type=_finite_float, default=None)
     pe.add_argument("--kappa", default="auto", help="threshold constant or 'auto'")
-    pe.add_argument("--kappa-step", type=float, default=0.05)
+    pe.add_argument("--kappa-step", type=_finite_float, default=0.05)
     pe.add_argument("--kappa-count", type=int, default=100)
     pe.add_argument("--fallback", action="store_true",
                     help="fall back to kappa=2*sqrt(2) when calibration fails")
@@ -290,10 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("calibrate", help="Euler-characteristic kappa selection")
     pc.add_argument("--data", required=True)
     pc.add_argument("--difference", action="store_true")
-    pc.add_argument("--delta", type=float, required=True)
-    pc.add_argument("--umax", type=float, default=None)
-    pc.add_argument("--step", type=float, default=None)
-    pc.add_argument("--kappa-step", type=float, default=0.05)
+    pc.add_argument("--delta", type=_finite_float, required=True)
+    pc.add_argument("--umax", type=_finite_float, default=None)
+    pc.add_argument("--step", type=_finite_float, default=None)
+    pc.add_argument("--kappa-step", type=_finite_float, default=0.05)
     pc.add_argument("--kappa-count", type=int, default=100)
     pc.add_argument("--fallback", action="store_true")
     pc.add_argument("--out", default=None, help="kappa,chi CSV path")
@@ -303,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("check-bounds", help="empirical risk-bound verification")
     pb.add_argument("--which", choices=("thm1", "thm4"), required=True,
                     help="thm1: fixed-cutoff risk bound; thm4: adaptive oracle bound")
-    pb.add_argument("--delta", type=float, required=True)
+    pb.add_argument("--delta", type=_finite_float, required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--trials", type=int, default=100)
-    pb.add_argument("--kappa", type=float, default=None, help="thm4 threshold constant")
+    pb.add_argument("--kappa", type=_finite_float, default=None, help="thm4 threshold constant")
     pb.add_argument("--seed", type=int, default=None)
     pb.set_defaults(func=_cmd_check_bounds)
     return ap

@@ -5,16 +5,17 @@ The ECF on a symmetric frequency grid is
     phi_hat(u) = (1/n) sum_j exp(i u x_j),
 
 summed directly (exact up to float rounding) for the K grid points u = k*step
->= 0.  Writing k = a*B + b with B ~ sqrt(K) splits exp(iux) into
-exp(i a B step x) * exp(i b step x), so each chunk of samples adds one complex
-matrix product U @ V.T of those two phase factors to an (A, B) table of the
-sums: O(n K) multiply-adds in BLAS plus O(n sqrt(K)) phase products.  The
-density estimators invert it by the trapezoid rule,
+>= 0.  The density estimators invert it by the trapezoid rule,
 
     f_hat(x)   = Re (1/2pi) int_{-m}^{m} phi_hat(u) e^{-iux} du,
 
 either with a hard cutoff m or after thresholding the ECF at the level
-(1 + kappa sqrt(log n)) / sqrt(n).
+(1 + kappa sqrt(log n)) / sqrt(n).  Both transforms sum exp(+-i k step x_j)
+over the samples or the x points.  Writing k = a*B + b with B ~ sqrt(K) splits
+it into U[a, j] V[b, j], phase tables that one kernel builds per 4096-point
+chunk: the ECF is U @ V.T, the inversion sum_a U[a, j] (C @ V)[a, j] for the
+weighted phi_hat reshaped to C.  Each costs O(points K) multiply-adds in BLAS
+plus O(points sqrt(K)) phase products, on any x-grid.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ def default_u_step(u_max: float) -> float:
     return 0.05 if u_max <= 10.0 else 0.1
 
 
+def _check_grid_values(u_max: float, step: float) -> None:
+    if not (math.isfinite(u_max) and math.isfinite(step) and u_max > 0 and step > 0):
+        raise ValueError(f"u_max and step must be finite and positive, got {u_max}, {step}")
+
+
 @dataclass(frozen=True)
 class UGrid:
     """Symmetric uniform frequency grid -u_max..u_max containing 0 exactly."""
@@ -54,8 +60,7 @@ class UGrid:
     step: float
 
     def __post_init__(self):
-        if self.step <= 0 or self.u_max <= 0:
-            raise ValueError("u_max and step must be positive")
+        _check_grid_values(self.u_max, self.step)
         k = round(self.u_max / self.step)
         if k < 1 or abs(k * self.step - self.u_max) > 1e-9 * self.u_max:
             raise ValueError("u_max must be a positive integer multiple of step")
@@ -65,6 +70,7 @@ class UGrid:
         """Build a grid with the default step rule, snapping u_max onto it."""
         if step is None:
             step = default_u_step(u_max)
+        _check_grid_values(u_max, step)
         k = max(1, round(u_max / step))
         return cls(k * step, step)
 
@@ -97,14 +103,14 @@ class ECFGrid:
         if self.n <= 0:
             raise ValueError("n must be positive")
 
-    def check_invariants(self, allow_zeroed: bool = False, tol: float = 1e-12) -> None:
+    def check_invariants(self) -> None:
         k = self.grid.half_count
         v = self.values
-        if not allow_zeroed and v[k] != 1.0:
+        if v[k] != 1.0:
             raise AssertionError("value at u=0 must be exactly 1")
         if np.max(np.abs(v)) > 1.0 + 1e-10:
             raise AssertionError("modulus must not exceed 1")
-        if np.max(np.abs(v[:k][::-1] - np.conj(v[k + 1:]))) > tol:
+        if np.max(np.abs(v[:k][::-1] - np.conj(v[k + 1:]))) > 1e-12:
             raise AssertionError("conjugate symmetry violated")
 
 
@@ -121,8 +127,8 @@ class ThresholdSpec:
     n: int
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be a finite number >= 0, got {self.kappa}")
         if self.n < 1:
             raise ValueError("n must be positive")
 
@@ -145,7 +151,7 @@ class SpectralEstimate:
 # ---------------------------------------------------------------------------
 # ECF
 
-_CHUNK = 4096  # samples per matrix product; the phase tables hold (A + B) * _CHUNK values
+_CHUNK = 4096  # points per matrix product; the phase tables hold (A + B) * _CHUNK values
 
 
 def _phase_powers(out: np.ndarray, theta: np.ndarray) -> None:
@@ -157,30 +163,29 @@ def _phase_powers(out: np.ndarray, theta: np.ndarray) -> None:
         np.multiply(out[r - 1], out[1], out=out[r])
 
 
-def _ecf_half(values: np.ndarray, count: int, step: float) -> np.ndarray:
-    """phi_hat at u = k*step for k = 0..count, as one matrix product per sample chunk.
-
-    With K = count + 1, B = ceil(sqrt(K)) and A = ceil(K / B), frequency
-    k = a*B + b (a < A, b < B) factors as exp(i a B step x) * exp(i b step x).
-    For each chunk of samples, V[b, j] = exp(i b step x_j) and U[a, j] =
-    exp(i a B step x_j), and (U @ V.T)[a, b] sums the phases of frequency
-    a*B + b over the chunk.  Cost: O(n K) multiply-adds in BLAS plus
-    O(n sqrt(K)) phase products; memory O((A + B) * _CHUNK), whatever n is.
+def _phase_tables(x: np.ndarray, size: int, step: float):
+    """Yield (lo, U, V) per chunk x[lo:lo + _CHUNK], with U[a, j] = exp(i a B step x_j)
+    and V[b, j] = exp(i b step x_j) for B = ceil(sqrt(size)), so that frequency
+    k = a*B + b < size has exp(i k step x_j) = U[a, j] V[b, j].  The (A + B) x
+    _CHUNK tables are rebuilt in place per chunk: use them before the next.
     """
-    size = count + 1
-    cols = math.isqrt(size - 1) + 1  # B = ceil(sqrt(K))
-    rows = -(-size // cols)  # A = ceil(K / B)
-    acc = np.zeros((rows, cols), dtype=np.complex128)
-    width = min(_CHUNK, values.size)
+    cols = math.isqrt(size - 1) + 1  # B
+    rows = -(-size // cols)  # A
+    width = min(_CHUNK, x.size)
     coarse = np.empty((rows, width), dtype=np.complex128)  # U, steps of B*step
     fine = np.empty((cols, width), dtype=np.complex128)  # V, steps of step
-    for lo in range(0, values.size, _CHUNK):
-        x = values[lo:lo + _CHUNK]
-        u, v = coarse[:, :x.size], fine[:, :x.size]
-        _phase_powers(v, step * x)
-        _phase_powers(u, (cols * step) * x)
-        acc += u @ v.T
-    out = acc.ravel()[:size] / values.size
+    for lo in range(0, x.size, _CHUNK):
+        xs = x[lo:lo + _CHUNK]
+        u, v = coarse[:, :xs.size], fine[:, :xs.size]
+        _phase_powers(v, step * xs)
+        _phase_powers(u, (cols * step) * xs)
+        yield lo, u, v
+
+
+def _ecf_half(values: np.ndarray, count: int, step: float) -> np.ndarray:
+    """phi_hat at u = k*step for k = 0..count: (U @ V.T)[a, b] sums frequency a*B + b."""
+    table = sum(u @ v.T for _, u, v in _phase_tables(values, count + 1, step))
+    out = table.ravel()[:count + 1] / values.size
     out[0] = 1.0
     return out
 
@@ -188,11 +193,9 @@ def _ecf_half(values: np.ndarray, count: int, step: float) -> np.ndarray:
 def ecf(sample: IncrementSample, grid: UGrid) -> ECFGrid:
     """Empirical characteristic function of the sample on the grid.
 
-    Only the nonnegative half-axis is summed, by the chunked matrix products of
-    ``_ecf_half`` (O(n K) multiply-adds in BLAS plus O(n sqrt(K)) phase
-    products for K = ``grid.half_count`` + 1); the negative half is filled by
-    conjugate symmetry, so phi_hat(0) = 1 exactly and phi_hat(-u) =
-    conj(phi_hat(u)) exactly.
+    Only the nonnegative half-axis is summed, by ``_ecf_half``; the negative
+    half is filled by conjugate symmetry, so phi_hat(0) = 1 exactly and
+    phi_hat(-u) = conj(phi_hat(u)) exactly.
     """
     if sample.n == 0:
         raise ValueError("sample must be nonempty")
@@ -204,13 +207,13 @@ def ecf(sample: IncrementSample, grid: UGrid) -> ECFGrid:
 # ---------------------------------------------------------------------------
 # inversion
 
-def default_x_grid(values: np.ndarray, points: int = 512, spread: float = 8.0) -> np.ndarray:
-    """Uniform x-grid spanning +-spread interquartile ranges of the sample."""
+def default_x_grid(values: np.ndarray, points: int = 512) -> np.ndarray:
+    """Uniform x-grid spanning +-8 interquartile ranges of the sample."""
     q75, q25 = np.percentile(values, [75.0, 25.0])
     iqr = q75 - q25
     if iqr <= 0:
         iqr = max(float(np.std(values)), 1.0)
-    return np.linspace(-spread * iqr, spread * iqr, points)
+    return np.linspace(-8.0 * iqr, 8.0 * iqr, points)
 
 
 def trapezoid_weights(count: int, step: float) -> np.ndarray:
@@ -221,14 +224,18 @@ def trapezoid_weights(count: int, step: float) -> np.ndarray:
     return w
 
 
-def _invert(u: np.ndarray, phi: np.ndarray, x_grid: np.ndarray, step: float,
-            chunk: int = 256):
-    """Trapezoid rule for (1/2pi) int phi(u) e^{-iux} du at each x."""
-    wphi = phi * trapezoid_weights(u.size, step) / (2.0 * math.pi)
-    out = np.empty(x_grid.size, dtype=np.complex128)
-    for lo in range(0, x_grid.size, chunk):
-        xs = x_grid[lo:lo + chunk]
-        out[lo:lo + chunk] = np.exp(-1j * np.outer(xs, u)) @ wphi
+def _invert(u: np.ndarray, phi: np.ndarray, x_grid: np.ndarray, step: float):
+    """Trapezoid rule for (1/2pi) int phi(u) e^{-iux} du at each x, for u = u[0] + k*step.
+
+    On the phase tables of -x, sum_k c_k exp(-i k step x_j) = sum_a U[a, j] (C @ V)[a, j]
+    for c = weighted phi / 2pi zero-padded and reshaped to C, (A, B); exp(-i u[0] x)
+    moves the band to its start.  Any x-grid; O(len(x) K) multiply-adds in BLAS.
+    """
+    coef = phi * trapezoid_weights(u.size, step) / (2.0 * math.pi)
+    out = np.exp((-1j * u[0]) * x_grid)
+    for lo, tu, tv in _phase_tables(-x_grid, u.size, step):
+        c = np.pad(coef, (0, tu.shape[0] * tv.shape[0] - coef.size)).reshape(tu.shape[0], -1)
+        out[lo:lo + _CHUNK] *= np.einsum("aj,aj->j", tu, c @ tv)
     return out
 
 

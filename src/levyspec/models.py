@@ -244,9 +244,9 @@ def gamma_process_density() -> CustomJumpDensity:
     return CustomJumpDensity(p, integrability_hint=0.0, check=False)
 
 
-def cauchy_triplet(scale: float = 1.0 / math.pi) -> LevyTriplet:
+def cauchy_triplet() -> LevyTriplet:
     """Pure-jump symmetric 1-stable triplet; increment at t has CF e^{-t|u|}."""
-    return LevyTriplet(0.0, 0.0, StableJumpDensity(scale, scale, 1.0))
+    return LevyTriplet(0.0, 0.0, StableJumpDensity(1.0 / math.pi, 1.0 / math.pi, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +420,6 @@ def stable_cf(law: StableLaw, u):
 # ---------------------------------------------------------------------------
 # class membership and bounds
 
-def default_eta_grid(lo: float = 1e-4, hi: float = 1.0, count: int = 32) -> np.ndarray:
-    return np.geomspace(lo, hi, count)
-
-
 def check_small_jump_bound(density: JumpDensity, M: float, alpha: float,
                            eta_grid=None, rtol: float = 1e-8) -> bool:
     """Check int_{-eta}^{eta} x^2 p >= M eta^{2-alpha} on every grid eta.
@@ -435,7 +431,7 @@ def check_small_jump_bound(density: JumpDensity, M: float, alpha: float,
         raise ValueError("M must be positive")
     if not 0 < alpha < 2:
         raise ValueError("alpha must lie in (0, 2)")
-    etas = default_eta_grid() if eta_grid is None else np.asarray(eta_grid, dtype=float)
+    etas = np.geomspace(1e-4, 1.0, 32) if eta_grid is None else np.asarray(eta_grid, dtype=float)
     if etas.size == 0 or np.any(etas <= 0) or np.any(etas > 1):
         raise ValueError("eta grid must be nonempty with values in (0, 1]")
     slack = 100 * rtol

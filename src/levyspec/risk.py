@@ -37,6 +37,8 @@ __all__ = ["ExperimentConfig", "RiskReport", "BoundCheckReport", "reference_cf",
            "relative_risk_of_cf", "cutoff_risk_bound_check",
            "adaptive_risk_bound_check", "risk_table", "risk_table_csv"]
 
+_MARGIN_SE = 3.0  # a bound check passes while empirical <= bound + 3 standard errors
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -322,9 +324,8 @@ def _symmetric_unit_stable_scale(model: LevyTriplet, delta_t: float) -> float:
 
 def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 100,
                             master_seed: int = 20406080,
-                            model: LevyTriplet | None = None,
-                            margin_se: float = 3.0) -> BoundCheckReport:
-    """Check E||f_hat_m - f||^2 <= bias^2(m) + m/(pi n) + margin on an m-grid.
+                            model: LevyTriplet | None = None) -> BoundCheckReport:
+    """Check E||f_hat_m - f||^2 <= bias^2(m) + m/(pi n) + 3 se on an m-grid.
 
     The empirical mean integrated squared error is computed per cutoff m over
     seeded trials; the bias term e^{-2 gamma m}/(2 pi gamma) is exact for the
@@ -353,17 +354,16 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
         emp = float(np.mean(mises[:, j]))
         se = _sd(mises[:, j]) / math.sqrt(trials)
         bound = math.exp(-2.0 * gamma * m) / (2.0 * math.pi * gamma) + m / (math.pi * n)
-        ok = emp <= bound + margin_se * se
+        ok = emp <= bound + _MARGIN_SE * se
         passed &= ok
         rows.append({"m": float(m), "empirical": emp, "bound": bound,
-                     "se": se, "margin": bound + margin_se * se - emp, "ok": ok})
+                     "se": se, "margin": bound + _MARGIN_SE * se - emp, "ok": ok})
     return BoundCheckReport(passed, tuple(rows), delta_t, n, trials, master_seed)
 
 
 def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KAPPA,
                               trials: int = 100, master_seed: int = 20406080,
-                              model: LevyTriplet | None = None,
-                              margin_se: float = 3.0) -> BoundCheckReport:
+                              model: LevyTriplet | None = None) -> BoundCheckReport:
     """Check the oracle inequality for the thresholded estimator at given kappa.
 
     RHS: inf over a 20-point m-grid of 9 bias^2(m) + (m/pi n)(5 + (1 +
@@ -386,9 +386,9 @@ def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KA
     rhs = min(rhs_terms) + 64.0 * n ** (1.0 - kappa ** 2 / 4.0)
     emp = float(np.mean(risks))
     se = _sd(risks) / math.sqrt(trials)
-    ok = emp <= rhs + margin_se * se
+    ok = emp <= rhs + _MARGIN_SE * se
     row = {"kappa": kappa, "empirical": emp, "bound": rhs, "se": se,
-           "margin": rhs + margin_se * se - emp, "ok": ok}
+           "margin": rhs + _MARGIN_SE * se - emp, "ok": ok}
     return BoundCheckReport(bool(ok), (row,), delta_t, n, trials, master_seed)
 
 

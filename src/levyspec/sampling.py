@@ -10,8 +10,7 @@ so trials are reproducible independently of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +57,6 @@ class IncrementSample:
     delta_t: float
     values: np.ndarray
     n: int
-    provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.delta_t <= 0:
@@ -101,10 +99,7 @@ def stable_sample(law: StableLaw, n: int, seed: SeedSpec, delta_t: float = 1.0) 
         raise ValueError("n must be positive")
     if not 0 < law.alpha < 2:
         raise ValueError("sampler requires alpha in (0, 2)")
-    values = _cms(law, seed.generator(_STABLE_STREAM), n)
-    prov = {"model": {"stable_law": (law.alpha, law.gamma, law.beta, law.delta)},
-            "seed": (seed.master_seed, seed.trial_index)}
-    return IncrementSample(delta_t, values, n, prov)
+    return IncrementSample(delta_t, _cms(law, seed.generator(_STABLE_STREAM), n), n)
 
 
 def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
@@ -128,18 +123,7 @@ def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
     if isinstance(triplet.jumps, StableJumpDensity):
         law = increment_stable_law(triplet.jumps, delta_t)
         values = values + _cms(law, seed.generator(_STABLE_STREAM), n)
-    prov = {"model": describe_triplet(triplet),
-            "seed": (seed.master_seed, seed.trial_index)}
-    return IncrementSample(delta_t, values, n, prov)
-
-
-def describe_triplet(triplet: LevyTriplet) -> dict[str, Any]:
-    jumps = None
-    if isinstance(triplet.jumps, StableJumpDensity):
-        jumps = {"P": triplet.jumps.P, "Q": triplet.jumps.Q, "alpha": triplet.jumps.alpha}
-    elif triplet.jumps is not None:
-        jumps = {"custom": repr(triplet.jumps.evaluator)}
-    return {"b": triplet.b, "sigma2": triplet.sigma2, "jumps": jumps}
+    return IncrementSample(delta_t, values, n)
 
 
 def write_increments_csv(sample: IncrementSample, path, meta_lines=()) -> None:

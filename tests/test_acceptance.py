@@ -252,7 +252,7 @@ def test_criterion_6_analytic_identities():
                          0.0, np.inf, epsrel=1e-12)
         norm_err = max(norm_err, abs(stable_density_l2_norm(law) - oracle) / oracle)
     ok = (parseval_rel < 1e-6 and dirichlet_err < 1e-10
-          and at_zero == pytest.approx(1.0 / math.pi, rel=1e-14)
+          and at_zero == pytest.approx(1.0 / math.pi, rel=1e-14, abs=0)
           and cf_err < 1e-6 and norm_err < 1e-8)
     announce(6, "Plancherel/Dirichlet/CF/norm identities hold", ok,
              f"parseval={parseval_rel:.1e}, dirichlet={dirichlet_err:.1e}, "

@@ -292,6 +292,43 @@ def test_wrong_column_count(tmp_path, capsys):
     assert "bad.csv:1" in capsys.readouterr().err
 
 
+NON_FINITE_BASE = {
+    "sample": ["sample", "--delta", "1", "--n", "10", "--out", "{out}"],
+    "estimate": ["estimate", "--data", "{data}", "--delta", "1", "--out", "{out}"],
+    "calibrate": ["calibrate", "--data", "{data}", "--delta", "1", "--out", "{out}"],
+    "check-bounds": ["check-bounds", "--which", "thm4", "--delta", "1", "--n", "300",
+                     "--trials", "5"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("estimate", "--delta", "nan"), ("estimate", "--delta", "inf"),
+    ("estimate", "--umax", "inf"), ("estimate", "--umax", "nan"),
+    ("estimate", "--step", "nan"), ("estimate", "--step", "-inf"),
+    ("estimate", "--kappa-step", "inf"), ("estimate", "--alpha", "nan"),
+    ("estimate", "--P", "inf"), ("estimate", "--Q", "nan"),
+    ("estimate", "--sigma2", "inf"), ("estimate", "--b", "-inf"),
+    ("calibrate", "--umax", "nan"), ("calibrate", "--kappa-step", "nan"),
+    ("calibrate", "--delta", "inf"),
+    ("sample", "--delta", "inf"), ("sample", "--alpha", "nan"),
+    ("check-bounds", "--kappa", "nan"), ("check-bounds", "--kappa", "inf"),
+    ("check-bounds", "--delta", "nan"),
+])
+def test_non_finite_float_flag_exits_2_before_any_work(
+        command, flag, value, increments_file, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the flags were validated")
+
+    for name in ("read_values_csv", "sample_increments", "cutoff_risk_bound_check",
+                 "adaptive_risk_bound_check"):
+        monkeypatch.setattr(levyspec.cli, name, refuse)
+    out = tmp_path / "out.csv"
+    argv = [a.format(data=increments_file, out=out) for a in NON_FINITE_BASE[command]]
+    assert run([*argv, f"{flag}={value}"]) == 2  # "--b -inf" would read as a flag
+    assert f"argument {flag}: must be a finite number, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["sample", "--bogus", "1"]) == 2
 

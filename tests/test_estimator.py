@@ -7,12 +7,14 @@ from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpe
                       ThresholdSpec, UGrid, adaptive_estimate, cauchy_triplet,
                       default_u_max, ecf, levy_khintchine_cf, mixed_cutoff,
                       optimal_cutoff, plancherel_l2, sample_increments,
-                      spectral_estimate, threshold_cf, threshold_level)
+                      spectral_estimate, threshold_cf, threshold_level,
+                      trapezoid_weights)
+from levyspec.estimator import _invert
 
 
 def sample_of(values, dt=1.0):
     values = np.asarray(values, dtype=float)
-    return IncrementSample(dt, values, len(values), {})
+    return IncrementSample(dt, values, len(values))
 
 
 def synthetic_ecf(grid, fn, n=10_000):
@@ -40,6 +42,17 @@ def test_ugrid_validation_and_restrict():
     r = g.restrict(50.0)
     assert r.u_max == 50.0 and r.step == 0.1
     assert g.restrict(200.0) is g
+
+
+@pytest.mark.parametrize("u_max, step", [(math.inf, 0.05), (math.nan, 0.05),
+                                         (10.0, math.nan), (10.0, math.inf),
+                                         (-1.0, 0.05), (10.0, 0.0)])
+def test_ugrid_rejects_non_finite_or_nonpositive_values(u_max, step):
+    message = "u_max and step must be finite and positive"
+    with pytest.raises(ValueError, match=message):
+        UGrid.make(u_max, step)
+    with pytest.raises(ValueError, match=message):
+        UGrid(u_max, step)
 
 
 def test_default_u_max_rule():
@@ -197,6 +210,57 @@ def test_spectral_estimate_cauchy_pointwise():
     assert np.all(np.abs(mean - truth) <= 3.0 * se + 2e-4)
 
 
+def invert_longdouble(u, coef, x):
+    """sum_k coef_k exp(-i u_k x_j) for each x_j, summed in long double.
+
+    Each phase u_k x_j is formed and reduced mod 2pi in long double, so only
+    the cos/sin of the reduced phase (|error| ~ 1e-16) is taken in double.
+    """
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    ul = u.astype(np.longdouble)
+    cl = coef.astype(np.clongdouble)
+    out = np.empty(x.size, dtype=np.clongdouble)
+    rows = max(1, 2 ** 16 // u.size)
+    for lo in range(0, x.size, rows):
+        theta = x[lo:lo + rows, None].astype(np.longdouble) * ul
+        r = (theta - np.rint(theta / two_pi) * two_pi).astype(float)
+        out[lo:lo + rows] = (np.cos(r).astype(np.longdouble) @ cl
+                             - 1j * (np.sin(r).astype(np.longdouble) @ cl))
+    return out
+
+
+X_GRIDS = {
+    "uniform": lambda rng, size: np.linspace(-20.0, 20.0, size),
+    "non-uniform": lambda rng, size: np.sort(rng.uniform(-20.0, 20.0, size)),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no more precise than double here")
+@pytest.mark.parametrize("count, size", [
+    *[(count, size) for count in (1, 2, 401) for size in (1, 4096, 4097)],
+    (16001, 1), (16001, 257),  # criterion 6's band size; fewer x points keep the reference fast
+], ids=str)
+@pytest.mark.parametrize("kind", sorted(X_GRIDS))
+def test_inversion_within_rounding_bound_of_long_double_sum(kind, count, size):
+    # A band of ``count`` frequencies from u_0 = -(count // 2) step (the
+    # symmetric band spectral_estimate keeps when count is odd; count = 1 is
+    # its zero-weight single point) against 1, 4096 and 4097 x points, so the
+    # 4096-point table chunks are crossed.  Rounding u*x moves each term's
+    # phase by up to eps*u_max*max|x|, so the bound scales with that times the
+    # sum of the terms' moduli.
+    rng = np.random.default_rng([count, size])
+    step = 0.05
+    u = (np.arange(count) - count // 2) * step
+    phi = rng.uniform(0.0, 1.0, count) * np.exp(2j * math.pi * rng.uniform(size=count))
+    x = X_GRIDS[kind](rng, size)
+    coef = phi * trapezoid_weights(count, step) / (2.0 * math.pi)
+    err = np.abs(_invert(u, phi, x, step) - invert_longdouble(u, coef, x)).astype(float)
+    eps = np.finfo(float).eps
+    bound = (1e-14 + eps * np.max(np.abs(u)) * np.max(np.abs(x))) * np.sum(np.abs(coef))
+    assert err.max() <= bound
+
+
 # ---------------------------------------------------------------------------
 # thresholding
 
@@ -206,6 +270,12 @@ def test_threshold_level_formula():
     kappas = np.array([0.0, 0.5, 2.0])
     np.testing.assert_array_equal(threshold_level(kappas, 10_000),
                                   [ThresholdSpec(k, 10_000).level for k in kappas])
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -1.0])
+def test_threshold_spec_rejects_non_finite_or_negative_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be a finite number >= 0"):
+        ThresholdSpec(kappa, 100)
 
 
 def test_threshold_zeroes_everything_when_level_above_one():

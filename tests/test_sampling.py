@@ -16,7 +16,7 @@ def hoeffding_band(n: int) -> float:
 
 
 def ecf_on(values, grid):
-    return ecf(IncrementSample(1.0, np.asarray(values, float), len(values), {}), grid)
+    return ecf(IncrementSample(1.0, np.asarray(values, float), len(values)), grid)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
