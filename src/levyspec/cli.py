@@ -60,7 +60,49 @@ def _triplet_from_args(args: argparse.Namespace) -> LevyTriplet:
 
 
 def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
-    """Read one- or two-column numeric CSV; optional header and # comments."""
+    """Read one- or two-column numeric CSV; optional header and # comments.
+
+    The body is parsed by ``np.loadtxt`` in C.  Any file it does not parse into
+    1 or 2 columns of finite last-column values goes to ``_read_values_loop``,
+    which defines the format and raises its line-numbered errors.
+    """
+    data = _read_values_fast(path)
+    if data is None or (difference and data.size < 2):
+        return _read_values_loop(path, difference)
+    return np.diff(data) if difference else data
+
+
+def _read_values_fast(path: str) -> np.ndarray | None:
+    """The last column read by ``np.loadtxt`` from the first numeric row on, or None."""
+    try:
+        with open(path) as fh:
+            for skip, raw in enumerate(fh):  # the preamble: blank, # and header lines
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                cells = line.split(",")
+                if len(cells) not in (1, 2):
+                    return None
+                try:
+                    float(cells[-1])
+                except ValueError:
+                    continue  # header row
+                break
+            else:
+                return None
+        # The path, not the open file: loadtxt reads a path in large chunks, but
+        # pulls one Python line at a time from an open file.
+        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+    except ValueError:
+        return None
+    # At least one row, with the 1 or 2 columns of the first: loadtxt raises on ragged rows.
+    values = np.ascontiguousarray(table[:, -1])
+    return values if np.isfinite(values).all() else None
+
+
+def _read_values_loop(path: str, difference: bool = False) -> np.ndarray:
+    """The CSV format, one line at a time: one or two columns, the last one read;
+    blank lines, # lines and header rows before the first number are skipped."""
     values = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -131,6 +173,24 @@ def _finite_float(text: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
+def _bounded_float(name: str, strict: bool):
+    """argparse type of a finite float flag that must be > 0 (strict) or >= 0;
+    the error names the flag and the library value ``name`` it sets."""
+    def parse(text: str) -> float:
+        value = _finite_float(text)
+        if value > 0 or (value == 0 and not strict):
+            return value
+        rule = "positive" if strict else "nonnegative"
+        raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text!r}")
+    return parse
+
+
+_DELTA = _bounded_float("delta_t", strict=True)
+_UMAX = _bounded_float("u_max", strict=True)
+_STEP = _bounded_float("step", strict=True)
+_KAPPA_STEP = _bounded_float("delta_step", strict=True)
 
 
 def _fixed_kappa(text: str) -> float:
@@ -261,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sample", help="simulate increments to CSV")
     _add_model_flags(ps)
-    ps.add_argument("--delta", type=_finite_float, required=True, help="sampling rate")
+    ps.add_argument("--delta", type=_DELTA, required=True, help="sampling rate")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--trial", type=int, default=0)
@@ -275,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="difference level observations to increments")
     _add_model_flags(pe)
     pe.add_argument("--n", type=int, default=None, help="sample size when simulating")
-    pe.add_argument("--delta", type=_finite_float, required=True)
-    pe.add_argument("--umax", type=_finite_float, default=None)
-    pe.add_argument("--step", type=_finite_float, default=None)
+    pe.add_argument("--delta", type=_DELTA, required=True)
+    pe.add_argument("--umax", type=_UMAX, default=None)
+    pe.add_argument("--step", type=_STEP, default=None)
     pe.add_argument("--kappa", default="auto", help="threshold constant or 'auto'")
-    pe.add_argument("--kappa-step", type=_finite_float, default=0.05)
+    pe.add_argument("--kappa-step", type=_KAPPA_STEP, default=0.05)
     pe.add_argument("--kappa-count", type=int, default=100)
     pe.add_argument("--fallback", action="store_true",
                     help="fall back to kappa=2*sqrt(2) when calibration fails")
@@ -301,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("calibrate", help="Euler-characteristic kappa selection")
     pc.add_argument("--data", required=True)
     pc.add_argument("--difference", action="store_true")
-    pc.add_argument("--delta", type=_finite_float, required=True)
-    pc.add_argument("--umax", type=_finite_float, default=None)
-    pc.add_argument("--step", type=_finite_float, default=None)
-    pc.add_argument("--kappa-step", type=_finite_float, default=0.05)
+    pc.add_argument("--delta", type=_DELTA, required=True)
+    pc.add_argument("--umax", type=_UMAX, default=None)
+    pc.add_argument("--step", type=_STEP, default=None)
+    pc.add_argument("--kappa-step", type=_KAPPA_STEP, default=0.05)
     pc.add_argument("--kappa-count", type=int, default=100)
     pc.add_argument("--fallback", action="store_true")
     pc.add_argument("--out", default=None, help="kappa,chi CSV path")
@@ -314,10 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("check-bounds", help="empirical risk-bound verification")
     pb.add_argument("--which", choices=("thm1", "thm4"), required=True,
                     help="thm1: fixed-cutoff risk bound; thm4: adaptive oracle bound")
-    pb.add_argument("--delta", type=_finite_float, required=True)
+    pb.add_argument("--delta", type=_DELTA, required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--trials", type=int, default=100)
-    pb.add_argument("--kappa", type=_finite_float, default=None, help="thm4 threshold constant")
+    pb.add_argument("--kappa", type=_bounded_float("kappa", strict=False), default=None,
+                    help="thm4 threshold constant")
     pb.add_argument("--seed", type=int, default=None)
     pb.set_defaults(func=_cmd_check_bounds)
     return ap

@@ -246,6 +246,12 @@ def spectral_estimate(ecf_grid: ECFGrid, m: float, x_grid) -> SpectralEstimate:
     if m > ecf_grid.grid.u_max * (1 + 1e-12):
         raise ValueError(f"cutoff m={m} exceeds the grid domain u_max={ecf_grid.grid.u_max}")
     x_grid = np.asarray(x_grid, dtype=float)
+    if x_grid.size == 0:
+        raise ValueError("the x-grid is empty")
+    reach, half_period = float(np.max(np.abs(x_grid))), math.pi / ecf_grid.grid.step
+    if not reach <= half_period:  # the inversion is periodic in x with period 2 pi/step
+        raise ValueError(f"the x-grid must lie within the alias half-period pi/step = "
+                         f"{half_period:g}, got max |x| = {reach:g}")
     u = ecf_grid.grid.points
     keep = np.abs(u) <= m * (1 + 1e-12)
     f = _invert(u[keep], ecf_grid.values[keep], x_grid, ecf_grid.grid.step)

@@ -329,6 +329,59 @@ def test_non_finite_float_flag_exits_2_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, rule", [
+    ("estimate", "--delta", "0", "delta_t must be positive"),
+    ("estimate", "--delta", "-1", "delta_t must be positive"),
+    ("estimate", "--umax", "0", "u_max must be positive"),
+    ("estimate", "--umax", "-10", "u_max must be positive"),
+    ("estimate", "--step", "0", "step must be positive"),
+    ("estimate", "--step", "-0.05", "step must be positive"),
+    ("estimate", "--kappa-step", "-0.05", "delta_step must be positive"),
+    ("calibrate", "--delta", "-1", "delta_t must be positive"),
+    ("calibrate", "--umax", "-1", "u_max must be positive"),
+    ("calibrate", "--step", "0", "step must be positive"),
+    ("calibrate", "--kappa-step", "0", "delta_step must be positive"),
+    ("sample", "--delta", "0", "delta_t must be positive"),
+    ("check-bounds", "--delta", "-1", "delta_t must be positive"),
+    ("check-bounds", "--kappa", "-1", "kappa must be nonnegative"),
+    ("check-bounds", "--kappa", "-1e-300", "kappa must be nonnegative"),
+])
+def test_out_of_range_float_flag_exits_2_before_any_work(
+        command, flag, value, rule, increments_file, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the flags were validated")
+
+    for name in ("read_values_csv", "sample_increments", "cutoff_risk_bound_check",
+                 "adaptive_risk_bound_check"):
+        monkeypatch.setattr(levyspec.cli, name, refuse)
+    out = tmp_path / "out.csv"
+    argv = [a.format(data=increments_file, out=out) for a in NON_FINITE_BASE[command]]
+    assert run([*argv, f"{flag}={value}"]) == 2
+    assert f"argument {flag}: {rule}, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_range_checked_flags_accept_their_boundary():
+    args = levyspec.cli.build_parser().parse_args(
+        ["check-bounds", "--which", "thm4", "--delta", "1e-300", "--n", "300",
+         "--kappa", "0"])
+    assert (args.delta, args.kappa) == (1e-300, 0.0)
+
+
+def test_estimate_past_the_alias_half_period_exits_2_without_output(tmp_path, capsys):
+    # N(0, 100^2) at the default step 0.05: the x-grid (+-8 IQR, about +-1079) reaches
+    # far past pi/step = 62.8, where the inversion would repeat with period 2 pi/step.
+    data = tmp_path / "wide.csv"
+    values = np.random.default_rng(4).normal(0.0, 100.0, 5000)
+    data.write_text("value\n" + "\n".join(f"{v:.17g}" for v in values) + "\n")
+    out = tmp_path / "d.csv"
+    assert run(["estimate", "--data", str(data), "--delta", "1", "--kappa", "1",
+                "--out", str(out)]) == 2
+    assert "x-grid must lie within the alias half-period" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "d_ecf.csv").exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["sample", "--bogus", "1"]) == 2
 

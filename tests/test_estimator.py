@@ -185,6 +185,27 @@ def test_spectral_estimate_domain_error():
         spectral_estimate(e, 6.0, np.array([0.0]))
 
 
+def test_spectral_estimate_rejects_an_empty_x_grid():
+    e = synthetic_ecf(UGrid.make(4.0, 0.05), lambda u: np.ones_like(u))
+    with pytest.raises(ValueError, match="the x-grid is empty"):
+        spectral_estimate(e, 4.0, np.array([]))
+
+
+@pytest.mark.parametrize("reach", [math.pi / 0.05 * (1 + 1e-12), 1077.0, math.inf, math.nan])
+def test_spectral_estimate_rejects_an_x_grid_past_the_alias_half_period(reach):
+    e = synthetic_ecf(UGrid.make(4.0, 0.05), lambda u: np.ones_like(u))
+    with pytest.raises(ValueError, match="alias half-period pi/step = 62.83"):
+        spectral_estimate(e, 4.0, np.array([0.0, -reach]))
+
+
+def test_spectral_estimate_accepts_an_x_grid_reaching_the_half_period():
+    # x = +-pi/step alias onto each other; the estimate there is the same value.
+    e = synthetic_ecf(UGrid.make(4.0, 0.05), lambda u: np.exp(-np.abs(u)))
+    half = math.pi / 0.05
+    est = spectral_estimate(e, 4.0, np.array([-half, half]))
+    assert est.values[0] == pytest.approx(est.values[1], rel=1e-12, abs=1e-15)
+
+
 def test_spectral_estimate_real_for_symmetric_input():
     trip = cauchy_triplet()
     s = sample_increments(trip, 1.0, 2000, SeedSpec(88))
