@@ -74,6 +74,8 @@ def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
 
 def _read_values_fast(path: str) -> np.ndarray | None:
     """The last column read by ``np.loadtxt`` from the first numeric row on, or None."""
+    if not os.path.isfile(path):  # a pipe can be read only once, and this opens it twice
+        return None
     try:
         with open(path) as fh:
             for skip, raw in enumerate(fh):  # the preamble: blank, # and header lines

@@ -5,6 +5,8 @@ a ValueError with the same text.  The loop is the oracle; the reader may only
 differ from it in speed.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -122,3 +124,17 @@ def test_written_increments_take_the_c_path(tmp_path, monkeypatch):
                          ["levyspec 0.1.0 sample", "seed=5"])
     assert read_values_csv(str(path)).tobytes() == values.tobytes()
     assert read_values_csv(str(path), difference=True).tobytes() == np.diff(values).tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_read_once():
+    # `--data <(cat file)` names a pipe: opening it a second time would find it drained.
+    values = np.random.default_rng(6).standard_cauchy(2000)
+    text = "index,value\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(values))
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text.encode())  # under the 64 KiB pipe buffer
+        os.close(write_end)
+        assert read_values_csv(f"/dev/fd/{read_end}").tobytes() == values.tobytes()
+    finally:
+        os.close(read_end)
