@@ -17,7 +17,7 @@ from .errors import (LevySpecError, NoStabilizationError, QuadratureError,
 from .estimator import (ECFGrid, SpectralEstimate, ThresholdSpec, UGrid,
                         adaptive_estimate, default_u_max, default_u_step,
                         default_x_grid, ecf, mixed_cutoff, optimal_cutoff,
-                        plancherel_l2, spectral_estimate, threshold_cf,
+                        plancherel_l2, sample_bulk, spectral_estimate, threshold_cf,
                         threshold_level, trapezoid_weights, write_ecf_csv,
                         write_estimate_csv)
 from .models import (CustomJumpDensity, LevyTriplet, ModelClass, StableJumpDensity,

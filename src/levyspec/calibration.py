@@ -6,6 +6,13 @@ characteristic chi is the number of connected runs of kept grid points: large
 for small kappa (noise pokes through everywhere), then stabilizing once the
 threshold clears the noise floor.  We scan kappa = k * delta over k = 0..N and
 select the first k >= 2 with chi constant over three consecutive values.
+
+chi is counted, not masked.  With a_i = |phi_hat(u_i)|, a run of kept points
+starts at i exactly when a_{i-1} < L <= a_i: a birth in the superlevel
+filtration of a (Edelsbrunner & Harer, Computational Topology, 2010).  So
+chi(L) = #{i: a_i >= L} - #{i >= 1: min(a_{i-1}, a_i) >= L}, two counts read
+off sorted arrays for every level at once.  ``unthresholded_mask`` and
+``euler_characteristic`` keep the definition by masks.
 """
 
 from __future__ import annotations
@@ -73,10 +80,20 @@ def euler_characteristic(mask):
 
 
 def chi_profile(ecf_grid: ECFGrid, grid: KappaGrid) -> tuple[np.ndarray, np.ndarray]:
-    """chi(A(kappa)) for every kappa on the grid, from one (kappa, u) mask of
-    |phi_hat| against all the threshold levels at once."""
-    kept = np.abs(ecf_grid.values) >= threshold_level(grid.kappas, ecf_grid.n)[:, None]
-    return grid.kappas, euler_characteristic(kept)
+    """chi(A(kappa)) for every kappa on the grid, counted without a mask.
+
+    The kept set at level L is a path graph: its vertices are the i with
+    a_i >= L (a = |phi_hat|) and its edges the i >= 1 with min(a_{i-1}, a_i) >= L,
+    so chi(L) = vertices - edges.  Each count is ``size - searchsorted(sort(.), L)``,
+    the mask's own ``>=`` against the same levels.  Sorting puts NaN above every
+    level, which is why ``ECFGrid`` holds finite values only.
+    """
+    levels = threshold_level(grid.kappas, ecf_grid.n)
+    a = np.abs(ecf_grid.values)
+    edges = np.minimum(a[:-1], a[1:])
+    vertices = a.size - np.searchsorted(np.sort(a), levels)
+    joined = edges.size - np.searchsorted(np.sort(edges), levels)
+    return grid.kappas, vertices - joined
 
 
 def stabilization_index(chis) -> int | None:

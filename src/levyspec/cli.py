@@ -22,7 +22,8 @@ from .calibration import (FALLBACK_KAPPA, KappaGrid, chi_profile, select_kappa,
                           stabilization_index, write_chi_csv)
 from .errors import NoStabilizationError, QuadratureError, UnsupportedModelError
 from .estimator import (ECFGrid, UGrid, default_u_max, default_x_grid, ecf,
-                        adaptive_estimate, write_ecf_csv, write_estimate_csv)
+                        adaptive_estimate, sample_bulk, write_ecf_csv,
+                        write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
 from .risk import (ExperimentConfig, adaptive_risk_bound_check,
                    cutoff_risk_bound_check, risk_table, risk_table_csv)
@@ -206,6 +207,18 @@ def _fixed_kappa(text: str) -> float:
     return kappa
 
 
+def _check_bulk_within_half_period(median: float, spread: float, step: float) -> None:
+    """The data's bulk, |median| + 8 spread, must lie within pi/step: the inversion
+    repeats with period 2 pi/step in x, so mass beyond it would show folded."""
+    reach, half_period = abs(median) + 8.0 * spread, math.pi / step
+    if not reach <= half_period:
+        raise ValueError(
+            f"the x-grid must lie within the alias half-period pi/step = {half_period:g} "
+            f"and cover the data's bulk, got |median| + 8 IQR = {reach:g} (median "
+            f"{median:g}); the inversion repeats with period 2 pi/step in x, so this "
+            f"data needs --step <= pi/{reach:g} = {math.pi / reach:.3g}")
+
+
 def _cmd_estimate(args) -> int:
     seed = _env_seed(args.seed)
     if args.xgrid < 2:
@@ -213,6 +226,8 @@ def _cmd_estimate(args) -> int:
     kgrid = KappaGrid(args.kappa_step, args.kappa_count)
     fixed_kappa = None if args.kappa == "auto" else _fixed_kappa(args.kappa)
     sample, phi_hat = _sample_and_ecf(args, seed)
+    median, spread = sample_bulk(sample.values)
+    _check_bulk_within_half_period(median, spread, phi_hat.grid.step)
     if fixed_kappa is None:
         try:
             kappa = select_kappa(phi_hat, kgrid)
@@ -225,7 +240,7 @@ def _cmd_estimate(args) -> int:
     else:
         kappa = fixed_kappa
         kappa_note = f"{kappa:g}"
-    x_grid = default_x_grid(sample.values, points=args.xgrid)
+    x_grid = default_x_grid(spread, points=args.xgrid)
     est = adaptive_estimate(phi_hat, kappa, x_grid)
     resolved = {"delta": args.delta, "umax": phi_hat.grid.u_max, "step": phi_hat.grid.step,
                 "kappa": kappa_note, "n": sample.n, "seed": seed,

@@ -31,7 +31,7 @@ from .sampling import IncrementSample
 __all__ = ["UGrid", "ECFGrid", "ThresholdSpec", "SpectralEstimate", "ecf",
            "spectral_estimate", "threshold_cf", "adaptive_estimate",
            "optimal_cutoff", "mixed_cutoff", "plancherel_l2", "default_u_max",
-           "default_u_step", "default_x_grid", "write_estimate_csv",
+           "default_u_step", "default_x_grid", "sample_bulk", "write_estimate_csv",
            "write_ecf_csv", "threshold_level", "trapezoid_weights"]
 
 
@@ -91,7 +91,7 @@ class UGrid:
 
 @dataclass(frozen=True, eq=False)
 class ECFGrid:
-    """Complex CF values aligned with ``grid.points``; n is the sample size."""
+    """Finite complex CF values aligned with ``grid.points``; n is the sample size."""
 
     grid: UGrid
     values: np.ndarray
@@ -100,6 +100,10 @@ class ECFGrid:
     def __post_init__(self):
         if len(self.values) != 2 * self.grid.half_count + 1:
             raise ValueError("values length does not match the grid")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"ECF values must be finite; value {self.values[bad[0]]!r} "
+                             f"at index {bad[0]}")
         if self.n <= 0:
             raise ValueError("n must be positive")
 
@@ -207,13 +211,20 @@ def ecf(sample: IncrementSample, grid: UGrid) -> ECFGrid:
 # ---------------------------------------------------------------------------
 # inversion
 
-def default_x_grid(values: np.ndarray, points: int = 512) -> np.ndarray:
-    """Uniform x-grid spanning +-8 interquartile ranges of the sample."""
-    q75, q25 = np.percentile(values, [75.0, 25.0])
+def sample_bulk(values: np.ndarray) -> tuple[float, float]:
+    """Median and spread of a sample from one percentile pass; the spread is
+    the interquartile range, or max(std, 1) when that is 0."""
+    q75, median, q25 = np.percentile(values, [75.0, 50.0, 25.0])
     iqr = q75 - q25
     if iqr <= 0:
         iqr = max(float(np.std(values)), 1.0)
-    return np.linspace(-8.0 * iqr, 8.0 * iqr, points)
+    return float(median), float(iqr)
+
+
+def default_x_grid(spread: float, points: int = 512) -> np.ndarray:
+    """Uniform x-grid spanning +-8 spreads (``sample_bulk``) around 0."""
+    spread = float(spread)
+    return np.linspace(-8.0 * spread, 8.0 * spread, points)
 
 
 def trapezoid_weights(count: int, step: float) -> np.ndarray:

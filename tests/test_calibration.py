@@ -10,6 +10,7 @@ from levyspec import (ECFGrid, FALLBACK_KAPPA, KappaGrid, NoStabilizationError,
                       euler_characteristic, sample_increments, select_kappa,
                       stabilization_index, unthresholded_mask)
 from levyspec.calibration import write_chi_csv
+from levyspec.estimator import threshold_level
 
 
 def synthetic(grid, fn, n):
@@ -78,6 +79,40 @@ def test_chi_profile_equals_per_kappa_masks(data, n, delta_step, count):
     kappas, chis = chi_profile(e, kgrid)
     np.testing.assert_array_equal(kappas, kgrid.kappas)
     assert list(chis) == [euler_characteristic(unthresholded_mask(e, kap)) for kap in kappas]
+
+
+def _on_levels(n, kgrid, picks):
+    """ECF values whose moduli are exactly the threshold levels ``picks`` indexes,
+    turned by 1, i, -1, -i in turn so that abs() returns each level unrounded."""
+    levels = threshold_level(kgrid.kappas, n)
+    turns = np.array([1, 1j, -1, -1j])[np.arange(len(picks)) % 4]
+    return levels[picks] * turns
+
+
+@pytest.mark.parametrize("case", ["ties", "plateaus", "levels_above_one", "n_is_one"])
+def test_chi_profile_counts_ties_and_plateaus_like_the_masks(case):
+    if case == "ties":  # every modulus equals a level, so each point is kept by ">="
+        n, kgrid = 100, KappaGrid(0.5, 6)
+        values = _on_levels(n, kgrid, [0, 3, 1, 6, 2, 5, 4, 0, 6])
+        want = [1, 2, 3, 4, 3, 3, 2]
+    elif case == "plateaus":  # runs of equal moduli, on levels and between them
+        n, kgrid = 100, KappaGrid(0.5, 6)
+        values = _on_levels(n, kgrid, [2, 2, 2, 0, 0, 4, 4, 4, 4, 1, 1])
+        values[3:5] *= 0.5
+        want = [2, 2, 2, 1, 1, 0, 0]
+    elif case == "levels_above_one":  # past kappa = 0 every level exceeds |phi| <= 1
+        n, kgrid = 2, KappaGrid(10.0, 3)
+        values = np.array([0.3, 1, 1j, -0.9, 0.3, 0.9j, -1, 0.3, 0.3], dtype=complex)
+        want = [2, 0, 0, 0]
+    else:  # n = 1: log n = 0, so every level is exactly 1
+        n, kgrid = 1, KappaGrid(0.05, 100)
+        values = np.array([1, 1j, 0.5, -1, 0, -1j, 1, 1, 0.999999999], dtype=complex)
+        assert np.all(threshold_level(kgrid.kappas, n) == 1.0)
+        want = [3] * 101
+    e = ECFGrid(UGrid((len(values) // 2) * 1.0, 1.0), values, n)
+    kappas, chis = chi_profile(e, kgrid)
+    assert list(chis) == [euler_characteristic(unthresholded_mask(e, kap)) for kap in kappas]
+    assert list(chis) == want
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,22 @@ def test_estimate_past_the_alias_half_period_exits_2_without_output(tmp_path, ca
     assert not (tmp_path / "d_ecf.csv").exists()
 
 
+def test_estimate_with_its_bulk_past_the_alias_half_period_exits_2_without_output(
+        tmp_path, capsys):
+    # N(1000, 1): the x-grid (+-8 IQR, about +-10.8) lies inside pi/step = 62.8, but
+    # the data sit at 1000, which the inversion would fold to 1000 mod 2 pi/step = -5.3.
+    data = tmp_path / "far.csv"
+    values = np.random.default_rng(5).normal(1000.0, 1.0, 5000)
+    data.write_text("value\n" + "\n".join(f"{v:.17g}" for v in values) + "\n")
+    out = tmp_path / "d.csv"
+    assert run(["estimate", "--data", str(data), "--delta", "1",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--step" in err and "|median| + 8 IQR = 101" in err
+    assert not out.exists()
+    assert not (tmp_path / "d_ecf.csv").exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["sample", "--bogus", "1"]) == 2
 

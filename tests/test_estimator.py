@@ -67,6 +67,15 @@ def test_default_u_max_rule():
 # ---------------------------------------------------------------------------
 # ECF
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 complex(np.inf, 0.0)])
+def test_ecf_grid_rejects_non_finite_values(bad):
+    values = np.array([0.5, 0.8, 1.0, 0.8, 0.5], dtype=complex)
+    values[3:] = bad
+    with pytest.raises(ValueError, match="ECF values must be finite.* at index 3$"):
+        ECFGrid(UGrid(2.0, 1.0), values, 10)
+
+
 def test_ecf_single_observation():
     g = UGrid.make(5.0, 0.05)
     e = ecf(sample_of([1.7]), g)

@@ -186,3 +186,20 @@ def test_write_increments_csv(tmp_path):
     assert len(lines) == 52
     got = np.array([float(l.split(",")[1]) for l in lines[2:]])
     np.testing.assert_allclose(got, s.values, rtol=1e-16)
+
+
+def test_write_increments_csv_bytes_equal_the_per_row_format(tmp_path):
+    # three blocks of rows, the last one partial; random bit patterns plus signed
+    # zeros, the smallest subnormal and normal, and 1e16 and 1e17 on either side
+    # of where %.17g turns to an exponent
+    rng = np.random.default_rng(21)
+    values = rng.standard_cauchy(2 * 8192 + 3)
+    bits = rng.integers(0, 2 ** 64, 4000, dtype=np.uint64).view(np.float64)
+    values[:4000] = np.where(np.isfinite(bits), bits, 1.0)
+    values[4000:4008] = [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                         1e16, -1e16, 1e17, 0.1]
+    path = tmp_path / "inc.csv"
+    write_increments_csv(IncrementSample(1.0, values, values.size), path, ["a=1", "b"])
+    want = "# a=1\n# b\nindex,value\n" + "".join(
+        f"{i},{v:.17g}\n" for i, v in enumerate(values))
+    assert path.read_bytes() == want.encode()
