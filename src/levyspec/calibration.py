@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import NoStabilizationError
 from .estimator import ECFGrid, ThresholdSpec, UGrid, threshold_level
+from .sampling import write_rows
 
 __all__ = ["KappaGrid", "ThresholdMask", "unthresholded_mask",
            "euler_characteristic", "chi_profile", "stabilization_index",
@@ -123,9 +124,4 @@ def select_kappa(ecf_grid: ECFGrid, grid: KappaGrid | None = None) -> float:
 
 
 def write_chi_csv(kappas, chis, path, meta_lines=()) -> None:
-    with open(path, "w") as fh:
-        for line in meta_lines:
-            fh.write(f"# {line}\n")
-        fh.write("kappa,chi\n")
-        for kap, chi in zip(kappas, chis):
-            fh.write(f"{kap:.17g},{int(chi)}\n")
+    write_rows(path, meta_lines, "kappa,chi", "%.17g,%d\n", kappas, chis)

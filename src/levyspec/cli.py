@@ -261,8 +261,17 @@ def _derived_path(path: str, suffix: str) -> str:
 def _cmd_risk_table(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
-    cells = doc if isinstance(doc, list) else doc.get("experiments", [doc])
-    configs = [ExperimentConfig.from_dict(c) for c in cells]
+    # one config object, a list of them, or {"experiments": [...]} with no other key
+    if isinstance(doc, dict) and "experiments" in doc:
+        extra = sorted(set(doc) - {"experiments"})
+        if extra:
+            raise ValueError(f"unknown document key(s): {', '.join(map(repr, extra))}")
+        doc = doc["experiments"]
+    elif isinstance(doc, dict):
+        doc = [doc]
+    if not isinstance(doc, list):
+        raise ValueError(f"a risk-table config is an object or a list of them, got {doc!r}")
+    configs = [ExperimentConfig.from_dict(c) for c in doc]
     if args.seed is not None or os.environ.get("LEVYSPEC_SEED"):
         seed = _env_seed(args.seed)
         configs = [replace(c, master_seed=seed) for c in configs]
@@ -304,18 +313,14 @@ def _cmd_check_bounds(args) -> int:
     if args.which == "thm1":
         report = cutoff_risk_bound_check(args.delta, args.n, trials=args.trials,
                                          master_seed=seed)
-        for row in report.rows:
-            print(f"m={row['m']:<6g} empirical={row['empirical']:.6e} "
-                  f"bound={row['bound']:.6e} margin={row['margin']:+.3e} "
-                  f"{'ok' if row['ok'] else 'VIOLATED'}")
     else:
         kappa = args.kappa if args.kappa is not None else FALLBACK_KAPPA
         report = adaptive_risk_bound_check(args.delta, args.n, kappa=kappa,
                                            trials=args.trials, master_seed=seed)
-        row = report.rows[0]
-        print(f"kappa={row['kappa']:g} empirical={row['empirical']:.6e} "
-              f"bound={row['bound']:.6e} margin={row['margin']:+.3e} "
-              f"{'ok' if row['ok'] else 'VIOLATED'}")
+    for row in report.rows:
+        at = f"m={row['m']:<6g}" if "m" in row else f"kappa={row['kappa']:g}"
+        print(f"{at} empirical={row['empirical']:.6e} bound={row['bound']:.6e} "
+              f"margin={row['margin']:+.3e} {'ok' if row['ok'] else 'VIOLATED'}")
     print("PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

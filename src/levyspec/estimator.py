@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .sampling import IncrementSample
+from .sampling import IncrementSample, write_rows
 
 __all__ = ["UGrid", "ECFGrid", "ThresholdSpec", "SpectralEstimate", "ecf",
            "spectral_estimate", "threshold_cf", "adaptive_estimate",
@@ -374,18 +374,9 @@ def plancherel_l2(a, b, grid: UGrid | None = None) -> float:
 # serialization
 
 def write_estimate_csv(est: SpectralEstimate, path, meta_lines=()) -> None:
-    with open(path, "w") as fh:
-        for line in meta_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x,f_hat\n")
-        for x, v in zip(est.x_grid, est.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")
+    write_rows(path, meta_lines, "x,f_hat", "%.17g,%.17g\n", est.x_grid, est.values)
 
 
 def write_ecf_csv(ecf_grid: ECFGrid, path, meta_lines=()) -> None:
-    with open(path, "w") as fh:
-        for line in meta_lines:
-            fh.write(f"# {line}\n")
-        fh.write("u,re,im\n")
-        for u, v in zip(ecf_grid.grid.points, ecf_grid.values):
-            fh.write(f"{u:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    write_rows(path, meta_lines, "u,re,im", "%.17g,%.17g,%.17g\n", ecf_grid.grid.points,
+               np.real(ecf_grid.values), np.imag(ecf_grid.values))

@@ -7,9 +7,12 @@ computed in the frequency domain,
                         + (1/pi) int_{umax}^inf |phi|^2 du,
 
 with the tail term in closed form (upper incomplete gamma / erfc) whenever the
-reference law allows it.  Dividing by ||f||^2 gives the relative risk that the
-benchmark tables report.  Everything is deterministic given the master seed;
-trials are keyed by trial index so any execution order gives identical output.
+reference law allows it.  That tail, (1/pi) int_m^inf |phi|^2, is also the
+bias^2 of a cutoff at m in the bound checks and, at m = 0, the norm ||f||^2:
+all three come from :func:`reference_tail_integral`.  Dividing by ||f||^2
+gives the relative risk that the benchmark tables report.  Everything is
+deterministic given the master seed; trials are keyed by trial index so any
+execution order gives identical output.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from .calibration import FALLBACK_KAPPA, KappaGrid, select_kappa
+from .calibration import FALLBACK_KAPPA, select_kappa
 from .errors import NoStabilizationError, UnsupportedModelError
 from .estimator import (ThresholdSpec, UGrid, default_u_max, ecf, plancherel_l2,
                         threshold_cf, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, StableLaw, cauchy_triplet,
-                     increment_stable_law, levy_khintchine_cf, stable_density_l2_norm)
+                     increment_stable_law, levy_khintchine_cf)
 from .sampling import SeedSpec, derive_seed, sample_increments
 from .special import upper_incomplete_gamma
 
@@ -113,7 +116,7 @@ def _parse_object(d: dict, where: str, converters: dict, required: set = frozens
     for key, value in d.items():
         try:
             parsed[key] = converters[key](value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where} key {key!r}: {exc}") from None
     return parsed
 
@@ -127,6 +130,19 @@ def _int(value) -> int:
     return value
 
 
+def _float(value) -> float:
+    """An int or float with a finite value; booleans and strings are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _str(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"expected a string, got {value!r}")
+
+
 def _int_list(values) -> tuple:
     if not isinstance(values, list):
         raise TypeError(f"expected a list of integers, got {values!r}")
@@ -136,19 +152,19 @@ def _int_list(values) -> tuple:
 def _parse_jumps(jumps) -> StableJumpDensity | None:
     keys = {"P", "Q", "alpha"}
     return None if jumps is None else StableJumpDensity(
-        **_parse_object(jumps, "jumps", dict.fromkeys(keys, float), keys))
+        **_parse_object(jumps, "jumps", dict.fromkeys(keys, _float), keys))
 
 
 def _parse_model(model) -> LevyTriplet:
-    m = _parse_object(model, "model", {"b": float, "sigma2": float, "jumps": _parse_jumps})
+    m = _parse_object(model, "model", {"b": _float, "sigma2": _float, "jumps": _parse_jumps})
     return LevyTriplet(m.get("b", 0.0), m.get("sigma2", 0.0), m.get("jumps"))
 
 
 _CONFIG_FIELDS = {
-    "model": _parse_model, "delta_t": float, "n_list": _int_list,
-    "trials": _int, "u_max": lambda v: None if v is None else float(v),
-    "u_step": lambda v: None if v is None else float(v),
-    "kappa_mode": lambda v: v if v == "auto" else float(v), "master_seed": _int, "label": str}
+    "model": _parse_model, "delta_t": _float, "n_list": _int_list,
+    "trials": _int, "u_max": lambda v: None if v is None else _float(v),
+    "u_step": lambda v: None if v is None else _float(v),
+    "kappa_mode": lambda v: v if v == "auto" else _float(v), "master_seed": _int, "label": _str}
 
 
 def _check_trials(trials: int) -> None:
@@ -203,7 +219,8 @@ def reference_cf(model: LevyTriplet, delta_t: float, grid: UGrid) -> np.ndarray:
 
 
 def reference_tail_integral(model: LevyTriplet, delta_t: float, u_max: float) -> float:
-    """(1/pi) int_{u_max}^inf |phi(u)|^2 du, closed form where available."""
+    """(1/pi) int_{u_max}^inf |phi(u)|^2 du, closed form where available: the
+    risk's tail beyond u_max, the bias^2 of a cutoff at u_max, ||f||^2 at 0."""
     law = _stable_part(model, delta_t)
     a = delta_t * model.sigma2
     if law is None:
@@ -219,17 +236,8 @@ def reference_tail_integral(model: LevyTriplet, delta_t: float, u_max: float) ->
 
 
 def reference_l2_norm(model: LevyTriplet, delta_t: float) -> float:
-    """||f||^2 of the increment density, via Plancherel."""
-    law = _stable_part(model, delta_t)
-    a = delta_t * model.sigma2
-    if law is None:
-        return 1.0 / (2.0 * math.sqrt(math.pi * a))
-    if model.sigma2 == 0.0:
-        return stable_density_l2_norm(law)
-    c = 2.0 * law.gamma ** law.alpha
-    val, _ = quad(lambda v: math.exp(-a * v * v - c * v ** law.alpha),
-                  0.0, math.inf, epsrel=1e-12, limit=200)
-    return val / math.pi
+    """||f||^2 of the increment density, via Plancherel: the tail integral from 0."""
+    return reference_tail_integral(model, delta_t, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +258,27 @@ def _trial_ecfs(model: LevyTriplet, delta_t: float, n: int, grid: UGrid, seed: i
         yield ecf(sample_increments(model, delta_t, n, SeedSpec(seed, tr)), grid)
 
 
+def _thresholded_errors(model: LevyTriplet, delta_t: float, n: int, grid: UGrid,
+                        seed: int, trials: int, kappa: float | None):
+    """(errors, kappas, fallbacks): each trial's squared L2 error as in
+    :func:`relative_risk_of_cf` before dividing by ||f||^2; a kappa of None is
+    calibrated per trial, FALLBACK_KAPPA where chi never stabilizes."""
+    phi_ref = reference_cf(model, delta_t, grid)
+    tail = reference_tail_integral(model, delta_t, grid.u_max)
+    spec = None if kappa is None else ThresholdSpec(kappa, n)
+    errors, kappas, fallbacks = np.empty(trials), np.empty(trials), 0
+    for tr, phi_hat in enumerate(_trial_ecfs(model, delta_t, n, grid, seed, trials)):
+        if kappa is None:
+            try:
+                spec = ThresholdSpec(select_kappa(phi_hat), n)
+            except NoStabilizationError:
+                spec = ThresholdSpec(FALLBACK_KAPPA, n)
+                fallbacks += 1
+        errors[tr] = plancherel_l2(threshold_cf(phi_hat, spec).values, phi_ref, grid=grid) + tail
+        kappas[tr] = spec.kappa
+    return errors, kappas, fallbacks
+
+
 def _sd(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
@@ -259,40 +288,24 @@ def _sd(values: np.ndarray) -> float:
 def relative_l2_risk(config: ExperimentConfig) -> list[RiskReport]:
     """Run the Monte-Carlo benchmark; one report per sample size in n_list.
 
-    The reference CF, tail integral and norm are computed once per cell; each
-    trial's risk is the arithmetic of :func:`relative_risk_of_cf`.
+    The norm is computed once per config and the reference CF and tail once
+    per cell; each trial's risk is the arithmetic of :func:`relative_risk_of_cf`.
     """
     grid_full = config.grid()
-    kappa_grid = KappaGrid()
-    auto = config.kappa_mode == "auto"
+    kappa = None if config.kappa_mode == "auto" else float(config.kappa_mode)
     model, delta_t = config.model, config.delta_t
     alpha = model.jumps.alpha if isinstance(model.jumps, StableJumpDensity) else None
+    norm = reference_l2_norm(model, delta_t)
     reports = []
     for idx, n in enumerate(config.n_list):
-        grid = grid_full.restrict(float(n))
-        cell_seed = derive_seed(config.master_seed, idx)
-        phi_ref = reference_cf(model, delta_t, grid)
-        tail = reference_tail_integral(model, delta_t, grid.u_max)
-        norm = reference_l2_norm(model, delta_t)
-        risks = np.empty(config.trials)
-        kappas = np.empty(config.trials)
-        fallbacks = 0
-        for tr, phi_hat in enumerate(_trial_ecfs(model, delta_t, n, grid, cell_seed, config.trials)):
-            if auto:
-                try:
-                    kappa = select_kappa(phi_hat, kappa_grid)
-                except NoStabilizationError:
-                    kappa = FALLBACK_KAPPA
-                    fallbacks += 1
-            else:
-                kappa = float(config.kappa_mode)
-            phi_tilde = threshold_cf(phi_hat, ThresholdSpec(kappa, n))
-            risks[tr] = (plancherel_l2(phi_tilde.values, phi_ref, grid=grid) + tail) / norm
-            kappas[tr] = kappa
-        if auto:
+        errors, kappas, fallbacks = _thresholded_errors(
+            model, delta_t, n, grid_full.restrict(float(n)),
+            derive_seed(config.master_seed, idx), config.trials, kappa)
+        risks = errors / norm
+        if kappa is None:
             mean_kappa, sd_kappa = float(np.mean(kappas)), _sd(kappas)
         else:
-            mean_kappa, sd_kappa = float(config.kappa_mode), 0.0
+            mean_kappa, sd_kappa = kappa, 0.0
         reports.append(RiskReport(
             label=config.label or _default_label(model),
             alpha=alpha, delta_t=delta_t, n=int(n), trials=config.trials,
@@ -312,14 +325,21 @@ def _default_label(model: LevyTriplet) -> str:
 # ---------------------------------------------------------------------------
 # empirical verification of the risk bounds
 
-def _symmetric_unit_stable_scale(model: LevyTriplet, delta_t: float) -> float:
-    """Scale gamma of a symmetric 1-stable pure-jump model; rejects others."""
+def _check_symmetric_unit_stable(model: LevyTriplet, delta_t: float) -> None:
+    """Reject all but a driftless symmetric 1-stable pure-jump model."""
     law = _stable_part(model, delta_t)
     if (law is None or model.sigma2 != 0.0 or model.b != 0.0
             or law.alpha != 1.0 or law.beta != 0.0):
-        raise ValueError("bound checks need a driftless symmetric 1-stable model "
-                         "with closed-form bias")
-    return law.gamma
+        raise ValueError("bound checks need a driftless symmetric 1-stable model")
+
+
+def _bound_row(values: np.ndarray, bound: float, **at) -> dict:
+    """The mean of values against bound, with its standard error, margin and verdict."""
+    emp = float(np.mean(values))
+    se = _sd(values) / math.sqrt(values.size)
+    limit = bound + _MARGIN_SE * se
+    return {**at, "empirical": emp, "bound": bound, "se": se, "margin": limit - emp,
+            "ok": emp <= limit}
 
 
 def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 100,
@@ -328,12 +348,13 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
     """Check E||f_hat_m - f||^2 <= bias^2(m) + m/(pi n) + 3 se on an m-grid.
 
     The empirical mean integrated squared error is computed per cutoff m over
-    seeded trials; the bias term e^{-2 gamma m}/(2 pi gamma) is exact for the
-    symmetric 1-stable reference model.
+    seeded trials; the bias^2(m) = (1/pi) int_m^inf |phi|^2 of both sides is
+    the reference tail integral, e^{-2 gamma m}/(2 pi gamma) for the symmetric
+    1-stable reference model.
     """
     _check_trials(trials)
     model = model if model is not None else cauchy_triplet()
-    gamma = _symmetric_unit_stable_scale(model, delta_t)
+    _check_symmetric_unit_stable(model, delta_t)
     if m_grid is None:
         m_grid = np.linspace(0.5, 8.0, 10)
     m_grid = np.asarray(m_grid, dtype=float)
@@ -346,19 +367,12 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
     weights = np.zeros(bands.shape)
     for row, band in zip(weights, bands):
         row[band] = trapezoid_weights(np.count_nonzero(band), grid.step)
-    bias2 = np.exp(-2.0 * gamma * m_grid) / (2.0 * math.pi * gamma)
+    bias2 = [reference_tail_integral(model, delta_t, m) for m in m_grid.tolist()]
     mises = diff2 @ weights.T / (2.0 * math.pi) + bias2
-    rows = []
-    passed = True
-    for j, m in enumerate(m_grid):
-        emp = float(np.mean(mises[:, j]))
-        se = _sd(mises[:, j]) / math.sqrt(trials)
-        bound = math.exp(-2.0 * gamma * m) / (2.0 * math.pi * gamma) + m / (math.pi * n)
-        ok = emp <= bound + _MARGIN_SE * se
-        passed &= ok
-        rows.append({"m": float(m), "empirical": emp, "bound": bound,
-                     "se": se, "margin": bound + _MARGIN_SE * se - emp, "ok": ok})
-    return BoundCheckReport(passed, tuple(rows), delta_t, n, trials, master_seed)
+    rows = tuple(_bound_row(mises[:, j], b2 + m / (math.pi * n), m=m)
+                 for j, (m, b2) in enumerate(zip(m_grid.tolist(), bias2)))
+    return BoundCheckReport(all(row["ok"] for row in rows), rows, delta_t, n, trials,
+                            master_seed)
 
 
 def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KAPPA,
@@ -371,25 +385,14 @@ def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KA
     """
     _check_trials(trials)
     model = model if model is not None else cauchy_triplet()
-    gamma = _symmetric_unit_stable_scale(model, delta_t)
+    _check_symmetric_unit_stable(model, delta_t)
     grid = UGrid.make(default_u_max(delta_t))
-    phi_ref = reference_cf(model, delta_t, grid)
-    tail = math.exp(-2.0 * gamma * grid.u_max) / (2.0 * math.pi * gamma)
-    spec = ThresholdSpec(kappa, n)
-    risks = np.array([plancherel_l2(threshold_cf(phi_hat, spec).values, phi_ref, grid=grid) + tail
-                      for phi_hat in _trial_ecfs(model, delta_t, n, grid, master_seed, trials)])
-    logn = math.log(n)
-    m_grid = np.linspace(grid.u_max / 20.0, grid.u_max, 20)
-    rhs_terms = [9.0 * math.exp(-2.0 * gamma * m) / (2.0 * math.pi * gamma)
-                 + (m / (math.pi * n)) * (5.0 + (1.0 + (kappa + 2.0) * math.sqrt(logn)) ** 2)
-                 for m in m_grid]
-    rhs = min(rhs_terms) + 64.0 * n ** (1.0 - kappa ** 2 / 4.0)
-    emp = float(np.mean(risks))
-    se = _sd(risks) / math.sqrt(trials)
-    ok = emp <= rhs + _MARGIN_SE * se
-    row = {"kappa": kappa, "empirical": emp, "bound": rhs, "se": se,
-           "margin": rhs + _MARGIN_SE * se - emp, "ok": ok}
-    return BoundCheckReport(bool(ok), (row,), delta_t, n, trials, master_seed)
+    errors, _, _ = _thresholded_errors(model, delta_t, n, grid, master_seed, trials, kappa)
+    variance = 5.0 + (1.0 + (kappa + 2.0) * math.sqrt(math.log(n))) ** 2
+    rhs = min(9.0 * reference_tail_integral(model, delta_t, m) + m / (math.pi * n) * variance
+              for m in np.linspace(grid.u_max / 20.0, grid.u_max, 20).tolist())
+    row = _bound_row(errors, rhs + 64.0 * n ** (1.0 - kappa ** 2 / 4.0), kappa=kappa)
+    return BoundCheckReport(row["ok"], (row,), delta_t, n, trials, master_seed)
 
 
 # ---------------------------------------------------------------------------

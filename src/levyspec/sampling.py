@@ -129,20 +129,23 @@ def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
 _ROWS_PER_WRITE = 8192
 
 
-def write_increments_csv(sample: IncrementSample, path, meta_lines=()) -> None:
-    """Dump increments as CSV with header ``index,value``, one ``%d,%.17g`` row each.
-
-    Rows are formatted a block at a time by one ``%`` over the interleaved
-    indices and values; ``%.17g`` writes the same bytes as ``f"{v:.17g}"``.
-    """
-    values = np.asarray(sample.values).tolist()
+def write_rows(path, meta_lines, header: str, row_format: str, *columns) -> None:
+    """Write ``# meta`` lines, a header and one ``row_format`` row per index of
+    the columns, formatting a block of rows with one ``%`` over the interleaved
+    columns (``%.17g`` writes the same bytes as ``f"{v:.17g}"``)."""
+    columns = [np.asarray(column).tolist() for column in columns]
     with open(path, "w") as fh:
         for line in meta_lines:
             fh.write(f"# {line}\n")
-        fh.write("index,value\n")
-        for start in range(0, len(values), _ROWS_PER_WRITE):
-            block = values[start:start + _ROWS_PER_WRITE]
-            rows = [None] * (2 * len(block))
-            rows[0::2] = range(start, start + len(block))
-            rows[1::2] = block
-            fh.write(("%d,%.17g\n" * len(block)) % tuple(rows))
+        fh.write(f"{header}\n")
+        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            block = [column[start:start + _ROWS_PER_WRITE] for column in columns]
+            rows = [None] * (len(columns) * len(block[0]))
+            for j, cells in enumerate(block):
+                rows[j::len(columns)] = cells
+            fh.write((row_format * len(block[0])) % tuple(rows))
+
+
+def write_increments_csv(sample: IncrementSample, path, meta_lines=()) -> None:
+    """Dump increments as CSV with header ``index,value``, one ``%d,%.17g`` row each."""
+    write_rows(path, meta_lines, "index,value", "%d,%.17g\n", np.arange(sample.n), sample.values)

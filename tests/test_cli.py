@@ -228,7 +228,15 @@ def test_risk_table_unknown_config_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("n_list", 5), ("n_list", "55"), ("delta_t", None), ("trials", 2.7),
-    pytest.param("n_list", [500.9], id="n_list-500.9"), ("master_seed", True)])
+    pytest.param("n_list", [500.9], id="n_list-500.9"), ("master_seed", True),
+    pytest.param("model", {"sigma2": True}, id="sigma2-true"),
+    pytest.param("model", {"jumps": {"P": 1, "Q": 1, "alpha": "1"}}, id="alpha-str"),
+    pytest.param("delta_t", "1", id="delta_t-str"),
+    pytest.param("delta_t", math.inf, id="delta_t-inf"),
+    pytest.param("u_max", math.nan, id="u_max-nan"),
+    pytest.param("u_step", 10 ** 400, id="u_step-overflow"),
+    pytest.param("kappa_mode", "0.5", id="kappa_mode-str"),
+    pytest.param("label", 7, id="label-int")])
 def test_risk_table_wrongly_typed_config_value_exits_2(key, value, tmp_path, capsys):
     cfg = {"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [300], key: value}
     cfg_path = tmp_path / "cfg.json"
@@ -236,6 +244,21 @@ def test_risk_table_wrongly_typed_config_value_exits_2(key, value, tmp_path, cap
     out = tmp_path / "r.csv"
     assert run(["risk-table", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, problem", [
+    (5, "got 5"),
+    ({"experiments": 5}, "got 5"),
+    ({"experiments": [{"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [300]}],
+      "trails": 5}, "unknown document key(s): 'trails'"),
+], ids=["number", "experiments-number", "experiments-beside-unknown-key"])
+def test_risk_table_malformed_document_exits_2(doc, problem, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    assert run(["risk-table", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert problem in capsys.readouterr().err
     assert not out.exists()
 
 

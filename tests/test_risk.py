@@ -9,11 +9,11 @@ from scipy.integrate import quad
 from levyspec import (FALLBACK_KAPPA, ExperimentConfig, KappaGrid, LevyTriplet,
                       NoStabilizationError, SeedSpec, StableJumpDensity,
                       ThresholdSpec, UGrid, adaptive_risk_bound_check,
-                      cauchy_triplet, cutoff_risk_bound_check, derive_seed, ecf,
-                      reference_cf, reference_l2_norm, reference_tail_integral,
-                      relative_l2_risk, relative_risk_of_cf, risk_table,
-                      risk_table_csv, sample_increments, select_kappa,
-                      threshold_cf)
+                      cauchy_triplet, cutoff_risk_bound_check, default_u_max,
+                      derive_seed, ecf, plancherel_l2, reference_cf,
+                      reference_l2_norm, reference_tail_integral, relative_l2_risk,
+                      relative_risk_of_cf, risk_table, risk_table_csv,
+                      sample_increments, select_kappa, threshold_cf)
 
 CAUCHY = cauchy_triplet()
 MIXED = LevyTriplet(0.0, 0.5, StableJumpDensity(1.0, 0.5, 1.3))
@@ -210,6 +210,33 @@ def test_adaptive_risk_bound_smoke():
     # over-thresholding still bounded: the right side grows with kappa
     rep10 = adaptive_risk_bound_check(1.0, 500, kappa=10.0, trials=10, master_seed=13)
     assert rep10.passed
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.0])
+def test_adaptive_risk_bound_matches_per_trial_pipeline(kappa):
+    # each trial rebuilt by hand, one public call per step, and the bound with
+    # the Cauchy bias e^{-2m}/(2 pi) written out
+    n, trials = 400, 7
+    rep = adaptive_risk_bound_check(1.0, n, kappa=kappa, trials=trials, master_seed=4)
+    grid = UGrid.make(default_u_max(1.0))
+    phi_ref = reference_cf(CAUCHY, 1.0, grid)
+    tail = reference_tail_integral(CAUCHY, 1.0, grid.u_max)
+    errors = []
+    for tr in range(trials):
+        phi_hat = ecf(sample_increments(CAUCHY, 1.0, n, SeedSpec(4, tr)), grid)
+        phi_tilde = threshold_cf(phi_hat, ThresholdSpec(kappa, n))
+        errors.append(plancherel_l2(phi_tilde.values, phi_ref, grid=grid) + tail)
+    factor = 5.0 + (1.0 + (kappa + 2.0) * math.sqrt(math.log(n))) ** 2
+    bound = min(9.0 * math.exp(-2.0 * m) / (2.0 * math.pi) + m / (math.pi * n) * factor
+                for m in np.linspace(grid.u_max / 20.0, grid.u_max, 20))
+    bound += 64.0 * n ** (1.0 - kappa ** 2 / 4.0)
+    (row,) = rep.rows
+    emp, se = float(np.mean(errors)), float(np.std(errors, ddof=1)) / math.sqrt(trials)
+    assert row["empirical"] == pytest.approx(emp, rel=1e-13)
+    assert row["se"] == pytest.approx(se, rel=1e-13)
+    assert row["bound"] == pytest.approx(bound, rel=1e-13)
+    assert row["margin"] == pytest.approx(bound + 3.0 * se - emp, rel=1e-12)
+    assert rep.passed == row["ok"] == (emp <= bound + 3.0 * se)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levyspec import (CustomJumpDensity, IncrementSample, LevyTriplet, SeedSpec,
-                      StableJumpDensity, StableLaw, UGrid, UnsupportedModelError,
-                      cauchy_triplet, derive_seed, ecf, gamma_process_density,
-                      levy_khintchine_cf, sample_increments, stable_cf,
-                      stable_sample, write_increments_csv)
+from levyspec import (CustomJumpDensity, ECFGrid, IncrementSample, LevyTriplet,
+                      SeedSpec, SpectralEstimate, StableJumpDensity, StableLaw, UGrid,
+                      UnsupportedModelError, cauchy_triplet, derive_seed, ecf,
+                      gamma_process_density, levy_khintchine_cf, sample_increments,
+                      stable_cf, stable_sample, write_ecf_csv, write_estimate_csv,
+                      write_increments_csv)
+from levyspec.calibration import write_chi_csv
 
 
 def hoeffding_band(n: int) -> float:
@@ -202,4 +204,21 @@ def test_write_increments_csv_bytes_equal_the_per_row_format(tmp_path):
     write_increments_csv(IncrementSample(1.0, values, values.size), path, ["a=1", "b"])
     want = "# a=1\n# b\nindex,value\n" + "".join(
         f"{i},{v:.17g}\n" for i, v in enumerate(values))
+    assert path.read_bytes() == want.encode()
+    # the estimate, ECF and chi writers share that block formatter
+    est = SpectralEstimate(values, values[::-1])
+    write_estimate_csv(est, path, ["c"])
+    want = "# c\nx,f_hat\n" + "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(values, est.values))
+    assert path.read_bytes() == want.encode()
+    grid = UGrid.make(8.192, 0.001)
+    assert grid.points.size > 8192
+    cf = np.empty(grid.points.size, dtype=complex)
+    cf.real, cf.imag = values[:cf.size], values[-cf.size:]
+    write_ecf_csv(ECFGrid(grid, cf, 1), path)
+    want = "u,re,im\n" + "".join(f"{u:.17g},{v.real:.17g},{v.imag:.17g}\n"
+                                 for u, v in zip(grid.points, cf))
+    assert path.read_bytes() == want.encode()
+    chis = rng.integers(-50, 50, values.size)
+    write_chi_csv(values, chis, path)
+    want = "kappa,chi\n" + "".join(f"{k:.17g},{int(c)}\n" for k, c in zip(values, chis))
     assert path.read_bytes() == want.encode()
