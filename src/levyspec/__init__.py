@@ -9,9 +9,9 @@ stable reference laws.
 
 __version__ = "0.1.0"
 
-from .calibration import (FALLBACK_KAPPA, KappaGrid, ThresholdMask, chi_profile,
-                          euler_characteristic, select_kappa, stabilization_index,
-                          unthresholded_mask)
+from .calibration import (FALLBACK_KAPPA, KappaGrid, ThresholdMask, calibrate,
+                          chi_profile, euler_characteristic, select_kappa,
+                          stabilization_index, unthresholded_mask)
 from .errors import (LevySpecError, NoStabilizationError, QuadratureError,
                      UnsupportedModelError)
 from .estimator import (ECFGrid, SpectralEstimate, ThresholdSpec, UGrid,

@@ -12,7 +12,9 @@ starts at i exactly when a_{i-1} < L <= a_i: a birth in the superlevel
 filtration of a (Edelsbrunner & Harer, Computational Topology, 2010).  So
 chi(L) = #{i: a_i >= L} - #{i >= 1: min(a_{i-1}, a_i) >= L}, two counts read
 off sorted arrays for every level at once.  ``unthresholded_mask`` and
-``euler_characteristic`` keep the definition by masks.
+``euler_characteristic`` keep the definition by masks.  The fallback rule lives
+here too: only :func:`calibrate` turns a chi sequence that never settles into
+``FALLBACK_KAPPA``, for the CLI and the risk loop alike.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .sampling import write_rows
 
 __all__ = ["KappaGrid", "ThresholdMask", "unthresholded_mask",
            "euler_characteristic", "chi_profile", "stabilization_index",
-           "select_kappa", "FALLBACK_KAPPA", "write_chi_csv"]
+           "select_kappa", "calibrate", "FALLBACK_KAPPA", "write_chi_csv"]
 
 # smallest kappa for which the thresholded estimator's remainder term decays
 # faster than 1/n; used when the chi sequence never settles
@@ -110,7 +112,7 @@ def select_kappa(ecf_grid: ECFGrid, grid: KappaGrid | None = None) -> float:
     """Smallest kappa = k*delta whose chi is stable over three consecutive k.
 
     Raises :class:`NoStabilizationError` (carrying the chi sequence) when the
-    sequence never settles; callers may fall back to ``FALLBACK_KAPPA``.
+    sequence never settles; :func:`calibrate` falls back to ``FALLBACK_KAPPA``.
     """
     if grid is None:
         grid = KappaGrid()
@@ -121,6 +123,18 @@ def select_kappa(ecf_grid: ECFGrid, grid: KappaGrid | None = None) -> float:
             f"chi never stable over three consecutive kappas (grid step "
             f"{grid.delta_step}, count {grid.count})", chis)
     return float(kappas[k])
+
+
+def calibrate(ecf_grid: ECFGrid, grid: KappaGrid | None = None,
+              fallback: bool = False) -> tuple[float, bool]:
+    """(kappa, fell_back): :func:`select_kappa`'s kappa, or ``(FALLBACK_KAPPA, True)`` where
+    chi never stabilizes and ``fallback`` is set; else its NoStabilizationError propagates."""
+    try:
+        return select_kappa(ecf_grid, grid), False
+    except NoStabilizationError:
+        if not fallback:
+            raise
+        return FALLBACK_KAPPA, True
 
 
 def write_chi_csv(kappas, chis, path, meta_lines=()) -> None:

@@ -18,8 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .calibration import (FALLBACK_KAPPA, KappaGrid, chi_profile, select_kappa,
-                          stabilization_index, write_chi_csv)
+from .calibration import FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile, write_chi_csv
 from .errors import NoStabilizationError, QuadratureError, UnsupportedModelError
 from .estimator import (ECFGrid, UGrid, default_u_max, default_x_grid, ecf,
                         adaptive_estimate, sample_bulk, write_ecf_csv,
@@ -196,14 +195,17 @@ _STEP = _bounded_float("step", strict=True)
 _KAPPA_STEP = _bounded_float("delta_step", strict=True)
 
 
-def _fixed_kappa(text: str) -> float:
-    """A fixed --kappa value: a finite number >= 0."""
+def _kappa_or_auto(text: str) -> float | str:
+    """argparse type of ``estimate --kappa``: 'auto' or a finite number >= 0."""
+    if text == "auto":
+        return text
     try:
         kappa = float(text)
     except ValueError:
-        raise ValueError(f"--kappa must be 'auto' or a number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"--kappa must be 'auto' or a number, got {text!r}") from None
     if not (math.isfinite(kappa) and kappa >= 0):
-        raise ValueError(f"--kappa must be a finite number >= 0, got {text}")
+        raise argparse.ArgumentTypeError(f"--kappa must be a finite number >= 0, got {text}")
     return kappa
 
 
@@ -224,22 +226,14 @@ def _cmd_estimate(args) -> int:
     if args.xgrid < 2:
         raise ValueError(f"--xgrid must be at least 2, got {args.xgrid}")
     kgrid = KappaGrid(args.kappa_step, args.kappa_count)
-    fixed_kappa = None if args.kappa == "auto" else _fixed_kappa(args.kappa)
     sample, phi_hat = _sample_and_ecf(args, seed)
     median, spread = sample_bulk(sample.values)
     _check_bulk_within_half_period(median, spread, phi_hat.grid.step)
-    if fixed_kappa is None:
-        try:
-            kappa = select_kappa(phi_hat, kgrid)
-            kappa_note = f"auto->{kappa:g}"
-        except NoStabilizationError:
-            if not args.fallback:
-                raise
-            kappa = FALLBACK_KAPPA
-            kappa_note = f"auto->fallback {kappa:g}"
+    if args.kappa == "auto":
+        kappa, fell_back = calibrate(phi_hat, kgrid, args.fallback)
+        kappa_note = f"auto->{'fallback ' if fell_back else ''}{kappa:g}"
     else:
-        kappa = fixed_kappa
-        kappa_note = f"{kappa:g}"
+        kappa, kappa_note = args.kappa, f"{args.kappa:g}"
     x_grid = default_x_grid(spread, points=args.xgrid)
     est = adaptive_estimate(phi_hat, kappa, x_grid)
     resolved = {"delta": args.delta, "umax": phi_hat.grid.u_max, "step": phi_hat.grid.step,
@@ -298,13 +292,9 @@ def _cmd_calibrate(args) -> int:
         print("kappa,chi")
         for kap, chi in zip(kappas, chis):
             print(f"{kap:.17g},{int(chi)}")
-    k = stabilization_index(chis)
-    if k is None:
-        if not args.fallback:
-            raise NoStabilizationError("no stabilization on the kappa grid", chis)
-        print(f"kappa={FALLBACK_KAPPA:.17g} (fallback; chi never stabilized)")
-        return EXIT_OK
-    print(f"kappa={kappas[k]:.17g}")
+    kappa, fell_back = calibrate(phi_hat, kgrid, args.fallback)
+    note = " (fallback; chi never stabilized)" if fell_back else ""
+    print(f"kappa={kappa:.17g}{note}")
     return EXIT_OK
 
 
@@ -314,8 +304,7 @@ def _cmd_check_bounds(args) -> int:
         report = cutoff_risk_bound_check(args.delta, args.n, trials=args.trials,
                                          master_seed=seed)
     else:
-        kappa = args.kappa if args.kappa is not None else FALLBACK_KAPPA
-        report = adaptive_risk_bound_check(args.delta, args.n, kappa=kappa,
+        report = adaptive_risk_bound_check(args.delta, args.n, kappa=args.kappa,
                                            trials=args.trials, master_seed=seed)
     for row in report.rows:
         at = f"m={row['m']:<6g}" if "m" in row else f"kappa={row['kappa']:g}"
@@ -336,6 +325,22 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=_finite_float, default=0.0, help="drift")
 
 
+def _add_calibration_flags(p: argparse.ArgumentParser, data_required: bool) -> None:
+    """The data, grid and calibration flags that estimate and calibrate share."""
+    p.add_argument("--data", required=data_required,
+                   help="increments CSV (or levels with --difference)")
+    p.add_argument("--difference", action="store_true",
+                   help="difference level observations to increments")
+    p.add_argument("--delta", type=_DELTA, required=True, help="sampling rate")
+    p.add_argument("--umax", type=_UMAX, default=None)
+    p.add_argument("--step", type=_STEP, default=None)
+    p.add_argument("--kappa-step", type=_KAPPA_STEP, default=0.05)
+    p.add_argument("--kappa-count", type=int, default=100)
+    p.add_argument("--fallback", action="store_true",
+                   help="fall back to kappa=2*sqrt(2) when calibration fails")
+    p.add_argument("--no-meta", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="levyspec",
                                  description="Spectral estimation of Levy increment densities")
@@ -352,25 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_sample)
 
     pe = sub.add_parser("estimate", help="estimate the increment density")
-    pe.add_argument("--data", default=None, help="increments CSV (or levels with --difference)")
-    pe.add_argument("--difference", action="store_true",
-                    help="difference level observations to increments")
+    _add_calibration_flags(pe, data_required=False)
     _add_model_flags(pe)
     pe.add_argument("--n", type=int, default=None, help="sample size when simulating")
-    pe.add_argument("--delta", type=_DELTA, required=True)
-    pe.add_argument("--umax", type=_UMAX, default=None)
-    pe.add_argument("--step", type=_STEP, default=None)
-    pe.add_argument("--kappa", default="auto", help="threshold constant or 'auto'")
-    pe.add_argument("--kappa-step", type=_KAPPA_STEP, default=0.05)
-    pe.add_argument("--kappa-count", type=int, default=100)
-    pe.add_argument("--fallback", action="store_true",
-                    help="fall back to kappa=2*sqrt(2) when calibration fails")
+    pe.add_argument("--kappa", type=_kappa_or_auto, default="auto",
+                    help="threshold constant or 'auto'")
     pe.add_argument("--xgrid", type=int, default=512, help="number of x points")
     pe.add_argument("--seed", type=int, default=None)
     pe.add_argument("--trial", type=int, default=0)
     pe.add_argument("--out", required=True)
     pe.add_argument("--ecf-out", default=None)
-    pe.add_argument("--no-meta", action="store_true")
     pe.set_defaults(func=_cmd_estimate)
 
     pr = sub.add_parser("risk-table", help="Monte-Carlo relative-risk table")
@@ -381,16 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=_cmd_risk_table)
 
     pc = sub.add_parser("calibrate", help="Euler-characteristic kappa selection")
-    pc.add_argument("--data", required=True)
-    pc.add_argument("--difference", action="store_true")
-    pc.add_argument("--delta", type=_DELTA, required=True)
-    pc.add_argument("--umax", type=_UMAX, default=None)
-    pc.add_argument("--step", type=_STEP, default=None)
-    pc.add_argument("--kappa-step", type=_KAPPA_STEP, default=0.05)
-    pc.add_argument("--kappa-count", type=int, default=100)
-    pc.add_argument("--fallback", action="store_true")
+    _add_calibration_flags(pc, data_required=True)
     pc.add_argument("--out", default=None, help="kappa,chi CSV path")
-    pc.add_argument("--no-meta", action="store_true")
     pc.set_defaults(func=_cmd_calibrate)
 
     pb = sub.add_parser("check-bounds", help="empirical risk-bound verification")
@@ -399,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--delta", type=_DELTA, required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--trials", type=int, default=100)
-    pb.add_argument("--kappa", type=_bounded_float("kappa", strict=False), default=None,
-                    help="thm4 threshold constant")
+    pb.add_argument("--kappa", type=_bounded_float("kappa", strict=False),
+                    default=FALLBACK_KAPPA, help="thm4 threshold constant")
     pb.add_argument("--seed", type=int, default=None)
     pb.set_defaults(func=_cmd_check_bounds)
     return ap

@@ -20,14 +20,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from .calibration import FALLBACK_KAPPA, select_kappa
-from .errors import NoStabilizationError, UnsupportedModelError
+from .calibration import FALLBACK_KAPPA, calibrate
+from .errors import UnsupportedModelError
 from .estimator import (ThresholdSpec, UGrid, default_u_max, ecf, plancherel_l2,
                         threshold_cf, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, StableLaw, cauchy_triplet,
@@ -61,10 +62,12 @@ class ExperimentConfig:
         _check_trials(self.trials)
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
-        if isinstance(self.kappa_mode, str) and self.kappa_mode != "auto":
-            raise ValueError("kappa_mode is 'auto' or a positive number")
-        if not isinstance(self.kappa_mode, str) and self.kappa_mode <= 0:
-            raise ValueError("kappa_mode is 'auto' or a positive number")
+        kappa = self.kappa_mode
+        if not (kappa == "auto" or isinstance(kappa, Real) and math.isfinite(kappa) and kappa >= 0):
+            raise ValueError(f"kappa_mode is 'auto' or a finite number >= 0, got {kappa!r}")
+        if any(c in self.label for c in ',"\r\n'):
+            raise ValueError(f"label must not contain a comma, a quote, CR or LF, got "
+                             f"{self.label!r}")
 
     def grid(self) -> UGrid:
         u_max = self.u_max if self.u_max is not None else default_u_max(self.delta_t)
@@ -221,6 +224,8 @@ def reference_cf(model: LevyTriplet, delta_t: float, grid: UGrid) -> np.ndarray:
 def reference_tail_integral(model: LevyTriplet, delta_t: float, u_max: float) -> float:
     """(1/pi) int_{u_max}^inf |phi(u)|^2 du, closed form where available: the
     risk's tail beyond u_max, the bias^2 of a cutoff at u_max, ||f||^2 at 0."""
+    if not u_max >= 0:
+        raise ValueError(f"u_max must be >= 0, got {u_max!r}")
     law = _stable_part(model, delta_t)
     a = delta_t * model.sigma2
     if law is None:
@@ -262,18 +267,16 @@ def _thresholded_errors(model: LevyTriplet, delta_t: float, n: int, grid: UGrid,
                         seed: int, trials: int, kappa: float | None):
     """(errors, kappas, fallbacks): each trial's squared L2 error as in
     :func:`relative_risk_of_cf` before dividing by ||f||^2; a kappa of None is
-    calibrated per trial, FALLBACK_KAPPA where chi never stabilizes."""
+    calibrated per trial by :func:`calibrate`, falling back where chi never stabilizes."""
     phi_ref = reference_cf(model, delta_t, grid)
     tail = reference_tail_integral(model, delta_t, grid.u_max)
     spec = None if kappa is None else ThresholdSpec(kappa, n)
     errors, kappas, fallbacks = np.empty(trials), np.empty(trials), 0
     for tr, phi_hat in enumerate(_trial_ecfs(model, delta_t, n, grid, seed, trials)):
         if kappa is None:
-            try:
-                spec = ThresholdSpec(select_kappa(phi_hat), n)
-            except NoStabilizationError:
-                spec = ThresholdSpec(FALLBACK_KAPPA, n)
-                fallbacks += 1
+            calibrated, fell_back = calibrate(phi_hat, fallback=True)
+            spec = ThresholdSpec(calibrated, n)
+            fallbacks += fell_back
         errors[tr] = plancherel_l2(threshold_cf(phi_hat, spec).values, phi_ref, grid=grid) + tail
         kappas[tr] = spec.kappa
     return errors, kappas, fallbacks

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyspec import (ECFGrid, FALLBACK_KAPPA, KappaGrid, NoStabilizationError,
-                      SeedSpec, UGrid, cauchy_triplet, chi_profile, ecf,
+                      SeedSpec, UGrid, calibrate, cauchy_triplet, chi_profile, ecf,
                       euler_characteristic, sample_increments, select_kappa,
                       stabilization_index, unthresholded_mask)
 from levyspec.calibration import write_chi_csv
@@ -184,6 +184,34 @@ def test_select_kappa_on_real_sample_in_grid_range():
     e = ecf(s, UGrid.make(10.0, 0.05))
     k = select_kappa(e)
     assert 0.0 < k <= 5.0
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=10 ** 7),
+       delta_step=st.floats(min_value=0.01, max_value=1.0),
+       count=st.integers(min_value=3, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_calibrate_is_select_kappa_or_the_fallback(data, n, delta_step, count):
+    # each point is a free value in the unit square or sits on a kappa level, so
+    # that chi often keeps changing and both outcomes are drawn
+    kgrid = KappaGrid(delta_step, count)
+    k = data.draw(st.integers(min_value=1, max_value=20))
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    points = data.draw(st.lists(st.one_of(st.tuples(unit, unit), st.integers(0, count)),
+                                min_size=2 * k + 1, max_size=2 * k + 1))
+    levels = threshold_level(kgrid.kappas, n)
+    values = [complex(*p) if isinstance(p, tuple) else complex(levels[p]) for p in points]
+    e = ECFGrid(UGrid(k * 0.1, 0.1), np.array(values), n)
+    try:
+        want = (select_kappa(e, kgrid), False)
+    except NoStabilizationError:
+        want = (FALLBACK_KAPPA, True)
+    assert calibrate(e, kgrid, fallback=True) == want
+    if want[1]:
+        with pytest.raises(NoStabilizationError) as err:
+            calibrate(e, kgrid)
+        assert err.value.chis == list(chi_profile(e, kgrid)[1])
+    else:
+        assert calibrate(e, kgrid) == want
 
 
 def test_write_chi_csv(tmp_path):

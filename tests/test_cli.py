@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import levyspec.calibration
 import levyspec.cli
 import levyspec.estimator
 from levyspec.cli import main, read_values_csv
@@ -127,6 +128,24 @@ def test_estimate_computes_the_ecf_once(increments_file, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_estimate_calibrates_once_through_the_calibration_module(
+        increments_file, tmp_path, monkeypatch):
+    calls = []
+    real = levyspec.calibration.select_kappa
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(levyspec.calibration, "select_kappa", counted)
+    base = ["estimate", "--data", str(increments_file), "--delta", "1",
+            "--out", str(tmp_path / "d.csv"), "--no-meta"]
+    assert run(base + ["--kappa", "auto"]) == 0
+    assert len(calls) == 1
+    assert run(base + ["--kappa", "0.8"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--xgrid", "0"], "--xgrid must be at least 2, got 0"),
     (["--xgrid", "1"], "--xgrid must be at least 2, got 1"),
@@ -192,6 +211,28 @@ def test_calibrate_no_stabilization_exit_code(tmp_path, capsys):
     assert "fallback" in capsys.readouterr().out
 
 
+@pytest.fixture()
+def unstable_file(tmp_path):
+    """Heavy-tailed data whose chi keeps changing on a three-step kappa grid."""
+    data = tmp_path / "stable07.csv"
+    run(["sample", "--alpha", "0.7", "--P", "2", "--Q", "1", "--delta", "0.1",
+         "--n", "500", "--seed", "1", "--no-meta", "--out", str(data)])
+    return data
+
+
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
+def test_no_stabilization_exits_4_with_the_select_kappa_message(
+        command, unstable_file, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = [command, "--data", str(unstable_file), "--delta", "0.1", "--umax", "100",
+            "--kappa-step", "0.02", "--kappa-count", "3", "--out", str(out)]
+    assert run(argv) == 4
+    assert capsys.readouterr().err == (
+        "error: chi never stable over three consecutive kappas (grid step 0.02, count 3)\n")
+    assert run(argv + ["--fallback", "--no-meta"]) == 0
+    assert capsys.readouterr().out.startswith(f"kappa={2.0 * math.sqrt(2.0):.17g}")
+
+
 # ---------------------------------------------------------------------------
 # risk-table
 
@@ -244,6 +285,18 @@ def test_risk_table_wrongly_typed_config_value_exits_2(key, value, tmp_path, cap
     out = tmp_path / "r.csv"
     assert run(["risk-table", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "CR", "LF"])
+def test_risk_table_label_that_would_break_the_csv_exits_2(char, tmp_path, capsys):
+    # the label is written unquoted as the first cell of each row
+    cfg = {"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [300], "label": f"a{char}b"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.csv"
+    assert run(["risk-table", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "label must not contain" in capsys.readouterr().err
     assert not out.exists()
 
 

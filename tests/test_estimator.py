@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpec,
                       ThresholdSpec, UGrid, adaptive_estimate, cauchy_triplet,
@@ -148,6 +150,23 @@ def test_ecf_within_rounding_bound_of_long_double_sum(family, count, step, n):
     err = np.abs(e.values[count:] - ecf_longdouble(values, count, step)).astype(float)
     bound = 1e-14 + np.finfo(float).eps * g.u_max * np.mean(np.abs(values))
     assert err.max() <= bound
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no more precise than double here")
+@given(family=st.sampled_from(sorted(ECF_FAMILIES)), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.one_of(st.integers(1, 3 * 4096 + 1), st.sampled_from([4095, 4096, 4097, 8193])),
+       count=st.integers(1, 300), step=st.floats(min_value=1e-3, max_value=0.5))
+@settings(max_examples=40, deadline=None)
+def test_ecf_invariants_and_rounding_bound_over_random_shapes(family, seed, n, count, step):
+    # the bound of the long-double test above, over sizes on both sides of the
+    # 4096-point chunk, random half-counts and random steps
+    values = ECF_FAMILIES[family](np.random.default_rng(seed), n)
+    g = UGrid(count * step, step)
+    e = ecf(sample_of(values), g)
+    e.check_invariants()
+    err = np.abs(e.values[count:] - ecf_longdouble(values, count, step)).astype(float)
+    assert err.max() <= 1e-14 + np.finfo(float).eps * g.u_max * np.mean(np.abs(values))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import math
 import re
 
+import levyspec.calibration
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -65,6 +67,21 @@ def test_l2_norm_equals_full_tail(model):
 
 def test_cauchy_l2_norm_closed_form():
     assert reference_l2_norm(CAUCHY, 1.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("u_max", [-1.0, -1e-300, math.nan, -math.inf])
+@pytest.mark.parametrize("model", [CAUCHY, MIXED, GAUSS], ids=["stable", "mixed", "gaussian"])
+def test_tail_integral_rejects_u_max_below_zero_or_nan(model, u_max):
+    # each law used to answer differently: 2||f||^2, a complex-power TypeError,
+    # the incomplete gamma's "x must be nonnegative", or nan
+    with pytest.raises(ValueError, match=re.escape(f"u_max must be >= 0, got {u_max!r}")):
+        reference_tail_integral(model, 1.0, u_max)
+
+
+@pytest.mark.parametrize("m_grid", [[-1.0], [-1.0, 2.0]])
+def test_cutoff_risk_bound_rejects_a_negative_cutoff(m_grid):
+    with pytest.raises(ValueError, match="u_max"):
+        cutoff_risk_bound_check(1.0, 100, m_grid=m_grid, trials=2)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +299,42 @@ def test_config_rejects_unknown_and_missing_keys(edit, key):
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(key)):
         ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("kappa", [0, 0.0, 0.8, 3])
+def test_config_accepts_any_finite_kappa_mode_from_zero(kappa):
+    assert ExperimentConfig(CAUCHY, 1.0, (10,), kappa_mode=kappa).kappa_mode == kappa
+    doc = ExperimentConfig(CAUCHY, 1.0, (10,)).to_dict() | {"kappa_mode": kappa}
+    assert ExperimentConfig.from_dict(doc).kappa_mode == kappa
+
+
+@pytest.mark.parametrize("kappa", [-1.0, -1e-300, math.nan, math.inf, "bogus", "0.5", None])
+def test_config_rejects_kappa_mode_other_than_auto_or_finite_nonnegative(kappa):
+    with pytest.raises(ValueError, match="kappa_mode is 'auto' or a finite number >= 0"):
+        ExperimentConfig(CAUCHY, 1.0, (10,), kappa_mode=kappa)
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "CR", "LF"])
+def test_config_rejects_a_label_that_would_break_the_csv_row(char):
+    with pytest.raises(ValueError, match="label"):
+        ExperimentConfig(CAUCHY, 1.0, (10,), label=f"a{char}b")
+
+
+def test_calibrate_is_called_through_the_module_once_per_auto_trial(monkeypatch):
+    # perfbench's tracer wraps levyspec.calibration.select_kappa and counts the
+    # NoStabilizationErrors it raises, so every calibration must go through it
+    calls = []
+    real = levyspec.calibration.select_kappa
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(levyspec.calibration, "select_kappa", counted)
+    relative_l2_risk(ExperimentConfig(CAUCHY, 1.0, (300,), trials=4, master_seed=6))
+    assert len(calls) == 4
+    relative_l2_risk(ExperimentConfig(CAUCHY, 1.0, (300,), trials=4, kappa_mode=0.8))
+    assert len(calls) == 4
 
 
 def test_config_validation():
