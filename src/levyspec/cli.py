@@ -221,6 +221,19 @@ def _check_bulk_within_half_period(median: float, spread: float, step: float) ->
             f"data needs --step <= pi/{reach:g} = {math.pi / reach:.3g}")
 
 
+def _check_ecf_above_rounding(values: np.ndarray, u_max: float) -> None:
+    """Rounding u*x moves the ECF by up to eps * u_max * mean|x|; once that reaches
+    the sampling error 1/sqrt(n), the ECF is rounding noise (an overflow counts)."""
+    with np.errstate(over="ignore"):
+        rounding = np.finfo(float).eps * u_max * float(np.mean(np.abs(values)))
+    sampling = 1.0 / math.sqrt(len(values))
+    if not rounding < sampling:
+        raise ArithmeticError(
+            f"the ECF is rounding noise: its rounding bound eps * u_max * mean|x| = "
+            f"{rounding:g} reaches the sampling error 1/sqrt(n) = {sampling:g}; "
+            f"the data's magnitude is too large for this u_max")
+
+
 def _cmd_estimate(args) -> int:
     seed = _env_seed(args.seed)
     if args.xgrid < 2:
@@ -229,6 +242,7 @@ def _cmd_estimate(args) -> int:
     sample, phi_hat = _sample_and_ecf(args, seed)
     median, spread = sample_bulk(sample.values)
     _check_bulk_within_half_period(median, spread, phi_hat.grid.step)
+    _check_ecf_above_rounding(sample.values, phi_hat.grid.u_max)
     if args.kappa == "auto":
         kappa, fell_back = calibrate(phi_hat, kgrid, args.fallback)
         kappa_note = f"auto->{'fallback ' if fell_back else ''}{kappa:g}"

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .sampling import IncrementSample, write_rows
 
@@ -343,6 +342,7 @@ def mixed_cutoff(sigma2: float, M: float, alpha: float, delta_t: float, n: float
         hi *= 2.0
         if hi > 1e300:
             raise ArithmeticError("root bracket exploded")
+    from scipy.optimize import brentq
     # relative tolerance only: an absolute one would cap the residual at g' * xtol
     root = brentq(g, 0.0, hi, xtol=1e-300)
     if not abs(g(root)) < _CUTOFF_RESIDUAL_TOL:

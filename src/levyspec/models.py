@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .errors import QuadratureError
 from .special import upper_incomplete_gamma
@@ -255,6 +253,7 @@ def cauchy_triplet() -> LevyTriplet:
 def _quad_pieces(f, a: float, b: float, breakpoints: Sequence[float], rtol: float,
                  what: str):
     """Integrate f over (a, b) in (0, inf), split at |breakpoints| inside it."""
+    from scipy.integrate import quad
     pts = sorted({abs(p) for p in breakpoints if a < abs(p) < b})
     edges = [a] + pts + [b]
     total = 0.0
@@ -318,6 +317,7 @@ def _custom_jump_exponent(jumps: CustomJumpDensity, u: float, rtol: float) -> co
     The compensated integrand is handled by adaptive quadrature on (0, 1);
     the oscillatory tails use Fourier-weighted quadrature (QUADPACK QAWF).
     """
+    from scipy.integrate import quad
     if u == 0.0:
         return 0.0 + 0.0j
     p = jumps.evaluator
@@ -487,6 +487,12 @@ def picard_derivative_bound(k: int, t: float, M: float, alpha: float) -> float:
     return first + scale * upper_incomplete_gamma((k + 1) / alpha, t * M) / alpha
 
 
+def _gaussian_tail(a: float, m: float) -> float:
+    """(1/pi) int_m^inf e^{-a u^2} du = erfc(m sqrt(a)) / (2 sqrt(pi a)), for a > 0."""
+    from scipy.special import erfc
+    return erfc(m * math.sqrt(a)) / (2.0 * math.sqrt(math.pi * a))
+
+
 def spectral_bias_bound(model_class: ModelClass, sigma2: float, m: float,
                         delta_t: float) -> float:
     """Upper bound on the squared bias ||f_{t,m} - f_t||^2 of a cutoff at m.
@@ -502,8 +508,7 @@ def spectral_bias_bound(model_class: ModelClass, sigma2: float, m: float,
             raise ValueError("m must be nonnegative")
         if sigma2 <= 0:
             raise ValueError("gaussian branch needs sigma2 > 0")
-        a = delta_t * sigma2
-        return erfc(m * math.sqrt(a)) / (2.0 * math.sqrt(math.pi * a))
+        return _gaussian_tail(delta_t * sigma2, m)
     if model_class.tag == PURE_JUMP:
         if m < math.pi / 2.0:
             raise ValueError("jump branch needs m >= pi/2")

@@ -24,15 +24,13 @@ from numbers import Real
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .calibration import FALLBACK_KAPPA, calibrate
 from .errors import UnsupportedModelError
 from .estimator import (ThresholdSpec, UGrid, default_u_max, ecf, plancherel_l2,
                         threshold_cf, trapezoid_weights)
-from .models import (LevyTriplet, StableJumpDensity, StableLaw, cauchy_triplet,
-                     increment_stable_law, levy_khintchine_cf)
+from .models import (LevyTriplet, StableJumpDensity, StableLaw, _gaussian_tail,
+                     cauchy_triplet, increment_stable_law, levy_khintchine_cf)
 from .sampling import SeedSpec, derive_seed, sample_increments
 from .special import upper_incomplete_gamma
 
@@ -65,9 +63,7 @@ class ExperimentConfig:
         kappa = self.kappa_mode
         if not (kappa == "auto" or isinstance(kappa, Real) and math.isfinite(kappa) and kappa >= 0):
             raise ValueError(f"kappa_mode is 'auto' or a finite number >= 0, got {kappa!r}")
-        if any(c in self.label for c in ',"\r\n'):
-            raise ValueError(f"label must not contain a comma, a quote, CR or LF, got "
-                             f"{self.label!r}")
+        _check_label(self.label)
 
     def grid(self) -> UGrid:
         u_max = self.u_max if self.u_max is not None else default_u_max(self.delta_t)
@@ -175,6 +171,12 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
 
+def _check_label(label: str) -> None:
+    """A label is written unquoted as the first cell of a risk-table row."""
+    if any(c in label for c in ',"\r\n'):
+        raise ValueError(f"label must not contain a comma, a quote, CR or LF, got {label!r}")
+
+
 @dataclass(frozen=True)
 class RiskReport:
     """Mean/sd of the relative L2 risk and of the selected kappa for one cell."""
@@ -190,6 +192,9 @@ class RiskReport:
     sd_kappa: float
     fallback_count: int
     master_seed: int
+
+    def __post_init__(self):
+        _check_label(self.label)
 
 
 @dataclass(frozen=True)
@@ -229,12 +234,13 @@ def reference_tail_integral(model: LevyTriplet, delta_t: float, u_max: float) ->
     law = _stable_part(model, delta_t)
     a = delta_t * model.sigma2
     if law is None:
-        return erfc(u_max * math.sqrt(a)) / (2.0 * math.sqrt(math.pi * a))
+        return _gaussian_tail(a, u_max)
     c = 2.0 * law.gamma ** law.alpha
     if model.sigma2 == 0.0:
         x = c * u_max ** law.alpha
         return upper_incomplete_gamma(1.0 / law.alpha, x) / (
             math.pi * law.alpha * c ** (1.0 / law.alpha))
+    from scipy.integrate import quad
     val, _ = quad(lambda v: math.exp(-a * v * v - c * v ** law.alpha),
                   u_max, math.inf, epsrel=1e-10, limit=200)
     return val / math.pi

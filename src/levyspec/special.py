@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-from scipy.special import gamma, gammaincc
-
 from .errors import QuadratureError
 
 
 def upper_incomplete_gamma(a: float, x: float) -> float:
     """Upper incomplete gamma Gamma(a, x)."""
+    from scipy.special import gamma, gammaincc
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a}")
     if x < 0.0:
@@ -28,6 +26,7 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
 
 def upper_incomplete_gamma_quad(a: float, x: float, rtol: float = 1e-10) -> float:
     """Quadrature evaluation of Gamma(a, x); slow, used for cross-validation."""
+    from scipy.integrate import quad
     if a <= 0.0 or x < 0.0:
         raise ValueError("need a > 0 and x >= 0")
     val, err = quad(lambda t: t ** (a - 1.0) * math.exp(-t), x, math.inf,

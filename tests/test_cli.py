@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -474,6 +477,24 @@ def test_estimate_with_its_bulk_past_the_alias_half_period_exits_2_without_outpu
     assert not (tmp_path / "d_ecf.csv").exists()
 
 
+@pytest.mark.parametrize("outlier", [1e300, 1e307], ids=["1e300", "mean-overflows"])
+def test_estimate_on_an_ecf_of_rounding_noise_exits_3_without_output(
+        outlier, tmp_path, capsys):
+    # a fifth of the rows at +-outlier leaves the median and IQR of N(0, 1), so the
+    # bulk check passes; eps * u_max * mean|x| (inf once the sum overflows) is far
+    # past 1/sqrt(n), and the phases u*x are rounding noise
+    data = tmp_path / "huge.csv"
+    values = np.random.default_rng(6).normal(0.0, 1.0, 1000)
+    values[:200] = outlier * np.where(np.arange(200) % 2, 1.0, -1.0)
+    data.write_text("value\n" + "\n".join(f"{v:.17g}" for v in values) + "\n")
+    out = tmp_path / "d.csv"
+    assert run(["estimate", "--data", str(data), "--delta", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "eps * u_max * mean|x|" in err and "1/sqrt(n) = 0.0316228" in err
+    assert not out.exists()
+    assert not (tmp_path / "d_ecf.csv").exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["sample", "--bogus", "1"]) == 2
 
@@ -493,3 +514,52 @@ def test_read_values_csv_variants(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError):
         read_values_csv(str(p))
+
+
+# ---------------------------------------------------------------------------
+# scipy is imported only by the reference quantities
+
+_SCIPY_MODULES = """
+import json, sys
+{body}
+print(json.dumps([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]))
+"""
+
+
+def _scipy_modules_after(body: str, cwd) -> list:
+    """The scipy modules loaded in a fresh interpreter after running ``body``."""
+    src = os.path.dirname(os.path.dirname(levyspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_MODULES.format(body=body)],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _main_exits_0(argv) -> str:
+    return f"import levyspec.cli\nassert levyspec.cli.main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("case", ["import", "import-cli", "sample", "estimate", "calibrate",
+                                  "risk-table"])
+def test_only_the_reference_quantities_load_scipy(case, increments_file, tmp_path):
+    # sample, estimate and calibrate never call scipy; risk-table does, through the
+    # imports inside the reference functions, so a broken one fails here
+    data = ["--data", str(increments_file), "--delta", "1", "--no-meta"]
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [300], "trials": 2}))
+    body = {
+        "import": "import levyspec",
+        "import-cli": "import levyspec.cli",
+        "sample": _main_exits_0(["sample", *CAUCHY_FLAGS, "--delta", "1", "--n", "100",
+                                 "--seed", "1", "--out", "s.csv"]),
+        "estimate": _main_exits_0(["estimate", *data, "--kappa", "auto", "--out", "d.csv"]),
+        "calibrate": _main_exits_0(["calibrate", *data, "--fallback"]),
+        "risk-table": _main_exits_0(["risk-table", "--config", "cfg.json", "--out", "r.csv"]),
+    }[case]
+    modules = _scipy_modules_after(body, tmp_path)
+    if case == "risk-table":
+        assert "scipy.special" in modules
+    else:
+        assert modules == []

@@ -14,7 +14,7 @@ from levyspec import (FALLBACK_KAPPA, ExperimentConfig, KappaGrid, LevyTriplet,
                       cauchy_triplet, cutoff_risk_bound_check, default_u_max,
                       derive_seed, ecf, plancherel_l2, reference_cf,
                       reference_l2_norm, reference_tail_integral, relative_l2_risk,
-                      relative_risk_of_cf, risk_table, risk_table_csv,
+                      relative_risk_of_cf, RiskReport, risk_table, risk_table_csv,
                       sample_increments, select_kappa, threshold_cf)
 
 CAUCHY = cauchy_triplet()
@@ -358,3 +358,9 @@ def test_risk_table_csv_format():
     assert float(cells[1]) == 1.0
     assert int(cells[3]) == 300
     assert int(cells[8]) == 2
+
+
+def test_risk_report_rejects_a_label_that_would_break_the_csv():
+    # a report built in code, not through ExperimentConfig, meets the same check
+    with pytest.raises(ValueError, match="label must not contain a comma, a quote, CR or LF"):
+        risk_table_csv([RiskReport('a,b', 1.0, 1.0, 300, 2, 0.1, 0.0, 1.0, 0.0, 0, 5)])
