@@ -78,28 +78,36 @@ def _read_values_fast(path: str) -> np.ndarray | None:
         return None
     try:
         with open(path) as fh:
-            for skip, raw in enumerate(fh):  # the preamble: blank, # and header lines
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cells = line.split(",")
-                if len(cells) not in (1, 2):
-                    return None
-                try:
-                    float(cells[-1])
-                except ValueError:
-                    continue  # header row
-                break
-            else:
-                return None
+            lineno, _, _ = next(_data_rows(fh, path))
         # The path, not the open file: loadtxt reads a path in large chunks, but
         # pulls one Python line at a time from an open file.
-        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
-    except ValueError:
+        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=lineno - 1)
+    except (ValueError, StopIteration):  # StopIteration: no numeric row
         return None
     # At least one row, with the 1 or 2 columns of the first: loadtxt raises on ragged rows.
     values = np.ascontiguousarray(table[:, -1])
     return values if np.isfinite(values).all() else None
+
+
+def _data_rows(fh, path: str):
+    """Yield (line number, last cell, its float or None) for each row from the first
+    whose last cell parses as a float on.  Blank and # lines are skipped, rows
+    before that one are headers, and a row of other than 1 or 2 cells raises."""
+    started = False
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if len(cells) not in (1, 2):
+            raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns, got {len(cells)}")
+        try:
+            value = float(cells[-1])
+        except ValueError:
+            value = None
+        started = started or value is not None
+        if started:
+            yield lineno, cells[-1], value
 
 
 def _read_values_loop(path: str, difference: bool = False) -> np.ndarray:
@@ -107,21 +115,11 @@ def _read_values_loop(path: str, difference: bool = False) -> np.ndarray:
     blank lines, # lines and header rows before the first number are skipped."""
     values = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if len(cells) not in (1, 2):
-                raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns, got {len(cells)}")
-            try:
-                value = float(cells[-1])
-            except ValueError:
-                if not values:
-                    continue  # header row before any data
-                raise ValueError(f"{path}:{lineno}: non-numeric cell {cells[-1]!r}") from None
+        for lineno, cell, value in _data_rows(fh, path):
+            if value is None:
+                raise ValueError(f"{path}:{lineno}: non-numeric cell {cell!r}")
             if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite cell {cells[-1]!r}")
+                raise ValueError(f"{path}:{lineno}: non-finite cell {cell!r}")
             values.append(value)
     if not values:
         raise ValueError(f"{path}: no numeric rows found")

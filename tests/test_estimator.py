@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpe
                       optimal_cutoff, plancherel_l2, sample_increments,
                       spectral_estimate, threshold_cf, threshold_level,
                       trapezoid_weights)
+import levyspec
 from levyspec.estimator import _invert
 
 
@@ -114,6 +118,9 @@ ECF_FAMILIES = {
     "cauchy-x10": lambda rng, n: 10.0 * rng.standard_cauchy(n),
     "uniform-1e6": lambda rng, n: rng.uniform(-1e6, 1e6, n),
     "cauchy-cubed": lambda rng, n: rng.standard_cauchy(n) ** 3,
+    "constant": lambda rng, n: np.full(n, 0.37),
+    "integer": lambda rng, n: rng.poisson(3.0, n).astype(float),
+    "tiny-negative": lambda rng, n: -1e-9 * np.abs(rng.standard_normal(n)),
 }
 
 
@@ -167,6 +174,42 @@ def test_ecf_invariants_and_rounding_bound_over_random_shapes(family, seed, n, c
     e.check_invariants()
     err = np.abs(e.values[count:] - ecf_longdouble(values, count, step)).astype(float)
     assert err.max() <= 1e-14 + np.finfo(float).eps * g.u_max * np.mean(np.abs(values))
+
+
+def test_ecf_of_values_whose_phase_overflows_is_finite():
+    # step * x overflows for x = +-1.7e308; such a phase is rounding noise, and the
+    # ECF must stay finite (no warning, which tier-1 turns into an error) so that
+    # the CLI's rounding check, not the ECFGrid check, rejects the data
+    values = np.array([0.5, 1.7e308, -1.7e308, 1e300])
+    g = UGrid.make(10.0, 0.05)
+    e = ecf(sample_of(values), g)
+    e.check_invariants()
+    assert np.all(np.isfinite(e.values))
+
+
+_ECF_DIGEST = """
+import hashlib
+import numpy as np
+from levyspec import IncrementSample, UGrid, ecf
+values = np.random.default_rng(12).standard_cauchy(10_000)
+e = ecf(IncrementSample(1.0, values, values.size), UGrid(100.0, 0.1))
+print(hashlib.sha256(e.values.tobytes()).hexdigest())
+"""
+
+
+def test_ecf_bytes_do_not_depend_on_the_blas_thread_count():
+    # the ECF makes no BLAS call, so a fresh interpreter gives the same bytes
+    # (sample of 10^4, K = 1000) on one BLAS thread and on two
+    src = os.path.dirname(os.path.dirname(levyspec.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _ECF_DIGEST], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 # ---------------------------------------------------------------------------
