@@ -16,16 +16,16 @@ from .errors import (LevySpecError, NoStabilizationError, QuadratureError,
                      UnsupportedModelError)
 from .estimator import (ECFGrid, SpectralEstimate, ThresholdSpec, UGrid,
                         adaptive_estimate, default_u_max, default_u_step,
-                        default_x_grid, ecf, mixed_cutoff, optimal_cutoff,
-                        plancherel_l2, sample_bulk, spectral_estimate, threshold_cf,
-                        threshold_level, trapezoid_weights, write_ecf_csv,
-                        write_estimate_csv)
+                        default_x_grid, ecf, plancherel_l2, sample_bulk,
+                        spectral_estimate, threshold_cf, threshold_level,
+                        trapezoid_weights, write_ecf_csv, write_estimate_csv)
 from .models import (CustomJumpDensity, LevyTriplet, ModelClass, StableJumpDensity,
                      StableLaw, cauchy_triplet, check_small_jump_bound,
                      gamma_process_density, increment_stable_law,
-                     levy_khintchine_cf, oscillating_density, partition_density,
-                     picard_cf_bound, picard_derivative_bound, spectral_bias_bound,
-                     stable_cf, stable_density_l2_norm, truncated_moment_ratio,
+                     levy_khintchine_cf, mixed_cutoff, optimal_cutoff,
+                     oscillating_density, partition_density, picard_cf_bound,
+                     picard_derivative_bound, spectral_bias_bound, stable_cf,
+                     stable_density_l2_norm, truncated_moment_ratio,
                      truncated_second_moment)
 from .risk import (BoundCheckReport, ExperimentConfig, RiskReport,
                    adaptive_risk_bound_check, cutoff_risk_bound_check,

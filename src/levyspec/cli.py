@@ -2,7 +2,8 @@
 
 Subcommands: sample, estimate, risk-table, calibrate, check-bounds.
 Exit codes: 0 success, 1 failed bound check, 2 validation error, 3 numeric
-failure, 4 calibration did not stabilize (and --fallback was not given).
+failure or an allocation too large for memory, 4 calibration did not stabilize
+(and --fallback was not given).
 """
 
 from __future__ import annotations
@@ -294,17 +295,16 @@ def _cmd_calibrate(args) -> int:
     kgrid = KappaGrid(args.kappa_step, args.kappa_count)
     _, phi_hat = _sample_and_ecf(args)
     kappas, chis = chi_profile(phi_hat, kgrid)
-    meta = _meta(args, "calibrate", {
-        "data": args.data, "delta": args.delta, "umax": phi_hat.grid.u_max,
-        "step": phi_hat.grid.step, "kappa-step": args.kappa_step,
-        "kappa-count": args.kappa_count})
-    if args.out:
-        write_chi_csv(kappas, chis, args.out, meta)
-    else:
+    if not args.out:  # printed before calibrate, so an exit 4 still shows the profile
         print("kappa,chi")
         for kap, chi in zip(kappas, chis):
             print(f"{kap:.17g},{int(chi)}")
     kappa, fell_back = calibrate(phi_hat, kgrid, args.fallback)
+    if args.out:  # written after calibrate, so an exit 4 leaves no file
+        write_chi_csv(kappas, chis, args.out, _meta(args, "calibrate", {
+            "data": args.data, "delta": args.delta, "umax": phi_hat.grid.u_max,
+            "step": phi_hat.grid.step, "kappa-step": args.kappa_step,
+            "kappa-count": args.kappa_count}))
     note = " (fallback; chi never stabilized)" if fell_back else ""
     print(f"kappa={kappa:.17g}{note}")
     return EXIT_OK
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     except NoStabilizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_STABILIZATION
-    except (QuadratureError, ArithmeticError, FloatingPointError) as exc:
+    except (QuadratureError, ArithmeticError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, UnsupportedModelError, OSError) as exc:

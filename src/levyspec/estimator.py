@@ -36,13 +36,9 @@ import numpy as np
 from .sampling import IncrementSample, write_rows
 
 __all__ = ["UGrid", "ECFGrid", "ThresholdSpec", "SpectralEstimate", "ecf",
-           "spectral_estimate", "threshold_cf", "adaptive_estimate",
-           "optimal_cutoff", "mixed_cutoff", "plancherel_l2", "default_u_max",
-           "default_u_step", "default_x_grid", "sample_bulk", "write_estimate_csv",
-           "write_ecf_csv", "threshold_level", "trapezoid_weights"]
-
-
-_CUTOFF_RESIDUAL_TOL = 1e-10
+           "spectral_estimate", "threshold_cf", "adaptive_estimate", "plancherel_l2",
+           "default_u_max", "default_u_step", "default_x_grid", "sample_bulk",
+           "write_estimate_csv", "write_ecf_csv", "threshold_level", "trapezoid_weights"]
 
 
 def default_u_max(delta_t: float) -> float:
@@ -365,70 +361,6 @@ def adaptive_estimate(ecf_grid: ECFGrid, kappa: float, x_grid) -> SpectralEstima
     m = ecf_grid.grid.restrict(float(ecf_grid.n)).u_max
     est = spectral_estimate(threshold_cf(ecf_grid, spec), m, x_grid)
     return replace(est, cutoff_m=None, threshold=spec)
-
-
-# ---------------------------------------------------------------------------
-# cutoffs
-
-def optimal_cutoff(model_class, sigma2: float, n: float, delta_t: float) -> float:
-    """Cutoff balancing squared bias against the variance proxy m/(pi n).
-
-    Gaussian-dominant: sqrt(log n / (delta_t sigma^2)).
-    Pure-jump:        (pi/2) (log n / (M delta_t))^(1/alpha).
-    Mixed classes delegate to :func:`mixed_cutoff`.
-    """
-    from .models import GAUSSIAN, MIXED, PURE_JUMP  # local to avoid cycle
-
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
-    logn = math.log(n)
-    if model_class.tag == GAUSSIAN:
-        if sigma2 <= 0:
-            raise ValueError("gaussian-dominant class with sigma2 = 0 is inconsistent")
-        return math.sqrt(logn / (delta_t * sigma2))
-    if model_class.tag == PURE_JUMP:
-        return (math.pi / 2.0) * (logn / (model_class.M * delta_t)) ** (1.0 / model_class.alpha)
-    if model_class.tag == MIXED:
-        return mixed_cutoff(sigma2, model_class.M, model_class.alpha, delta_t, n)
-    raise ValueError(f"unknown class tag {model_class.tag!r}")
-
-
-def mixed_cutoff(sigma2: float, M: float, alpha: float, delta_t: float, n: float) -> float:
-    """Positive root of sigma^2 dt m^2 + c_alpha dt m^alpha = log n, by Brent's method.
-
-    c_alpha = 2 M (2/pi)^alpha.  With sigma2 = 0 or M = 0 the closed-form
-    degenerate branch is returned.  The root is guaranteed to satisfy the
-    equation to an absolute residual below 1e-10.
-    """
-    if sigma2 < 0 or M < 0 or (sigma2 == 0 and M == 0):
-        raise ValueError("need sigma2 >= 0, M >= 0, not both zero")
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
-    logn = math.log(n)
-    if logn <= 0:
-        raise ValueError("need log n > 0, i.e. n > 1")
-    c_alpha = 2.0 * M * (2.0 / math.pi) ** alpha
-    if sigma2 == 0.0:
-        return (logn / (c_alpha * delta_t)) ** (1.0 / alpha)
-    if M == 0.0:
-        return math.sqrt(logn / (sigma2 * delta_t))
-
-    def g(m: float) -> float:
-        return sigma2 * delta_t * m * m + c_alpha * delta_t * m ** alpha - logn
-
-    hi = 1.0
-    while g(hi) < 0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError("root bracket exploded")
-    from scipy.optimize import brentq
-    # relative tolerance only: an absolute one would cap the residual at g' * xtol
-    root = brentq(g, 0.0, hi, xtol=1e-300)
-    if not abs(g(root)) < _CUTOFF_RESIDUAL_TOL:
-        raise ArithmeticError(f"cutoff residual {g(root):.2e} exceeds {_CUTOFF_RESIDUAL_TOL:g}")
-    return root
 
 
 def plancherel_l2(a, b, grid: UGrid | None = None) -> float:

@@ -45,13 +45,15 @@ __all__ = [
     "ModelClass", "levy_khintchine_cf", "increment_stable_law", "stable_cf",
     "check_small_jump_bound", "truncated_moment_ratio", "truncated_second_moment",
     "picard_cf_bound", "picard_derivative_bound", "spectral_bias_bound",
-    "stable_density_l2_norm", "oscillating_density", "partition_density",
-    "gamma_process_density", "cauchy_triplet",
+    "optimal_cutoff", "mixed_cutoff", "stable_density_l2_norm", "oscillating_density",
+    "partition_density", "gamma_process_density", "cauchy_triplet",
 ]
 
 GAUSSIAN = "gaussian"
 PURE_JUMP = "pure-jump"
 MIXED = "mixed"
+
+_CUTOFF_RESIDUAL_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +489,34 @@ def picard_derivative_bound(k: int, t: float, M: float, alpha: float) -> float:
     return first + scale * upper_incomplete_gamma((k + 1) / alpha, t * M) / alpha
 
 
-def _gaussian_tail(a: float, m: float) -> float:
-    """(1/pi) int_m^inf e^{-a u^2} du = erfc(m sqrt(a)) / (2 sqrt(pi a)), for a > 0."""
-    from scipy.special import erfc
-    return erfc(m * math.sqrt(a)) / (2.0 * math.sqrt(math.pi * a))
+def _spectral_tail(a: float, c: float, alpha: float, m: float) -> float:
+    """(1/pi) int_m^inf exp(-a u^2 - c u^alpha) du, for a, c >= 0 not both 0 and m >= 0.
+
+    The tail beyond m of a law's |phi|^2, or of its Gaussian or Picard
+    envelope: erfc(m sqrt(a)) / (2 sqrt(pi a)) when c = 0,
+    Gamma(1/alpha, c m^alpha) / (pi alpha c^{1/alpha}) when a = 0, and
+    adaptive quadrature when both terms are present.
+    """
+    if c == 0.0:
+        from scipy.special import erfc
+        return erfc(m * math.sqrt(a)) / (2.0 * math.sqrt(math.pi * a))
+    if a == 0.0:
+        return upper_incomplete_gamma(1.0 / alpha, c * m ** alpha) / (
+            math.pi * alpha * c ** (1.0 / alpha))
+    from scipy.integrate import quad
+    val, _ = quad(lambda u: math.exp(-a * u * u - c * u ** alpha), m, math.inf,
+                  epsrel=1e-10, limit=200)
+    return val / math.pi
 
 
 def spectral_bias_bound(model_class: ModelClass, sigma2: float, m: float,
                         delta_t: float) -> float:
     """Upper bound on the squared bias ||f_{t,m} - f_t||^2 of a cutoff at m.
 
-    Gaussian branch: (1/pi) int_m^inf e^{-t sigma^2 u^2} du, via erfc.
-    Pure-jump branch: Gamma(1/alpha, (2m/pi)^alpha M t) / (2 alpha (M t)^{1/alpha}),
-    valid for m >= pi/2.
+    The spectral tail (1/pi) int_m^inf of an envelope: e^{-t sigma^2 u^2} in
+    the Gaussian branch, and in the pure-jump branch the Picard bound
+    e^{-(2/pi)^alpha M t u^alpha} of :func:`picard_cf_bound`, valid for
+    m >= pi/2.
     """
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")
@@ -508,21 +525,79 @@ def spectral_bias_bound(model_class: ModelClass, sigma2: float, m: float,
             raise ValueError("m must be nonnegative")
         if sigma2 <= 0:
             raise ValueError("gaussian branch needs sigma2 > 0")
-        return _gaussian_tail(delta_t * sigma2, m)
+        return _spectral_tail(delta_t * sigma2, 0.0, 2.0, m)
     if model_class.tag == PURE_JUMP:
         if m < math.pi / 2.0:
             raise ValueError("jump branch needs m >= pi/2")
         M, alpha = model_class.M, model_class.alpha
-        x = (2.0 * m / math.pi) ** alpha * M * delta_t
-        return upper_incomplete_gamma(1.0 / alpha, x) / (2.0 * alpha * (M * delta_t) ** (1.0 / alpha))
+        return _spectral_tail(0.0, (2.0 / math.pi) ** alpha * M * delta_t, alpha, m)
     raise ValueError("bias bound is defined for the gaussian and pure-jump branches")
 
 
+def optimal_cutoff(model_class, sigma2: float, n: float, delta_t: float) -> float:
+    """Cutoff balancing squared bias against the variance proxy m/(pi n).
+
+    Gaussian-dominant: sqrt(log n / (delta_t sigma^2)).
+    Pure-jump:        (pi/2) (log n / (M delta_t))^(1/alpha).
+    Mixed classes delegate to :func:`mixed_cutoff`.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if delta_t <= 0:
+        raise ValueError("delta_t must be positive")
+    logn = math.log(n)
+    if model_class.tag == GAUSSIAN:
+        if sigma2 <= 0:
+            raise ValueError("gaussian-dominant class with sigma2 = 0 is inconsistent")
+        return math.sqrt(logn / (delta_t * sigma2))
+    if model_class.tag == PURE_JUMP:
+        return (math.pi / 2.0) * (logn / (model_class.M * delta_t)) ** (1.0 / model_class.alpha)
+    if model_class.tag == MIXED:
+        return mixed_cutoff(sigma2, model_class.M, model_class.alpha, delta_t, n)
+    raise ValueError(f"unknown class tag {model_class.tag!r}")
+
+
+def mixed_cutoff(sigma2: float, M: float, alpha: float, delta_t: float, n: float) -> float:
+    """Positive root of sigma^2 dt m^2 + c_alpha dt m^alpha = log n, by Brent's method.
+
+    c_alpha = 2 M (2/pi)^alpha.  With sigma2 = 0 or M = 0 the closed-form
+    degenerate branch is returned.  The root is guaranteed to satisfy the
+    equation to an absolute residual below 1e-10.
+    """
+    if sigma2 < 0 or M < 0 or (sigma2 == 0 and M == 0):
+        raise ValueError("need sigma2 >= 0, M >= 0, not both zero")
+    if delta_t <= 0:
+        raise ValueError("delta_t must be positive")
+    logn = math.log(n)
+    if logn <= 0:
+        raise ValueError("need log n > 0, i.e. n > 1")
+    c_alpha = 2.0 * M * (2.0 / math.pi) ** alpha
+    if sigma2 == 0.0:
+        return (logn / (c_alpha * delta_t)) ** (1.0 / alpha)
+    if M == 0.0:
+        return math.sqrt(logn / (sigma2 * delta_t))
+
+    def g(m: float) -> float:
+        return sigma2 * delta_t * m * m + c_alpha * delta_t * m ** alpha - logn
+
+    hi = 1.0
+    while g(hi) < 0:
+        hi *= 2.0
+        if hi > 1e300:
+            raise ArithmeticError("root bracket exploded")
+    from scipy.optimize import brentq
+    # relative tolerance only: an absolute one would cap the residual at g' * xtol
+    root = brentq(g, 0.0, hi, xtol=1e-300)
+    if not abs(g(root)) < _CUTOFF_RESIDUAL_TOL:
+        raise ArithmeticError(f"cutoff residual {g(root):.2e} exceeds {_CUTOFF_RESIDUAL_TOL:g}")
+    return root
+
+
 def stable_density_l2_norm(law: StableLaw) -> float:
-    """||f||^2 of a stable density, via Plancherel on |phi|= e^{-gamma^a |u|^a}.
+    """||f||^2 of a stable density, via Plancherel on |phi|^2 = e^{-2 gamma^a |u|^a}:
+    the spectral tail from 0.
 
     Skew-independent: the modulus of the characteristic function only sees
     (alpha, gamma).
     """
-    a, g = law.alpha, law.gamma
-    return math.gamma(1.0 / a) / (math.pi * a * 2.0 ** (1.0 / a) * g)
+    return _spectral_tail(0.0, 2.0 * law.gamma ** law.alpha, law.alpha, 0.0)

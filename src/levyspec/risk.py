@@ -6,10 +6,11 @@ computed in the frequency domain,
     ||f_tilde - f||^2 = (1/2pi) int_{|u|<=umax} |phi_tilde - phi|^2 du
                         + (1/pi) int_{umax}^inf |phi|^2 du,
 
-with the tail term in closed form (upper incomplete gamma / erfc) whenever the
-reference law allows it.  That tail, (1/pi) int_m^inf |phi|^2, is also the
-bias^2 of a cutoff at m in the bound checks and, at m = 0, the norm ||f||^2:
-all three come from :func:`reference_tail_integral`.  Dividing by ||f||^2
+with the tail term from the one spectral tail integral of the models module,
+in closed form for a Gaussian or a pure stable law.  That tail,
+(1/pi) int_m^inf |phi|^2, is also the bias^2 of a cutoff at m in the bound
+checks and, at m = 0, the norm ||f||^2: all three come from
+:func:`reference_tail_integral`.  Dividing by ||f||^2
 gives the relative risk that the benchmark tables report.  Everything is
 deterministic given the master seed; trials are keyed by trial index so any
 execution order gives identical output.
@@ -29,10 +30,9 @@ from .calibration import FALLBACK_KAPPA, calibrate
 from .errors import UnsupportedModelError
 from .estimator import (ThresholdSpec, UGrid, default_u_max, ecf, plancherel_l2,
                         threshold_cf, trapezoid_weights)
-from .models import (LevyTriplet, StableJumpDensity, StableLaw, _gaussian_tail,
+from .models import (LevyTriplet, StableJumpDensity, StableLaw, _spectral_tail,
                      cauchy_triplet, increment_stable_law, levy_khintchine_cf)
 from .sampling import SeedSpec, derive_seed, sample_increments
-from .special import upper_incomplete_gamma
 
 __all__ = ["ExperimentConfig", "RiskReport", "BoundCheckReport", "reference_cf",
            "reference_tail_integral", "reference_l2_norm", "relative_l2_risk",
@@ -60,6 +60,8 @@ class ExperimentConfig:
         _check_trials(self.trials)
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
+        if min(self.n_list) < 1:
+            raise ValueError(f"n_list entries must be at least 1, got {list(self.n_list)}")
         kappa = self.kappa_mode
         if not (kappa == "auto" or isinstance(kappa, Real) and math.isfinite(kappa) and kappa >= 0):
             raise ValueError(f"kappa_mode is 'auto' or a finite number >= 0, got {kappa!r}")
@@ -227,23 +229,14 @@ def reference_cf(model: LevyTriplet, delta_t: float, grid: UGrid) -> np.ndarray:
 
 
 def reference_tail_integral(model: LevyTriplet, delta_t: float, u_max: float) -> float:
-    """(1/pi) int_{u_max}^inf |phi(u)|^2 du, closed form where available: the
-    risk's tail beyond u_max, the bias^2 of a cutoff at u_max, ||f||^2 at 0."""
+    """(1/pi) int_{u_max}^inf |phi(u)|^2 du, with |phi|^2 = exp(-dt sigma^2 u^2
+    - 2 gamma^alpha u^alpha): the risk's tail beyond u_max, the bias^2 of a
+    cutoff at u_max, ||f||^2 at 0."""
     if not u_max >= 0:
         raise ValueError(f"u_max must be >= 0, got {u_max!r}")
     law = _stable_part(model, delta_t)
-    a = delta_t * model.sigma2
-    if law is None:
-        return _gaussian_tail(a, u_max)
-    c = 2.0 * law.gamma ** law.alpha
-    if model.sigma2 == 0.0:
-        x = c * u_max ** law.alpha
-        return upper_incomplete_gamma(1.0 / law.alpha, x) / (
-            math.pi * law.alpha * c ** (1.0 / law.alpha))
-    from scipy.integrate import quad
-    val, _ = quad(lambda v: math.exp(-a * v * v - c * v ** law.alpha),
-                  u_max, math.inf, epsrel=1e-10, limit=200)
-    return val / math.pi
+    c, alpha = (0.0, 2.0) if law is None else (2.0 * law.gamma ** law.alpha, law.alpha)
+    return _spectral_tail(delta_t * model.sigma2, c, alpha, u_max)
 
 
 def reference_l2_norm(model: LevyTriplet, delta_t: float) -> float:

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import levyspec.calibration
 import levyspec.cli
@@ -308,7 +314,9 @@ def test_risk_table_label_that_would_break_the_csv_exits_2(char, tmp_path, capsy
     ({"experiments": 5}, "got 5"),
     ({"experiments": [{"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [300]}],
       "trails": 5}, "unknown document key(s): 'trails'"),
-], ids=["number", "experiments-number", "experiments-beside-unknown-key"])
+    ({"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [0]},
+     "n_list entries must be at least 1, got [0]"),
+], ids=["number", "experiments-number", "experiments-beside-unknown-key", "n_list-0"])
 def test_risk_table_malformed_document_exits_2(doc, problem, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -513,6 +521,18 @@ def test_estimate_on_an_ecf_of_rounding_noise_exits_3_without_output(
     assert not (tmp_path / "d_ecf.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
+def test_a_grid_too_large_to_allocate_exits_3_without_output(
+        command, increments_file, tmp_path, capsys):
+    # 10^13 frequencies: the ECF's moment table asks for 9 PiB, past the address
+    # space, so numpy fails at once without touching memory
+    out = tmp_path / "d.csv"
+    assert run([command, "--data", str(increments_file), "--delta", "1", "--step", "1e-12",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert list(tmp_path.iterdir()) == [increments_file]
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["sample", "--bogus", "1"]) == 2
 
@@ -532,6 +552,201 @@ def test_read_values_csv_variants(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError):
         read_values_csv(str(p))
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: one row per malformed-input class that README lists
+
+def _not_a_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _is_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _write(d, text: str) -> str:
+    """The input file of one example, in its own directory ``d``."""
+    path = d / "in.csv"
+    path.write_text(text)
+    return str(path)
+
+
+_ASCII = st.characters(codec="ascii", exclude_characters=",#\r\n")
+_NOT_A_NUMBER = st.text(_ASCII, min_size=1, max_size=8).filter(
+    lambda t: t.strip() and _not_a_float(t))
+_NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400",
+                               "-1e999"])
+_SEED = st.integers(0, 2 ** 32 - 1)
+_FLOAT_FLAGS = [("estimate", f) for f in ("--delta", "--umax", "--step", "--kappa-step",
+                                          "--alpha", "--P", "--Q", "--sigma2", "--b")] + [
+    ("calibrate", f) for f in ("--delta", "--umax", "--step", "--kappa-step")] + [
+    ("sample", "--delta"), ("sample", "--alpha"), ("check-bounds", "--delta"),
+    ("check-bounds", "--kappa")]
+_POSITIVE_FLAGS = [(c, f) for c, f in _FLOAT_FLAGS
+                   if f in ("--delta", "--umax", "--step", "--kappa-step")]
+_CONFIG_KEYS = ["model", "delta_t", "n_list", "trials", "u_max", "u_step", "kappa_mode",
+                "master_seed", "label"]
+_BASE_CONFIG = {"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [50], "trials": 2}
+
+
+def _normal_csv(d, draw, center=0.0, scale=1.0, n=200, outlier=None) -> str:
+    """N(center, scale^2) rows; with an outlier, a fifth of them at +-outlier, which
+    leaves the median and IQR in the bulk."""
+    values = np.random.default_rng(draw(_SEED)).normal(center, scale, n)
+    if outlier is not None:
+        values[:n // 5] = outlier * np.where(np.arange(n // 5) % 2, 1.0, -1.0)
+    return _write(d, "value\n" + "\n".join(f"{v!r}" for v in values.tolist()) + "\n")
+
+
+def _with_bad_row(draw, d, row: str) -> list:
+    """estimate or calibrate on a CSV of numbers with ``row`` put after the first one."""
+    rows = [f"{v!r}" for v in draw(st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=40))]
+    rows.insert(draw(st.integers(1, len(rows))), row)
+    return [draw(st.sampled_from(["estimate", "calibrate"])), "--data",
+            _write(d, "value\n" + "\n".join(rows) + "\n"), "--delta", "1"]
+
+
+def _with_flag(draw, d, pairs, value) -> list:
+    command, flag = draw(st.sampled_from(pairs))
+    data = _normal_csv(d, draw) if command in ("estimate", "calibrate") else ""
+    argv = [a.format(data=data, out=d / "out.csv") for a in NON_FINITE_BASE[command]]
+    return argv + [f"{flag}={value}"]
+
+
+def _risk_table(d, doc) -> list:
+    return ["risk-table", "--config", _write(d, json.dumps(doc))]
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _bad_value(draw, key):
+    """A JSON value that the converter of config key ``key`` rejects."""
+    value = draw(st.one_of(st.booleans(), st.text(max_size=5), st.sampled_from(
+        [math.nan, math.inf, -math.inf]), st.lists(st.text(max_size=3), min_size=1,
+                                                   max_size=2)))
+    allowed = (key == "label" and isinstance(value, str)) or (
+        key == "kappa_mode" and value == "auto")
+    assume(not allowed)
+    return value
+
+
+def _unstable_csv(d) -> str:
+    """The data of ``unstable_file``: chi keeps changing on a three-step kappa grid."""
+    path = d / "in.csv"
+    run(["sample", "--alpha", "0.7", "--P", "2", "--Q", "1", "--delta", "0.1",
+         "--n", "500", "--seed", "1", "--no-meta", "--out", str(path)])
+    return str(path)
+
+
+EXIT_CONTRACT = {
+    # malformed --data CSV: exit 2 naming file and line
+    "csv-non-numeric-cell": (2, lambda draw, d: _with_bad_row(draw, d, draw(_NOT_A_NUMBER))),
+    "csv-non-finite-cell": (2, lambda draw, d: _with_bad_row(draw, d, draw(_NON_FINITE))),
+    "csv-column-count": (2, lambda draw, d: _with_bad_row(
+        draw, d, ",".join(["1"] * draw(st.integers(3, 6))))),
+    "csv-no-numeric-row": (2, lambda draw, d: [
+        "estimate", "--delta", "1", "--data",
+        _write(d, "\n".join(draw(st.lists(st.sampled_from(["# c", "value", "", "x,y"]),
+                                           max_size=4))) + "\n")]),
+    "difference-one-level": (2, lambda draw, d: [
+        "estimate", "--delta", "1", "--difference", "--data",
+        _write(d, f"level\n{draw(st.floats(-9.0, 9.0))!r}\n")]),
+    "no-data-nor-model": (2, lambda draw, d: ["estimate", "--delta", "1"]),
+    # flags: rejected by the argument parser, naming the flag
+    "flag-non-finite": (2, lambda draw, d: _with_flag(draw, d, _FLOAT_FLAGS, draw(_NON_FINITE))),
+    "flag-not-a-number": (2, lambda draw, d: _with_flag(
+        draw, d, _FLOAT_FLAGS + [("sample", "--n"), ("estimate", "--xgrid")],
+        draw(_NOT_A_NUMBER))),
+    "flag-nonpositive": (2, lambda draw, d: _with_flag(
+        draw, d, _POSITIVE_FLAGS, repr(draw(st.floats(max_value=0.0, allow_nan=False,
+                                                      allow_infinity=False))))),
+    "check-bounds-kappa-negative": (2, lambda draw, d: _with_flag(
+        draw, d, [("check-bounds", "--kappa")],
+        repr(draw(st.floats(max_value=-1e-300, allow_infinity=False))))),
+    "estimate-kappa": (2, lambda draw, d: _with_flag(
+        draw, d, [("estimate", "--kappa")], draw(st.one_of(
+            _NOT_A_NUMBER.filter(lambda t: t != "auto"), _NON_FINITE,
+            st.floats(max_value=-1e-300, allow_infinity=False).map(repr))))),
+    "xgrid-below-2": (2, lambda draw, d: _with_flag(
+        draw, d, [("estimate", "--xgrid")], draw(st.integers(-9, 1)))),
+    "kappa-count-below-3": (2, lambda draw, d: _with_flag(
+        draw, d, [("estimate", "--kappa-count"), ("calibrate", "--kappa-count")],
+        draw(st.integers(-9, 2)))),
+    "trials-below-1": (2, lambda draw, d: _with_flag(
+        draw, d, [("check-bounds", "--trials")], draw(st.integers(-9, 0)))),
+    "unknown-flag": (2, lambda draw, d: _with_flag(
+        draw, d, [(c, "--zz") for c in NON_FINITE_BASE],
+        draw(st.text(_ASCII, max_size=5)))),
+    # risk-table documents: exit 2 naming the key
+    "config-not-json": (2, lambda draw, d: ["risk-table", "--config", _write(
+        d, draw(st.text(max_size=8).filter(lambda t: not _is_json(t))))]),
+    "config-document-shape": (2, lambda draw, d: _risk_table(d, draw(st.one_of(
+        st.integers(), st.text(max_size=4), st.booleans(), st.none(),
+        st.lists(st.integers(), min_size=1, max_size=2),
+        st.fixed_dictionaries({"experiments": st.one_of(st.integers(), st.text(max_size=3))}),
+        st.just({"experiments": [_BASE_CONFIG], "trails": 5}))))),
+    "config-unknown-key": (2, lambda draw, d: _risk_table(d, {
+        **_BASE_CONFIG, draw(st.text(min_size=1, max_size=6).filter(
+            lambda k: k not in _CONFIG_KEYS)): 1})),
+    "config-missing-key": (2, lambda draw, d: _risk_table(d, _without(
+        _BASE_CONFIG, draw(st.sampled_from(["model", "delta_t", "n_list"]))))),
+    "config-wrong-type": (2, lambda draw, d: _risk_table(d, {
+        **_BASE_CONFIG, (key := draw(st.sampled_from(_CONFIG_KEYS))): _bad_value(draw, key)})),
+    "config-n-below-1": (2, lambda draw, d: _risk_table(d, {
+        **_BASE_CONFIG, "n_list": draw(st.lists(st.integers(1, 60), max_size=2))
+        + [draw(st.integers(-10 ** 6, 0))]})),
+    "config-trials-below-1": (2, lambda draw, d: _risk_table(d, {
+        **_BASE_CONFIG, "trials": draw(st.integers(-10 ** 6, 0))})),
+    "config-label-breaks-csv": (2, lambda draw, d: _risk_table(d, {
+        **_BASE_CONFIG, "label": draw(st.text(max_size=3)) + draw(
+            st.sampled_from([",", '"', "\r", "\n"])) + draw(st.text(max_size=3))})),
+    # data the estimator cannot represent
+    "bulk-past-alias-half-period": (2, lambda draw, d: [
+        "estimate", "--delta", "1", "--data", _normal_csv(
+            d, draw, draw(st.floats(-1e4, 1e4)), draw(st.floats(10.0, 100.0)))]),
+    "ecf-rounding-noise": (3, lambda draw, d: [
+        "estimate", "--delta", "1", "--data", _normal_csv(
+            d, draw, outlier=draw(st.floats(1e300, 1e308)))]),
+    # a request past the address space fails at once, before touching memory
+    "grid-too-large-to-allocate": (3, lambda draw, d: [
+        draw(st.sampled_from(["estimate", "calibrate"])), "--delta", "1",
+        "--data", _normal_csv(d, draw), "--step", repr(draw(st.floats(1e-13, 1e-12)))]),
+    "no-stabilization": (4, lambda draw, d: [
+        draw(st.sampled_from(["estimate", "calibrate"])), "--data", _unstable_csv(d),
+        "--delta", "0.1", "--umax", "100", "--kappa-step", "0.02", "--kappa-count", "3"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CONTRACT))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_malformed_input_exits_with_its_documented_code_and_writes_nothing(case, data):
+    code, argv_of = EXIT_CONTRACT[case]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = pathlib.Path(tmp)
+        argv = [str(a) for a in argv_of(data.draw, d)]
+        if argv[0] != "check-bounds" and "--out" not in argv:
+            argv += ["--out", str(d / "out.csv")]
+        inputs = set(d.iterdir())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            got = main(argv)  # an exception escaping main fails the test
+        assert got in (0, 2, 3, 4)
+        assert got == code, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().startswith(("error: ", "usage: "))
+        assert set(d.iterdir()) == inputs, "an output file was written"
 
 
 # ---------------------------------------------------------------------------

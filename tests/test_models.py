@@ -9,7 +9,8 @@ from levyspec import (CustomJumpDensity, LevyTriplet, ModelClass,
                       check_small_jump_bound, gamma_process_density,
                       increment_stable_law, levy_khintchine_cf,
                       oscillating_density, partition_density, picard_cf_bound,
-                      picard_derivative_bound, spectral_bias_bound, stable_cf,
+                      picard_derivative_bound, reference_l2_norm,
+                      reference_tail_integral, spectral_bias_bound, stable_cf,
                       stable_density_l2_norm, truncated_moment_ratio,
                       truncated_second_moment)
 
@@ -314,3 +315,35 @@ def test_stable_density_l2_norm():
     oracle, _ = quad(lambda v: math.exp(-2.0 * law.gamma ** 1.7 * v ** 1.7) / math.pi,
                      0.0, np.inf, epsrel=1e-12)
     assert stable_density_l2_norm(law) == pytest.approx(oracle, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# one spectral tail: each quantity below is one formula, so the identities are exact
+
+SWEEP_JUMPS = [StableJumpDensity(2.0, 1.0, 0.7),
+               StableJumpDensity(1.0 / math.pi, 1.0 / math.pi, 1.0),
+               StableJumpDensity(2.0, 1.0, 1.7)]
+
+
+@pytest.mark.parametrize("dt", [0.1, 1.0])
+@pytest.mark.parametrize("jumps", SWEEP_JUMPS, ids=["0.7", "1", "1.7"])
+def test_stable_norm_is_the_reference_norm_of_the_pure_jump_model(jumps, dt):
+    assert stable_density_l2_norm(increment_stable_law(jumps, dt)) == reference_l2_norm(
+        LevyTriplet(0.0, 0.0, jumps), dt)
+
+
+@pytest.mark.parametrize("sigma2, dt, m", [(1.0, 1.0, 0.0), (0.5, 0.1, 3.0), (2.0, 0.3, 1.7),
+                                           (4.0, 1.0, 10.0)])
+def test_gaussian_bias_bound_is_the_reference_tail(sigma2, dt, m):
+    assert spectral_bias_bound(ModelClass.gaussian_dominant(), sigma2, m, dt) == (
+        reference_tail_integral(LevyTriplet(0.0, sigma2, None), dt, m))
+
+
+@pytest.mark.parametrize("alpha, M, dt, m", [(0.7, 1.0, 1.0, math.pi / 2.0),
+                                             (1.0, 0.5, 0.1, 4.0), (1.5, 2.0, 0.5, 3.0),
+                                             (1.9, 0.3, 1.0, 10.0)])
+def test_jump_bias_bound_is_the_tail_of_the_picard_envelope(alpha, M, dt, m):
+    tail, _ = quad(lambda u: picard_cf_bound(M, alpha, dt, u), m, np.inf,
+                   epsrel=1e-13, epsabs=0.0, limit=200)
+    assert spectral_bias_bound(ModelClass.pure_jump(M, alpha), 0.0, m, dt) == pytest.approx(
+        tail / math.pi, rel=1e-10)

@@ -293,7 +293,10 @@ def test_config_json_roundtrip():
     (lambda d: d["model"]["jumps"].update(beta=0.5), "'beta'"),
     (lambda d: d.pop("model"), "missing config key(s): 'model'"),
     (lambda d: d.update(model=5), "model must be a JSON object"),
-], ids=["config-trails", "model-sigma", "jumps-beta", "missing-model", "model-not-object"])
+    (lambda d: d.update(n_list=[0]), "n_list entries must be at least 1, got [0]"),
+    (lambda d: d.update(n_list=[500, -5]), "n_list entries must be at least 1, got [500, -5]"),
+], ids=["config-trails", "model-sigma", "jumps-beta", "missing-model", "model-not-object",
+        "n_list-0", "n_list--5"])
 def test_config_rejects_unknown_and_missing_keys(edit, key):
     doc = ExperimentConfig(MIXED, 0.1, (500,), trials=7).to_dict()
     edit(doc)
