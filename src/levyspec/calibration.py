@@ -45,8 +45,8 @@ class KappaGrid:
     count: int = 100
 
     def __post_init__(self):
-        if self.delta_step <= 0:
-            raise ValueError("delta_step must be positive")
+        if not (math.isfinite(self.delta_step) and self.delta_step > 0):
+            raise ValueError(f"delta_step must be finite and positive, got {self.delta_step!r}")
         if self.count < 3:
             raise ValueError("count must be at least 3")
 

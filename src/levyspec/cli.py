@@ -149,10 +149,11 @@ def _cmd_sample(args) -> int:
 
 
 def _sample_and_ecf(args, seed: int | None = None) -> tuple[IncrementSample, ECFGrid]:
-    """Increments from --data or the model flags, and their ECF on the grid cut to [-n, n]."""
+    """Increments from --data or the model flags, and their ECF on the grid cut to [-n, n];
+    an ECF that would be rounding noise is an ArithmeticError, raised before it is computed."""
     if args.data:
         values = read_values_csv(args.data, difference=args.difference)
-        sample = IncrementSample(args.delta, values, len(values))
+        sample = IncrementSample(values)
     else:
         if args.alpha is None and args.sigma2 == 0.0:
             raise ValueError("need --data or model flags (--alpha/--P/--Q or --sigma2)")
@@ -162,6 +163,7 @@ def _sample_and_ecf(args, seed: int | None = None) -> tuple[IncrementSample, ECF
         sample = sample_increments(triplet, args.delta, args.n, SeedSpec(seed, args.trial))
     u_max = args.umax if args.umax is not None else default_u_max(args.delta)
     grid = UGrid.make(u_max, args.step).restrict(float(sample.n))
+    _check_ecf_above_rounding(sample.values, grid.u_max)
     return sample, ecf(sample, grid)
 
 
@@ -241,7 +243,6 @@ def _cmd_estimate(args) -> int:
     sample, phi_hat = _sample_and_ecf(args, seed)
     median, spread = sample_bulk(sample.values)
     _check_bulk_within_half_period(median, spread, phi_hat.grid.step)
-    _check_ecf_above_rounding(sample.values, phi_hat.grid.u_max)
     if args.kappa == "auto":
         kappa, fell_back = calibrate(phi_hat, kgrid, args.fallback)
         kappa_note = f"auto->{'fallback ' if fell_back else ''}{kappa:g}"
@@ -254,7 +255,11 @@ def _cmd_estimate(args) -> int:
                 "xgrid": args.xgrid}
     write_estimate_csv(est, args.out, _meta(args, "estimate", resolved))
     ecf_out = args.ecf_out or _derived_path(args.out, "_ecf")
-    write_ecf_csv(phi_hat, ecf_out, _meta(args, "estimate", resolved))
+    try:
+        write_ecf_csv(phi_hat, ecf_out, _meta(args, "estimate", resolved))
+    except OSError:  # an exit 2 leaves neither file, not a density without its ECF
+        os.remove(args.out)
+        raise
     print(f"kappa={kappa:.17g}")
     print(f"wrote density to {args.out} and ECF to {ecf_out}")
     return EXIT_OK
@@ -278,6 +283,9 @@ def _cmd_risk_table(args) -> int:
         doc = [doc]
     if not isinstance(doc, list):
         raise ValueError(f"a risk-table config is an object or a list of them, got {doc!r}")
+    if not doc:
+        raise ValueError("the experiment list is empty: a risk-table config needs at least "
+                         "one experiment")
     configs = [ExperimentConfig.from_dict(c) for c in doc]
     if args.seed is not None or os.environ.get("LEVYSPEC_SEED"):
         seed = _env_seed(args.seed)

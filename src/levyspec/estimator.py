@@ -29,7 +29,7 @@ multiply-adds in BLAS plus O(points sqrt(K)) phase products, on any x-grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,12 +146,10 @@ class ThresholdSpec:
 
 @dataclass(frozen=True, eq=False)
 class SpectralEstimate:
-    """Density values on an x-grid plus the cutoff/threshold that produced them."""
+    """Density values on an x-grid, and the largest imaginary part the inversion left."""
 
     x_grid: np.ndarray
     values: np.ndarray
-    cutoff_m: float | None = None
-    threshold: ThresholdSpec | None = None
     imag_residual: float = 0.0
 
 
@@ -342,8 +340,7 @@ def spectral_estimate(ecf_grid: ECFGrid, m: float, x_grid) -> SpectralEstimate:
     u = ecf_grid.grid.points
     keep = np.abs(u) <= m * (1 + 1e-12)
     f = _invert(u[keep], ecf_grid.values[keep], x_grid, ecf_grid.grid.step)
-    return SpectralEstimate(x_grid, f.real, cutoff_m=m,
-                            imag_residual=float(np.max(np.abs(f.imag))))
+    return SpectralEstimate(x_grid, f.real, imag_residual=float(np.max(np.abs(f.imag))))
 
 
 def threshold_cf(ecf_grid: ECFGrid, spec: ThresholdSpec) -> ECFGrid:
@@ -357,10 +354,8 @@ def threshold_cf(ecf_grid: ECFGrid, spec: ThresholdSpec) -> ECFGrid:
 def adaptive_estimate(ecf_grid: ECFGrid, kappa: float, x_grid) -> SpectralEstimate:
     """Thresholded estimator: the given ECF, zeroed below the kappa level, inverted
     over [-n, n] cut to the ECF's grid (``grid.restrict(n)``, usually all of it)."""
-    spec = ThresholdSpec(kappa, ecf_grid.n)
     m = ecf_grid.grid.restrict(float(ecf_grid.n)).u_max
-    est = spectral_estimate(threshold_cf(ecf_grid, spec), m, x_grid)
-    return replace(est, cutoff_m=None, threshold=spec)
+    return spectral_estimate(threshold_cf(ecf_grid, ThresholdSpec(kappa, ecf_grid.n)), m, x_grid)
 
 
 def plancherel_l2(a, b, grid: UGrid | None = None) -> float:

@@ -54,10 +54,18 @@ PURE_JUMP = "pure-jump"
 MIXED = "mixed"
 
 _CUTOFF_RESIDUAL_TOL = 1e-10
+_JUMP_EXPONENT_RTOL = 1e-8  # relative tolerance of each quadrature of a custom jump exponent
 
 
 # ---------------------------------------------------------------------------
 # domain types
+
+def _check_finite(obj, *names: str) -> None:
+    """A nan or infinite field of a value object is a ValueError naming it."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
+
 
 @dataclass(frozen=True)
 class StableJumpDensity:
@@ -68,6 +76,7 @@ class StableJumpDensity:
     alpha: float
 
     def __post_init__(self):
+        _check_finite(self, "P", "Q", "alpha")
         if self.P < 0 or self.Q < 0 or self.P + self.Q <= 0:
             raise ValueError("need P, Q >= 0 with P + Q > 0")
         if not 0.0 < self.alpha < 2.0:
@@ -136,6 +145,7 @@ class LevyTriplet:
     jumps: JumpDensity | None = None
 
     def __post_init__(self):
+        _check_finite(self, "b", "sigma2")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
         if self.jumps is None and self.sigma2 == 0:
@@ -153,6 +163,7 @@ class StableLaw:
     delta: float
 
     def __post_init__(self):
+        _check_finite(self, "alpha", "gamma", "beta", "delta")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.gamma <= 0:
@@ -313,7 +324,7 @@ def _stable_scale_constant(P: float, Q: float, alpha: float) -> float:
     return (P + Q) * math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0) / alpha
 
 
-def _custom_jump_exponent(jumps: CustomJumpDensity, u: float, rtol: float) -> complex:
+def _custom_jump_exponent(jumps: CustomJumpDensity, u: float) -> complex:
     """int (e^{iux} - 1 - iux 1_{|x|<1}) p(x) dx for a black-box density.
 
     The compensated integrand is handled by adaptive quadrature on (0, 1);
@@ -333,7 +344,7 @@ def _custom_jump_exponent(jumps: CustomJumpDensity, u: float, rtol: float) -> co
         ival = 0.0
         err = 0.0
         for f, acc in ((re_in, "re"), (im_in, "im")):
-            r, e = _quad_pieces(f, 0.0, 1.0, brk, rtol, "jump exponent")
+            r, e = _quad_pieces(f, 0.0, 1.0, brk, _JUMP_EXPONENT_RTOL, "jump exponent")
             err += e
             if acc == "re":
                 val += r
@@ -344,7 +355,7 @@ def _custom_jump_exponent(jumps: CustomJumpDensity, u: float, rtol: float) -> co
             warnings.simplefilter("ignore")
             c, e1 = quad(dens, 1.0, np.inf, weight="cos", wvar=u * sign, limit=400)
             s, e2 = quad(dens, 1.0, np.inf, weight="sin", wvar=u * sign, limit=400)
-            mass, e3 = _quad_pieces(dens, 1.0, np.inf, brk, rtol, "jump mass")
+            mass, e3 = _quad_pieces(dens, 1.0, np.inf, brk, _JUMP_EXPONENT_RTOL, "jump mass")
         val += c - mass
         ival += s
         err += e1 + e2 + e3
@@ -355,14 +366,14 @@ def _custom_jump_exponent(jumps: CustomJumpDensity, u: float, rtol: float) -> co
     val = vp + vn
     err = ep + en
     # modulus of the CF is <= 1, so errors are judged on an O(1) scale
-    if err > 1000 * rtol * max(abs(val), 1.0):
+    if err > 1000 * _JUMP_EXPONENT_RTOL * max(abs(val), 1.0):
         raise QuadratureError(
             f"jump exponent at u={u}: error estimate {err:.2e} too large",
             value=val, residual=err)
     return val
 
 
-def levy_khintchine_cf(triplet: LevyTriplet, t: float, u, rtol: float = 1e-8):
+def levy_khintchine_cf(triplet: LevyTriplet, t: float, u):
     """Characteristic function E[e^{iuX_t}] of the increment at time t.
 
     Stable jump densities contribute the factor ``stable_cf`` of their
@@ -374,8 +385,7 @@ def levy_khintchine_cf(triplet: LevyTriplet, t: float, u, rtol: float = 1e-8):
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     expo = 1j * u_arr * (triplet.b * t) - t * triplet.sigma2 * u_arr ** 2 / 2.0
     if isinstance(triplet.jumps, CustomJumpDensity):
-        vals = np.array([_custom_jump_exponent(triplet.jumps, float(x), rtol)
-                         for x in u_arr])
+        vals = np.array([_custom_jump_exponent(triplet.jumps, float(x)) for x in u_arr])
         expo = expo + t * vals
     out = np.exp(expo)
     if isinstance(triplet.jumps, StableJumpDensity):

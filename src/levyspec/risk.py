@@ -18,7 +18,6 @@ execution order gives identical output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -71,38 +70,10 @@ class ExperimentConfig:
         u_max = self.u_max if self.u_max is not None else default_u_max(self.delta_t)
         return UGrid.make(u_max, self.u_step)
 
-    def to_dict(self) -> dict:
-        jumps = self.model.jumps
-        if jumps is not None and not isinstance(jumps, StableJumpDensity):
-            raise UnsupportedModelError("only stable or empty jump parts serialize")
-        return {
-            "model": {
-                "b": self.model.b,
-                "sigma2": self.model.sigma2,
-                "jumps": None if jumps is None else
-                         {"P": jumps.P, "Q": jumps.Q, "alpha": jumps.alpha},
-            },
-            "delta_t": self.delta_t,
-            "n_list": list(self.n_list),
-            "trials": self.trials,
-            "u_max": self.u_max,
-            "u_step": self.u_step,
-            "kappa_mode": self.kappa_mode,
-            "master_seed": self.master_seed,
-            "label": self.label,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Parse a config object; an absent optional key takes the field's default."""
         return cls(**_parse_object(d, "config", _CONFIG_FIELDS, {"model", "delta_t", "n_list"}))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
 
 
 def _parse_object(d: dict, where: str, converters: dict, required: set = frozenset()) -> dict:
@@ -201,14 +172,11 @@ class RiskReport:
 
 @dataclass(frozen=True)
 class BoundCheckReport:
-    """Outcome of an empirical risk-bound verification."""
+    """Outcome of an empirical risk-bound verification: the verdict and one row
+    per checked point (cutoff m or kappa)."""
 
     passed: bool
     rows: tuple
-    delta_t: float
-    n: int
-    trials: int
-    master_seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +215,10 @@ def reference_l2_norm(model: LevyTriplet, delta_t: float) -> float:
 # ---------------------------------------------------------------------------
 # risk of a single estimate
 
-def relative_risk_of_cf(phi_est, model: LevyTriplet, delta_t: float, grid: UGrid,
-                        include_tail: bool = True) -> float:
+def relative_risk_of_cf(phi_est, model: LevyTriplet, delta_t: float, grid: UGrid) -> float:
     """Relative L2 risk of an estimator given by its CF values on the grid."""
-    num = plancherel_l2(phi_est, reference_cf(model, delta_t, grid), grid=grid)
-    if include_tail:
-        num += reference_tail_integral(model, delta_t, grid.u_max)
+    num = (plancherel_l2(phi_est, reference_cf(model, delta_t, grid), grid=grid)
+           + reference_tail_integral(model, delta_t, grid.u_max))
     return num / reference_l2_norm(model, delta_t)
 
 
@@ -327,14 +293,6 @@ def _default_label(model: LevyTriplet) -> str:
 # ---------------------------------------------------------------------------
 # empirical verification of the risk bounds
 
-def _check_symmetric_unit_stable(model: LevyTriplet, delta_t: float) -> None:
-    """Reject all but a driftless symmetric 1-stable pure-jump model."""
-    law = _stable_part(model, delta_t)
-    if (law is None or model.sigma2 != 0.0 or model.b != 0.0
-            or law.alpha != 1.0 or law.beta != 0.0):
-        raise ValueError("bound checks need a driftless symmetric 1-stable model")
-
-
 def _bound_row(values: np.ndarray, bound: float, **at) -> dict:
     """The mean of values against bound, with its standard error, margin and verdict."""
     emp = float(np.mean(values))
@@ -345,18 +303,16 @@ def _bound_row(values: np.ndarray, bound: float, **at) -> dict:
 
 
 def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 100,
-                            master_seed: int = 20406080,
-                            model: LevyTriplet | None = None) -> BoundCheckReport:
+                            master_seed: int = 20406080) -> BoundCheckReport:
     """Check E||f_hat_m - f||^2 <= bias^2(m) + m/(pi n) + 3 se on an m-grid.
 
     The empirical mean integrated squared error is computed per cutoff m over
-    seeded trials; the bias^2(m) = (1/pi) int_m^inf |phi|^2 of both sides is
-    the reference tail integral, e^{-2 gamma m}/(2 pi gamma) for the symmetric
-    1-stable reference model.
+    seeded trials of the Cauchy law (:func:`cauchy_triplet`); the bias^2(m) =
+    (1/pi) int_m^inf |phi|^2 of both sides is the reference tail integral,
+    e^{-2 delta_t m}/(2 pi delta_t).
     """
     _check_trials(trials)
-    model = model if model is not None else cauchy_triplet()
-    _check_symmetric_unit_stable(model, delta_t)
+    model = cauchy_triplet()
     if m_grid is None:
         m_grid = np.linspace(0.5, 8.0, 10)
     m_grid = np.asarray(m_grid, dtype=float)
@@ -373,28 +329,26 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
     mises = diff2 @ weights.T / (2.0 * math.pi) + bias2
     rows = tuple(_bound_row(mises[:, j], b2 + m / (math.pi * n), m=m)
                  for j, (m, b2) in enumerate(zip(m_grid.tolist(), bias2)))
-    return BoundCheckReport(all(row["ok"] for row in rows), rows, delta_t, n, trials,
-                            master_seed)
+    return BoundCheckReport(all(row["ok"] for row in rows), rows)
 
 
 def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KAPPA,
-                              trials: int = 100, master_seed: int = 20406080,
-                              model: LevyTriplet | None = None) -> BoundCheckReport:
-    """Check the oracle inequality for the thresholded estimator at given kappa.
+                              trials: int = 100, master_seed: int = 20406080) -> BoundCheckReport:
+    """Check the oracle inequality for the thresholded estimator at given kappa,
+    on the Cauchy law (:func:`cauchy_triplet`).
 
     RHS: inf over a 20-point m-grid of 9 bias^2(m) + (m/pi n)(5 + (1 +
     (kappa+2) sqrt(log n))^2), plus the remainder 64 n^{1 - kappa^2/4}.
     """
     _check_trials(trials)
-    model = model if model is not None else cauchy_triplet()
-    _check_symmetric_unit_stable(model, delta_t)
+    model = cauchy_triplet()
     grid = UGrid.make(default_u_max(delta_t))
     errors, _, _ = _thresholded_errors(model, delta_t, n, grid, master_seed, trials, kappa)
     variance = 5.0 + (1.0 + (kappa + 2.0) * math.sqrt(math.log(n))) ** 2
     rhs = min(9.0 * reference_tail_integral(model, delta_t, m) + m / (math.pi * n) * variance
               for m in np.linspace(grid.u_max / 20.0, grid.u_max, 20).tolist())
     row = _bound_row(errors, rhs + 64.0 * n ** (1.0 - kappa ** 2 / 4.0), kappa=kappa)
-    return BoundCheckReport(row["ok"], (row,), delta_t, n, trials, master_seed)
+    return BoundCheckReport(row["ok"], (row,))
 
 
 # ---------------------------------------------------------------------------

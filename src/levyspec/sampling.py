@@ -52,21 +52,19 @@ def derive_seed(master_seed: int, *lane: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class IncrementSample:
-    """n i.i.d. increments observed at sampling rate delta_t."""
+    """n i.i.d. increments, all finite."""
 
-    delta_t: float
     values: np.ndarray
-    n: int
 
     def __post_init__(self):
-        if self.delta_t <= 0:
-            raise ValueError("delta_t must be positive")
-        if len(self.values) != self.n:
-            raise ValueError("length of values must equal n")
         bad = np.flatnonzero(~np.isfinite(self.values))
         if bad.size:
             raise ValueError(f"increments must be finite; value {self.values[bad[0]]!r} "
                              f"at index {bad[0]}")
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
 
 
 def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -93,13 +91,13 @@ def _cms(law: StableLaw, rng: np.random.Generator, n: int) -> np.ndarray:
     return law.gamma * z + law.delta
 
 
-def stable_sample(law: StableLaw, n: int, seed: SeedSpec, delta_t: float = 1.0) -> IncrementSample:
+def stable_sample(law: StableLaw, n: int, seed: SeedSpec) -> IncrementSample:
     """n i.i.d. variates with characteristic function ``stable_cf(law, .)``."""
     if n <= 0:
         raise ValueError("n must be positive")
     if not 0 < law.alpha < 2:
         raise ValueError("sampler requires alpha in (0, 2)")
-    return IncrementSample(delta_t, _cms(law, seed.generator(_STABLE_STREAM), n), n)
+    return IncrementSample(_cms(law, seed.generator(_STABLE_STREAM), n))
 
 
 def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
@@ -123,7 +121,7 @@ def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
     if isinstance(triplet.jumps, StableJumpDensity):
         law = increment_stable_law(triplet.jumps, delta_t)
         values = values + _cms(law, seed.generator(_STABLE_STREAM), n)
-    return IncrementSample(delta_t, values, n)
+    return IncrementSample(values)
 
 
 _ROWS_PER_WRITE = 8192

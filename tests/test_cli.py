@@ -309,6 +309,30 @@ def test_risk_table_label_that_would_break_the_csv_exits_2(char, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("how", ["flag", "env", "flag-over-env"])
+def test_risk_table_seed_overrides_every_config_master_seed(how, tmp_path, monkeypatch):
+    # --seed, else LEVYSPEC_SEED, replaces the master_seed of each config in the document
+    cfg = {"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [50], "trials": 2}
+    given, want = tmp_path / "given.json", tmp_path / "want.json"
+    given.write_text(json.dumps([{**cfg, "master_seed": 5}, {**cfg, "label": "b"}]))
+    want.write_text(json.dumps([{**cfg, "master_seed": 9}, {**cfg, "master_seed": 9,
+                                                              "label": "b"}]))
+    monkeypatch.delenv("LEVYSPEC_SEED", raising=False)
+    assert run(["risk-table", "--config", str(want), "--out", str(tmp_path / "want.csv"),
+                "--no-meta"]) == 0
+    if how != "flag":
+        monkeypatch.setenv("LEVYSPEC_SEED", "9" if how == "env" else "3")
+    flag = [] if how == "env" else ["--seed", "9"]
+    assert run(["risk-table", "--config", str(given), "--out", str(tmp_path / "got.csv"),
+                "--no-meta", *flag]) == 0
+
+    def rows(name):  # the meta lines name the config file, so compare the table only
+        return [l for l in (tmp_path / name).read_text().splitlines() if not l.startswith("#")]
+
+    assert rows("got.csv") == rows("want.csv")
+    assert [row.split(",")[-1] for row in rows("got.csv")[1:]] == ["9", "9"]
+
+
 @pytest.mark.parametrize("doc, problem", [
     (5, "got 5"),
     ({"experiments": 5}, "got 5"),
@@ -708,6 +732,8 @@ EXIT_CONTRACT = {
         + [draw(st.integers(-10 ** 6, 0))]})),
     "config-trials-below-1": (2, lambda draw, d: _risk_table(d, {
         **_BASE_CONFIG, "trials": draw(st.integers(-10 ** 6, 0))})),
+    "config-empty-experiment-list": (2, lambda draw, d: _risk_table(
+        d, draw(st.sampled_from([[], {"experiments": []}])))),
     "config-label-breaks-csv": (2, lambda draw, d: _risk_table(d, {
         **_BASE_CONFIG, "label": draw(st.text(max_size=3)) + draw(
             st.sampled_from([",", '"', "\r", "\n"])) + draw(st.text(max_size=3))})),
@@ -718,6 +744,13 @@ EXIT_CONTRACT = {
     "ecf-rounding-noise": (3, lambda draw, d: [
         "estimate", "--delta", "1", "--data", _normal_csv(
             d, draw, outlier=draw(st.floats(1e300, 1e308)))]),
+    "calibrate-ecf-rounding-noise": (3, lambda draw, d: [
+        "calibrate", "--delta", "1", "--fallback", "--data", _normal_csv(
+            d, draw, outlier=draw(st.floats(1e300, 1e308)))]),
+    # an output that cannot be written: exit 2, and the other output is not left behind
+    "estimate-ecf-out-unwritable": (2, lambda draw, d: [
+        "estimate", "--delta", "1", "--kappa", "1", "--data", _normal_csv(d, draw),
+        "--out", d / "out.csv", "--ecf-out", d / "missing" / "ecf.csv"]),
     # a request past the address space fails at once, before touching memory
     "grid-too-large-to-allocate": (3, lambda draw, d: [
         draw(st.sampled_from(["estimate", "calibrate"])), "--delta", "1",

@@ -120,7 +120,7 @@ def test_written_increments_take_the_c_path(tmp_path, monkeypatch):
     monkeypatch.setattr(levyspec.cli, "_read_values_loop", refuse)
     values = np.random.default_rng(5).standard_cauchy(1000)
     path = tmp_path / "inc.csv"
-    write_increments_csv(IncrementSample(1.0, values, values.size), path,
+    write_increments_csv(IncrementSample(values), path,
                          ["levyspec 0.1.0 sample", "seed=5"])
     assert read_values_csv(str(path)).tobytes() == values.tobytes()
     assert read_values_csv(str(path), difference=True).tobytes() == np.diff(values).tobytes()

@@ -12,15 +12,14 @@ from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpe
                       ThresholdSpec, UGrid, adaptive_estimate, cauchy_triplet,
                       default_u_max, ecf, levy_khintchine_cf, mixed_cutoff,
                       optimal_cutoff, plancherel_l2, sample_increments,
-                      spectral_estimate, threshold_cf, threshold_level,
+                      sample_bulk, spectral_estimate, threshold_cf, threshold_level,
                       trapezoid_weights)
 import levyspec
 from levyspec.estimator import _invert
 
 
-def sample_of(values, dt=1.0):
-    values = np.asarray(values, dtype=float)
-    return IncrementSample(dt, values, len(values))
+def sample_of(values):
+    return IncrementSample(np.asarray(values, dtype=float))
 
 
 def synthetic_ecf(grid, fn, n=10_000):
@@ -192,7 +191,7 @@ import hashlib
 import numpy as np
 from levyspec import IncrementSample, UGrid, ecf
 values = np.random.default_rng(12).standard_cauchy(10_000)
-e = ecf(IncrementSample(1.0, values, values.size), UGrid(100.0, 0.1))
+e = ecf(IncrementSample(values), UGrid(100.0, 0.1))
 print(hashlib.sha256(e.values.tobytes()).hexdigest())
 """
 
@@ -275,6 +274,15 @@ def test_spectral_estimate_accepts_an_x_grid_reaching_the_half_period():
     half = math.pi / 0.05
     est = spectral_estimate(e, 4.0, np.array([-half, half]))
     assert est.values[0] == pytest.approx(est.values[1], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("values, spread", [
+    ([0.0] * 6 + [-40.0, 40.0], 20.0),  # a tied middle half: the std
+    ([0.0] * 4 + [0.5], 1.0),  # the std, 0.2, is below 1
+    ([3.0] * 5, 1.0),
+], ids=["std", "std-below-1", "constant"])
+def test_sample_bulk_spread_is_max_of_std_and_1_when_the_iqr_is_0(values, spread):
+    assert sample_bulk(np.array(values)) == (float(np.median(values)), spread)
 
 
 def test_spectral_estimate_real_for_symmetric_input():
@@ -444,7 +452,6 @@ def test_adaptive_domain_intersects_n():
     want = adaptive_estimate(ecf(s, g.restrict(7.0)), 0.1, xs)
     assert g.restrict(7.0).u_max == 7.0
     np.testing.assert_array_equal(est.values, want.values)
-    assert est.threshold == ThresholdSpec(0.1, 7)
 
 
 # ---------------------------------------------------------------------------

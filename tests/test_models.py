@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levyspec import (CustomJumpDensity, LevyTriplet, ModelClass,
+from levyspec import (CustomJumpDensity, KappaGrid, LevyTriplet, ModelClass,
                       StableJumpDensity, StableLaw, cauchy_triplet,
                       check_small_jump_bound, gamma_process_density,
                       increment_stable_law, levy_khintchine_cf,
@@ -50,6 +50,26 @@ def test_type_validation():
 def test_custom_density_rejects_negative_evaluator():
     with pytest.raises(ValueError):
         CustomJumpDensity(lambda x: -1.0)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: LevyTriplet(0.0, math.nan), "sigma2"),
+    (lambda: LevyTriplet(math.nan, 1.0), "b"),
+    (lambda: LevyTriplet(-math.inf, 1.0), "b"),
+    (lambda: StableJumpDensity(math.inf, 1.0, 1.0), "P"),
+    (lambda: StableJumpDensity(1.0, math.inf, 1.0), "Q"),
+    (lambda: StableLaw(1.0, math.inf, 0.0, 0.0), "gamma"),
+    (lambda: StableLaw(1.0, 1.0, 0.0, math.nan), "delta"),
+    (lambda: KappaGrid(math.nan), "delta_step"),
+    (lambda: KappaGrid(math.inf), "delta_step"),
+    # the norm of a triplet with a nan variance was a silent nan
+    (lambda: reference_l2_norm(LevyTriplet(0.0, math.nan), 1.0), "sigma2"),
+], ids=["triplet-sigma2-nan", "triplet-b-nan", "triplet-b-inf", "jumps-P-inf",
+        "jumps-Q-inf", "law-gamma-inf", "law-delta-nan", "kappa-grid-nan", "kappa-grid-inf",
+        "norm-of-nan-sigma2"])
+def test_value_objects_reject_non_finite_fields(make, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make()
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ def hoeffding_band(n: int) -> float:
 
 
 def ecf_on(values, grid):
-    return ecf(IncrementSample(1.0, np.asarray(values, float), len(values)), grid)
+    return ecf(IncrementSample(np.asarray(values, float)), grid)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_increment_sample_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="at index 2"):
-        IncrementSample(1.0, np.array([0.1, -0.4, bad, 0.3]), 4)
+        IncrementSample(np.array([0.1, -0.4, bad, 0.3]))
 
 
 def test_determinism():
@@ -201,7 +201,7 @@ def test_write_increments_csv_bytes_equal_the_per_row_format(tmp_path):
     values[4000:4008] = [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
                          1e16, -1e16, 1e17, 0.1]
     path = tmp_path / "inc.csv"
-    write_increments_csv(IncrementSample(1.0, values, values.size), path, ["a=1", "b"])
+    write_increments_csv(IncrementSample(values), path, ["a=1", "b"])
     want = "# a=1\n# b\nindex,value\n" + "".join(
         f"{i},{v:.17g}\n" for i, v in enumerate(values))
     assert path.read_bytes() == want.encode()
