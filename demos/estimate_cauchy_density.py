@@ -8,8 +8,8 @@ level, invert, and compare against the truth.
 
 import numpy as np
 
-from levyspec import (SeedSpec, ThresholdSpec, UGrid, adaptive_estimate,
-                      cauchy_triplet, ecf, sample_increments, select_kappa,
+from levyspec import (SeedSpec, UGrid, adaptive_estimate, cauchy_triplet, ecf,
+                      sample_increments, select_kappa, threshold_level,
                       write_estimate_csv)
 
 DT = 1.0
@@ -24,7 +24,7 @@ print(f"simulated {N} increments at dt={DT}; "
 grid = UGrid.make(10.0, 0.05)
 phi_hat = ecf(sample, grid)
 kappa = select_kappa(phi_hat)
-level = ThresholdSpec(kappa, N).level
+level = threshold_level(kappa, N)
 print(f"selected kappa = {kappa:.2f}  (threshold level {level:.4f})")
 
 # invert the thresholded ECF on a fixed window around the origin

@@ -9,16 +9,16 @@ stable reference laws.
 
 __version__ = "0.1.0"
 
-from .calibration import (FALLBACK_KAPPA, KappaGrid, ThresholdMask, calibrate,
-                          chi_profile, euler_characteristic, select_kappa,
-                          stabilization_index, unthresholded_mask)
+from .calibration import (FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile,
+                          euler_characteristic, select_kappa, stabilization_index,
+                          write_chi_csv)
 from .errors import (LevySpecError, NoStabilizationError, QuadratureError,
                      UnsupportedModelError)
-from .estimator import (ECFGrid, SpectralEstimate, ThresholdSpec, UGrid,
-                        adaptive_estimate, default_u_max, default_u_step,
-                        default_x_grid, ecf, plancherel_l2, sample_bulk,
-                        spectral_estimate, threshold_cf, threshold_level,
-                        trapezoid_weights, write_ecf_csv, write_estimate_csv)
+from .estimator import (ECFGrid, SpectralEstimate, UGrid, adaptive_estimate,
+                        default_u_max, default_u_step, default_x_grid, ecf,
+                        plancherel_l2, sample_bulk, spectral_estimate, threshold_cf,
+                        threshold_level, trapezoid_weights, unthresholded_mask,
+                        write_ecf_csv, write_estimate_csv)
 from .models import (CustomJumpDensity, LevyTriplet, ModelClass, StableJumpDensity,
                      StableLaw, cauchy_triplet, check_small_jump_bound,
                      gamma_process_density, increment_stable_law,

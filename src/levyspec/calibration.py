@@ -1,7 +1,8 @@
 """Data-driven choice of the threshold constant kappa.
 
 As kappa grows, the set of frequencies where the ECF modulus stays above the
-level (1 + kappa sqrt(log n))/sqrt(n) shrinks.  In one dimension its Euler
+level (1 + kappa sqrt(log n))/sqrt(n) shrinks: the estimator's
+``unthresholded_mask``, which ``threshold_cf`` keeps.  In one dimension its Euler
 characteristic chi is the number of connected runs of kept grid points: large
 for small kappa (noise pokes through everywhere), then stabilizing once the
 threshold clears the noise floor.  We scan kappa = k * delta over k = 0..N and
@@ -11,10 +12,10 @@ chi is counted, not masked.  With a_i = |phi_hat(u_i)|, a run of kept points
 starts at i exactly when a_{i-1} < L <= a_i: a birth in the superlevel
 filtration of a (Edelsbrunner & Harer, Computational Topology, 2010).  So
 chi(L) = #{i: a_i >= L} - #{i >= 1: min(a_{i-1}, a_i) >= L}, two counts read
-off sorted arrays for every level at once.  ``unthresholded_mask`` and
-``euler_characteristic`` keep the definition by masks.  The fallback rule lives
-here too: only :func:`calibrate` turns a chi sequence that never settles into
-``FALLBACK_KAPPA``, for the CLI and the risk loop alike.
+off sorted arrays for every level at once; ``euler_characteristic`` of the
+estimator's mask is the definition they are checked against.  The fallback
+rule lives here too: only :func:`calibrate` turns a chi sequence that never
+settles into ``FALLBACK_KAPPA``, for the CLI and the risk loop alike.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoStabilizationError
-from .estimator import ECFGrid, ThresholdSpec, UGrid, threshold_level
+from .estimator import ECFGrid, threshold_level
 from .sampling import write_rows
 
-__all__ = ["KappaGrid", "ThresholdMask", "unthresholded_mask",
-           "euler_characteristic", "chi_profile", "stabilization_index",
+__all__ = ["KappaGrid", "euler_characteristic", "chi_profile", "stabilization_index",
            "select_kappa", "calibrate", "FALLBACK_KAPPA", "write_chi_csv"]
 
 # smallest kappa for which the thresholded estimator's remainder term decays
@@ -55,28 +55,10 @@ class KappaGrid:
         return np.arange(self.count + 1) * self.delta_step
 
 
-@dataclass(frozen=True, eq=False)
-class ThresholdMask:
-    """Boolean kept/zeroed flags aligned with a frequency grid."""
-
-    grid: UGrid
-    kept: np.ndarray
-
-    def __post_init__(self):
-        if len(self.kept) != 2 * self.grid.half_count + 1:
-            raise ValueError("mask length does not match the grid")
-
-
-def unthresholded_mask(ecf_grid: ECFGrid, kappa: float) -> ThresholdMask:
-    """Frequencies where |phi_hat| >= (1 + kappa sqrt(log n)) / sqrt(n)."""
-    level = ThresholdSpec(kappa, ecf_grid.n).level
-    return ThresholdMask(ecf_grid.grid, np.abs(ecf_grid.values) >= level)
-
-
 def euler_characteristic(mask):
     """Number of maximal runs of consecutive kept points along the last axis:
     one count per row of a 2-D mask, an int for a 1-D mask."""
-    kept = mask.kept if isinstance(mask, ThresholdMask) else np.asarray(mask, dtype=bool)
+    kept = np.asarray(mask, dtype=bool)
     runs = (np.count_nonzero(kept[..., :1], axis=-1)
             + np.count_nonzero(kept[..., 1:] & ~kept[..., :-1], axis=-1))
     return int(runs) if kept.ndim == 1 else runs

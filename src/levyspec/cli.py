@@ -40,7 +40,12 @@ def _env_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("LEVYSPEC_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"LEVYSPEC_SEED must be an integer, got {env!r}") from None
 
 
 def _meta(args: argparse.Namespace, command: str, resolved: dict) -> list[str]:
@@ -239,6 +244,9 @@ def _cmd_estimate(args) -> int:
     seed = _env_seed(args.seed)
     if args.xgrid < 2:
         raise ValueError(f"--xgrid must be at least 2, got {args.xgrid}")
+    ecf_out = args.ecf_out or _derived_path(args.out, "_ecf")
+    if os.path.realpath(ecf_out) == os.path.realpath(args.out):
+        raise ValueError(f"--out {args.out} and --ecf-out {ecf_out} name the same file")
     kgrid = KappaGrid(args.kappa_step, args.kappa_count)
     sample, phi_hat = _sample_and_ecf(args, seed)
     median, spread = sample_bulk(sample.values)
@@ -254,7 +262,6 @@ def _cmd_estimate(args) -> int:
                 "kappa": kappa_note, "n": sample.n, "seed": seed,
                 "xgrid": args.xgrid}
     write_estimate_csv(est, args.out, _meta(args, "estimate", resolved))
-    ecf_out = args.ecf_out or _derived_path(args.out, "_ecf")
     try:
         write_ecf_csv(phi_hat, ecf_out, _meta(args, "estimate", resolved))
     except OSError:  # an exit 2 leaves neither file, not a density without its ECF

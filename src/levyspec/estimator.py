@@ -35,8 +35,8 @@ import numpy as np
 
 from .sampling import IncrementSample, write_rows
 
-__all__ = ["UGrid", "ECFGrid", "ThresholdSpec", "SpectralEstimate", "ecf",
-           "spectral_estimate", "threshold_cf", "adaptive_estimate", "plancherel_l2",
+__all__ = ["UGrid", "ECFGrid", "SpectralEstimate", "ecf", "spectral_estimate",
+           "unthresholded_mask", "threshold_cf", "adaptive_estimate", "plancherel_l2",
            "default_u_max", "default_u_step", "default_x_grid", "sample_bulk",
            "write_estimate_csv", "write_ecf_csv", "threshold_level", "trapezoid_weights"]
 
@@ -122,26 +122,11 @@ class ECFGrid:
 
 
 def threshold_level(kappa, n: int):
-    """Threshold level (1 + kappa sqrt(log n)) / sqrt(n); ``kappa`` may be an array."""
+    """Threshold level (1 + kappa sqrt(log n)) / sqrt(n); ``kappa`` may be an array,
+    each entry a finite number >= 0."""
+    if not np.all(np.isfinite(kappa) & (kappa >= 0)):
+        raise ValueError(f"kappa must be a finite number >= 0, got {kappa}")
     return (1.0 + kappa * math.sqrt(math.log(n))) / math.sqrt(n)
-
-
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """Threshold level (1 + kappa sqrt(log n)) / sqrt(n) for an ECF of size n."""
-
-    kappa: float
-    n: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError(f"kappa must be a finite number >= 0, got {self.kappa}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-
-    @property
-    def level(self) -> float:
-        return threshold_level(self.kappa, self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,11 +328,14 @@ def spectral_estimate(ecf_grid: ECFGrid, m: float, x_grid) -> SpectralEstimate:
     return SpectralEstimate(x_grid, f.real, imag_residual=float(np.max(np.abs(f.imag))))
 
 
-def threshold_cf(ecf_grid: ECFGrid, spec: ThresholdSpec) -> ECFGrid:
-    """Zero the ECF wherever its modulus falls below the threshold level."""
-    if spec.n != ecf_grid.n:
-        raise ValueError("threshold spec and ECF disagree on the sample size n")
-    kept = np.abs(ecf_grid.values) >= spec.level
+def unthresholded_mask(ecf_grid: ECFGrid, kappa: float) -> np.ndarray:
+    """Frequencies where |phi_hat| >= (1 + kappa sqrt(log n)) / sqrt(n), as a bool array."""
+    return np.abs(ecf_grid.values) >= threshold_level(kappa, ecf_grid.n)
+
+
+def threshold_cf(ecf_grid: ECFGrid, kappa: float) -> ECFGrid:
+    """Zero the ECF outside :func:`unthresholded_mask`."""
+    kept = unthresholded_mask(ecf_grid, kappa)
     return ECFGrid(ecf_grid.grid, np.where(kept, ecf_grid.values, 0.0), ecf_grid.n)
 
 
@@ -355,7 +343,7 @@ def adaptive_estimate(ecf_grid: ECFGrid, kappa: float, x_grid) -> SpectralEstima
     """Thresholded estimator: the given ECF, zeroed below the kappa level, inverted
     over [-n, n] cut to the ECF's grid (``grid.restrict(n)``, usually all of it)."""
     m = ecf_grid.grid.restrict(float(ecf_grid.n)).u_max
-    return spectral_estimate(threshold_cf(ecf_grid, ThresholdSpec(kappa, ecf_grid.n)), m, x_grid)
+    return spectral_estimate(threshold_cf(ecf_grid, kappa), m, x_grid)
 
 
 def plancherel_l2(a, b, grid: UGrid | None = None) -> float:

@@ -105,14 +105,10 @@ class StableJumpDensity:
 class CustomJumpDensity:
     """Jump density given by a nonnegative evaluator on R \\ {0}.
 
-    ``integrability_hint`` is the power-law exponent of the dominant
-    singularity near 0 (p ~ |x|^{-1-hint}); it documents how the jump
-    activity concentrates near the origin.  ``breakpoints`` lists known
-    discontinuities used to split the quadrature.
+    ``breakpoints`` lists known discontinuities used to split the quadrature.
     """
 
     evaluator: Callable[[float], float]
-    integrability_hint: float = 1.0
     breakpoints: tuple = ()
     check: bool = field(default=True, compare=False)
 
@@ -223,7 +219,7 @@ def oscillating_density(alpha: float = 0.5, beta: float = 1.5) -> CustomJumpDens
             return 0.0
         return ax ** (-alpha - 1.0) + ax ** (-beta - 1.0) * (1.0 + math.sin(1.0 / ax)) / 2.0
 
-    return CustomJumpDensity(p0, integrability_hint=beta, check=False)
+    return CustomJumpDensity(p0, check=False)
 
 
 def partition_density() -> CustomJumpDensity:
@@ -241,7 +237,7 @@ def partition_density() -> CustomJumpDensity:
         k = int(math.floor(math.log2(-math.log2(x))))
         return x ** -2.0 if k % 2 == 1 else x ** -1.5
 
-    return CustomJumpDensity(p, integrability_hint=0.5, breakpoints=tuple(etas), check=False)
+    return CustomJumpDensity(p, breakpoints=tuple(etas), check=False)
 
 
 def gamma_process_density() -> CustomJumpDensity:
@@ -252,7 +248,7 @@ def gamma_process_density() -> CustomJumpDensity:
             return 0.0
         return math.exp(-x) / x
 
-    return CustomJumpDensity(p, integrability_hint=0.0, check=False)
+    return CustomJumpDensity(p, check=False)
 
 
 def cauchy_triplet() -> LevyTriplet:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .calibration import FALLBACK_KAPPA, calibrate
 from .errors import UnsupportedModelError
-from .estimator import (ThresholdSpec, UGrid, default_u_max, ecf, plancherel_l2,
-                        threshold_cf, trapezoid_weights)
+from .estimator import (UGrid, default_u_max, ecf, plancherel_l2, threshold_cf,
+                        trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, StableLaw, _spectral_tail,
                      cauchy_triplet, increment_stable_law, levy_khintchine_cf)
 from .sampling import SeedSpec, derive_seed, sample_increments
@@ -64,6 +64,8 @@ class ExperimentConfig:
         kappa = self.kappa_mode
         if not (kappa == "auto" or isinstance(kappa, Real) and math.isfinite(kappa) and kappa >= 0):
             raise ValueError(f"kappa_mode is 'auto' or a finite number >= 0, got {kappa!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         _check_label(self.label)
 
     def grid(self) -> UGrid:
@@ -235,15 +237,15 @@ def _thresholded_errors(model: LevyTriplet, delta_t: float, n: int, grid: UGrid,
     calibrated per trial by :func:`calibrate`, falling back where chi never stabilizes."""
     phi_ref = reference_cf(model, delta_t, grid)
     tail = reference_tail_integral(model, delta_t, grid.u_max)
-    spec = None if kappa is None else ThresholdSpec(kappa, n)
     errors, kappas, fallbacks = np.empty(trials), np.empty(trials), 0
     for tr, phi_hat in enumerate(_trial_ecfs(model, delta_t, n, grid, seed, trials)):
         if kappa is None:
-            calibrated, fell_back = calibrate(phi_hat, fallback=True)
-            spec = ThresholdSpec(calibrated, n)
+            kappas[tr], fell_back = calibrate(phi_hat, fallback=True)
             fallbacks += fell_back
-        errors[tr] = plancherel_l2(threshold_cf(phi_hat, spec).values, phi_ref, grid=grid) + tail
-        kappas[tr] = spec.kappa
+        else:
+            kappas[tr] = kappa
+        errors[tr] = plancherel_l2(threshold_cf(phi_hat, kappas[tr]).values, phi_ref,
+                                   grid=grid) + tail
     return errors, kappas, fallbacks
 
 

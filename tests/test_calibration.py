@@ -24,21 +24,22 @@ def test_mask_all_false_when_level_above_one():
     g = UGrid.make(5.0, 0.1)
     e = synthetic(g, lambda u: np.exp(-np.abs(u)), n=2)
     mask = unthresholded_mask(e, 10.0)
-    assert not mask.kept.any()
+    assert mask.dtype == bool and mask.shape == e.values.shape
+    assert not mask.any()
 
 
 def test_mask_keeps_zero_frequency_at_kappa_zero():
     g = UGrid.make(5.0, 0.1)
     e = synthetic(g, lambda u: np.exp(-4.0 * np.abs(u)), n=9)
     mask = unthresholded_mask(e, 0.0)
-    assert mask.kept[g.half_count]
+    assert mask[g.half_count]
 
 
 def test_mask_monotone_on_kappa_grid():
     s = sample_increments(cauchy_triplet(), 1.0, 1000, SeedSpec(17))
     e = ecf(s, UGrid.make(10.0, 0.1))
     kappas = KappaGrid(0.05, 100).kappas
-    masks = [unthresholded_mask(e, k).kept for k in kappas]
+    masks = [unthresholded_mask(e, k) for k in kappas]
     for small, large in zip(masks, masks[1:]):
         assert np.all(large <= small)
 

@@ -178,6 +178,22 @@ def test_estimate_rejects_bad_grid_flags_before_reading_data(
     assert not (tmp_path / "d_ecf.csv").exists()
 
 
+@pytest.mark.parametrize("ecf_out", ["same.csv", "./same.csv"])
+def test_estimate_out_and_ecf_out_naming_one_file_exits_2_before_reading_data(
+        ecf_out, increments_file, tmp_path, monkeypatch, capsys):
+    # the ECF would overwrite the density; both flags are named and nothing is written
+    def refuse_read(*args, **kwargs):
+        raise AssertionError("data read before the output paths were validated")
+
+    monkeypatch.setattr(levyspec.cli, "read_values_csv", refuse_read)
+    monkeypatch.chdir(tmp_path)
+    code = run(["estimate", "--data", str(increments_file), "--delta", "1", "--kappa", "1",
+                "--out", "same.csv", "--ecf-out", ecf_out])
+    assert code == 2
+    assert f"--out same.csv and --ecf-out {ecf_out} name the same file" in capsys.readouterr().err
+    assert not (tmp_path / "same.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -331,6 +347,36 @@ def test_risk_table_seed_overrides_every_config_master_seed(how, tmp_path, monke
 
     assert rows("got.csv") == rows("want.csv")
     assert [row.split(",")[-1] for row in rows("got.csv")[1:]] == ["9", "9"]
+
+
+def test_non_integer_env_seed_exits_2_naming_the_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LEVYSPEC_SEED", "abc")
+    out = tmp_path / "out.csv"
+    assert run(["sample", *CAUCHY_FLAGS, "--delta", "1", "--n", "20", "--out", str(out)]) == 2
+    assert "LEVYSPEC_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env, flags, config_seed, message", [
+    ("1.5", [], None, "LEVYSPEC_SEED must be an integer, got '1.5'"),
+    ("-3", [], None, "master_seed must be >= 0, got -3"),
+    (None, ["--seed", "-1"], None, "master_seed must be >= 0, got -1"),
+    (None, [], -5, "master_seed must be >= 0, got -5"),
+], ids=["env-1.5", "env--3", "flag--1", "config--5"])
+def test_risk_table_bad_seed_exits_2_naming_it(env, flags, config_seed, message, tmp_path,
+                                               monkeypatch, capsys):
+    monkeypatch.delenv("LEVYSPEC_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("LEVYSPEC_SEED", env)
+    cfg = {"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [50], "trials": 2}
+    if config_seed is not None:
+        cfg["master_seed"] = config_seed
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert run(["risk-table", "--config", str(tmp_path / "cfg.json"), *flags,
+                "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc, problem", [
@@ -747,10 +793,19 @@ EXIT_CONTRACT = {
     "calibrate-ecf-rounding-noise": (3, lambda draw, d: [
         "calibrate", "--delta", "1", "--fallback", "--data", _normal_csv(
             d, draw, outlier=draw(st.floats(1e300, 1e308)))]),
+    "config-master-seed-negative": (2, lambda draw, d: _risk_table(d, {
+        **_BASE_CONFIG, "master_seed": draw(st.integers(-2 ** 70, -1))})),
+    "risk-table-seed-negative": (2, lambda draw, d: [
+        *_risk_table(d, _BASE_CONFIG), "--seed", draw(st.integers(-2 ** 70, -1))]),
     # an output that cannot be written: exit 2, and the other output is not left behind
     "estimate-ecf-out-unwritable": (2, lambda draw, d: [
         "estimate", "--delta", "1", "--kappa", "1", "--data", _normal_csv(d, draw),
         "--out", d / "out.csv", "--ecf-out", d / "missing" / "ecf.csv"]),
+    # two outputs in one file: the ECF would overwrite the density
+    "estimate-out-is-ecf-out": (2, lambda draw, d: [
+        "estimate", "--delta", "1", "--kappa", "1", "--data", _normal_csv(d, draw),
+        "--out", d / "same.csv", "--ecf-out", draw(st.sampled_from(
+            [d / "same.csv", d / "." / "same.csv", d / "sub" / ".." / "same.csv"]))]),
     # a request past the address space fails at once, before touching memory
     "grid-too-large-to-allocate": (3, lambda draw, d: [
         draw(st.sampled_from(["estimate", "calibrate"])), "--delta", "1",

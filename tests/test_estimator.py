@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpec,
-                      ThresholdSpec, UGrid, adaptive_estimate, cauchy_triplet,
-                      default_u_max, ecf, levy_khintchine_cf, mixed_cutoff,
-                      optimal_cutoff, plancherel_l2, sample_increments,
-                      sample_bulk, spectral_estimate, threshold_cf, threshold_level,
-                      trapezoid_weights)
+                      UGrid, adaptive_estimate, cauchy_triplet, default_u_max, ecf,
+                      levy_khintchine_cf, mixed_cutoff, optimal_cutoff, plancherel_l2,
+                      sample_increments, sample_bulk, spectral_estimate, threshold_cf,
+                      threshold_level, trapezoid_weights, unthresholded_mask)
 import levyspec
 from levyspec.estimator import _invert
 
@@ -365,49 +364,47 @@ def test_inversion_within_rounding_bound_of_long_double_sum(kind, count, size):
 # thresholding
 
 def test_threshold_level_formula():
-    spec = ThresholdSpec(0.5, 10_000)
-    assert spec.level == pytest.approx((1.0 + 0.5 * math.sqrt(math.log(10_000))) / 100.0)
+    level = threshold_level(0.5, 10_000)
+    assert level == pytest.approx((1.0 + 0.5 * math.sqrt(math.log(10_000))) / 100.0)
     kappas = np.array([0.0, 0.5, 2.0])
     np.testing.assert_array_equal(threshold_level(kappas, 10_000),
-                                  [ThresholdSpec(k, 10_000).level for k in kappas])
+                                  [threshold_level(k, 10_000) for k in kappas])
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -1.0])
 def test_threshold_spec_rejects_non_finite_or_negative_kappa(kappa):
-    with pytest.raises(ValueError, match="kappa must be a finite number >= 0"):
-        ThresholdSpec(kappa, 100)
+    # the threshold_level check, reached from every entry point of the rule
+    e = synthetic_ecf(UGrid.make(5.0, 0.1), lambda u: np.exp(-np.abs(u)), n=100)
+    for call in (lambda: threshold_level(kappa, 100),
+                 lambda: threshold_level(np.array([0.0, kappa]), 100),
+                 lambda: unthresholded_mask(e, kappa), lambda: threshold_cf(e, kappa),
+                 lambda: adaptive_estimate(e, kappa, np.linspace(-1.0, 1.0, 5))):
+        with pytest.raises(ValueError, match="kappa must be a finite number >= 0"):
+            call()
 
 
 def test_threshold_zeroes_everything_when_level_above_one():
     g = UGrid.make(5.0, 0.1)
     e = synthetic_ecf(g, lambda u: np.exp(-np.abs(u)), n=2)
-    spec = ThresholdSpec(5.0, 2)  # level > 1
-    assert spec.level > 1.0
-    out = threshold_cf(e, spec)
+    assert threshold_level(5.0, 2) > 1.0
+    out = threshold_cf(e, 5.0)
     np.testing.assert_array_equal(out.values, 0.0)
 
 
 def test_threshold_keeps_zero_frequency_at_kappa_zero():
     g = UGrid.make(5.0, 0.1)
     e = synthetic_ecf(g, lambda u: np.exp(-3.0 * np.abs(u)), n=4)
-    out = threshold_cf(e, ThresholdSpec(0.0, 4))
+    out = threshold_cf(e, 0.0)
     assert out.values[g.half_count] == 1.0
 
 
 def test_threshold_synthetic_moduli():
     g = UGrid.make(1.0, 1.0)  # three points: -1, 0, 1
     e = ECFGrid(g, np.array([0.01, 1.0, 0.5], dtype=complex), 100)
-    spec = ThresholdSpec((0.1 * 10.0 - 1.0) / math.sqrt(math.log(100)), 100)
-    assert spec.level == pytest.approx(0.1)
-    out = threshold_cf(e, spec)
+    kappa = (0.1 * 10.0 - 1.0) / math.sqrt(math.log(100))
+    assert threshold_level(kappa, 100) == pytest.approx(0.1)
+    out = threshold_cf(e, kappa)
     np.testing.assert_allclose(out.values, [0.0, 1.0, 0.5])
-
-
-def test_threshold_spec_must_match_sample_size():
-    g = UGrid.make(5.0, 0.1)
-    e = synthetic_ecf(g, lambda u: np.exp(-np.abs(u)), n=100)
-    with pytest.raises(ValueError):
-        threshold_cf(e, ThresholdSpec(1.0, 99))
 
 
 def test_threshold_kept_sets_shrink_with_kappa():
@@ -415,7 +412,8 @@ def test_threshold_kept_sets_shrink_with_kappa():
     e = ecf(s, UGrid.make(10.0, 0.1))
     previous = None
     for kappa in np.linspace(0.0, 5.0, 26):
-        kept = np.abs(threshold_cf(e, ThresholdSpec(kappa, 500)).values) > 0
+        kept = np.abs(threshold_cf(e, kappa).values) > 0
+        np.testing.assert_array_equal(kept, unthresholded_mask(e, kappa))
         if previous is not None:
             assert np.all(kept <= previous)
         previous = kept
@@ -436,7 +434,7 @@ def test_adaptive_equals_cutoff_when_nothing_thresholded():
     s = sample_increments(cauchy_triplet(), 1.0, 10_000, SeedSpec(44))
     g = UGrid.make(2.0, 0.05)
     e = ecf(s, g)
-    assert np.min(np.abs(e.values)) >= ThresholdSpec(0.0, s.n).level
+    assert np.min(np.abs(e.values)) >= threshold_level(0.0, s.n)
     xs = np.linspace(-3, 3, 61)
     a = adaptive_estimate(e, 0.0, xs)
     b = spectral_estimate(e, 2.0, xs)

@@ -8,9 +8,9 @@ import pytest
 from scipy.integrate import quad
 
 from levyspec import (FALLBACK_KAPPA, ExperimentConfig, KappaGrid, LevyTriplet,
-                      NoStabilizationError, SeedSpec, StableJumpDensity,
-                      ThresholdSpec, UGrid, adaptive_risk_bound_check,
-                      cauchy_triplet, cutoff_risk_bound_check, default_u_max,
+                      NoStabilizationError, SeedSpec, StableJumpDensity, UGrid,
+                      adaptive_risk_bound_check, cauchy_triplet,
+                      cutoff_risk_bound_check, default_u_max,
                       derive_seed, ecf, plancherel_l2, reference_cf,
                       reference_l2_norm, reference_tail_integral, relative_l2_risk,
                       relative_risk_of_cf, RiskReport, risk_table, risk_table_csv,
@@ -140,7 +140,7 @@ def test_relative_risk_equals_per_trial_pipeline(kappa_mode):
                 except NoStabilizationError:
                     kappa = FALLBACK_KAPPA
                     fallbacks += 1
-            phi_tilde = threshold_cf(phi_hat, ThresholdSpec(kappa, n))
+            phi_tilde = threshold_cf(phi_hat, kappa)
             risks.append(relative_risk_of_cf(phi_tilde.values, CAUCHY, 1.0, grid))
             kappas.append(kappa)
         assert rep.mean_relative_risk == float(np.mean(risks))
@@ -224,6 +224,12 @@ def test_adaptive_risk_bound_smoke():
     assert rep10.passed
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -1.0])
+def test_adaptive_risk_bound_rejects_non_finite_or_negative_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be a finite number >= 0"):
+        adaptive_risk_bound_check(1.0, 50, kappa=kappa, trials=2, master_seed=1)
+
+
 @pytest.mark.parametrize("kappa", [0.5, 2.0])
 def test_adaptive_risk_bound_matches_per_trial_pipeline(kappa):
     # each trial rebuilt by hand, one public call per step, and the bound with
@@ -236,7 +242,7 @@ def test_adaptive_risk_bound_matches_per_trial_pipeline(kappa):
     errors = []
     for tr in range(trials):
         phi_hat = ecf(sample_increments(CAUCHY, 1.0, n, SeedSpec(4, tr)), grid)
-        phi_tilde = threshold_cf(phi_hat, ThresholdSpec(kappa, n))
+        phi_tilde = threshold_cf(phi_hat, kappa)
         errors.append(plancherel_l2(phi_tilde.values, phi_ref, grid=grid) + tail)
     factor = 5.0 + (1.0 + (kappa + 2.0) * math.sqrt(math.log(n))) ** 2
     bound = min(9.0 * math.exp(-2.0 * m) / (2.0 * math.pi) + m / (math.pi * n) * factor
