@@ -34,4 +34,3 @@ from .risk import (BoundCheckReport, ExperimentConfig, RiskReport,
                    risk_table_csv)
 from .sampling import (IncrementSample, SeedSpec, derive_seed, sample_increments,
                        stable_sample, write_increments_csv)
-from .special import upper_incomplete_gamma, upper_incomplete_gamma_quad

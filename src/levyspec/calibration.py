@@ -49,6 +49,13 @@ class KappaGrid:
             raise ValueError(f"delta_step must be finite and positive, got {self.delta_step!r}")
         if self.count < 3:
             raise ValueError("count must be at least 3")
+        try:
+            top = self.count * self.delta_step
+        except OverflowError:  # a count beyond the float range
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError(f"the top kappa count * delta_step = {self.count} * "
+                             f"{self.delta_step!r} overflows")
 
     @property
     def kappas(self) -> np.ndarray:

@@ -37,15 +37,19 @@ EXIT_NO_STABILIZATION = 4
 
 
 def _env_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("LEVYSPEC_SEED")
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"LEVYSPEC_SEED must be an integer, got {env!r}") from None
+    """The --seed flag, else LEVYSPEC_SEED, else 0: an integer in [0, 2^64), the
+    range of a master seed; an error names the flag or the variable it came from."""
+    source, env = "--seed", os.environ.get("LEVYSPEC_SEED")
+    if value is None:
+        if not env:
+            return 0
+        try:
+            source, value = "LEVYSPEC_SEED", int(env)
+        except ValueError:
+            raise ValueError(f"LEVYSPEC_SEED must be an integer, got {env!r}") from None
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(f"{source} must lie in [0, 2^64), got {value}")
+    return value
 
 
 def _meta(args: argparse.Namespace, command: str, resolved: dict) -> list[str]:
@@ -261,6 +265,8 @@ def _cmd_estimate(args) -> int:
     resolved = {"delta": args.delta, "umax": phi_hat.grid.u_max, "step": phi_hat.grid.step,
                 "kappa": kappa_note, "n": sample.n, "seed": seed,
                 "xgrid": args.xgrid}
+    if args.data:  # read, not simulated: no seed went into it
+        del resolved["seed"]
     write_estimate_csv(est, args.out, _meta(args, "estimate", resolved))
     try:
         write_ecf_csv(phi_hat, ecf_out, _meta(args, "estimate", resolved))

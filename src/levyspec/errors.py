@@ -6,16 +6,7 @@ class LevySpecError(Exception):
 
 
 class QuadratureError(LevySpecError):
-    """A numerical integral did not converge to the requested tolerance.
-
-    Carries the best value obtained and the integrator's error estimate so
-    callers can decide whether a degraded result is acceptable.
-    """
-
-    def __init__(self, message, value=None, residual=None):
-        super().__init__(message)
-        self.value = value
-        self.residual = residual
+    """A numerical integral diverged or missed its requested tolerance."""
 
 
 class UnsupportedModelError(LevySpecError):

@@ -110,22 +110,15 @@ class ECFGrid:
         if self.n <= 0:
             raise ValueError("n must be positive")
 
-    def check_invariants(self) -> None:
-        k = self.grid.half_count
-        v = self.values
-        if v[k] != 1.0:
-            raise AssertionError("value at u=0 must be exactly 1")
-        if np.max(np.abs(v)) > 1.0 + 1e-10:
-            raise AssertionError("modulus must not exceed 1")
-        if np.max(np.abs(v[:k][::-1] - np.conj(v[k + 1:]))) > 1e-12:
-            raise AssertionError("conjugate symmetry violated")
-
 
 def threshold_level(kappa, n: int):
     """Threshold level (1 + kappa sqrt(log n)) / sqrt(n); ``kappa`` may be an array,
     each entry a finite number >= 0."""
-    if not np.all(np.isfinite(kappa) & (kappa >= 0)):
-        raise ValueError(f"kappa must be a finite number >= 0, got {kappa}")
+    ok = np.isfinite(kappa) & (kappa >= 0)
+    if not np.all(ok):
+        bad = np.flatnonzero(~ok)[0]
+        at = f" at index {bad}" if np.ndim(kappa) else ""
+        raise ValueError(f"kappa must be a finite number >= 0, got {np.ravel(kappa)[bad]}{at}")
     return (1.0 + kappa * math.sqrt(math.log(n))) / math.sqrt(n)
 
 
@@ -346,24 +339,12 @@ def adaptive_estimate(ecf_grid: ECFGrid, kappa: float, x_grid) -> SpectralEstima
     return spectral_estimate(threshold_cf(ecf_grid, kappa), m, x_grid)
 
 
-def plancherel_l2(a, b, grid: UGrid | None = None) -> float:
-    """(1/2pi) int |a - b|^2 over the grid, by the trapezoid rule.
-
-    ``a`` and ``b`` are ECFGrid instances or plain arrays on ``grid``; both
-    must live on the same grid.
-    """
-    ga = a.grid if isinstance(a, ECFGrid) else grid
-    gb = b.grid if isinstance(b, ECFGrid) else grid
-    if ga is None or gb is None:
-        raise ValueError("plain arrays need an explicit grid")
-    if ga != gb:
-        raise ValueError("operands live on different grids")
-    va = a.values if isinstance(a, ECFGrid) else np.asarray(a)
-    vb = b.values if isinstance(b, ECFGrid) else np.asarray(b)
-    if va.shape != vb.shape:
-        raise ValueError("operands have different shapes")
-    diff = np.abs(va - vb) ** 2
-    return float(diff @ trapezoid_weights(diff.size, ga.step) / (2.0 * math.pi))
+def plancherel_l2(a: np.ndarray, b: np.ndarray, grid: UGrid) -> float:
+    """(1/2pi) int |a - b|^2 over ``grid`` by the trapezoid rule, for arrays on its points."""
+    if a.shape != b.shape:
+        raise ValueError(f"operands have different shapes, {a.shape} and {b.shape}")
+    diff = np.abs(a - b) ** 2
+    return float(diff @ trapezoid_weights(diff.size, grid.step) / (2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------

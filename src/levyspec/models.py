@@ -38,7 +38,6 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import QuadratureError
-from .special import upper_incomplete_gamma
 
 __all__ = [
     "StableJumpDensity", "CustomJumpDensity", "LevyTriplet", "StableLaw",
@@ -55,6 +54,7 @@ MIXED = "mixed"
 
 _CUTOFF_RESIDUAL_TOL = 1e-10
 _JUMP_EXPONENT_RTOL = 1e-8  # relative tolerance of each quadrature of a custom jump exponent
+_QUADPACK_DIVERGENT = "The integral is probably divergent"  # scipy's report of QUADPACK ier 5
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +119,11 @@ class CustomJumpDensity:
                 v = float(self.evaluator(x))
                 if v < 0 or math.isnan(v):
                     raise ValueError(f"jump density negative or nan at x={x}: {v}")
-            total = _levy_mass(self)
-            if not math.isfinite(total):
+            try:
+                finite = math.isfinite(_levy_mass(self))
+            except QuadratureError:
+                finite = False
+            if not finite:
                 raise ValueError("int min(x^2, 1) p(x) dx is not finite")
 
     def __call__(self, x):
@@ -261,7 +264,8 @@ def cauchy_triplet() -> LevyTriplet:
 
 def _quad_pieces(f, a: float, b: float, breakpoints: Sequence[float], rtol: float,
                  what: str):
-    """Integrate f over (a, b) in (0, inf), split at |breakpoints| inside it."""
+    """Integrate f over (a, b) in (0, inf), split at |breakpoints| inside it; a piece
+    that QUADPACK reports probably divergent raises QuadratureError."""
     from scipy.integrate import quad
     pts = sorted({abs(p) for p in breakpoints if a < abs(p) < b})
     edges = [a] + pts + [b]
@@ -270,20 +274,21 @@ def _quad_pieces(f, a: float, b: float, breakpoints: Sequence[float], rtol: floa
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for lo, hi in zip(edges[:-1], edges[1:]):
-            v, e = quad(f, lo, hi, epsrel=rtol, epsabs=1e-300, limit=800)
+            v, e, _, *report = quad(f, lo, hi, epsrel=rtol, epsabs=1e-300, limit=800,
+                                    full_output=1)
+            if report and report[0].startswith(_QUADPACK_DIVERGENT):
+                raise QuadratureError(f"{what}: integral probably divergent on ({lo}, {hi})")
             total += v
             err += e
     if math.isnan(total) or math.isinf(total):
-        raise QuadratureError(f"{what}: integral diverged on ({a}, {b})",
-                              value=total, residual=err)
+        raise QuadratureError(f"{what}: integral diverged on ({a}, {b})")
     return total, err
 
 
 def _check_residual(value: float, err: float, rtol: float, what: str) -> float:
     if err > rtol * max(abs(value), 1e-300) and err > 1e-12:
         raise QuadratureError(
-            f"{what}: error estimate {err:.2e} exceeds tolerance for value {value:.6e}",
-            value=value, residual=err)
+            f"{what}: error estimate {err:.2e} exceeds tolerance for value {value:.6e}")
     return value
 
 
@@ -336,26 +341,15 @@ def _custom_jump_exponent(jumps: CustomJumpDensity, u: float) -> complex:
         dens = lambda x: float(p(sign * x))
         re_in = lambda x: (math.cos(u * sign * x) - 1.0) * dens(x)
         im_in = lambda x: (math.sin(u * sign * x) - u * sign * x) * dens(x)
-        val = 0.0
-        ival = 0.0
-        err = 0.0
-        for f, acc in ((re_in, "re"), (im_in, "im")):
-            r, e = _quad_pieces(f, 0.0, 1.0, brk, _JUMP_EXPONENT_RTOL, "jump exponent")
-            err += e
-            if acc == "re":
-                val += r
-            else:
-                ival += r
+        val, e_re = _quad_pieces(re_in, 0.0, 1.0, brk, _JUMP_EXPONENT_RTOL, "jump exponent")
+        ival, e_im = _quad_pieces(im_in, 0.0, 1.0, brk, _JUMP_EXPONENT_RTOL, "jump exponent")
         # tails: int_1^inf cos(ux) p - int_1^inf p, and int_1^inf sin(ux) p
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             c, e1 = quad(dens, 1.0, np.inf, weight="cos", wvar=u * sign, limit=400)
             s, e2 = quad(dens, 1.0, np.inf, weight="sin", wvar=u * sign, limit=400)
             mass, e3 = _quad_pieces(dens, 1.0, np.inf, brk, _JUMP_EXPONENT_RTOL, "jump mass")
-        val += c - mass
-        ival += s
-        err += e1 + e2 + e3
-        return val + 1j * ival, err
+        return val + (c - mass) + 1j * (ival + s), e_re + e_im + (e1 + e2 + e3)
 
     vp, ep = branch(1.0)
     vn, en = branch(-1.0)
@@ -363,9 +357,7 @@ def _custom_jump_exponent(jumps: CustomJumpDensity, u: float) -> complex:
     err = ep + en
     # modulus of the CF is <= 1, so errors are judged on an O(1) scale
     if err > 1000 * _JUMP_EXPONENT_RTOL * max(abs(val), 1.0):
-        raise QuadratureError(
-            f"jump exponent at u={u}: error estimate {err:.2e} too large",
-            value=val, residual=err)
+        raise QuadratureError(f"jump exponent at u={u}: error estimate {err:.2e} too large")
     return val
 
 
@@ -444,11 +436,7 @@ def check_small_jump_bound(density: JumpDensity, M: float, alpha: float,
         raise ValueError("eta grid must be nonempty with values in (0, 1]")
     slack = 100 * rtol
     for eta in etas:
-        try:
-            moment = truncated_second_moment(density, float(eta), rtol)
-        except QuadratureError as exc:
-            raise QuadratureError(f"quadrature failed at eta={eta}: {exc}",
-                                  value=exc.value, residual=exc.residual) from exc
+        moment = truncated_second_moment(density, float(eta), rtol)
         if moment < M * eta ** (2.0 - alpha) * (1.0 - slack):
             return False
     return True
@@ -484,6 +472,12 @@ def picard_cf_bound(M: float, alpha: float, t: float, u):
     return out if np.ndim(u) else float(out[0])
 
 
+def _upper_gamma(a: float, x: float) -> float:
+    """Upper incomplete gamma Gamma(a, x) = int_x^inf t^(a-1) e^(-t) dt, for a > 0, x >= 0."""
+    from scipy.special import gamma, gammaincc
+    return float(gammaincc(a, x) * gamma(a))
+
+
 def picard_derivative_bound(k: int, t: float, M: float, alpha: float) -> float:
     """Uniform bound on |f_t^{(k)}|: the k-th derivative of the increment density."""
     if k < 0:
@@ -492,7 +486,7 @@ def picard_derivative_bound(k: int, t: float, M: float, alpha: float) -> float:
         raise ValueError("need M > 0, t > 0, alpha in (0, 2)")
     first = (math.pi / 2.0) ** (k + 1) / (math.pi * (k + 1))
     scale = (math.pi / (2.0 * (t * M) ** (1.0 / alpha))) ** (k + 1)
-    return first + scale * upper_incomplete_gamma((k + 1) / alpha, t * M) / alpha
+    return first + scale * _upper_gamma((k + 1) / alpha, t * M) / alpha
 
 
 def _spectral_tail(a: float, c: float, alpha: float, m: float) -> float:
@@ -507,7 +501,7 @@ def _spectral_tail(a: float, c: float, alpha: float, m: float) -> float:
         from scipy.special import erfc
         return erfc(m * math.sqrt(a)) / (2.0 * math.sqrt(math.pi * a))
     if a == 0.0:
-        return upper_incomplete_gamma(1.0 / alpha, c * m ** alpha) / (
+        return _upper_gamma(1.0 / alpha, c * m ** alpha) / (
             math.pi * alpha * c ** (1.0 / alpha))
     from scipy.integrate import quad
     val, _ = quad(lambda u: math.exp(-a * u * u - c * u ** alpha), m, math.inf,

@@ -226,7 +226,7 @@ def test_criterion_6_analytic_identities():
     xs = np.arange(-1280, 1281) * 0.125
     est = spectral_estimate(e, m, xs)
     x_norm = float(np.trapezoid(est.values ** 2, dx=0.125))
-    u_norm = plancherel_l2(e, ECFGrid(grid, np.zeros_like(phi, dtype=complex), e.n))
+    u_norm = plancherel_l2(e.values, np.zeros_like(phi, dtype=complex), grid)
     parseval_rel = abs(x_norm - u_norm) / u_norm
     # (b) Dirichlet kernel identity at 1e-10
     dgrid = UGrid.make(1.0, 2e-5)

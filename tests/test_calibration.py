@@ -145,6 +145,14 @@ def test_stabilization_matches_bruteforce(chis):
 # ---------------------------------------------------------------------------
 # kappa selection
 
+def test_kappa_grid_rejects_a_top_kappa_that_overflows():
+    with pytest.raises(ValueError, match=r"count \* delta_step = 100 \* 1e\+307 overflows"):
+        KappaGrid(1e307, 100)
+    with pytest.raises(ValueError, match=r"= 10{400} \* 0\.05 overflows"):
+        KappaGrid(0.05, 10 ** 400)
+    assert KappaGrid(1.7e306, 100).kappas[-1] == 1.7e308
+
+
 def test_select_kappa_constant_chi_gives_two_steps():
     # noise-free exponential CF: the kept set is one interval at every kappa
     g = UGrid.make(10.0, 0.05)

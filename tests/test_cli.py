@@ -359,10 +359,12 @@ def test_non_integer_env_seed_exits_2_naming_the_variable(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("env, flags, config_seed, message", [
     ("1.5", [], None, "LEVYSPEC_SEED must be an integer, got '1.5'"),
-    ("-3", [], None, "master_seed must be >= 0, got -3"),
-    (None, ["--seed", "-1"], None, "master_seed must be >= 0, got -1"),
+    ("-3", [], None, "LEVYSPEC_SEED must lie in [0, 2^64), got -3"),
+    (None, ["--seed", "-1"], None, "--seed must lie in [0, 2^64), got -1"),
     (None, [], -5, "master_seed must be >= 0, got -5"),
-], ids=["env-1.5", "env--3", "flag--1", "config--5"])
+    (str(2 ** 64), [], None, f"LEVYSPEC_SEED must lie in [0, 2^64), got {2 ** 64}"),
+    (None, ["--seed", str(2 ** 64)], None, f"--seed must lie in [0, 2^64), got {2 ** 64}"),
+], ids=["env-1.5", "env--3", "flag--1", "config--5", "env-2^64", "flag-2^64"])
 def test_risk_table_bad_seed_exits_2_naming_it(env, flags, config_seed, message, tmp_path,
                                                monkeypatch, capsys):
     monkeypatch.delenv("LEVYSPEC_SEED", raising=False)
@@ -377,6 +379,49 @@ def test_risk_table_bad_seed_exits_2_naming_it(env, flags, config_seed, message,
                 "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+SEED_COMMANDS = {
+    "sample": ["sample", *CAUCHY_FLAGS, "--delta", "1", "--n", "20"],
+    "estimate-model": ["estimate", *CAUCHY_FLAGS, "--delta", "1", "--n", "300"],
+    "estimate-data": ["estimate", "--data", "{data}", "--delta", "1", "--kappa", "1"],
+    "check-bounds": ["check-bounds", "--which", "thm4", "--delta", "1", "--n", "300",
+                     "--trials", "5"],
+}
+
+
+@pytest.mark.parametrize("source, seed", [("flag", -1), ("flag", 2 ** 64), ("env", -3),
+                                          ("env", 2 ** 64)])
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_out_of_range_seed_exits_2_naming_its_source(command, source, seed, increments_file,
+                                                     tmp_path, monkeypatch, capsys):
+    # the rule of test_risk_table_bad_seed_exits_2_naming_it, in every other subcommand
+    # with a seed, checked before anything is read, simulated or written
+    argv = [a.format(data=increments_file) for a in SEED_COMMANDS[command]]
+    out = tmp_path / "out.csv"
+    if command != "check-bounds":
+        argv += ["--out", str(out)]
+    monkeypatch.delenv("LEVYSPEC_SEED", raising=False)
+    if source == "env":
+        monkeypatch.setenv("LEVYSPEC_SEED", str(seed))
+    else:
+        argv += ["--seed", str(seed)]
+    name = "LEVYSPEC_SEED" if source == "env" else "--seed"
+    assert run(argv) == 2
+    assert f"error: {name} must lie in [0, 2^64), got {seed}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_from_data_writes_no_seed(increments_file, tmp_path):
+    # a seed goes into simulated increments only; read ones carry none in their meta lines
+    out = tmp_path / "dens.csv"
+    argv = ["estimate", "--delta", "1", "--kappa", "1", "--no-meta", "--seed", "5",
+            "--out", str(out)]
+    assert run([*argv, "--data", str(increments_file)]) == 0
+    assert "# seed=" not in out.read_text()
+    assert "# seed=" not in (tmp_path / "dens_ecf.csv").read_text()
+    assert run([*argv, *CAUCHY_FLAGS, "--n", "300"]) == 0
+    assert "# seed=5\n" in out.read_text()
 
 
 @pytest.mark.parametrize("doc, problem", [
@@ -557,7 +602,7 @@ def test_estimate_with_its_bulk_past_the_alias_half_period_exits_2_without_outpu
 
 @pytest.mark.xfail(strict=True, reason=(
     "default_x_grid spans +-8 IQR around 0, not around the data; centring it at the "
-    "median moves the estimate_csv goldens, so it waits for ROADMAP item 4"))
+    "median moves the estimate_csv goldens, so it waits for ROADMAP item 2"))
 def test_estimate_far_from_zero_with_a_fine_step_puts_unit_mass_on_its_x_grid(tmp_path):
     # N(1000, 1) passes the bulk check at --step 0.003 (pi/step = 1047), but the
     # x-grid covers +-10.9 only, so the density written there has mass about 0
@@ -810,6 +855,15 @@ EXIT_CONTRACT = {
     "grid-too-large-to-allocate": (3, lambda draw, d: [
         draw(st.sampled_from(["estimate", "calibrate"])), "--delta", "1",
         "--data", _normal_csv(d, draw), "--step", repr(draw(st.floats(1e-13, 1e-12)))]),
+    # a seed outside the master-seed range [0, 2^64), also where --data leaves it unused
+    "seed-out-of-range": (2, lambda draw, d: _with_flag(
+        draw, d, [("sample", "--seed"), ("estimate", "--seed"), ("check-bounds", "--seed")],
+        draw(st.one_of(st.sampled_from([-1, 2 ** 64]), st.integers(max_value=-1),
+                       st.integers(min_value=2 ** 64))))),
+    # a kappa grid whose top kappa count * delta_step overflows
+    "kappa-grid-overflows": (2, lambda draw, d: _with_flag(
+        draw, d, [("estimate", "--kappa-step"), ("calibrate", "--kappa-step")],
+        repr(draw(st.floats(1e307, 1.7e308))))),
     "no-stabilization": (4, lambda draw, d: [
         draw(st.sampled_from(["estimate", "calibrate"])), "--data", _unstable_csv(d),
         "--delta", "0.1", "--umax", "100", "--kappa-step", "0.02", "--kappa-count", "3"]),

@@ -25,6 +25,16 @@ def synthetic_ecf(grid, fn, n=10_000):
     return ECFGrid(grid, np.asarray(fn(grid.points), dtype=complex), n)
 
 
+def check_ecf_invariants(e: ECFGrid) -> None:
+    """An ECF is exactly 1 at u=0, of modulus at most 1, and conjugate-symmetric."""
+    k = e.grid.half_count
+    v = e.values
+    assert v[k] == 1.0, "value at u=0 must be exactly 1"
+    assert np.max(np.abs(v)) <= 1.0 + 1e-10, "modulus must not exceed 1"
+    assert np.max(np.abs(v[:k][::-1] - np.conj(v[k + 1:]))) <= 1e-12, \
+        "conjugate symmetry violated"
+
+
 # ---------------------------------------------------------------------------
 # grids
 
@@ -92,7 +102,7 @@ def test_ecf_zero_frequency_and_symmetry_exact():
     k = g.half_count
     assert e.values[k] == 1.0 + 0.0j
     np.testing.assert_array_equal(e.values[:k][::-1], np.conj(e.values[k + 1:]))
-    e.check_invariants()
+    check_ecf_invariants(e)
 
 
 def test_ecf_symmetric_pair_is_cosine():
@@ -151,7 +161,7 @@ def test_ecf_within_rounding_bound_of_long_double_sum(family, count, step, n):
     values = ECF_FAMILIES[family](np.random.default_rng([count, n]), n)
     g = UGrid.make(count * step, step)
     e = ecf(sample_of(values), g)
-    e.check_invariants()
+    check_ecf_invariants(e)
     err = np.abs(e.values[count:] - ecf_longdouble(values, count, step)).astype(float)
     bound = 1e-14 + np.finfo(float).eps * g.u_max * np.mean(np.abs(values))
     assert err.max() <= bound
@@ -169,7 +179,7 @@ def test_ecf_invariants_and_rounding_bound_over_random_shapes(family, seed, n, c
     values = ECF_FAMILIES[family](np.random.default_rng(seed), n)
     g = UGrid(count * step, step)
     e = ecf(sample_of(values), g)
-    e.check_invariants()
+    check_ecf_invariants(e)
     err = np.abs(e.values[count:] - ecf_longdouble(values, count, step)).astype(float)
     assert err.max() <= 1e-14 + np.finfo(float).eps * g.u_max * np.mean(np.abs(values))
 
@@ -181,7 +191,7 @@ def test_ecf_of_values_whose_phase_overflows_is_finite():
     values = np.array([0.5, 1.7e308, -1.7e308, 1e300])
     g = UGrid.make(10.0, 0.05)
     e = ecf(sample_of(values), g)
-    e.check_invariants()
+    check_ecf_invariants(e)
     assert np.all(np.isfinite(e.values))
 
 
@@ -383,6 +393,14 @@ def test_threshold_spec_rejects_non_finite_or_negative_kappa(kappa):
             call()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -2.0])
+def test_threshold_level_names_the_first_bad_kappa_of_an_array(bad):
+    kappas = np.array([0.0, 1.0, bad, -1.0, math.inf])
+    with pytest.raises(ValueError) as info:
+        threshold_level(kappas, 100)
+    assert str(info.value) == f"kappa must be a finite number >= 0, got {bad} at index 2"
+
+
 def test_threshold_zeroes_everything_when_level_above_one():
     g = UGrid.make(5.0, 0.1)
     e = synthetic_ecf(g, lambda u: np.exp(-np.abs(u)), n=2)
@@ -528,14 +546,14 @@ def test_mixed_cutoff_domain_errors():
 def test_plancherel_identical_inputs():
     g = UGrid.make(10.0, 0.05)
     e = synthetic_ecf(g, lambda u: np.exp(-np.abs(u)))
-    assert plancherel_l2(e, e) == 0.0
+    assert plancherel_l2(e.values, e.values, g) == 0.0
 
 
 def test_plancherel_exponential_norm():
     g = UGrid.make(40.0, 0.005)
     e = synthetic_ecf(g, lambda u: np.exp(-np.abs(u)))
-    zero = ECFGrid(g, np.zeros(len(g.points), dtype=complex), e.n)
-    assert plancherel_l2(e, zero) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-4)
+    zero = np.zeros(len(g.points), dtype=complex)
+    assert plancherel_l2(e.values, zero, g) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-4)
 
 
 @pytest.mark.parametrize("half_count", [1, 2, 200, 1000])
@@ -548,11 +566,10 @@ def test_plancherel_matches_numpy_trapezoid(half_count):
 
 
 def test_plancherel_grid_mismatch():
+    # values on grids of different lengths cannot be subtracted point by point
     g1 = UGrid.make(10.0, 0.05)
     g2 = UGrid.make(10.0, 0.1)
     a = synthetic_ecf(g1, lambda u: np.exp(-np.abs(u)))
     b = synthetic_ecf(g2, lambda u: np.exp(-np.abs(u)))
-    with pytest.raises(ValueError):
-        plancherel_l2(a, b)
-    with pytest.raises(ValueError):
-        plancherel_l2(np.zeros(201), np.zeros(201))  # arrays need a grid
+    with pytest.raises(ValueError, match=r"different shapes, \(401,\) and \(201,\)"):
+        plancherel_l2(a.values, b.values, g1)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from levyspec import (CustomJumpDensity, KappaGrid, LevyTriplet, ModelClass,
-                      StableJumpDensity, StableLaw, cauchy_triplet,
+                      QuadratureError, StableJumpDensity, StableLaw, cauchy_triplet,
                       check_small_jump_bound, gamma_process_density,
                       increment_stable_law, levy_khintchine_cf,
                       oscillating_density, partition_density, picard_cf_bound,
@@ -50,6 +50,22 @@ def test_type_validation():
 def test_custom_density_rejects_negative_evaluator():
     with pytest.raises(ValueError):
         CustomJumpDensity(lambda x: -1.0)
+
+
+def _divergent_density(x: float) -> float:
+    # int_0^1 x^2 |x|^-3.5 dx diverges at 0; QUADPACK returns a finite, negative value
+    return abs(x) ** -3.5 if x else 0.0
+
+
+def test_a_divergent_integral_raises_instead_of_returning_a_number():
+    with pytest.raises(ValueError, match=r"int min\(x\^2, 1\) p\(x\) dx is not finite"):
+        CustomJumpDensity(_divergent_density)
+    d = CustomJumpDensity(_divergent_density, check=False)
+    with pytest.raises(QuadratureError, match=r"second moment: integral probably divergent on "
+                                              r"\(0\.0, 0\.5\)"):
+        truncated_second_moment(d, 0.5)
+    with pytest.raises(QuadratureError, match="probably divergent"):
+        check_small_jump_bound(d, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("make, field", [
