@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: sample, estimate, risk-table, calibrate, check-bounds.
+Subcommands: sample, the one that simulates; estimate and calibrate, which read
+--data; risk-table and check-bounds.
 Exit codes: 0 success, 1 failed bound check, 2 validation error, 3 numeric
 failure or an allocation too large for memory, 4 calibration did not stabilize
 (and --fallback was not given).
@@ -61,11 +62,7 @@ def _meta(args: argparse.Namespace, command: str, resolved: dict) -> list[str]:
 
 
 def _triplet_from_args(args: argparse.Namespace) -> LevyTriplet:
-    jumps = None
-    if args.alpha is not None:
-        if (args.P or 0.0) + (args.Q or 0.0) <= 0:
-            raise ValueError("stable jumps need P + Q > 0")
-        jumps = StableJumpDensity(args.P or 0.0, args.Q or 0.0, args.alpha)
+    jumps = StableJumpDensity(args.P, args.Q, args.alpha) if args.alpha is not None else None
     return LevyTriplet(args.b, args.sigma2, jumps)
 
 
@@ -157,19 +154,10 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _sample_and_ecf(args, seed: int | None = None) -> tuple[IncrementSample, ECFGrid]:
-    """Increments from --data or the model flags, and their ECF on the grid cut to [-n, n];
-    an ECF that would be rounding noise is an ArithmeticError, raised before it is computed."""
-    if args.data:
-        values = read_values_csv(args.data, difference=args.difference)
-        sample = IncrementSample(values)
-    else:
-        if args.alpha is None and args.sigma2 == 0.0:
-            raise ValueError("need --data or model flags (--alpha/--P/--Q or --sigma2)")
-        if args.n is None:
-            raise ValueError("model-based estimation needs --n")
-        triplet = _triplet_from_args(args)
-        sample = sample_increments(triplet, args.delta, args.n, SeedSpec(seed, args.trial))
+def _read_and_ecf(args) -> tuple[IncrementSample, ECFGrid]:
+    """The increments of --data and their ECF on the grid cut to [-n, n]; an ECF
+    that would be rounding noise is an ArithmeticError, raised before it is computed."""
+    sample = IncrementSample(read_values_csv(args.data, difference=args.difference))
     u_max = args.umax if args.umax is not None else default_u_max(args.delta)
     grid = UGrid.make(u_max, args.step).restrict(float(sample.n))
     _check_ecf_above_rounding(sample.values, grid.u_max)
@@ -245,14 +233,13 @@ def _check_ecf_above_rounding(values: np.ndarray, u_max: float) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    seed = _env_seed(args.seed)
     if args.xgrid < 2:
         raise ValueError(f"--xgrid must be at least 2, got {args.xgrid}")
     ecf_out = args.ecf_out or _derived_path(args.out, "_ecf")
     if os.path.realpath(ecf_out) == os.path.realpath(args.out):
         raise ValueError(f"--out {args.out} and --ecf-out {ecf_out} name the same file")
     kgrid = KappaGrid(args.kappa_step, args.kappa_count)
-    sample, phi_hat = _sample_and_ecf(args, seed)
+    sample, phi_hat = _read_and_ecf(args)
     median, spread = sample_bulk(sample.values)
     _check_bulk_within_half_period(median, spread, phi_hat.grid.step)
     if args.kappa == "auto":
@@ -263,10 +250,7 @@ def _cmd_estimate(args) -> int:
     x_grid = default_x_grid(spread, points=args.xgrid)
     est = adaptive_estimate(phi_hat, kappa, x_grid)
     resolved = {"delta": args.delta, "umax": phi_hat.grid.u_max, "step": phi_hat.grid.step,
-                "kappa": kappa_note, "n": sample.n, "seed": seed,
-                "xgrid": args.xgrid}
-    if args.data:  # read, not simulated: no seed went into it
-        del resolved["seed"]
+                "kappa": kappa_note, "n": sample.n, "xgrid": args.xgrid}
     write_estimate_csv(est, args.out, _meta(args, "estimate", resolved))
     try:
         write_ecf_csv(phi_hat, ecf_out, _meta(args, "estimate", resolved))
@@ -314,7 +298,7 @@ def _cmd_risk_table(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     kgrid = KappaGrid(args.kappa_step, args.kappa_count)
-    _, phi_hat = _sample_and_ecf(args)
+    _, phi_hat = _read_and_ecf(args)
     kappas, chis = chi_profile(phi_hat, kgrid)
     if not args.out:  # printed before calibrate, so an exit 4 still shows the profile
         print("kappa,chi")
@@ -334,11 +318,14 @@ def _cmd_calibrate(args) -> int:
 def _cmd_check_bounds(args) -> int:
     seed = _env_seed(args.seed)
     if args.which == "thm1":
+        if args.kappa is not None:
+            raise ValueError("--kappa applies to --which thm4 only; thm1 checks fixed cutoffs")
         report = cutoff_risk_bound_check(args.delta, args.n, trials=args.trials,
                                          master_seed=seed)
     else:
-        report = adaptive_risk_bound_check(args.delta, args.n, kappa=args.kappa,
-                                           trials=args.trials, master_seed=seed)
+        kappa = FALLBACK_KAPPA if args.kappa is None else args.kappa
+        report = adaptive_risk_bound_check(args.delta, args.n, kappa=kappa, trials=args.trials,
+                                           master_seed=seed)
     for row in report.rows:
         at = f"m={row['m']:<6g}" if "m" in row else f"kappa={row['kappa']:g}"
         print(f"{at} empirical={row['empirical']:.6e} bound={row['bound']:.6e} "
@@ -350,17 +337,9 @@ def _cmd_check_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=_finite_float, default=None, help="stable index in (0,2)")
-    p.add_argument("--P", type=_finite_float, default=0.0, help="right tail constant")
-    p.add_argument("--Q", type=_finite_float, default=0.0, help="left tail constant")
-    p.add_argument("--sigma2", type=_finite_float, default=0.0, help="diffusion coefficient")
-    p.add_argument("--b", type=_finite_float, default=0.0, help="drift")
-
-
-def _add_calibration_flags(p: argparse.ArgumentParser, data_required: bool) -> None:
+def _add_calibration_flags(p: argparse.ArgumentParser) -> None:
     """The data, grid and calibration flags that estimate and calibrate share."""
-    p.add_argument("--data", required=data_required,
+    p.add_argument("--data", required=True,
                    help="increments CSV (or levels with --difference)")
     p.add_argument("--difference", action="store_true",
                    help="difference level observations to increments")
@@ -380,7 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("sample", help="simulate increments to CSV")
-    _add_model_flags(ps)
+    ps.add_argument("--alpha", type=_finite_float, default=None, help="stable index in (0,2)")
+    ps.add_argument("--P", type=_finite_float, default=0.0, help="right tail constant")
+    ps.add_argument("--Q", type=_finite_float, default=0.0, help="left tail constant")
+    ps.add_argument("--sigma2", type=_finite_float, default=0.0, help="diffusion coefficient")
+    ps.add_argument("--b", type=_finite_float, default=0.0, help="drift")
     ps.add_argument("--delta", type=_DELTA, required=True, help="sampling rate")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--seed", type=int, default=None)
@@ -390,14 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_sample)
 
     pe = sub.add_parser("estimate", help="estimate the increment density")
-    _add_calibration_flags(pe, data_required=False)
-    _add_model_flags(pe)
-    pe.add_argument("--n", type=int, default=None, help="sample size when simulating")
+    _add_calibration_flags(pe)
     pe.add_argument("--kappa", type=_kappa_or_auto, default="auto",
                     help="threshold constant or 'auto'")
     pe.add_argument("--xgrid", type=int, default=512, help="number of x points")
-    pe.add_argument("--seed", type=int, default=None)
-    pe.add_argument("--trial", type=int, default=0)
     pe.add_argument("--out", required=True)
     pe.add_argument("--ecf-out", default=None)
     pe.set_defaults(func=_cmd_estimate)
@@ -410,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=_cmd_risk_table)
 
     pc = sub.add_parser("calibrate", help="Euler-characteristic kappa selection")
-    _add_calibration_flags(pc, data_required=True)
+    _add_calibration_flags(pc)
     pc.add_argument("--out", default=None, help="kappa,chi CSV path")
     pc.set_defaults(func=_cmd_calibrate)
 
@@ -420,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--delta", type=_DELTA, required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--trials", type=int, default=100)
-    pb.add_argument("--kappa", type=_bounded_float("kappa", strict=False),
-                    default=FALLBACK_KAPPA, help="thm4 threshold constant")
+    pb.add_argument("--kappa", type=_bounded_float("kappa", strict=False), default=None,
+                    help="thm4 threshold constant (default 2*sqrt(2)); not with thm1")
     pb.add_argument("--seed", type=int, default=None)
     pb.set_defaults(func=_cmd_check_bounds)
     return ap

@@ -64,8 +64,9 @@ class ExperimentConfig:
         kappa = self.kappa_mode
         if not (kappa == "auto" or isinstance(kappa, Real) and math.isfinite(kappa) and kappa >= 0):
             raise ValueError(f"kappa_mode is 'auto' or a finite number >= 0, got {kappa!r}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not self.delta_t > 0:
+            raise ValueError(f"delta_t must be positive, got {self.delta_t!r}")
+        SeedSpec(self.master_seed)  # the master-seed range, [0, 2^64)
         _check_label(self.label)
 
     def grid(self) -> UGrid:

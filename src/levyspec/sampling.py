@@ -34,7 +34,7 @@ class SeedSpec:
 
     def __post_init__(self):
         if not 0 <= self.master_seed < 2 ** 64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
+            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if self.trial_index < 0:
             raise ValueError("trial_index must be nonnegative")
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -114,12 +115,29 @@ def test_estimate_difference_flag(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_estimate_from_model_flags(tmp_path, capsys):
+def test_estimate_of_increments_sampled_from_model_flags(tmp_path, capsys):
+    # the model flags go to sample, the one command that simulates; estimate reads its file
+    inc = tmp_path / "inc.csv"
+    assert run(["sample", *CAUCHY_FLAGS, "--n", "500", "--seed", "3", "--delta", "1",
+                "--no-meta", "--out", str(inc)]) == 0
+    assert run(["estimate", "--data", str(inc), "--delta", "1", "--kappa", "auto",
+                "--fallback", "--out", str(tmp_path / "d.csv"), "--no-meta"]) == 0
+
+
+SIMULATION_FLAGS = {"--alpha": "1", "--P": "0.3", "--Q": "0.3", "--sigma2": "1", "--b": "0",
+                    "--n": "7", "--seed": "9", "--trial": "4"}
+
+
+@pytest.mark.parametrize("flag", sorted(SIMULATION_FLAGS))
+def test_estimate_refuses_the_flags_of_sample(flag, increments_file, tmp_path, capsys):
+    # estimate reads --data only, so a model, size or seed flag is an unknown argument,
+    # not a flag that is silently ignored
     out = tmp_path / "d.csv"
-    code = run(["estimate", *CAUCHY_FLAGS, "--n", "500", "--seed", "3",
-                "--delta", "1", "--kappa", "auto", "--fallback",
-                "--out", str(out), "--no-meta"])
-    assert code == 0
+    assert run(["estimate", "--data", str(increments_file), "--delta", "1", "--kappa", "1",
+                flag, SIMULATION_FLAGS[flag], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "unrecognized arguments:" in err
+    assert list(tmp_path.iterdir()) == [increments_file]
 
 
 def test_estimate_computes_the_ecf_once(increments_file, tmp_path, monkeypatch):
@@ -361,10 +379,12 @@ def test_non_integer_env_seed_exits_2_naming_the_variable(tmp_path, monkeypatch,
     ("1.5", [], None, "LEVYSPEC_SEED must be an integer, got '1.5'"),
     ("-3", [], None, "LEVYSPEC_SEED must lie in [0, 2^64), got -3"),
     (None, ["--seed", "-1"], None, "--seed must lie in [0, 2^64), got -1"),
-    (None, [], -5, "master_seed must be >= 0, got -5"),
+    (None, [], -5, "master_seed must lie in [0, 2^64), got -5"),
+    (None, [], 2 ** 64 + 5, f"master_seed must lie in [0, 2^64), got {2 ** 64 + 5}"),
     (str(2 ** 64), [], None, f"LEVYSPEC_SEED must lie in [0, 2^64), got {2 ** 64}"),
     (None, ["--seed", str(2 ** 64)], None, f"--seed must lie in [0, 2^64), got {2 ** 64}"),
-], ids=["env-1.5", "env--3", "flag--1", "config--5", "env-2^64", "flag-2^64"])
+], ids=["env-1.5", "env--3", "flag--1", "config--5", "config-2^64+5", "env-2^64",
+        "flag-2^64"])
 def test_risk_table_bad_seed_exits_2_naming_it(env, flags, config_seed, message, tmp_path,
                                                monkeypatch, capsys):
     monkeypatch.delenv("LEVYSPEC_SEED", raising=False)
@@ -381,10 +401,8 @@ def test_risk_table_bad_seed_exits_2_naming_it(env, flags, config_seed, message,
     assert not out.exists()
 
 
-SEED_COMMANDS = {
+SEED_COMMANDS = {  # every subcommand with --seed but risk-table, which has its own test
     "sample": ["sample", *CAUCHY_FLAGS, "--delta", "1", "--n", "20"],
-    "estimate-model": ["estimate", *CAUCHY_FLAGS, "--delta", "1", "--n", "300"],
-    "estimate-data": ["estimate", "--data", "{data}", "--delta", "1", "--kappa", "1"],
     "check-bounds": ["check-bounds", "--which", "thm4", "--delta", "1", "--n", "300",
                      "--trials", "5"],
 }
@@ -393,11 +411,11 @@ SEED_COMMANDS = {
 @pytest.mark.parametrize("source, seed", [("flag", -1), ("flag", 2 ** 64), ("env", -3),
                                           ("env", 2 ** 64)])
 @pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
-def test_out_of_range_seed_exits_2_naming_its_source(command, source, seed, increments_file,
-                                                     tmp_path, monkeypatch, capsys):
+def test_out_of_range_seed_exits_2_naming_its_source(command, source, seed, tmp_path,
+                                                     monkeypatch, capsys):
     # the rule of test_risk_table_bad_seed_exits_2_naming_it, in every other subcommand
-    # with a seed, checked before anything is read, simulated or written
-    argv = [a.format(data=increments_file) for a in SEED_COMMANDS[command]]
+    # with a seed, checked before anything is simulated or written
+    argv = list(SEED_COMMANDS[command])
     out = tmp_path / "out.csv"
     if command != "check-bounds":
         argv += ["--out", str(out)]
@@ -412,16 +430,15 @@ def test_out_of_range_seed_exits_2_naming_its_source(command, source, seed, incr
     assert not out.exists()
 
 
-def test_estimate_from_data_writes_no_seed(increments_file, tmp_path):
-    # a seed goes into simulated increments only; read ones carry none in their meta lines
+def test_estimate_from_data_writes_no_seed(increments_file, tmp_path, monkeypatch):
+    # estimate draws nothing: it reads no LEVYSPEC_SEED, not even one that sample
+    # refuses, and writes no seed into its meta lines
+    monkeypatch.setenv("LEVYSPEC_SEED", "abc")
     out = tmp_path / "dens.csv"
-    argv = ["estimate", "--delta", "1", "--kappa", "1", "--no-meta", "--seed", "5",
-            "--out", str(out)]
-    assert run([*argv, "--data", str(increments_file)]) == 0
+    assert run(["estimate", "--data", str(increments_file), "--delta", "1", "--kappa", "1",
+                "--no-meta", "--out", str(out)]) == 0
     assert "# seed=" not in out.read_text()
     assert "# seed=" not in (tmp_path / "dens_ecf.csv").read_text()
-    assert run([*argv, *CAUCHY_FLAGS, "--n", "300"]) == 0
-    assert "# seed=5\n" in out.read_text()
 
 
 @pytest.mark.parametrize("doc, problem", [
@@ -431,7 +448,12 @@ def test_estimate_from_data_writes_no_seed(increments_file, tmp_path):
       "trails": 5}, "unknown document key(s): 'trails'"),
     ({"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [0]},
      "n_list entries must be at least 1, got [0]"),
-], ids=["number", "experiments-number", "experiments-beside-unknown-key", "n_list-0"])
+    ({"model": {"sigma2": 1.0}, "delta_t": 0, "n_list": [50], "trials": 2},
+     "delta_t must be positive, got 0.0"),
+    ({"model": {"sigma2": 1.0}, "delta_t": -1, "n_list": [50], "trials": 2},
+     "delta_t must be positive, got -1.0"),
+], ids=["number", "experiments-number", "experiments-beside-unknown-key", "n_list-0",
+        "delta_t-0", "delta_t--1"])
 def test_risk_table_malformed_document_exits_2(doc, problem, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -451,8 +473,12 @@ def test_check_bounds_thm1(capsys):
 
 
 def test_check_bounds_thm4(capsys):
-    assert run(["check-bounds", "--which", "thm4", "--delta", "1", "--n", "300",
-                "--trials", "10", "--seed", "2"]) == 0
+    argv = ["check-bounds", "--which", "thm4", "--delta", "1", "--n", "300", "--trials", "10",
+            "--seed", "2"]
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    assert run(argv + ["--kappa", repr(2.0 * math.sqrt(2.0))]) == 0
+    assert capsys.readouterr().out == default  # kappa defaults to 2 sqrt(2)
 
 
 @pytest.mark.parametrize("which", ["thm1", "thm4"])
@@ -507,12 +533,12 @@ NON_FINITE_BASE = {
     ("estimate", "--delta", "nan"), ("estimate", "--delta", "inf"),
     ("estimate", "--umax", "inf"), ("estimate", "--umax", "nan"),
     ("estimate", "--step", "nan"), ("estimate", "--step", "-inf"),
-    ("estimate", "--kappa-step", "inf"), ("estimate", "--alpha", "nan"),
-    ("estimate", "--P", "inf"), ("estimate", "--Q", "nan"),
-    ("estimate", "--sigma2", "inf"), ("estimate", "--b", "-inf"),
+    ("estimate", "--kappa-step", "inf"),
     ("calibrate", "--umax", "nan"), ("calibrate", "--kappa-step", "nan"),
     ("calibrate", "--delta", "inf"),
-    ("sample", "--delta", "inf"), ("sample", "--alpha", "nan"),
+    ("sample", "--delta", "inf"), ("sample", "--alpha", "nan"), ("sample", "--alpha", "inf"),
+    ("sample", "--P", "inf"), ("sample", "--Q", "nan"), ("sample", "--sigma2", "inf"),
+    ("sample", "--b", "-inf"),
     ("check-bounds", "--kappa", "nan"), ("check-bounds", "--kappa", "inf"),
     ("check-bounds", "--delta", "nan"),
 ])
@@ -701,11 +727,10 @@ _NOT_A_NUMBER = st.text(_ASCII, min_size=1, max_size=8).filter(
 _NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400",
                                "-1e999"])
 _SEED = st.integers(0, 2 ** 32 - 1)
-_FLOAT_FLAGS = [("estimate", f) for f in ("--delta", "--umax", "--step", "--kappa-step",
-                                          "--alpha", "--P", "--Q", "--sigma2", "--b")] + [
-    ("calibrate", f) for f in ("--delta", "--umax", "--step", "--kappa-step")] + [
-    ("sample", "--delta"), ("sample", "--alpha"), ("check-bounds", "--delta"),
-    ("check-bounds", "--kappa")]
+_FLOAT_FLAGS = [(c, f) for c in ("estimate", "calibrate")
+                for f in ("--delta", "--umax", "--step", "--kappa-step")] + [
+    ("sample", f) for f in ("--delta", "--alpha", "--P", "--Q", "--sigma2", "--b")] + [
+    ("check-bounds", "--delta"), ("check-bounds", "--kappa")]
 _POSITIVE_FLAGS = [(c, f) for c, f in _FLOAT_FLAGS
                    if f in ("--delta", "--umax", "--step", "--kappa-step")]
 _CONFIG_KEYS = ["model", "delta_t", "n_list", "trials", "u_max", "u_step", "kappa_mode",
@@ -789,6 +814,10 @@ EXIT_CONTRACT = {
     "check-bounds-kappa-negative": (2, lambda draw, d: _with_flag(
         draw, d, [("check-bounds", "--kappa")],
         repr(draw(st.floats(max_value=-1e-300, allow_infinity=False))))),
+    # thm1 checks fixed cutoffs: a kappa there would be ignored, not used
+    "check-bounds-kappa-with-thm1": (2, lambda draw, d: [
+        "check-bounds", "--which", "thm1", "--delta", "1", "--n", "300", "--trials", "5",
+        "--kappa", repr(draw(st.floats(0.0, 100.0)))]),
     "estimate-kappa": (2, lambda draw, d: _with_flag(
         draw, d, [("estimate", "--kappa")], draw(st.one_of(
             _NOT_A_NUMBER.filter(lambda t: t != "auto"), _NON_FINITE,
@@ -855,9 +884,9 @@ EXIT_CONTRACT = {
     "grid-too-large-to-allocate": (3, lambda draw, d: [
         draw(st.sampled_from(["estimate", "calibrate"])), "--delta", "1",
         "--data", _normal_csv(d, draw), "--step", repr(draw(st.floats(1e-13, 1e-12)))]),
-    # a seed outside the master-seed range [0, 2^64), also where --data leaves it unused
+    # a seed outside the master-seed range [0, 2^64)
     "seed-out-of-range": (2, lambda draw, d: _with_flag(
-        draw, d, [("sample", "--seed"), ("estimate", "--seed"), ("check-bounds", "--seed")],
+        draw, d, [(c, "--seed") for c in SEED_COMMANDS],
         draw(st.one_of(st.sampled_from([-1, 2 ** 64]), st.integers(max_value=-1),
                        st.integers(min_value=2 ** 64))))),
     # a kappa grid whose top kappa count * delta_step overflows
@@ -889,6 +918,36 @@ def test_malformed_input_exits_with_its_documented_code_and_writes_nothing(case,
         assert "Traceback" not in err.getvalue()
         assert err.getvalue().startswith(("error: ", "usage: "))
         assert set(d.iterdir()) == inputs, "an output file was written"
+
+
+def _subcommands() -> dict:
+    """Each subcommand of ``build_parser()`` with its parser."""
+    ap = levyspec.cli.build_parser()
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _refuses_nan(action) -> bool:
+    """Whether the option's type refuses 'nan' as not a finite number: a float flag."""
+    try:
+        action.type("nan") if action.type else None
+    except argparse.ArgumentTypeError as exc:
+        return str(exc) == "must be a finite number, got 'nan'"
+    except ValueError:
+        pass
+    return False
+
+
+def test_float_flag_rows_are_the_float_options_of_the_parser():
+    # a row for a flag the parser lacks passes on argparse's own exit 2 and tests
+    # nothing, and a float flag without a row goes untested
+    options = [(c, a.option_strings[0]) for c, p in _subcommands().items()
+               for a in p._actions if _refuses_nan(a)]
+    assert sorted(_FLOAT_FLAGS) == sorted(options)
+
+
+def test_seed_rows_are_the_subcommands_with_a_seed():
+    with_seed = {c for c, p in _subcommands().items() if "--seed" in p._option_string_actions}
+    assert with_seed == set(SEED_COMMANDS) | {"risk-table"}
 
 
 # ---------------------------------------------------------------------------
