@@ -354,11 +354,12 @@ def _add_calibration_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="levyspec",
+    # allow_abbrev=False: a prefix such as --n must not stand for --no-meta
+    ap = argparse.ArgumentParser(prog="levyspec", allow_abbrev=False,
                                  description="Spectral estimation of Levy increment densities")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("sample", help="simulate increments to CSV")
+    ps = sub.add_parser("sample", help="simulate increments to CSV", allow_abbrev=False)
     ps.add_argument("--alpha", type=_finite_float, default=None, help="stable index in (0,2)")
     ps.add_argument("--P", type=_finite_float, default=0.0, help="right tail constant")
     ps.add_argument("--Q", type=_finite_float, default=0.0, help="left tail constant")
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--no-meta", action="store_true")
     ps.set_defaults(func=_cmd_sample)
 
-    pe = sub.add_parser("estimate", help="estimate the increment density")
+    pe = sub.add_parser("estimate", help="estimate the increment density", allow_abbrev=False)
     _add_calibration_flags(pe)
     pe.add_argument("--kappa", type=_kappa_or_auto, default="auto",
                     help="threshold constant or 'auto'")
@@ -381,19 +382,21 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--ecf-out", default=None)
     pe.set_defaults(func=_cmd_estimate)
 
-    pr = sub.add_parser("risk-table", help="Monte-Carlo relative-risk table")
+    pr = sub.add_parser("risk-table", help="Monte-Carlo relative-risk table", allow_abbrev=False)
     pr.add_argument("--config", required=True, help="JSON experiment config")
     pr.add_argument("--out", required=True)
     pr.add_argument("--seed", type=int, default=None, help="override master seed")
     pr.add_argument("--no-meta", action="store_true")
     pr.set_defaults(func=_cmd_risk_table)
 
-    pc = sub.add_parser("calibrate", help="Euler-characteristic kappa selection")
+    pc = sub.add_parser("calibrate", help="Euler-characteristic kappa selection",
+                        allow_abbrev=False)
     _add_calibration_flags(pc)
     pc.add_argument("--out", default=None, help="kappa,chi CSV path")
     pc.set_defaults(func=_cmd_calibrate)
 
-    pb = sub.add_parser("check-bounds", help="empirical risk-bound verification")
+    pb = sub.add_parser("check-bounds", help="empirical risk-bound verification",
+                        allow_abbrev=False)
     pb.add_argument("--which", choices=("thm1", "thm4"), required=True,
                     help="thm1: fixed-cutoff risk bound; thm4: adaptive oracle bound")
     pb.add_argument("--delta", type=_DELTA, required=True)

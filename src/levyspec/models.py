@@ -55,6 +55,9 @@ MIXED = "mixed"
 _CUTOFF_RESIDUAL_TOL = 1e-10
 _JUMP_EXPONENT_RTOL = 1e-8  # relative tolerance of each quadrature of a custom jump exponent
 _QUADPACK_DIVERGENT = "The integral is probably divergent"  # scipy's report of QUADPACK ier 5
+_EPS = math.ulp(1.0)
+_TINY = 1e-300  # keeps the Lentz recurrence off a zero divisor
+_GAMMA_MAX_ITER = 500  # about 120 terms suffice at a = 171.6, where Gamma(a) overflows
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,9 @@ def oscillating_density(alpha: float = 0.5, beta: float = 1.5) -> CustomJumpDens
     """Symmetric density |x|^{-a-1} + |x|^{-b-1} (1 + sin(1/|x|)) / 2.
 
     Oscillates between the two power envelopes near 0, so it is not regularly
-    varying there; the quadratures over it converge slowly.
+    varying there; the quadratures over it converge slowly.  Too slowly for
+    :func:`levy_khintchine_cf`, which raises QuadratureError at every frequency
+    tried (a strict xfail in the tests keeps this visible).
     """
     if not 0 <= alpha < beta < 2:
         raise ValueError("need 0 <= alpha < beta < 2")
@@ -473,9 +478,45 @@ def picard_cf_bound(M: float, alpha: float, t: float, u):
 
 
 def _upper_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(a, x) = int_x^inf t^(a-1) e^(-t) dt, for a > 0, x >= 0."""
-    from scipy.special import gamma, gammaincc
-    return float(gammaincc(a, x) * gamma(a))
+    """Upper incomplete gamma Gamma(a, x) = int_x^inf t^(a-1) e^(-t) dt, for a > 0, x >= 0.
+
+    Gamma(a) minus the series of the lower gamma(a, x) when x < a + 1, else the
+    continued fraction for Gamma(a, x) by modified Lentz (Numerical Recipes 6.2).
+    Both carry the factor x^a e^-x, formed as the square of its root so that it
+    cannot overflow before Gamma(a) does; past that, at a > 171.6, the result is
+    inf.  A NaN argument, which converges nowhere, raises ArithmeticError.
+    """
+    try:
+        gamma_a = math.gamma(a)
+    except OverflowError:
+        return math.inf
+    if x == 0.0:
+        return gamma_a
+    if x == math.inf:  # a tail integral beyond an infinite cutoff
+        return 0.0
+    root = math.exp(0.5 * (a * math.log(x) - x))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, _GAMMA_MAX_ITER):
+            term *= x / (a + n)
+            total += term
+            if term <= total * _EPS:
+                return gamma_a - root * (root * total)
+    else:
+        b = x + 1.0 - a
+        c, d = 1.0 / _TINY, 1.0 / b
+        h = d
+        for n in range(1, _GAMMA_MAX_ITER):
+            an = n * (a - n)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (_TINY if abs(d) < _TINY else d)
+            c = b + an / c
+            c = _TINY if abs(c) < _TINY else c
+            h *= d * c
+            if abs(d * c - 1.0) <= _EPS:
+                return root * (root * h)
+    raise ArithmeticError(f"Gamma({a}, {x}) did not converge in {_GAMMA_MAX_ITER} terms")
 
 
 def picard_derivative_bound(k: int, t: float, M: float, alpha: float) -> float:
@@ -498,8 +539,7 @@ def _spectral_tail(a: float, c: float, alpha: float, m: float) -> float:
     adaptive quadrature when both terms are present.
     """
     if c == 0.0:
-        from scipy.special import erfc
-        return erfc(m * math.sqrt(a)) / (2.0 * math.sqrt(math.pi * a))
+        return math.erfc(m * math.sqrt(a)) / (2.0 * math.sqrt(math.pi * a))
     if a == 0.0:
         return _upper_gamma(1.0 / alpha, c * m ** alpha) / (
             math.pi * alpha * c ** (1.0 / alpha))

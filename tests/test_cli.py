@@ -832,6 +832,10 @@ EXIT_CONTRACT = {
     "unknown-flag": (2, lambda draw, d: _with_flag(
         draw, d, [(c, "--zz") for c in NON_FINITE_BASE],
         draw(st.text(_ASCII, max_size=5)))),
+    # a prefix of a flag is not that flag: --n once ran as --no-meta
+    "flag-prefix": (2, lambda draw, d: [
+        "estimate", "--data", _normal_csv(d, draw), "--delta", "1", "--kappa", "1",
+        "--no-meta"[:draw(st.integers(3, 8))], "--out", d / "d.csv"]),
     # risk-table documents: exit 2 naming the key
     "config-not-json": (2, lambda draw, d: ["risk-table", "--config", _write(
         d, draw(st.text(max_size=8).filter(lambda t: not _is_json(t))))]),
@@ -951,7 +955,7 @@ def test_seed_rows_are_the_subcommands_with_a_seed():
 
 
 # ---------------------------------------------------------------------------
-# scipy is imported only by the reference quantities
+# scipy is imported only by the numerical integrals and the root finder
 
 _SCIPY_MODULES = """
 import json, sys
@@ -976,13 +980,18 @@ def _main_exits_0(argv) -> str:
 
 
 @pytest.mark.parametrize("case", ["import", "import-cli", "sample", "estimate", "calibrate",
-                                  "risk-table"])
+                                  "risk-table", "risk-table-stable", "check-bounds-thm1",
+                                  "risk-table-mixed"])
 def test_only_the_reference_quantities_load_scipy(case, increments_file, tmp_path):
-    # sample, estimate and calibrate never call scipy; risk-table does, through the
-    # imports inside the reference functions, so a broken one fails here
+    # only a mixed law's tail integrates numerically, through the quad imported inside
+    # models._spectral_tail, so a broken one fails here; Gaussian and stable laws have
+    # closed forms in math
     data = ["--data", str(increments_file), "--delta", "1", "--no-meta"]
-    (tmp_path / "cfg.json").write_text(json.dumps(
-        {"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [300], "trials": 2}))
+    stable = {"P": 0.5, "Q": 0.5, "alpha": 1.7}
+    for name, model in (("gauss", {"sigma2": 1.0}), ("stable", {"jumps": stable}),
+                        ("mixed", {"sigma2": 0.5, "jumps": stable})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"model": model, "delta_t": 1.0, "n_list": [300], "trials": 2}))
     body = {
         "import": "import levyspec",
         "import-cli": "import levyspec.cli",
@@ -990,10 +999,16 @@ def test_only_the_reference_quantities_load_scipy(case, increments_file, tmp_pat
                                  "--seed", "1", "--out", "s.csv"]),
         "estimate": _main_exits_0(["estimate", *data, "--kappa", "auto", "--out", "d.csv"]),
         "calibrate": _main_exits_0(["calibrate", *data, "--fallback"]),
-        "risk-table": _main_exits_0(["risk-table", "--config", "cfg.json", "--out", "r.csv"]),
+        "risk-table": _main_exits_0(["risk-table", "--config", "gauss.json", "--out", "r.csv"]),
+        "risk-table-stable": _main_exits_0(["risk-table", "--config", "stable.json",
+                                            "--out", "r.csv"]),
+        "check-bounds-thm1": _main_exits_0(["check-bounds", "--which", "thm1", "--delta", "1",
+                                            "--n", "300", "--trials", "5"]),
+        "risk-table-mixed": _main_exits_0(["risk-table", "--config", "mixed.json",
+                                           "--out", "r.csv"]),
     }[case]
     modules = _scipy_modules_after(body, tmp_path)
-    if case == "risk-table":
-        assert "scipy.special" in modules
+    if case == "risk-table-mixed":
+        assert "scipy.integrate" in modules
     else:
         assert modules == []

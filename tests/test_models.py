@@ -142,6 +142,16 @@ def test_custom_quadrature_matches_stable_closed_form():
         np.testing.assert_allclose(got, want, atol=1e-8)
 
 
+@pytest.mark.xfail(strict=True, raises=QuadratureError, reason=(
+    "the jump exponent's quadrature error estimate over oscillating_density stays above "
+    "its tolerance at every frequency tried, so this example density has no CF"))
+def test_oscillating_density_has_a_characteristic_function():
+    trip = LevyTriplet(0.2, 0.3, oscillating_density())
+    phi = levy_khintchine_cf(trip, 1.0, 0.4)
+    assert abs(phi) <= 1.0
+    assert levy_khintchine_cf(trip, 1.0, -0.4) == pytest.approx(np.conj(phi), rel=1e-12)
+
+
 def test_gamma_process_cf_closed_form():
     # int_0^inf (e^{iux}-1) e^{-x}/x dx = -log(1-iu); truncation adds a drift
     trip = LevyTriplet(0.0, 0.0, gamma_process_density())
