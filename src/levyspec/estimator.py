@@ -5,12 +5,14 @@ The ECF on a symmetric frequency grid is
     phi_hat(u) = (1/n) sum_j exp(i u x_j),
 
 needed at the K + 1 grid points u = k*step >= 0, a type-1 nonuniform DFT.  It
-is computed from binned Taylor moments (Dutt & Rokhlin 1993): each sample is
-placed in one of M >= 4 (K + 1) bins, the moments sum_j d_j^p of its offset
-d_j in [-1, 1] from the bin centre are accumulated for p < P = 18, and one
-batched rFFT of length M over the P moment rows gives every frequency.  That
-is O(n P + P M log M) work instead of O(n K), with no BLAS call.  The Taylor
-series is cut below 2e-18; the rounding error against exact summation is
+is computed as the low-rank NUFFT of Ruiz-Antolin & Townsend (2018) on the
+binning of Dutt & Rokhlin (1993): each sample is placed in one of M bins, M
+the smallest power of 4 >= K + 1, the Chebyshev moments sum_j T_p(d_j) of its
+offset d_j in [-1, 1] from the bin centre are accumulated for p < P = 24, and
+one batched rFFT of length M over the P moment rows, weighted by the
+Jacobi-Anger coefficients eps_p i^p J_p(pi k / M), gives every frequency.
+That is O(n P + P M log M) work instead of O(n K), with no BLAS call.  The
+expansion is cut below 2e-18; the rounding error against exact summation is
 about eps * u * mean|x|, the cost of forming u*x in double as a direct sum
 does, plus the FFT's roundings of order eps log2(M).
 
@@ -28,6 +30,7 @@ multiply-adds in BLAS plus O(points sqrt(K)) phase products, on any x-grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,29 +137,63 @@ class SpectralEstimate:
 # ---------------------------------------------------------------------------
 # ECF
 
-_TERMS = 18  # P: Taylor terms per bin, (pi/4)^18 / 18! < 2e-18
-_ECF_CHUNK = 16384  # samples per moment pass; the power table holds _TERMS * _ECF_CHUNK floats
+_TERMS = 24  # P: Chebyshev terms per bin, 2 (pi/2)^24 / 24! < 2e-18
+_ECF_CHUNK = 16384  # samples per moment pass; the Chebyshev table holds _TERMS * _ECF_CHUNK floats
 
 
 def _ecf_bins(count: int) -> int:
-    """M, the smallest power of 4 >= 4 (count + 1): every half-count of one rung
+    """M, the smallest power of 4 >= count + 1: every half-count of one rung
     shares its bins, so phi_hat(k step) does not depend on the grid's length."""
     size = 4
-    while size < 4 * (count + 1):
+    while size <= count:
         size *= 4
     return size
 
 
-def _bin_moments(values: np.ndarray, size: int, scale: float) -> np.ndarray:
-    """S[b, p] = sum of d_j^p over the samples in bin b, for q_j = scale x_j,
-    m_j = rint(q_j), d_j = 2 (q_j - m_j) in [-1, 1] and b = m_j mod size.
+@functools.lru_cache(maxsize=4)
+def _ecf_weights(count: int, size: int) -> np.ndarray:
+    """A[p, k] = eps_p (-1)^(p // 2) J_p(z_k) for p < P, z_k = pi k / size and
+    k = 0..count, read-only; eps_0 = 1 and eps_p = 2 after it.
 
-    Per chunk the bins are sorted (a radix sort on their small unsigned type)
-    and each bin's run is summed by ``np.add.reduceat``, pairwise, so that a bin
-    holding thousands of tied samples costs O(log) roundings, not O(count).
+    The Jacobi-Anger weight eps_p i^p J_p(z_k) is A[p, k] for even p and
+    i A[p, k] for odd p.  J_p comes from Miller's backward recurrence
+    f_{p-1} = (2p / z) f_p - f_{p+1}, started at f_{P+7} = 0 and f_{P+6} = 1e-300
+    and scaled by J_0 + 2 sum_p J_{2p} = 1.  For z_k < pi the error of that start
+    is far below rounding, and the f grow from 1e-300 by less than 30! (2 / z)^30,
+    so nothing overflows for any size below 2^64.
+    """
+    z = (math.pi / size) * np.arange(1, count + 1)
+    table = np.zeros((_TERMS, count + 1))
+    table[0, 0] = 1.0  # J_p(0)
+    above, here = np.zeros(count), np.full(count, 1e-300)
+    norm = np.zeros(count)
+    for p in range(_TERMS + 6, 0, -1):  # here becomes f_{p-1}
+        above, here = here, (2.0 * p / z) * here - above
+        if p <= _TERMS:
+            table[p - 1, 1:] = here
+        if p % 2:
+            norm += here
+    table[:, 1:] /= 2.0 * norm - here  # here is f_0
+    table[1:] *= 2.0
+    table[2::4] *= -1.0
+    table[3::4] *= -1.0
+    table.flags.writeable = False
+    return table
+
+
+def _bin_moments(values: np.ndarray, size: int, scale: float) -> np.ndarray:
+    """S[b, p] = sum of T_p(d_j) over the samples in bin b, for the Chebyshev
+    polynomials T_p, q_j = scale x_j, m_j = rint(q_j), d_j = 2 (q_j - m_j) in
+    [-1, 1] and b = m_j mod size.
+
+    T_p(d) comes from the three-term recurrence T_{p+1} = 2 d T_p - T_{p-1}, so
+    |T_p(d)| <= 1 and each value carries O(p eps) rounding.  Per chunk the bins
+    are sorted (a radix sort on their small unsigned type) and each bin's run is
+    summed by ``np.add.reduceat``, pairwise, so that a bin holding thousands of
+    tied samples costs O(log) roundings, not O(count).
     """
     moments = np.zeros((size, _TERMS))
-    powers = np.empty((_TERMS, min(_ECF_CHUNK, values.size)))
+    cheb = np.empty((_TERMS, min(_ECF_CHUNK, values.size)))
     small = np.min_scalar_type(size - 1)
     for lo in range(0, values.size, _ECF_CHUNK):
         with np.errstate(over="ignore"):
@@ -170,39 +207,46 @@ def _bin_moments(values: np.ndarray, size: int, scale: float) -> np.ndarray:
         bins = m.astype(small)
         order = np.argsort(bins, kind="stable")
         bins = bins[order]
-        rows = powers[:, :q.size]
+        rows = cheb[:, :q.size]
         rows[0] = 1.0
         np.take(d, order, out=rows[1])
+        twice = rows[1] + rows[1]
         for p in range(2, _TERMS):
-            np.multiply(rows[p - 1], rows[1], out=rows[p])
+            np.multiply(twice, rows[p - 1], out=rows[p])
+            rows[p] -= rows[p - 2]
         starts = np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]])
         moments[bins[starts]] += np.add.reduceat(rows, starts, axis=1).T
     return moments
 
 
 def _ecf_half(values: np.ndarray, count: int, step: float) -> np.ndarray:
-    """phi_hat at u = k*step for k = 0..count, from binned Taylor moments.
+    """phi_hat at u = k*step for k = 0..count, from binned Chebyshev moments.
 
     With M = ``_ecf_bins(count)`` bins and q = x step M / 2pi,
-    exp(i k step x) = exp(2pi i k m / M) exp(i z_k d) for z_k = k pi / M <= pi/4,
-    so the Taylor series of the second factor gives
+    exp(i k step x) = exp(2pi i k m / M) exp(i z_k d) for z_k = k pi / M < pi,
+    and the Jacobi-Anger expansion exp(i z d) = sum_p eps_p i^p J_p(z) T_p(d)
+    gives
 
-        phi_hat(k step) = (1/n) sum_{p < P} (i z_k)^p / p! conj(rfft(S[:, p]))[k]
+        phi_hat(k step) = (1/n) sum_{p < P} eps_p i^p J_p(z_k) conj(F_p[k])
 
-    for the bin moments S of ``_bin_moments``: O(n P + P M log M) work, one
-    batched rFFT, no BLAS.  Truncation costs below 2e-18.  Rounding x step M /
-    2pi moves each phase by about eps u |x|, as forming step * x does in a
-    direct sum, so the error against exact summation is about eps u mean|x|
-    plus the FFT's roundings, of order eps log2(M).
+    for F_p = rfft(S[:, p]) of the bin moments S of ``_bin_moments``, with
+    F_p[k] = conj(F_p[M - k]) past M/2, and the weights of ``_ecf_weights``:
+    O(n P + P M log M) work, one batched rFFT over the P rows, no BLAS.  Since
+    |J_p(z)| <= (z/2)^p / p!, the dropped terms sum below 2 (pi/2)^P / P! < 2e-18.
+    Rounding x step M / 2pi moves each phase by about eps u |x|, as forming
+    step * x does in a direct sum, so the error against exact summation is about
+    eps u mean|x| plus the FFT's roundings, of order eps log2(M).
     """
     size = _ecf_bins(count)
     moments = _bin_moments(values, size, step * size / (2.0 * math.pi))
-    spectrum = np.fft.rfft(moments, axis=0)[:count + 1]
-    z = (1j * math.pi / size) * np.arange(count + 1)
-    out = np.conj(spectrum[:, _TERMS - 1])
-    for p in range(_TERMS - 2, -1, -1):  # Horner, from the smallest terms
-        out *= z / (p + 1)
-        out += np.conj(spectrum[:, p])
+    spectrum = np.fft.rfft(np.ascontiguousarray(moments.T), axis=1)
+    half = min(count, size // 2) + 1
+    terms = np.empty((_TERMS, count + 1), dtype=np.complex128)
+    np.conjugate(spectrum[:, :half], out=terms[:, :half])
+    terms[:, half:] = spectrum[:, size // 2 - 1:size - count - 1:-1]
+    terms *= _ecf_weights(count, size)
+    out = terms[0::2].sum(axis=0)  # the even p, whose weights are real
+    out += 1j * terms[1::2].sum(axis=0)
     out /= values.size
     out[0] = 1.0
     return out
@@ -273,10 +317,11 @@ def _invert(u: np.ndarray, phi: np.ndarray, x_grid: np.ndarray, step: float):
 
     The inversion keeps the phase tables rather than the ECF's binned FFT, whose
     length grows with the band, not with the x points.  Criterion 6 inverts a
-    100 001-coefficient band at 8 x points: 3.3 ms with the tables, against 18
-    rFFTs of 2^20 points at 41 ms each for the FFT route (2-vCPU x86_64 host).
-    A 16 001-coefficient band takes 0.9 ms at 8 points and 16 ms at 2561,
-    against 18 rFFTs of 2^16 points at 1 ms each.
+    100 001-coefficient band at 8 x points: 5 ms with the tables, against 24
+    rFFTs of 2^18 points, 100 ms in all, for the FFT route (2-vCPU x86_64 host).
+    A 16 001-coefficient band takes 0.6 ms at 8 points but 11-15 ms at 2561,
+    where the FFT route's 24 rFFTs of 2^14 points take 2.7 ms in all: for many
+    x points on a long band the FFT route would be the faster one.
     """
     cols = math.isqrt(u.size - 1) + 1  # B
     rows = -(-u.size // cols)  # A
@@ -297,8 +342,8 @@ def _invert(u: np.ndarray, phi: np.ndarray, x_grid: np.ndarray, step: float):
 
 def spectral_estimate(ecf_grid: ECFGrid, m: float, x_grid) -> SpectralEstimate:
     """Cutoff estimator: invert the ECF restricted to frequencies |u| <= m."""
-    if m <= 0:
-        raise ValueError("cutoff m must be positive")
+    if not m > 0:
+        raise ValueError(f"cutoff m must be positive, got {m}")
     if m > ecf_grid.grid.u_max * (1 + 1e-12):
         raise ValueError(f"cutoff m={m} exceeds the grid domain u_max={ecf_grid.grid.u_max}")
     x_grid = np.asarray(x_grid, dtype=float)

@@ -462,14 +462,22 @@ def truncated_moment_ratio(density: JumpDensity, eta: float, gamma_exp: float,
     return eta ** (gamma_exp - 2.0) * truncated_second_moment(density, eta, rtol)
 
 
+def _check_picard_constants(M: float, alpha: float, t: float) -> None:
+    """M > 0, t > 0 and alpha in (0, 2), each refused by name; NaN fails every test."""
+    for name, value in (("M", M), ("t", t)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if not 0 < alpha < 2:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+
+
 def picard_cf_bound(M: float, alpha: float, t: float, u):
     """Upper bound exp(-(2^alpha M / pi^alpha) |u|^alpha t) on |phi_t(u)|.
 
     Valid for |u| >= pi/2 when the jump density meets the small-jump lower
     bound with constants (M, alpha).
     """
-    if M <= 0 or t <= 0 or not 0 < alpha < 2:
-        raise ValueError("need M > 0, t > 0, alpha in (0, 2)")
+    _check_picard_constants(M, alpha, t)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(np.abs(u_arr) < math.pi / 2.0 - 1e-12):
         raise ValueError("bound only valid for |u| >= pi/2")
@@ -523,8 +531,7 @@ def picard_derivative_bound(k: int, t: float, M: float, alpha: float) -> float:
     """Uniform bound on |f_t^{(k)}|: the k-th derivative of the increment density."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if M <= 0 or t <= 0 or not 0 < alpha < 2:
-        raise ValueError("need M > 0, t > 0, alpha in (0, 2)")
+    _check_picard_constants(M, alpha, t)
     first = (math.pi / 2.0) ** (k + 1) / (math.pi * (k + 1))
     scale = (math.pi / (2.0 * (t * M) ** (1.0 / alpha))) ** (k + 1)
     return first + scale * _upper_gamma((k + 1) / alpha, t * M) / alpha

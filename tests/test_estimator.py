@@ -14,7 +14,7 @@ from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpe
                       sample_increments, sample_bulk, spectral_estimate, threshold_cf,
                       threshold_level, trapezoid_weights, unthresholded_mask)
 import levyspec
-from levyspec.estimator import _invert
+from levyspec.estimator import _TERMS, _ecf_bins, _ecf_weights, _invert
 
 
 def sample_of(values):
@@ -220,6 +220,52 @@ def test_ecf_bytes_do_not_depend_on_the_blas_thread_count():
     assert len(digests) == 1
 
 
+@pytest.mark.parametrize("size", [4 ** e for e in range(1, 10)])
+def test_ecf_weights_match_scipy_bessel_values(size):
+    # A[p, k] = eps_p (-1)^(p // 2) J_p(pi k / M) on every rung the tests reach,
+    # the smallest z = pi / M included; past 4^6 bins a stride of k, both ends kept
+    from scipy.special import jv
+    weights = _ecf_weights.__wrapped__(size - 1, size)
+    k = np.arange(size) if size <= 4 ** 6 else np.r_[np.arange(0, size, 61), 1, size - 1]
+    p = np.arange(_TERMS)[:, None]
+    scale = np.where(p == 0, 1.0, 2.0) * np.where(p // 2 % 2, -1.0, 1.0)
+    want = scale * jv(p, math.pi * k / size)
+    assert weights.shape == (_TERMS, size)
+    assert np.max(np.abs(weights[:, k] - want)) <= 1e-15
+
+
+def test_ecf_weights_are_cached_read_only():
+    weights = _ecf_weights(200, _ecf_bins(200))
+    assert weights is _ecf_weights(200, _ecf_bins(200))
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0, 0] = 2.0
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no more precise than double here")
+@pytest.mark.parametrize("count", [255, 1023])  # z_K = pi K / M reaches 0.996 pi and 0.999 pi
+@pytest.mark.parametrize("family", sorted(ECF_FAMILIES))
+def test_ecf_within_rounding_bound_at_the_rung_edges(family, count):
+    step, n = 0.1, 3000
+    assert _ecf_bins(count) == count + 1
+    values = ECF_FAMILIES[family](np.random.default_rng([count, n]), n)
+    g = UGrid.make(count * step, step)
+    e = ecf(sample_of(values), g)
+    check_ecf_invariants(e)
+    err = np.abs(e.values[count:] - ecf_longdouble(values, count, step)).astype(float)
+    assert err.max() <= 1e-14 + np.finfo(float).eps * g.u_max * np.mean(np.abs(values))
+
+
+def test_ecf_bytes_do_not_depend_on_the_half_count_within_a_rung():
+    # K = 300 and K = 1000 share M = 1024 bins, so phi_hat(k step) is the same float
+    assert _ecf_bins(300) == _ecf_bins(1000)
+    s = sample_of(np.random.default_rng(7).standard_cauchy(3000))
+    short = ecf(s, UGrid(300 * 0.1, 0.1)).values[300:]
+    long = ecf(s, UGrid(1000 * 0.1, 0.1)).values[1000:1301]
+    assert short.tobytes() == long.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # spectral cutoff estimator
 
@@ -262,6 +308,13 @@ def test_spectral_estimate_domain_error():
     e = synthetic_ecf(g, lambda u: np.ones_like(u))
     with pytest.raises(ValueError):
         spectral_estimate(e, 6.0, np.array([0.0]))
+
+
+@pytest.mark.parametrize("m", [math.nan, 0.0, -1.0])
+def test_spectral_estimate_refuses_a_nan_or_nonpositive_cutoff_by_name(m):
+    e = synthetic_ecf(UGrid.make(4.0, 0.05), lambda u: np.ones_like(u))
+    with pytest.raises(ValueError, match="cutoff m must be positive"):
+        spectral_estimate(e, m, np.array([0.0]))
 
 
 def test_spectral_estimate_rejects_an_empty_x_grid():

@@ -292,6 +292,18 @@ def test_picard_cf_bound_values():
         picard_cf_bound(1.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("M, alpha, t, name", [
+    (math.nan, 1.0, 1.0, "M"), (0.0, 1.0, 1.0, "M"), (-1.0, 1.0, 1.0, "M"),
+    (1.0, 1.0, math.nan, "t"), (1.0, 1.0, 0.0, "t"),
+    (1.0, math.nan, 1.0, "alpha"), (1.0, 2.0, 1.0, "alpha")])
+def test_picard_bounds_refuse_a_nan_or_nonpositive_constant_by_name(M, alpha, t, name):
+    # a NaN passes a "<= 0" test, so it must not reach the bound's formula
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        picard_cf_bound(M, alpha, t, 2.0)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        picard_derivative_bound(0, t, M, alpha)
+
+
 def test_picard_cf_bound_dominates_cauchy_cf():
     M = (2.0 / math.pi) / 1.0  # (P+Q)/(2-alpha) for the unit Cauchy density
     u = np.linspace(math.pi / 2.0, 40.0, 200)
