@@ -393,8 +393,8 @@ def increment_stable_law(jumps: StableJumpDensity, delta_t: float) -> StableLaw:
     zero drift, so ``stable_cf`` of the result equals ``levy_khintchine_cf``
     of the triplet (0, 0, jumps).
     """
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"delta_t must be finite and positive, got {delta_t!r}")
     alpha = jumps.alpha
     gamma = (delta_t * _stable_scale_constant(jumps.P, jumps.Q, alpha)) ** (1.0 / alpha)
     if alpha == 1.0:

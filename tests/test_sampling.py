@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from levyspec import (CustomJumpDensity, ECFGrid, IncrementSample, LevyTriplet,
                       stable_cf, stable_sample, write_ecf_csv, write_estimate_csv,
                       write_increments_csv)
 from levyspec.calibration import write_chi_csv
+from levyspec.models import increment_stable_law
+from levyspec.sampling import _cms_standard
 
 
 def hoeffding_band(n: int) -> float:
@@ -222,3 +225,117 @@ def test_write_increments_csv_bytes_equal_the_per_row_format(tmp_path):
     write_chi_csv(values, chis, path)
     want = "kappa,chi\n" + "".join(f"{k:.17g},{int(c)}\n" for k, c in zip(values, chis))
     assert path.read_bytes() == want.encode()
+
+
+def _general_alpha_one(beta, rng, n):
+    # the alpha = 1 Chambers-Mallows-Stuck formula with W drawn, as written
+    # before the symmetric closed form
+    U = (rng.random(n) - 0.5) * math.pi
+    W = rng.exponential(1.0, n)
+    half_pi = math.pi / 2.0
+    return (2.0 / math.pi) * ((half_pi + beta * U) * np.tan(U)
+                              - beta * np.log((half_pi * W * np.cos(U))
+                                              / (half_pi + beta * U)))
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.0])
+@pytest.mark.parametrize("n", [1, 7, 5000])
+def test_symmetric_cauchy_path_has_the_bytes_of_the_general_formula(beta, n):
+    for trial in range(5):
+        got = _cms_standard(1.0, beta, SeedSpec(606, trial).generator(1), n)
+        want = _general_alpha_one(beta, SeedSpec(606, trial).generator(1), n)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 5000])
+def test_symmetric_cauchy_path_draws_no_exponential(n):
+    rng, twin = SeedSpec(17, 2).generator(1), SeedSpec(17, 2).generator(1)
+    _cms_standard(1.0, 0.0, rng, n)
+    twin.random(n)
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+    # a skewed law still draws W after U
+    _cms_standard(1.0, 0.5, rng, n)
+    twin.random(n)
+    with pytest.raises(AssertionError):
+        np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+
+
+def _out_of_place_increments(triplet, delta_t, n, seed):
+    # the sampler's arithmetic before it summed in place: a drift-filled start,
+    # then the Gaussian part, then gamma * z (+ the alpha = 1 shift) + delta
+    values = np.full(n, triplet.b * delta_t)
+    if triplet.sigma2 > 0:
+        rng = seed.generator(0)
+        values = values + math.sqrt(triplet.sigma2 * delta_t) * rng.standard_normal(n)
+    if triplet.jumps is not None:
+        law = increment_stable_law(triplet.jumps, delta_t)
+        rng = seed.generator(1)
+        alpha, beta = law.alpha, law.beta
+        if alpha == 1.0:
+            z = _general_alpha_one(beta, rng, n)
+            jumps = (law.gamma * z + (2.0 / math.pi) * beta * law.gamma * math.log(law.gamma)
+                     + law.delta)
+        else:
+            U = (rng.random(n) - 0.5) * math.pi
+            W = rng.exponential(1.0, n)
+            theta0 = math.atan(beta * math.tan(math.pi * alpha / 2.0)) / alpha
+            s = (np.sin(alpha * (U + theta0))
+                 / (math.cos(alpha * theta0) * np.cos(U)) ** (1.0 / alpha))
+            t = (np.cos(alpha * theta0 + (alpha - 1.0) * U) / W) ** ((1.0 - alpha) / alpha)
+            jumps = law.gamma * (s * t) + law.delta
+        values = values + jumps
+    return values
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0, 1.3, 1.7])
+@pytest.mark.parametrize("P,Q", [(1.0, 1.0), (2.0, 1.0), (0.0, 1.5), (1 / math.pi, 1 / math.pi)])
+def test_sample_increments_has_the_bytes_of_the_out_of_place_sum(alpha, P, Q):
+    jumps = StableJumpDensity(P, Q, alpha)
+    for b, sigma2 in [(0.0, 0.0), (-0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (-1.5, 2.0)]:
+        for dt in (0.1, 1.0, 0.37):
+            for seed in (SeedSpec(1), SeedSpec(20406080, 7), SeedSpec(2 ** 63 + 5, 3)):
+                trip = LevyTriplet(b, sigma2, jumps)
+                got = sample_increments(trip, dt, 301, seed).values
+                assert got.tobytes() == _out_of_place_increments(trip, dt, 301, seed).tobytes()
+    gauss = LevyTriplet(0.25, 1.5, None)
+    got = sample_increments(gauss, 0.5, 301, SeedSpec(4)).values
+    assert got.tobytes() == _out_of_place_increments(gauss, 0.5, 301, SeedSpec(4)).tobytes()
+
+
+@pytest.mark.parametrize("trip", [cauchy_triplet(), LevyTriplet(0.0, 1.0, None)])
+@pytest.mark.parametrize("delta_t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_sample_increments_rejects_a_delta_t_that_is_not_finite_and_positive(trip, delta_t):
+    with pytest.raises(ValueError, match=f"^delta_t must be finite and positive, got {delta_t!r}$"):
+        sample_increments(trip, delta_t, 10, SeedSpec(1))
+    if trip.jumps is not None:
+        with pytest.raises(ValueError, match="^delta_t must be finite and positive"):
+            increment_stable_law(trip.jumps, delta_t)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(4), "5", None])
+def test_samplers_reject_an_n_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        sample_increments(cauchy_triplet(), 1.0, n, SeedSpec(1))
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        stable_sample(StableLaw(1.0, 1.0, 0.0, 0.0), n, SeedSpec(1))
+
+
+def test_samplers_take_a_numpy_integer_n():
+    assert sample_increments(cauchy_triplet(), 1.0, np.int64(5), SeedSpec(1)).n == 5
+    assert stable_sample(StableLaw(0.7, 1.0, 0.0, 0.0), np.uint16(3), SeedSpec(1)).n == 3
+
+
+@pytest.mark.parametrize("args,name", [
+    ((1.5,), "master_seed"), ((True,), "master_seed"), (("7",), "master_seed"),
+    ((1, 1.5), "trial_index"), ((1, False), "trial_index"), ((1, None), "trial_index"),
+])
+def test_seed_spec_names_a_field_that_is_not_an_integer(args, name):
+    bad = args[-1]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+        SeedSpec(*args)
+
+
+def test_seed_spec_takes_numpy_integers():
+    a = SeedSpec(np.uint64(2 ** 64 - 1), np.int32(3)).generator().random(4)
+    b = SeedSpec(2 ** 64 - 1, 3).generator().random(4)
+    assert a.tobytes() == b.tobytes()
