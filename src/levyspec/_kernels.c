@@ -1,0 +1,149 @@
+/* Native kernels of levyspec, built and loaded through ctypes by _native.py.
+   read_last_cells leaves any file outside its narrow grammar to the line loop
+   of cli.py (-1); bin_moments is estimator._bin_moments_numpy operation for
+   operation, the same bytes when built with -ffp-contract=off, no -ffast-math. */
+#include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define BUFFER 65536 /* bytes per read; a longer line returns -1 */
+#define BLANK(c) ((c) == ' ' || (c) == '\t')
+#define DIGIT(c) ((c) >= '0' && (c) <= '9')
+
+/* The line at p, ended by \n, \r or `limit`, the end of the data: 1 with its
+   value in *out, 0 for a blank line, -1 for a line to leave to the loop, 2 for
+   a line cut by `limit` before the end of the file.  *next is the next line. */
+static int parse_line(char *p, const char *limit, int eof, char **next, double *out)
+{
+    char *cell = p, *end = p, *stop;
+    int commas = 0;
+    for (;; end++) {  /* the one scan of the line */
+        unsigned char c = (unsigned char)*end;
+        if (c == '\n' || c == '\r') break;
+        if (c == ',') {
+            if (++commas > 1) return -1;
+            cell = end + 1;
+        } else if ((c < ' ' && c != '\t') || c > '~') {
+            if (end != limit) return -1;  /* a control byte, NUL or non-ASCII */
+            if (!eof) return 2;
+            break;  /* the last line has no newline; *limit is a NUL */
+        }
+    }
+    *next = end == limit ? end : end + 1;
+    while (p < end && BLANK(*p)) p++;
+    if (p == end) return 0;
+    if (*p == '#') return -1;
+    while (BLANK(*cell)) cell++;
+    while (end > cell && BLANK(end[-1])) end--;
+    /* [+-]digits[.digits][(e|E)[+-]digits], where strtod must stop too */
+    p = cell + (*cell == '+' || *cell == '-');
+    if (!DIGIT(*p)) return -1;
+    while (DIGIT(*p)) p++;
+    if (*p == '.' && !DIGIT(*++p)) return -1;
+    while (DIGIT(*p)) p++;
+    if (*p == 'e' || *p == 'E') {
+        p += 1 + (p[1] == '+' || p[1] == '-');
+        if (!DIGIT(*p)) return -1;
+        while (DIGIT(*p)) p++;
+    }
+    if (p != end) return -1;
+    *out = strtod(cell, &stop);
+    return stop == end && isfinite(*out) ? 1 : -1;
+}
+
+/* The values of the lines after the first `skip` (a line ends at \n, \r or
+   \r\n), at most `cap`, into out: their count, or -1. */
+int64_t read_last_cells(const char *path, int64_t skip, double *out, int64_t cap)
+{
+    char *buf = malloc(BUFFER + 1), *p, *limit, *next;
+    FILE *f = buf ? fopen(path, "rb") : NULL;
+    int64_t rows = 0;
+    size_t have = 0, got;
+    int eof = 0, cr = 0, status = 0;
+    while (f && !eof && status >= 0) {
+        got = fread(buf + have, 1, BUFFER - have, f);
+        eof = got < BUFFER - have;
+        status = ferror(f) ? -1 : 0;
+        limit = buf + have + got;
+        *limit = '\0';
+        for (p = buf; skip > 0 && p < limit; p++) {
+            if (*p == '\r' || (*p == '\n' && !cr)) skip--;
+            cr = *p == '\r';
+        }
+        while (status >= 0 && p < limit) {
+            double value;
+            if ((status = parse_line(p, limit, eof, &next, &value)) < 0 || status == 2) break;
+            if (status == 1 && rows == cap) status = -1;
+            else if (status == 1) out[rows++] = value;
+            p = next;
+        }
+        if (status == 2 && p == buf) status = -1;  /* a line longer than the buffer */
+        memmove(buf, p, have = (size_t)(limit - p));
+    }
+    if (f) fclose(f);
+    free(buf);
+    return !f || status < 0 || skip > 0 ? -1 : rows;
+}
+
+/* numpy's pairwise sum of float64: 8 accumulators up to 128 values, halves above */
+static double pairwise(const double *a, int64_t n)
+{
+    double r[8], res = -0.0;
+    int64_t i, j, half = n / 2 - n / 2 % 8;
+    for (i = 0; n < 8 && i < n; i++) res += a[i];
+    if (n < 8) return res;
+    if (n > 128) return pairwise(a, half) + pairwise(a + half, n - half);
+    for (j = 0; j < 8; j++) r[j] = a[j];
+    for (i = 8; i < n - n % 8; i += 8)
+        for (j = 0; j < 8; j++) r[j] += a[i + j];
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++) res += a[i];
+    return res;
+}
+
+/* moments[b * terms + p] += the sum of T_p(d_j) over bin b, chunk by chunk, each
+   row T_p summed once made, so 4 rows of scratch do: 0, or -1 if memory ran out
+   or a bin fell outside [0, size). */
+int bin_moments(const double *x, int64_t n, int64_t size, double scale, int64_t terms,
+                int64_t chunk, double *moments)
+{
+    int64_t width = n < chunk ? n : chunk, lo, i, b, k, p, runs;
+    double *rows = malloc((size_t)(4 * width) * sizeof(double));
+    int64_t *bins = malloc((size_t)(width + size + 1) * sizeof(int64_t));
+    for (lo = 0; rows && bins && lo < n; lo += chunk) {
+        int64_t len = n - lo < chunk ? n - lo : chunk, start = 0, *ends = bins + width;
+        double *row[3] = {rows, rows + width, rows + 2 * width}, *t = rows + 3 * width;
+        const double *r, *before = row[0], *last = t;  /* T_{p-2} and T_{p-1} */
+        memset(ends, 0, (size_t)size * sizeof(int64_t));
+        for (i = 0; i < len; i++) {
+            double q = x[lo + i] * scale, m;
+            q = q < -0x1p1000 ? -0x1p1000 : q > 0x1p1000 ? 0x1p1000 : q;
+            m = rint(q);
+            row[1][i] = 2.0 * (q - m);  /* d_j in sample order, until T_4 is made */
+            m -= (double)size * floor(m / (double)size);
+            if (!(m >= 0.0 && m < (double)size)) break;  /* a NaN, left to numpy */
+            ends[bins[i] = (int64_t)m]++;
+        }
+        if (i < len) break;  /* so lo < n: the call fails */
+        for (b = 0; b < size; b++) start = ends[b] += start;  /* ends[b]: end of bin b */
+        for (i = len - 1; i >= 0; i--) t[--ends[bins[i]]] = row[1][i];  /* stable: T_1 */
+        ends[size] = len;  /* ends[b] is now the start of bin b */
+        for (b = runs = 0; b < size; b++) if (ends[b + 1] > ends[b]) bins[runs++] = b;
+        for (i = 0; i < len; i++) row[0][i] = 1.0;
+        for (p = 0; p < terms; p++, before = last, last = r) {
+            r = p == 0 ? row[0] : p == 1 ? t : row[p % 3];
+            for (i = 0; p >= 2 && i < len; i++)  /* two roundings, as numpy */
+                row[p % 3][i] = (t[i] + t[i]) * last[i] - before[i];
+            for (k = 0; k < runs; k++) {  /* each run summed as np.add.reduceat does */
+                int64_t first = ends[bins[k]], count = ends[bins[k] + 1] - first;
+                moments[bins[k] * terms + p] +=
+                    count > 1 ? r[first] + pairwise(r + first + 1, count - 1) : r[first];
+            }
+        }
+    }
+    free(rows);
+    free(bins);
+    return lo < n || !rows || !bins ? -1 : 0;
+}

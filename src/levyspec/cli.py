@@ -69,9 +69,14 @@ def _triplet_from_args(args: argparse.Namespace) -> LevyTriplet:
 def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
     """Read one- or two-column numeric CSV; optional header and # comments.
 
-    The body is parsed by ``np.loadtxt`` in C.  Any file it does not parse into
-    1 or 2 columns of finite last-column values goes to ``_read_values_loop``,
-    which defines the format and raises its line-numbered errors.
+    The body is read by ``read_last_cells`` of ``_kernels.c`` when the native
+    kernels load (``_native.library``): one scan per line, a last cell that is
+    a plain decimal ``[+-]digits[.digits][(e|E)[+-]digits]`` with spaces or tabs
+    around it, parsed in place by ``strtod``, whose end must be the end of that
+    match, so no locale, hex, inf or nan gets in.  Both ``strtod`` and ``float``
+    round correctly, so they give the same double.  Any other file, or no
+    kernels, goes to ``_read_values_loop``, which defines the format and raises
+    its line-numbered errors.
     """
     data = _read_values_fast(path)
     if data is None or (difference and data.size < 2):
@@ -80,20 +85,16 @@ def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
 
 
 def _read_values_fast(path: str) -> np.ndarray | None:
-    """The last column read by ``np.loadtxt`` from the first numeric row on, or None."""
+    """The last cells read by the C reader from the first numeric row on, or None."""
     if not os.path.isfile(path):  # a pipe can be read only once, and this opens it twice
         return None
     try:
         with open(path) as fh:
             lineno, _, _ = next(_data_rows(fh, path))
-        # The path, not the open file: loadtxt reads a path in large chunks, but
-        # pulls one Python line at a time from an open file.
-        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=lineno - 1)
     except (ValueError, StopIteration):  # StopIteration: no numeric row
         return None
-    # At least one row, with the 1 or 2 columns of the first: loadtxt raises on ragged rows.
-    values = np.ascontiguousarray(table[:, -1])
-    return values if np.isfinite(values).all() else None
+    from . import _native  # at the first read, not at import
+    return _native.read_last_cells(path, lineno - 1)
 
 
 def _data_rows(fh, path: str):
@@ -240,7 +241,8 @@ def _cmd_estimate(args) -> int:
         raise ValueError(f"--out {args.out} and --ecf-out {ecf_out} name the same file")
     kgrid = KappaGrid(args.kappa_step, args.kappa_count)
     sample, phi_hat = _read_and_ecf(args)
-    median, spread = sample_bulk(sample.values)
+    # the ECF is made, so the values may be reordered: no copy of 8 bytes per row
+    median, spread = sample_bulk(sample.values, overwrite_input=True)
     _check_bulk_within_half_period(median, spread, phi_hat.grid.step)
     if args.kappa == "auto":
         kappa, fell_back = calibrate(phi_hat, kgrid, args.fallback)

@@ -186,6 +186,23 @@ def _bin_moments(values: np.ndarray, size: int, scale: float) -> np.ndarray:
     polynomials T_p, q_j = scale x_j, m_j = rint(q_j), d_j = 2 (q_j - m_j) in
     [-1, 1] and b = m_j mod size.
 
+    Computed by ``bin_moments`` of ``_kernels.c`` when the native kernels load
+    (``_native.library``), else by ``_bin_moments_numpy``, the definition.  The
+    C pass gives the same bytes: per chunk it computes q, m, d and the bin by
+    the same double operations in the same order, sorts by bin stably (a
+    counting sort, the permutation of the stable argsort), fills the rows by the
+    same two roundings per term (contraction into FMAs is off) and sums each
+    bin's run as ``np.add.reduceat`` does, the first value plus numpy's
+    pairwise sum of the rest, before one addition into S.
+    """
+    from . import _native  # at the first ECF, not at import
+    moments = _native.bin_moments(values, size, scale, _TERMS, _ECF_CHUNK)
+    return _bin_moments_numpy(values, size, scale) if moments is None else moments
+
+
+def _bin_moments_numpy(values: np.ndarray, size: int, scale: float) -> np.ndarray:
+    """``_bin_moments`` in numpy: the definition, and the reference of the C pass.
+
     T_p(d) comes from the three-term recurrence T_{p+1} = 2 d T_p - T_{p-1}, so
     |T_p(d)| <= 1 and each value carries O(p eps) rounding.  Per chunk the bins
     are sorted (a radix sort on their small unsigned type) and each bin's run is
@@ -269,10 +286,13 @@ def ecf(sample: IncrementSample, grid: UGrid) -> ECFGrid:
 # ---------------------------------------------------------------------------
 # inversion
 
-def sample_bulk(values: np.ndarray) -> tuple[float, float]:
+def sample_bulk(values: np.ndarray, overwrite_input: bool = False) -> tuple[float, float]:
     """Median and spread of a sample from one percentile pass; the spread is
-    the interquartile range, or max(std, 1) when that is 0."""
-    q75, median, q25 = np.percentile(values, [75.0, 50.0, 25.0])
+    the interquartile range, or max(std, 1) when that is 0.  With
+    ``overwrite_input`` the pass partitions ``values`` in place instead of a copy
+    (the same result), for a caller that no longer needs their order."""
+    q75, median, q25 = np.percentile(values, [75.0, 50.0, 25.0],
+                                     overwrite_input=overwrite_input)
     iqr = q75 - q25
     if iqr <= 0:
         iqr = max(float(np.std(values)), 1.0)

@@ -373,8 +373,8 @@ def levy_khintchine_cf(triplet: LevyTriplet, t: float, u):
     increment law; custom densities are integrated numerically (split at 0
     and +-1 plus any declared breakpoints).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t!r}")
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     expo = 1j * u_arr * (triplet.b * t) - t * triplet.sigma2 * u_arr ** 2 / 2.0
     if isinstance(triplet.jumps, CustomJumpDensity):
@@ -397,6 +397,9 @@ def increment_stable_law(jumps: StableJumpDensity, delta_t: float) -> StableLaw:
         raise ValueError(f"delta_t must be finite and positive, got {delta_t!r}")
     alpha = jumps.alpha
     gamma = (delta_t * _stable_scale_constant(jumps.P, jumps.Q, alpha)) ** (1.0 / alpha)
+    if gamma == 0.0:
+        raise ValueError(f"delta_t={delta_t!r} is too small: the increment's scale "
+                         f"gamma = (delta_t C)^(1/alpha) underflows to 0 at alpha={alpha!r}")
     if alpha == 1.0:
         delta = (jumps.P - jumps.Q) * (1.0 - np.euler_gamma) * delta_t
     else:
@@ -565,8 +568,8 @@ def spectral_bias_bound(model_class: ModelClass, sigma2: float, m: float,
     e^{-(2/pi)^alpha M t u^alpha} of :func:`picard_cf_bound`, valid for
     m >= pi/2.
     """
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"delta_t must be finite and positive, got {delta_t!r}")
     if model_class.tag == GAUSSIAN:
         if m < 0:
             raise ValueError("m must be nonnegative")
@@ -590,8 +593,8 @@ def optimal_cutoff(model_class, sigma2: float, n: float, delta_t: float) -> floa
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"delta_t must be finite and positive, got {delta_t!r}")
     logn = math.log(n)
     if model_class.tag == GAUSSIAN:
         if sigma2 <= 0:
@@ -613,8 +616,8 @@ def mixed_cutoff(sigma2: float, M: float, alpha: float, delta_t: float, n: float
     """
     if sigma2 < 0 or M < 0 or (sigma2 == 0 and M == 0):
         raise ValueError("need sigma2 >= 0, M >= 0, not both zero")
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"delta_t must be finite and positive, got {delta_t!r}")
     logn = math.log(n)
     if logn <= 0:
         raise ValueError("need log n > 0, i.e. n > 1")

@@ -245,7 +245,9 @@ def _thresholded_errors(model: LevyTriplet, delta_t: float, n: int, grid: UGrid,
             fallbacks += fell_back
         else:
             kappas[tr] = kappa
-        errors[tr] = plancherel_l2(threshold_cf(phi_hat, kappas[tr]).values, phi_ref,
+        # a fixed kappa stays a Python float, whose level overflows to inf with no warning
+        errors[tr] = plancherel_l2(threshold_cf(phi_hat, kappa if kappa is not None
+                                                else kappas[tr]).values, phi_ref,
                                    grid=grid) + tail
     return errors, kappas, fallbacks
 
@@ -347,10 +349,15 @@ def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KA
     model = cauchy_triplet()
     grid = UGrid.make(default_u_max(delta_t))
     errors, _, _ = _thresholded_errors(model, delta_t, n, grid, master_seed, trials, kappa)
-    variance = 5.0 + (1.0 + (kappa + 2.0) * math.sqrt(math.log(n))) ** 2
+    try:
+        variance = 5.0 + (1.0 + (kappa + 2.0) * math.sqrt(math.log(n))) ** 2
+        remainder = 64.0 * n ** (1.0 - kappa ** 2 / 4.0)
+    except OverflowError:
+        raise ValueError(f"kappa={kappa!r} is too large: the bound's (1 + (kappa + 2) "
+                         f"sqrt(log n))^2 is not finite") from None
     rhs = min(9.0 * reference_tail_integral(model, delta_t, m) + m / (math.pi * n) * variance
               for m in np.linspace(grid.u_max / 20.0, grid.u_max, 20).tolist())
-    row = _bound_row(errors, rhs + 64.0 * n ** (1.0 - kappa ** 2 / 4.0), kappa=kappa)
+    row = _bound_row(errors, rhs + remainder, kappa=kappa)
     return BoundCheckReport(row["ok"], (row,))
 
 

@@ -628,7 +628,7 @@ def test_estimate_with_its_bulk_past_the_alias_half_period_exits_2_without_outpu
 
 @pytest.mark.xfail(strict=True, reason=(
     "default_x_grid spans +-8 IQR around 0, not around the data; centring it at the "
-    "median moves the estimate_csv goldens, so it waits for ROADMAP item 2"))
+    "median moves the estimate_csv goldens, so it waits for ROADMAP item 5"))
 def test_estimate_far_from_zero_with_a_fine_step_puts_unit_mass_on_its_x_grid(tmp_path):
     # N(1000, 1) passes the bulk check at --step 0.003 (pi/step = 1047), but the
     # x-grid covers +-10.9 only, so the density written there has mass about 0
@@ -814,6 +814,14 @@ EXIT_CONTRACT = {
     "check-bounds-kappa-negative": (2, lambda draw, d: _with_flag(
         draw, d, [("check-bounds", "--kappa")],
         repr(draw(st.floats(max_value=-1e-300, allow_infinity=False))))),
+    # thm4's bound (1 + (kappa + 2) sqrt(log n))^2 past the largest double
+    "check-bounds-kappa-overflows": (2, lambda draw, d: [
+        "check-bounds", "--which", "thm4", "--delta", "1", "--n", "300", "--trials", "2",
+        "--kappa", repr(draw(st.floats(1e155, 1.7e308)))]),
+    # a stable increment's scale (delta_t C)^(1/alpha) that underflows to 0
+    "sample-delta-scale-underflows": (2, lambda draw, d: [
+        "sample", "--alpha", "0.7", "--P", "1", "--Q", "0", "--n", "5",
+        "--delta", repr(draw(st.floats(1e-320, 1e-250)))]),
     # thm1 checks fixed cutoffs: a kappa there would be ignored, not used
     "check-bounds-kappa-with-thm1": (2, lambda draw, d: [
         "check-bounds", "--which", "thm1", "--delta", "1", "--n", "300", "--trials", "5",

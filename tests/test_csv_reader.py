@@ -49,13 +49,13 @@ CASES = {
     "comment-after-data": ("0.5\n# note\n1.5\n", False, False),
     "comment-at-end": ("value\n0.5\n1.5\n# done\n", False, False),
     "blank-lines": ("\n\nvalue\n\n0.5\n\n1.5\n\n", False, True),
-    "whitespace-line": ("0.5\n   \n1.5\n", False, False),
+    "whitespace-line": ("0.5\n   \n1.5\n", False, True),
     "crlf": ("index,value\r\n0,0.5\r\n1,1.5\r\n", False, True),
     "cr": ("# c\r\rindex,value\r0,0.5\r1,1.5\r", False, True),
     "one-column": ("0.5\n-1.5\n", False, True),
     "two-columns": ("0,0.5\n1,-1.5\n", False, True),
-    "one-then-two-columns": ("0.5\n1,1.5\n", False, False),
-    "text-first-column": ("a,0.5\nb,1.5\n", False, False),
+    "one-then-two-columns": ("0.5\n1,1.5\n", False, True),
+    "text-first-column": ("a,0.5\nb,1.5\n", False, True),
     "ragged": ("0,1.5\n1,2.5,3\n2,4\n", False, False),
     "three-columns": ("0,1.5,2.0\n", False, False),
     "three-column-header": ("a,b,c\n1.5\n", False, False),
@@ -79,6 +79,12 @@ CASES = {
     "token-trailing-comment": (tokens_file("1.0 # c"), False, False),
     "token-fullwidth-digit": (tokens_file("１"), False, False),
     "token-padded": (tokens_file("  1.25\t"), False, True),
+    "lone-cr-in-data": ("value\r0.5\r1.5\n2.5\r\n", False, True),
+    "nul-byte": ("value\n0.5\n1\x00.5\n", False, False),
+    "nul-byte-first-column": ("value\n0,0.5\n\x00,1.5\n", False, False),
+    "no-trailing-newline": ("value\n0.5\n1.5", False, True),
+    "400-digit-cell": ("value\n9007199254740993." + "0" * 383 + "1\n", False, True),
+    "two-cells-after-data": ("value\n0.5\n1,2\n", False, True),
 }
 
 

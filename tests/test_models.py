@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from levyspec import (CustomJumpDensity, KappaGrid, LevyTriplet, ModelClass,
                       QuadratureError, StableJumpDensity, StableLaw, cauchy_triplet,
                       check_small_jump_bound, gamma_process_density,
-                      increment_stable_law, levy_khintchine_cf,
-                      oscillating_density, partition_density, picard_cf_bound,
+                      increment_stable_law, levy_khintchine_cf, mixed_cutoff,
+                      optimal_cutoff, oscillating_density, partition_density, picard_cf_bound,
                       picard_derivative_bound, reference_l2_norm,
                       reference_tail_integral, spectral_bias_bound, stable_cf,
                       stable_density_l2_norm, truncated_moment_ratio,
@@ -404,3 +404,27 @@ def test_jump_bias_bound_is_the_tail_of_the_picard_envelope(alpha, M, dt, m):
                    epsrel=1e-13, epsabs=0.0, limit=200)
     assert spectral_bias_bound(ModelClass.pure_jump(M, alpha), 0.0, m, dt) == pytest.approx(
         tail / math.pi, rel=1e-10)
+
+
+_TIMED = {
+    "levy_khintchine_cf": (lambda t: levy_khintchine_cf(LevyTriplet(0.0, 1.0, None), t,
+                                                        [0.5, 1.0]), "t"),
+    "spectral_bias_bound": (lambda t: spectral_bias_bound(
+        ModelClass.gaussian_dominant(), 1.0, 3.0, t), "delta_t"),
+    "optimal_cutoff": (lambda t: optimal_cutoff(ModelClass.gaussian_dominant(), 1.0, 500.0,
+                                                t), "delta_t"),
+    "mixed_cutoff": (lambda t: mixed_cutoff(1.0, 1.0, 1.2, t, 500.0), "delta_t"),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(_TIMED))
+def test_a_time_that_is_not_finite_and_positive_is_named(name, t):
+    call, field = _TIMED[name]
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got {t!r}$"):
+        call(t)
+
+
+def test_a_delta_t_whose_stable_scale_underflows_is_named():
+    with pytest.raises(ValueError, match=r"delta_t=1e-300 is too small: .* underflows to 0"):
+        increment_stable_law(StableJumpDensity(1.0, 0.0, 0.7), 1e-300)

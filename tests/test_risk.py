@@ -224,6 +224,12 @@ def test_adaptive_risk_bound_smoke():
     assert rep10.passed
 
 
+@pytest.mark.parametrize("kappa", [1.4e154, 1e300, 1.7e308])
+def test_adaptive_risk_bound_names_a_kappa_whose_bound_overflows(kappa):
+    with pytest.raises(ValueError, match=re.escape(f"kappa={kappa!r} is too large")):
+        adaptive_risk_bound_check(1.0, 50, kappa=kappa, trials=2, master_seed=1)
+
+
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -1.0])
 def test_adaptive_risk_bound_rejects_non_finite_or_negative_kappa(kappa):
     with pytest.raises(ValueError, match="kappa must be a finite number >= 0"):
