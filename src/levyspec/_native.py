@@ -2,22 +2,23 @@
 
 ``library()`` builds the source once with ``cc -O3 -ffp-contract=off -fPIC
 -shared`` (no ``-ffast-math``, no ``-march``) into ``$XDG_CACHE_HOME/levyspec``
-(default ``~/.cache/levyspec``), under a name keyed by the sha256 of the
+(default ``~/.cache/levyspec``), under a name keyed by the CRC-32 of the
 source and the command line, and loads it.  A build writes a temporary file
 and renames it into place, so processes building at once all load a whole
 library.  When that directory cannot be written it builds into a temporary
 directory of this process.  Nothing is built or loaded at import.  Without a
-compiler, or when a build or load fails, ``library()`` is None and every
-kernel's caller uses its Python definition, which gives the same bytes.
+compiler, or when a build or load fails, ``library()`` is None: the moment
+pass runs its numpy definition and the CSV reader ``np.loadtxt``, with the
+same bytes.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import importlib
 import os
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -29,18 +30,6 @@ _COMMAND = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-"
 def _cache_dir() -> str:
     return os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
                         "levyspec")
-
-
-def _sha256(data: bytes) -> str:
-    """The hex sha256 from CPython's builtin module where there is one: hashlib
-    maps OpenSSL, 3.6 MB of resident pages for one hash."""
-    for name in ("_sha2", "_sha256"):  # Python >= 3.12, and before
-        try:
-            return importlib.import_module(name).sha256(data).hexdigest()
-        except ImportError:
-            pass
-    import hashlib
-    return hashlib.sha256(data).hexdigest()
 
 
 def _build(source: bytes, target: str) -> None:
@@ -78,7 +67,8 @@ def library() -> ctypes.CDLL | None:
     """The loaded kernels, built on the first call; None when they cannot be."""
     try:
         source = _SOURCE.read_bytes()
-        name = f"kernels-{_sha256(source + ' '.join(_COMMAND).encode())[:16]}.so"
+        # a CRC tells source versions apart; hashlib would map OpenSSL, 3.6 MB resident
+        name = f"kernels-{zlib.crc32(source + ' '.join(_COMMAND).encode()):08x}.so"
     except OSError:
         return None
     try:

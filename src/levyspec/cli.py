@@ -74,8 +74,9 @@ def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
     a plain decimal ``[+-]digits[.digits][(e|E)[+-]digits]`` with spaces or tabs
     around it, parsed in place by ``strtod``, whose end must be the end of that
     match, so no locale, hex, inf or nan gets in.  Both ``strtod`` and ``float``
-    round correctly, so they give the same double.  Any other file, or no
-    kernels, goes to ``_read_values_loop``, which defines the format and raises
+    round correctly, so they give the same double.  Without the kernels the
+    body is parsed by ``np.loadtxt``, also in C.  Any file the fast path does
+    not take goes to ``_read_values_loop``, which defines the format and raises
     its line-numbered errors.
     """
     data = _read_values_fast(path)
@@ -85,7 +86,8 @@ def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
 
 
 def _read_values_fast(path: str) -> np.ndarray | None:
-    """The last cells read by the C reader from the first numeric row on, or None."""
+    """The last cells read by the C reader, or by ``np.loadtxt`` without the
+    kernels, from the first numeric row on; None for a file left to the loop."""
     if not os.path.isfile(path):  # a pipe can be read only once, and this opens it twice
         return None
     try:
@@ -94,7 +96,15 @@ def _read_values_fast(path: str) -> np.ndarray | None:
     except (ValueError, StopIteration):  # StopIteration: no numeric row
         return None
     from . import _native  # at the first read, not at import
-    return _native.read_last_cells(path, lineno - 1)
+    if _native.library() is not None:
+        return _native.read_last_cells(path, lineno - 1)
+    try:  # no kernels: np.loadtxt, also C, from the path in large chunks
+        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=lineno - 1)
+    except ValueError:
+        return None
+    # At least one row, with the 1 or 2 columns of the first: loadtxt raises on ragged rows.
+    values = np.ascontiguousarray(table[:, -1])
+    return values if np.isfinite(values).all() else None
 
 
 def _data_rows(fh, path: str):
@@ -241,8 +251,7 @@ def _cmd_estimate(args) -> int:
         raise ValueError(f"--out {args.out} and --ecf-out {ecf_out} name the same file")
     kgrid = KappaGrid(args.kappa_step, args.kappa_count)
     sample, phi_hat = _read_and_ecf(args)
-    # the ECF is made, so the values may be reordered: no copy of 8 bytes per row
-    median, spread = sample_bulk(sample.values, overwrite_input=True)
+    median, spread = sample_bulk(sample.values)
     _check_bulk_within_half_period(median, spread, phi_hat.grid.step)
     if args.kappa == "auto":
         kappa, fell_back = calibrate(phi_hat, kgrid, args.fallback)

@@ -286,13 +286,10 @@ def ecf(sample: IncrementSample, grid: UGrid) -> ECFGrid:
 # ---------------------------------------------------------------------------
 # inversion
 
-def sample_bulk(values: np.ndarray, overwrite_input: bool = False) -> tuple[float, float]:
+def sample_bulk(values: np.ndarray) -> tuple[float, float]:
     """Median and spread of a sample from one percentile pass; the spread is
-    the interquartile range, or max(std, 1) when that is 0.  With
-    ``overwrite_input`` the pass partitions ``values`` in place instead of a copy
-    (the same result), for a caller that no longer needs their order."""
-    q75, median, q25 = np.percentile(values, [75.0, 50.0, 25.0],
-                                     overwrite_input=overwrite_input)
+    the interquartile range, or max(std, 1) when that is 0."""
+    q75, median, q25 = np.percentile(values, [75.0, 50.0, 25.0])
     iqr = q75 - q25
     if iqr <= 0:
         iqr = max(float(np.std(values)), 1.0)

@@ -28,7 +28,7 @@ import numpy as np
 from .calibration import FALLBACK_KAPPA, calibrate
 from .errors import UnsupportedModelError
 from .estimator import (UGrid, default_u_max, ecf, plancherel_l2, threshold_cf,
-                        trapezoid_weights)
+                        threshold_level, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, StableLaw, _spectral_tail,
                      cauchy_triplet, increment_stable_law, levy_khintchine_cf)
 from .sampling import SeedSpec, derive_seed, sample_increments
@@ -245,9 +245,7 @@ def _thresholded_errors(model: LevyTriplet, delta_t: float, n: int, grid: UGrid,
             fallbacks += fell_back
         else:
             kappas[tr] = kappa
-        # a fixed kappa stays a Python float, whose level overflows to inf with no warning
-        errors[tr] = plancherel_l2(threshold_cf(phi_hat, kappa if kappa is not None
-                                                else kappas[tr]).values, phi_ref,
+        errors[tr] = plancherel_l2(threshold_cf(phi_hat, kappas[tr]).values, phi_ref,
                                    grid=grid) + tail
     return errors, kappas, fallbacks
 
@@ -346,15 +344,16 @@ def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KA
     (kappa+2) sqrt(log n))^2), plus the remainder 64 n^{1 - kappa^2/4}.
     """
     _check_trials(trials)
-    model = cauchy_triplet()
-    grid = UGrid.make(default_u_max(delta_t))
-    errors, _, _ = _thresholded_errors(model, delta_t, n, grid, master_seed, trials, kappa)
+    threshold_level(kappa, n)  # a finite kappa >= 0, before any trial runs
     try:
         variance = 5.0 + (1.0 + (kappa + 2.0) * math.sqrt(math.log(n))) ** 2
         remainder = 64.0 * n ** (1.0 - kappa ** 2 / 4.0)
     except OverflowError:
         raise ValueError(f"kappa={kappa!r} is too large: the bound's (1 + (kappa + 2) "
                          f"sqrt(log n))^2 is not finite") from None
+    model = cauchy_triplet()
+    grid = UGrid.make(default_u_max(delta_t))
+    errors, _, _ = _thresholded_errors(model, delta_t, n, grid, master_seed, trials, kappa)
     rhs = min(9.0 * reference_tail_integral(model, delta_t, m) + m / (math.pi * n) * variance
               for m in np.linspace(grid.u_max / 20.0, grid.u_max, 20).tolist())
     row = _bound_row(errors, rhs + remainder, kappa=kappa)

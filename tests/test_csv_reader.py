@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import levyspec._native
 import levyspec.cli
 from levyspec import IncrementSample
 from levyspec.cli import _read_values_fast, _read_values_loop, read_values_csv
@@ -96,6 +97,16 @@ def test_reader_matches_loop(text, difference, fast, tmp_path):
     assert (_read_values_fast(str(path)) is not None) == fast
 
 
+@pytest.mark.parametrize("text, difference", [case[:2] for case in CASES.values()],
+                         ids=CASES.keys())
+def test_reader_without_kernels_matches_loop(text, difference, tmp_path, monkeypatch):
+    # np.loadtxt is the fast path then; the outcome must still be the loop's
+    monkeypatch.setattr(levyspec._native, "library", lambda: None)
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_same_as_loop(path, difference)
+
+
 PREAMBLE_LINES = ["", "   ", "# levyspec 0.1.0 sample", "#", "# a,b,c", "value",
                   "index,value", "x,y", " # indented"]
 
@@ -130,6 +141,19 @@ def test_written_increments_take_the_c_path(tmp_path, monkeypatch):
                          ["levyspec 0.1.0 sample", "seed=5"])
     assert read_values_csv(str(path)).tobytes() == values.tobytes()
     assert read_values_csv(str(path), difference=True).tobytes() == np.diff(values).tobytes()
+
+
+def test_written_increments_take_loadtxt_without_kernels(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-line loop parsed a file np.loadtxt should take")
+
+    monkeypatch.setattr(levyspec._native, "library", lambda: None)
+    monkeypatch.setattr(levyspec.cli, "_read_values_loop", refuse)
+    values = np.random.default_rng(5).standard_cauchy(1000)
+    path = tmp_path / "inc.csv"
+    write_increments_csv(IncrementSample(values), path,
+                         ["levyspec 0.1.0 sample", "seed=5"])
+    assert read_values_csv(str(path)).tobytes() == values.tobytes()
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

@@ -347,14 +347,6 @@ def test_sample_bulk_spread_is_max_of_std_and_1_when_the_iqr_is_0(values, spread
     assert sample_bulk(np.array(values)) == (float(np.median(values)), spread)
 
 
-@pytest.mark.parametrize("n", [1, 4, 1001, 200_000])
-def test_sample_bulk_in_place_gives_the_same_floats_and_only_reorders(n):
-    values = np.random.default_rng(n).standard_cauchy(n)
-    work = values.copy()
-    assert sample_bulk(work, overwrite_input=True) == sample_bulk(values)
-    assert np.sort(work).tobytes() == np.sort(values).tobytes()
-
-
 def test_spectral_estimate_real_for_symmetric_input():
     trip = cauchy_triplet()
     s = sample_increments(trip, 1.0, 2000, SeedSpec(88))

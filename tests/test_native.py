@@ -1,9 +1,10 @@
 """The C kernels of ``_kernels.c`` against their Python definitions.
 
 The moment pass must give the bytes of ``_bin_moments_numpy``, and the CSV
-reader those of ``_read_values_loop``; with no kernels every caller falls back
-to the Python definition and gives the same bytes.  Where a C compiler is on
-PATH the kernels must load, so that a silent fall-back cannot pass.
+reader those of ``_read_values_loop``; with no kernels the moment pass falls
+back to its numpy definition and the reader to ``np.loadtxt``, with the same
+bytes.  Where a C compiler is on PATH the kernels must load, so that a silent
+fall-back cannot pass.
 """
 
 import os
@@ -101,7 +102,7 @@ def test_without_kernels_the_ecf_and_the_reader_give_the_same_bytes(tmp_path, mo
     native = [ecf(sample, g).values.tobytes() for g in grids]
     native_csv = read_values_csv(str(path)).tobytes()
     monkeypatch.setattr(_native, "library", lambda: None)
-    assert _read_values_fast(str(path)) is None
+    assert _read_values_fast(str(path)).tobytes() == values.tobytes()  # by np.loadtxt
     assert [ecf(sample, g).values.tobytes() for g in grids] == native
     assert read_values_csv(str(path)).tobytes() == native_csv == values.tobytes()
 

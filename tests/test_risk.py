@@ -2,6 +2,7 @@ import math
 import re
 
 import levyspec.calibration
+import levyspec.risk
 
 import numpy as np
 import pytest
@@ -234,6 +235,15 @@ def test_adaptive_risk_bound_names_a_kappa_whose_bound_overflows(kappa):
 def test_adaptive_risk_bound_rejects_non_finite_or_negative_kappa(kappa):
     with pytest.raises(ValueError, match="kappa must be a finite number >= 0"):
         adaptive_risk_bound_check(1.0, 50, kappa=kappa, trials=2, master_seed=1)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, -1.0, 1e300])
+def test_adaptive_risk_bound_rejects_a_bad_kappa_before_any_trial(kappa, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(levyspec.risk, "_thresholded_errors", no_trials)
+    with pytest.raises(ValueError, match="kappa"):
+        adaptive_risk_bound_check(1.0, 50, kappa=kappa, trials=10**6, master_seed=1)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 2.0])
