@@ -1,7 +1,8 @@
 /* Native kernels of levyspec, built and loaded through ctypes by _native.py.
    read_last_cells leaves any file outside its narrow grammar to the line loop
-   of cli.py (-1); bin_moments is estimator._bin_moments_numpy operation for
-   operation, the same bytes when built with -ffp-contract=off, no -ffast-math. */
+   of cli.py (-1); bin_moments and ecf_contract are estimator._bin_moments_numpy
+   and estimator._ecf_contract_numpy operation for operation, the same bytes
+   when built with -ffp-contract=off, no -ffast-math. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -11,6 +12,7 @@
 #define BUFFER 65536 /* bytes per read; a longer line returns -1 */
 #define BLANK(c) ((c) == ' ' || (c) == '\t')
 #define DIGIT(c) ((c) >= '0' && (c) <= '9')
+#define BLOCK 64 /* frequencies per block of ecf_contract */
 
 /* The line at p, ended by \n, \r or `limit`, the end of the data: 1 with its
    value in *out, 0 for a blank line, -1 for a line to leave to the loop, 2 for
@@ -103,7 +105,7 @@ static double pairwise(const double *a, int64_t n)
     return res;
 }
 
-/* moments[b * terms + p] += the sum of T_p(d_j) over bin b, chunk by chunk, each
+/* moments[p * size + b] += the sum of T_p(d_j) over bin b, chunk by chunk, each
    row T_p summed once made, so 4 rows of scratch do: 0, or -1 if memory ran out
    or a bin fell outside [0, size). */
 int bin_moments(const double *x, int64_t n, int64_t size, double scale, int64_t terms,
@@ -138,7 +140,7 @@ int bin_moments(const double *x, int64_t n, int64_t size, double scale, int64_t 
                 row[p % 3][i] = (t[i] + t[i]) * last[i] - before[i];
             for (k = 0; k < runs; k++) {  /* each run summed as np.add.reduceat does */
                 int64_t first = ends[bins[k]], count = ends[bins[k] + 1] - first;
-                moments[bins[k] * terms + p] +=
+                moments[p * size + bins[k]] +=
                     count > 1 ? r[first] + pairwise(r + first + 1, count - 1) : r[first];
             }
         }
@@ -146,4 +148,46 @@ int bin_moments(const double *x, int64_t n, int64_t size, double scale, int64_t 
     free(rows);
     free(bins);
     return lo < n || !rows || !bins ? -1 : 0;
+}
+
+
+/* out[count + k] = phi_hat(k step) and out[count - k] its conjugate for k = 0..count,
+   as (re, im) pairs, from the rFFT rows spectrum[p] (size / 2 + 1 pairs each) and
+   weights[p] (count + 1 each), p < terms.  Each k repeats numpy's operations in
+   numpy's order: the conjugate, or the mirrored bin past size / 2; the complex
+   times real weight as numpy's complex multiply forms it; the even-p and odd-p
+   sums in p order, each from its first row; the 1j product; numpy's complex
+   division by n, a product with 1 / (n + 0 * 0); and out[count] = 1.  The k run
+   in blocks on one side of size / 2, p outside k, so every row is read in order. */
+void ecf_contract(const double *spectrum, int64_t size, const double *weights, int64_t terms,
+                  int64_t count, double n, double *out)
+{
+    int64_t lo, len, i, p, row = size / 2 + 1;
+    const double scl = 1.0 / (n + 0.0 * 0.0), rat = 0.0 / n;
+    double sum[4][BLOCK];  /* even re, even im, odd re, odd im */
+    for (lo = 1; lo <= count; lo += len) {
+        int64_t mirror = lo > size / 2, end = mirror || count < size / 2 ? count : size / 2;
+        len = end - lo + 1 < BLOCK ? end - lo + 1 : BLOCK;
+        for (p = 0; p < terms; p++) {
+            const double *s = spectrum + 2 * p * row, *w = weights + p * (count + 1) + lo;
+            double *re = sum[2 * (p % 2)], *im = sum[2 * (p % 2) + 1];
+            for (i = 0; i < len; i++) {
+                int64_t j = mirror ? size - lo - i : lo + i;
+                double sr = s[2 * j], si = mirror ? s[2 * j + 1] : -s[2 * j + 1];
+                double tr = sr * w[i] - si * 0.0, ti = sr * 0.0 + si * w[i];
+                re[i] = p < 2 ? tr : re[i] + tr;
+                im[i] = p < 2 ? ti : im[i] + ti;
+            }
+        }
+        for (i = 0; i < len; i++) {
+            double *up = out + 2 * (count + lo + i), *down = out + 2 * (count - lo - i);
+            double re = sum[0][i] + (0.0 * sum[2][i] - 1.0 * sum[3][i]);
+            double im = sum[1][i] + (0.0 * sum[3][i] + 1.0 * sum[2][i]);
+            up[0] = down[0] = (re + im * rat) * scl;
+            up[1] = (im - re * rat) * scl;
+            down[1] = -up[1];
+        }
+    }
+    out[2 * count] = 1.0;
+    out[2 * count + 1] = 0.0;
 }

@@ -8,8 +8,8 @@ and renames it into place, so processes building at once all load a whole
 library.  When that directory cannot be written it builds into a temporary
 directory of this process.  Nothing is built or loaded at import.  Without a
 compiler, or when a build or load fails, ``library()`` is None: the moment
-pass runs its numpy definition and the CSV reader ``np.loadtxt``, with the
-same bytes.
+pass and the ECF's contraction run their numpy definitions and the CSV reader
+``np.loadtxt``, with the same bytes.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ def _load(path: str) -> ctypes.CDLL:
     lib.read_last_cells.restype = i64
     lib.bin_moments.argtypes = (ptr, i64, i64, ctypes.c_double, i64, i64, ptr)
     lib.bin_moments.restype = ctypes.c_int
+    lib.ecf_contract.argtypes = (ptr, i64, ptr, i64, i64, ctypes.c_double, ptr)
+    lib.ecf_contract.restype = None
     return lib
 
 
@@ -111,13 +113,31 @@ def read_last_cells(path: str, skip: int) -> np.ndarray | None:
 
 def bin_moments(values: np.ndarray, size: int, scale: float, terms: int,
                 chunk: int) -> np.ndarray | None:
-    """The (size, terms) moments of ``estimator._bin_moments_numpy``, or None."""
+    """The (terms, size) moments of ``estimator._bin_moments_numpy``, or None."""
     lib = library()
     if lib is None:
         return None
     values = np.ascontiguousarray(values, dtype=float)
-    moments = np.zeros((size, terms))
+    moments = np.zeros((terms, size))
     if lib.bin_moments(values.ctypes.data, values.size, size, scale, terms, chunk,
                        moments.ctypes.data) != 0:
         return None
     return moments
+
+
+def ecf_contract(spectrum: np.ndarray, weights: np.ndarray, size: int,
+                 n: int) -> np.ndarray | None:
+    """The 2 count + 1 ECF values of ``estimator._ecf_contract_numpy``, or None."""
+    lib = library()
+    if lib is None:
+        return None
+    terms, count = weights.shape[0], weights.shape[1] - 1
+    if not (spectrum.dtype == np.complex128 and spectrum.flags.c_contiguous
+            and spectrum.shape == (terms, size // 2 + 1) and weights.dtype == np.float64
+            and weights.flags.c_contiguous and 0 <= count < size):
+        raise ValueError("ecf_contract needs C-contiguous (terms, size/2 + 1) complex "
+                         "rows and (terms, count + 1) float weights, count < size")
+    out = np.empty(2 * count + 1, dtype=np.complex128)
+    lib.ecf_contract(spectrum.ctypes.data, size, weights.ctypes.data, terms, count, n,
+                     out.ctypes.data)
+    return out

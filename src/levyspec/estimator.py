@@ -12,6 +12,9 @@ offset d_j in [-1, 1] from the bin centre are accumulated for p < P = 24, and
 one batched rFFT of length M over the P moment rows, weighted by the
 Jacobi-Anger coefficients eps_p i^p J_p(pi k / M), gives every frequency.
 That is O(n P + P M log M) work instead of O(n K), with no BLAS call.  The
+moment pass and the weighted sum over p (the contraction) run in the C
+kernels of ``_kernels.c`` when they load (``_native``), else in their numpy
+definitions, with the same bytes; only the rFFT is numpy's either way.  The
 expansion is cut below 2e-18; the rounding error against exact summation is
 about eps * u * mean|x|, the cost of forming u*x in double as a direct sum
 does, plus the FFT's roundings of order eps log2(M).
@@ -106,8 +109,8 @@ class ECFGrid:
     def __post_init__(self):
         if len(self.values) != 2 * self.grid.half_count + 1:
             raise ValueError("values length does not match the grid")
-        bad = np.flatnonzero(~np.isfinite(self.values))
-        if bad.size:
+        if not np.isfinite(self.values).all():
+            bad = np.flatnonzero(~np.isfinite(self.values))
             raise ValueError(f"ECF values must be finite; value {self.values[bad[0]]!r} "
                              f"at index {bad[0]}")
         if self.n <= 0:
@@ -182,9 +185,9 @@ def _ecf_weights(count: int, size: int) -> np.ndarray:
 
 
 def _bin_moments(values: np.ndarray, size: int, scale: float) -> np.ndarray:
-    """S[b, p] = sum of T_p(d_j) over the samples in bin b, for the Chebyshev
+    """S[p, b] = sum of T_p(d_j) over the samples in bin b, for the Chebyshev
     polynomials T_p, q_j = scale x_j, m_j = rint(q_j), d_j = 2 (q_j - m_j) in
-    [-1, 1] and b = m_j mod size.
+    [-1, 1] and b = m_j mod size: one row per term, as the batched rFFT reads it.
 
     Computed by ``bin_moments`` of ``_kernels.c`` when the native kernels load
     (``_native.library``), else by ``_bin_moments_numpy``, the definition.  The
@@ -209,7 +212,7 @@ def _bin_moments_numpy(values: np.ndarray, size: int, scale: float) -> np.ndarra
     summed by ``np.add.reduceat``, pairwise, so that a bin holding thousands of
     tied samples costs O(log) roundings, not O(count).
     """
-    moments = np.zeros((size, _TERMS))
+    moments = np.zeros((_TERMS, size))
     cheb = np.empty((_TERMS, min(_ECF_CHUNK, values.size)))
     small = np.min_scalar_type(size - 1)
     for lo in range(0, values.size, _ECF_CHUNK):
@@ -232,12 +235,35 @@ def _bin_moments_numpy(values: np.ndarray, size: int, scale: float) -> np.ndarra
             np.multiply(twice, rows[p - 1], out=rows[p])
             rows[p] -= rows[p - 2]
         starts = np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]])
-        moments[bins[starts]] += np.add.reduceat(rows, starts, axis=1).T
+        moments[:, bins[starts]] += np.add.reduceat(rows, starts, axis=1)
     return moments
 
 
+def _ecf_contract_numpy(spectrum: np.ndarray, weights: np.ndarray, size: int,
+                        n: int) -> np.ndarray:
+    """phi_hat(k step) for k = -count..count from the moments' rFFT rows: the
+    definition of the contraction, and the reference of ``ecf_contract`` in C.
+
+    The (P, count + 1) terms eps_p i^p J_p(z_k) conj(F_p[k]) are formed whole,
+    the even and odd p summed apart (the odd weights carry the factor i), and
+    the negative half filled by conjugate symmetry.
+    """
+    count = weights.shape[1] - 1
+    half = min(count, size // 2) + 1
+    terms = np.empty((_TERMS, count + 1), dtype=np.complex128)
+    np.conjugate(spectrum[:, :half], out=terms[:, :half])
+    terms[:, half:] = spectrum[:, size // 2 - 1:size - count - 1:-1]
+    terms *= weights
+    out = terms[0::2].sum(axis=0)  # the even p, whose weights are real
+    out += 1j * terms[1::2].sum(axis=0)
+    out /= n
+    out[0] = 1.0
+    return np.concatenate([np.conj(out[:0:-1]), out])
+
+
 def _ecf_half(values: np.ndarray, count: int, step: float) -> np.ndarray:
-    """phi_hat at u = k*step for k = 0..count, from binned Chebyshev moments.
+    """phi_hat at u = k*step for k = -count..count, summed for k >= 0 only from
+    binned Chebyshev moments; the k < 0 half is the conjugate of the k > 0 half.
 
     With M = ``_ecf_bins(count)`` bins and q = x step M / 2pi,
     exp(i k step x) = exp(2pi i k m / M) exp(i z_k d) for z_k = k pi / M < pi,
@@ -246,27 +272,26 @@ def _ecf_half(values: np.ndarray, count: int, step: float) -> np.ndarray:
 
         phi_hat(k step) = (1/n) sum_{p < P} eps_p i^p J_p(z_k) conj(F_p[k])
 
-    for F_p = rfft(S[:, p]) of the bin moments S of ``_bin_moments``, with
+    for F_p = rfft(S[p]) of the bin moments S of ``_bin_moments``, with
     F_p[k] = conj(F_p[M - k]) past M/2, and the weights of ``_ecf_weights``:
     O(n P + P M log M) work, one batched rFFT over the P rows, no BLAS.  Since
     |J_p(z)| <= (z/2)^p / p!, the dropped terms sum below 2 (pi/2)^P / P! < 2e-18.
     Rounding x step M / 2pi moves each phase by about eps u |x|, as forming
     step * x does in a direct sum, so the error against exact summation is about
     eps u mean|x| plus the FFT's roundings, of order eps log2(M).
+
+    The contraction over p runs in ``ecf_contract`` of ``_kernels.c`` when the
+    native kernels load, straight into the 2 count + 1 output in blocks of 64
+    frequencies, with no (P, count + 1) complex temporaries; else it runs in
+    ``_ecf_contract_numpy``, the definition, whose operations the C pass repeats
+    in numpy's order for the same bytes.
     """
+    from . import _native
     size = _ecf_bins(count)
-    moments = _bin_moments(values, size, step * size / (2.0 * math.pi))
-    spectrum = np.fft.rfft(np.ascontiguousarray(moments.T), axis=1)
-    half = min(count, size // 2) + 1
-    terms = np.empty((_TERMS, count + 1), dtype=np.complex128)
-    np.conjugate(spectrum[:, :half], out=terms[:, :half])
-    terms[:, half:] = spectrum[:, size // 2 - 1:size - count - 1:-1]
-    terms *= _ecf_weights(count, size)
-    out = terms[0::2].sum(axis=0)  # the even p, whose weights are real
-    out += 1j * terms[1::2].sum(axis=0)
-    out /= values.size
-    out[0] = 1.0
-    return out
+    spectrum = np.fft.rfft(_bin_moments(values, size, step * size / (2.0 * math.pi)), axis=1)
+    weights = _ecf_weights(count, size)
+    out = _native.ecf_contract(spectrum, weights, size, values.size)
+    return _ecf_contract_numpy(spectrum, weights, size, values.size) if out is None else out
 
 
 def ecf(sample: IncrementSample, grid: UGrid) -> ECFGrid:
@@ -278,8 +303,7 @@ def ecf(sample: IncrementSample, grid: UGrid) -> ECFGrid:
     """
     if sample.n == 0:
         raise ValueError("sample must be nonempty")
-    half = _ecf_half(np.asarray(sample.values, dtype=float), grid.half_count, grid.step)
-    vals = np.concatenate([np.conj(half[:0:-1]), half])
+    vals = _ecf_half(np.asarray(sample.values, dtype=float), grid.half_count, grid.step)
     return ECFGrid(grid, vals, sample.n)
 
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedModelError
-from .models import (CustomJumpDensity, LevyTriplet, StableJumpDensity,
-                     StableLaw, increment_stable_law)
+from .models import CustomJumpDensity, LevyTriplet, StableLaw, increment_stable_law
 
 __all__ = ["SeedSpec", "IncrementSample", "stable_sample", "sample_increments",
            "derive_seed", "write_increments_csv"]
@@ -117,13 +116,28 @@ def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, n: int) -
 
 
 def _cms(law: StableLaw, rng: np.random.Generator, n: int) -> np.ndarray:
-    z = _cms_standard(law.alpha, law.beta, rng, n)
-    z *= law.gamma
-    if law.alpha == 1.0:
-        # the one-parameterization scales with an extra beta*gamma*log(gamma) shift
-        z += (2.0 / math.pi) * law.beta * law.gamma * math.log(law.gamma)
-    z += law.delta
+    # a non-finite variate is raised by _stable_sample, so numpy need not warn of it
+    with np.errstate(all="ignore"):
+        z = _cms_standard(law.alpha, law.beta, rng, n)
+        z *= law.gamma
+        if law.alpha == 1.0:
+            # the one-parameterization scales with an extra beta*gamma*log(gamma) shift
+            z += (2.0 / math.pi) * law.beta * law.gamma * math.log(law.gamma)
+        z += law.delta
     return z
+
+
+def _stable_sample(values: np.ndarray, law: StableLaw) -> IncrementSample:
+    """``IncrementSample(values)`` for variates of a valid ``law``: a non-finite
+    one is the sampler's numeric failure, an ArithmeticError naming alpha, beta
+    and its index, not the ValueError of bad input."""
+    try:
+        return IncrementSample(values)
+    except ValueError:
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ArithmeticError(
+            f"sampling the stable law alpha={law.alpha!r}, beta={law.beta!r} gave the "
+            f"non-finite variate {float(values[bad])!r} at index {bad}") from None
 
 
 def stable_sample(law: StableLaw, n: int, seed: SeedSpec) -> IncrementSample:
@@ -131,7 +145,7 @@ def stable_sample(law: StableLaw, n: int, seed: SeedSpec) -> IncrementSample:
     _check_count(n)
     if not 0 < law.alpha < 2:
         raise ValueError("sampler requires alpha in (0, 2)")
-    return IncrementSample(_cms(law, seed.generator(_STABLE_STREAM), n))
+    return _stable_sample(_cms(law, seed.generator(_STABLE_STREAM), n), law)
 
 
 def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
@@ -149,18 +163,17 @@ def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
         raise UnsupportedModelError("custom jump densities are not samplable; "
                                     "only stable or empty jump parts")
     drift = triplet.b * delta_t
+    law = None if triplet.jumps is None else increment_stable_law(triplet.jumps, delta_t)
     if triplet.sigma2 > 0:
         values = seed.generator(_GAUSSIAN_STREAM).standard_normal(n)
         values *= math.sqrt(triplet.sigma2 * delta_t)
         values += drift
-        if isinstance(triplet.jumps, StableJumpDensity):
-            values += _cms(increment_stable_law(triplet.jumps, delta_t),
-                           seed.generator(_STABLE_STREAM), n)
+        if law is not None:
+            values += _cms(law, seed.generator(_STABLE_STREAM), n)
     else:  # a triplet without a Gaussian part has stable jumps
-        values = _cms(increment_stable_law(triplet.jumps, delta_t),
-                      seed.generator(_STABLE_STREAM), n)
+        values = _cms(law, seed.generator(_STABLE_STREAM), n)
         values += drift  # also when 0.0: it turns a -0.0 into +0.0, as 0.0 + x does
-    return IncrementSample(values)
+    return IncrementSample(values) if law is None else _stable_sample(values, law)
 
 
 _ROWS_PER_WRITE = 8192

@@ -1,9 +1,10 @@
 """The C kernels of ``_kernels.c`` against their Python definitions.
 
-The moment pass must give the bytes of ``_bin_moments_numpy``, and the CSV
-reader those of ``_read_values_loop``; with no kernels the moment pass falls
-back to its numpy definition and the reader to ``np.loadtxt``, with the same
-bytes.  Where a C compiler is on PATH the kernels must load, so that a silent
+The moment pass must give the bytes of ``_bin_moments_numpy``, the ECF's
+contraction those of ``_ecf_contract_numpy``, and the CSV reader those of
+``_read_values_loop``; with no kernels the moment pass and the contraction
+fall back to their numpy definitions and the reader to ``np.loadtxt``, with
+the same bytes.  Where a C compiler is on PATH the kernels must load, so that a silent
 fall-back cannot pass.
 """
 
@@ -11,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 from levyspec import IncrementSample, UGrid, _native, ecf
 from levyspec.cli import _read_values_fast, _read_values_loop, read_values_csv
 from levyspec.estimator import (_ECF_CHUNK, _TERMS, _bin_moments, _bin_moments_numpy,
-                                _ecf_bins)
+                                _ecf_bins, _ecf_contract_numpy, _ecf_weights)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -90,6 +92,46 @@ def test_c_moments_of_a_strided_view(kernels):
     size = _ecf_bins(200)
     assert _bin_moments(values, size, 4.0).tobytes() == \
         _bin_moments_numpy(values, size, 4.0).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "tied", "signed-zero", "huge"])
+@pytest.mark.parametrize("count", [1, 3, 63, 160, 200, 255, 256, 1000, 4000])
+def test_c_contraction_is_the_bytes_of_the_numpy_definition(kernels, monkeypatch, count,
+                                                            kind):
+    # counts below size / 2 read only conjugated bins, counts past it mirrored ones too
+    rng = np.random.default_rng(count)
+    size, step = _ecf_bins(count), 0.1
+    weights = _ecf_weights(count, size)
+    samples = [_sample(kind, n, rng) for n in (1, 2, 500, 10_000)]
+    grid = UGrid(count * step, step)
+    native = [ecf(IncrementSample(values), grid).values.tobytes() for values in samples]
+    for values, got in zip(samples, native):
+        moments = _bin_moments(values, size, step * size / (2.0 * np.pi))
+        spectrum = np.fft.rfft(moments, axis=1)
+        want = _ecf_contract_numpy(spectrum, weights, size, values.size).tobytes()
+        assert _native.ecf_contract(spectrum, weights, size, values.size).tobytes() == want
+        assert got == want, (values.size, kind)
+    monkeypatch.setattr(_native, "library", lambda: None)
+    assert [ecf(IncrementSample(values), grid).values.tobytes() for values in samples] == native
+
+
+def test_warm_ecf_allocates_no_full_size_complex_temporaries(kernels):
+    # The moments, their rFFT rows and the output are the arrays an ECF needs; the
+    # numpy contraction's (P, K + 1) complex terms and their copies peaked at
+    # 889 KiB here, 2.1 times this bound.
+    count, n = 1000, 10_000
+    size = _ecf_bins(count)
+    bound = _TERMS * size * 8 + _TERMS * (size // 2 + 1) * 16 + (2 * count + 1) * 16
+    sample, grid = IncrementSample(np.random.default_rng(7).standard_cauchy(n)), UGrid(100.0, 0.1)
+    assert grid.half_count == count
+    ecf(sample, grid)  # fills the weight cache
+    tracemalloc.start()
+    try:
+        ecf(sample, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 def test_without_kernels_the_ecf_and_the_reader_give_the_same_bytes(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,20 @@ def ecf_on(values, grid):
 def test_increment_sample_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="at index 2"):
         IncrementSample(np.array([0.1, -0.4, bad, 0.3]))
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 1.0])
+def test_a_non_finite_variate_of_a_valid_law_is_an_arithmetic_error(sigma2):
+    # at alpha = 1 + 1e-12 the CMS cosine rounds below 0 for 3 of these 2e5 draws
+    trip = LevyTriplet(0.0, sigma2, StableJumpDensity(1.0, 0.0, 1 + 1e-12))
+    message = r"^sampling the stable law alpha=1.000000000001, beta=1.0 gave the " \
+              r"non-finite variate nan at index 4126$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and numpy warns of nothing
+        with pytest.raises(ArithmeticError, match=message):
+            sample_increments(trip, 1.0, 200_000, SeedSpec(1))
+        with pytest.raises(ArithmeticError, match=message):
+            stable_sample(increment_stable_law(trip.jumps, 1.0), 200_000, SeedSpec(1))
 
 
 def test_determinism():
