@@ -162,11 +162,14 @@ def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
     if isinstance(triplet.jumps, CustomJumpDensity):
         raise UnsupportedModelError("custom jump densities are not samplable; "
                                     "only stable or empty jump parts")
-    drift = triplet.b * delta_t
+    drift, variance = triplet.b * delta_t, triplet.sigma2 * delta_t
+    if not (math.isfinite(drift) and math.isfinite(variance)):
+        raise ValueError(f"the increment's drift b * delta_t = {drift!r} and variance "
+                         f"sigma2 * delta_t = {variance!r} must be finite")
     law = None if triplet.jumps is None else increment_stable_law(triplet.jumps, delta_t)
     if triplet.sigma2 > 0:
         values = seed.generator(_GAUSSIAN_STREAM).standard_normal(n)
-        values *= math.sqrt(triplet.sigma2 * delta_t)
+        values *= math.sqrt(variance)
         values += drift
         if law is not None:
             values += _cms(law, seed.generator(_STABLE_STREAM), n)

@@ -4,8 +4,8 @@ The moment pass must give the bytes of ``_bin_moments_numpy``, the ECF's
 contraction those of ``_ecf_contract_numpy``, and the CSV reader those of
 ``_read_values_loop``; with no kernels the moment pass and the contraction
 fall back to their numpy definitions and the reader to ``np.loadtxt``, with
-the same bytes.  Where a C compiler is on PATH the kernels must load, so that a silent
-fall-back cannot pass.
+the same bytes.  Where a C compiler is on PATH the kernels must load, so that
+a silent fall-back cannot pass.
 """
 
 import os
@@ -116,9 +116,9 @@ def test_c_contraction_is_the_bytes_of_the_numpy_definition(kernels, monkeypatch
 
 
 def test_warm_ecf_allocates_no_full_size_complex_temporaries(kernels):
-    # The moments, their rFFT rows and the output are the arrays an ECF needs; the
-    # numpy contraction's (P, K + 1) complex terms and their copies peaked at
-    # 889 KiB here, 2.1 times this bound.
+    # The moments, their rFFT rows and the output are the arrays an ECF needs; with
+    # the numpy contraction's (P, K + 1) complex terms and their copies the peak is
+    # 889 KiB at this size, 2.1 times this bound.
     count, n = 1000, 10_000
     size = _ecf_bins(count)
     bound = _TERMS * size * 8 + _TERMS * (size // 2 + 1) * 16 + (2 * count + 1) * 16

@@ -45,6 +45,15 @@ def test_a_non_finite_variate_of_a_valid_law_is_an_arithmetic_error(sigma2):
             stable_sample(increment_stable_law(trip.jumps, 1.0), 200_000, SeedSpec(1))
 
 
+@pytest.mark.parametrize("b,sigma2,jumps", [
+    (0.0, 1e308, None), (1e308, 1.0, None), (0.0, 1e308, StableJumpDensity(1.0, 0.0, 1.5)),
+    (-1e308, 0.0, StableJumpDensity(1.0, 0.0, 1.5))])
+def test_an_increment_drift_or_variance_past_the_doubles_is_bad_input(b, sigma2, jumps):
+    # not the stable law's numeric failure, which the overflowed sum would suggest
+    with pytest.raises(ValueError, match=r"^the increment's drift b \* delta_t = .* must be finite$"):
+        sample_increments(LevyTriplet(b, sigma2, jumps), 10.0, 5, SeedSpec(1))
+
+
 def test_determinism():
     law = StableLaw(0.7, 2.0, 0.3, -1.0)
     a = stable_sample(law, 1000, SeedSpec(42, 3))
