@@ -150,7 +150,6 @@ int bin_moments(const double *x, int64_t n, int64_t size, double scale, int64_t 
     return lo < n || !rows || !bins ? -1 : 0;
 }
 
-
 /* out[count + k] = phi_hat(k step) and out[count - k] its conjugate for k = 0..count,
    as (re, im) pairs, from the rFFT rows spectrum[p] (size / 2 + 1 pairs each) and
    weights[p] (count + 1 each), p < terms.  Each k repeats numpy's operations in
@@ -158,7 +157,7 @@ int bin_moments(const double *x, int64_t n, int64_t size, double scale, int64_t 
    times real weight as numpy's complex multiply forms it; the even-p and odd-p
    sums in p order, each from its first row; the 1j product; numpy's complex
    division by n, a product with 1 / (n + 0 * 0); and out[count] = 1.  The k run
-   in blocks on one side of size / 2, p outside k, so every row is read in order. */
+   in blocks of BLOCK on one side of size / 2, p outside k, so each row is read in order. */
 void ecf_contract(const double *spectrum, int64_t size, const double *weights, int64_t terms,
                   int64_t count, double n, double *out)
 {

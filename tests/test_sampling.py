@@ -50,7 +50,8 @@ def test_a_non_finite_variate_of_a_valid_law_is_an_arithmetic_error(sigma2):
     (-1e308, 0.0, StableJumpDensity(1.0, 0.0, 1.5))])
 def test_an_increment_drift_or_variance_past_the_doubles_is_bad_input(b, sigma2, jumps):
     # not the stable law's numeric failure, which the overflowed sum would suggest
-    with pytest.raises(ValueError, match=r"^the increment's drift b \* delta_t = .* must be finite$"):
+    message = r"^the increment's drift b \* delta_t = .* must be finite$"
+    with pytest.raises(ValueError, match=message):
         sample_increments(LevyTriplet(b, sigma2, jumps), 10.0, 5, SeedSpec(1))
 
 
