@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -98,6 +99,9 @@ def _read_values_fast(path: str) -> np.ndarray | None:
     from . import _native  # at the first read, not at import
     if _native.library() is not None:
         return _native.read_last_cells(path, lineno - 1)
+    with open(path, "rb") as fh:  # np.loadtxt strips these around a number; float() does not
+        if _SEPARATOR_BYTES.search(fh.read()):
+            return None
     try:  # no kernels: np.loadtxt, also C, from the path in large chunks
         table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=lineno - 1)
     except ValueError:
@@ -107,13 +111,19 @@ def _read_values_fast(path: str) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
+# Whitespace as str.strip sees it, but for the ASCII separators \x1c-\x1f, which
+# str.strip takes off and float() rejects: a cell "0\x1f" is not a number.
+_OUTER_BLANKS = re.compile(r"\A[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z")
+_SEPARATOR_BYTES = re.compile(rb"[\x1c-\x1f]")
+
+
 def _data_rows(fh, path: str):
     """Yield (line number, last cell, its float or None) for each row from the first
     whose last cell parses as a float on.  Blank and # lines are skipped, rows
     before that one are headers, and a row of other than 1 or 2 cells raises."""
     started = False
     for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
+        line = _OUTER_BLANKS.sub("", raw)
         if not line or line.startswith("#"):
             continue
         cells = line.split(",")

@@ -80,6 +80,10 @@ CASES = {
     "token-trailing-comment": (tokens_file("1.0 # c"), False, False),
     "token-fullwidth-digit": (tokens_file("１"), False, False),
     "token-padded": (tokens_file("  1.25\t"), False, True),
+    "token-unit-separator": (tokens_file("0\x1f"), False, False),
+    "file-separator-header": ("value\n\x1c1.5\n0.5\n", False, True),
+    "separator-line": ("value\n0.5\n\x1e\n1.5\n", False, False),
+    "token-nbsp": (tokens_file("1.25\xa0"), False, False),
     "lone-cr-in-data": ("value\r0.5\r1.5\n2.5\r\n", False, True),
     "nul-byte": ("value\n0.5\n1\x00.5\n", False, False),
     "nul-byte-first-column": ("value\n0,0.5\n\x00,1.5\n", False, False),
