@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -23,8 +22,8 @@ import numpy as np
 from . import __version__
 from .calibration import FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile, write_chi_csv
 from .errors import NoStabilizationError, QuadratureError, UnsupportedModelError
-from .estimator import (ECFGrid, UGrid, default_u_max, default_x_grid, ecf,
-                        adaptive_estimate, sample_bulk, write_ecf_csv,
+from .estimator import (ECFGrid, UGrid, _check_ecf_above_rounding, adaptive_estimate,
+                        default_u_max, default_x_grid, ecf, sample_bulk, write_ecf_csv,
                         write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
 from .risk import (ExperimentConfig, adaptive_risk_bound_check,
@@ -81,8 +80,10 @@ def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
     its line-numbered errors.
     """
     data = _read_values_fast(path)
-    if data is None or (difference and data.size < 2):
-        return _read_values_loop(path, difference)
+    if data is None:
+        data = _read_values_loop(path)
+    if difference and data.size < 2:
+        raise ValueError(f"{path}: need at least 2 level observations to difference")
     return np.diff(data) if difference else data
 
 
@@ -93,15 +94,16 @@ def _read_values_fast(path: str) -> np.ndarray | None:
         return None
     try:
         with open(path) as fh:
-            lineno, _, _ = next(_data_rows(fh, path))
+            lineno, _ = next(_data_rows(fh, path))
     except (ValueError, StopIteration):  # StopIteration: no numeric row
         return None
     from . import _native  # at the first read, not at import
     if _native.library() is not None:
         return _native.read_last_cells(path, lineno - 1)
-    with open(path, "rb") as fh:  # np.loadtxt strips these around a number; float() does not
-        if _SEPARATOR_BYTES.search(fh.read()):
-            return None
+    with open(path, "rb") as fh:  # np.loadtxt strips \x1c-\x1f around a number; float() does not
+        raw = fh.read()
+    if any(byte in raw for byte in b"\x1c\x1d\x1e\x1f"):
+        return None
     try:  # no kernels: np.loadtxt, also C, from the path in large chunks
         table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=lineno - 1)
     except ValueError:
@@ -111,52 +113,45 @@ def _read_values_fast(path: str) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-# Whitespace as str.strip sees it, but for the ASCII separators \x1c-\x1f, which
-# str.strip takes off and float() rejects: a cell "0\x1f" is not a number.
-_OUTER_BLANKS = re.compile(r"\A[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z")
-_SEPARATOR_BYTES = re.compile(rb"[\x1c-\x1f]")
+# The whitespace float() strips: that of str.isspace() but for the ASCII separators
+# \x1c-\x1f, which float() rejects, so a cell "0\x1f" is not a number.  A literal:
+# scanning every code point for it would cost about 85 ms at import.
+_BLANKS = ("\t\n\x0b\x0c\r \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+           "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
 def _data_rows(fh, path: str):
-    """Yield (line number, last cell, its float or None) for each row from the first
-    whose last cell parses as a float on.  Blank and # lines are skipped, rows
-    before that one are headers, and a row of other than 1 or 2 cells raises."""
+    """Yield (line number, value) for each row from the first whose last cell is a
+    number on.  Blank and # lines are skipped anywhere and rows before that one
+    are headers.  A row of other than 1 or 2 cells, a non-numeric last cell after
+    the first number and a non-finite one raise, naming the line."""
     started = False
-    for lineno, raw in enumerate(fh, start=1):
-        line = _OUTER_BLANKS.sub("", raw)
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip(_BLANKS)
+        if not line or line[0] == "#":
             continue
-        cells = line.split(",")
-        if len(cells) not in (1, 2):
-            raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns, got {len(cells)}")
+        first, _, cell = line.rpartition(",")
+        if "," in first:
+            raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns, got {line.count(',') + 1}")
         try:
-            value = float(cells[-1])
+            value = float(cell)
         except ValueError:
-            value = None
-        started = started or value is not None
-        if started:
-            yield lineno, cells[-1], value
+            if started:
+                raise ValueError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
+            continue
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: non-finite cell {cell!r}")
+        started = True
+        yield lineno, value
 
 
-def _read_values_loop(path: str, difference: bool = False) -> np.ndarray:
-    """The CSV format, one line at a time: one or two columns, the last one read;
-    blank lines, # lines and header rows before the first number are skipped."""
-    values = []
+def _read_values_loop(path: str) -> np.ndarray:
+    """The CSV format, one line at a time: the values ``_data_rows`` yields."""
     with open(path) as fh:
-        for lineno, cell, value in _data_rows(fh, path):
-            if value is None:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell {cell!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite cell {cell!r}")
-            values.append(value)
+        values = [value for _, value in _data_rows(fh, path)]
     if not values:
         raise ValueError(f"{path}: no numeric rows found")
-    data = np.asarray(values)
-    if difference:
-        if data.size < 2:
-            raise ValueError(f"{path}: need at least 2 level observations to difference")
-        data = np.diff(data)
-    return data
+    return np.asarray(values)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +233,6 @@ def _check_bulk_within_half_period(median: float, spread: float, step: float) ->
             f"and cover the data's bulk, got |median| + 8 IQR = {reach:g} (median "
             f"{median:g}); the inversion repeats with period 2 pi/step in x, so this "
             f"data needs --step <= pi/{reach:g} = {math.pi / reach:.3g}")
-
-
-def _check_ecf_above_rounding(values: np.ndarray, u_max: float) -> None:
-    """Rounding u*x moves the ECF by up to eps * u_max * mean|x|; once that reaches
-    the sampling error 1/sqrt(n), the ECF is rounding noise (an overflow counts)."""
-    with np.errstate(over="ignore"):
-        rounding = np.finfo(float).eps * u_max * float(np.mean(np.abs(values)))
-    sampling = 1.0 / math.sqrt(len(values))
-    if not rounding < sampling:
-        raise ArithmeticError(
-            f"the ECF is rounding noise: its rounding bound eps * u_max * mean|x| = "
-            f"{rounding:g} reaches the sampling error 1/sqrt(n) = {sampling:g}; "
-            f"the data's magnitude is too large for this u_max")
 
 
 def _cmd_estimate(args) -> int:

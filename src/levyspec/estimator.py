@@ -307,6 +307,19 @@ def ecf(sample: IncrementSample, grid: UGrid) -> ECFGrid:
     return ECFGrid(grid, vals, sample.n)
 
 
+def _check_ecf_above_rounding(values: np.ndarray, u_max: float) -> None:
+    """Rounding u*x moves the ECF by up to eps * u_max * mean|x|; once that reaches
+    the sampling error 1/sqrt(n), the ECF is rounding noise (an overflow counts)."""
+    with np.errstate(over="ignore"):  # np.mean's sum, without the overhead of its wrapper
+        rounding = math.ulp(1.0) * u_max * (float(np.add.reduce(np.abs(values))) / len(values))
+    sampling = 1.0 / math.sqrt(len(values))
+    if not rounding < sampling:
+        raise ArithmeticError(
+            f"the ECF is rounding noise: its rounding bound eps * u_max * mean|x| = "
+            f"{rounding:g} reaches the sampling error 1/sqrt(n) = {sampling:g}; "
+            f"the data's magnitude is too large for this u_max")
+
+
 # ---------------------------------------------------------------------------
 # inversion
 

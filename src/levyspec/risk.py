@@ -27,8 +27,8 @@ import numpy as np
 
 from .calibration import FALLBACK_KAPPA, calibrate
 from .errors import UnsupportedModelError
-from .estimator import (UGrid, default_u_max, ecf, plancherel_l2, threshold_cf,
-                        threshold_level, trapezoid_weights)
+from .estimator import (UGrid, _check_ecf_above_rounding, default_u_max, ecf, plancherel_l2,
+                        threshold_cf, threshold_level, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, StableLaw, _spectral_tail,
                      cauchy_triplet, increment_stable_law, levy_khintchine_cf)
 from .sampling import SeedSpec, derive_seed, sample_increments
@@ -226,9 +226,11 @@ def relative_risk_of_cf(phi_est, model: LevyTriplet, delta_t: float, grid: UGrid
 
 
 def _trial_ecfs(model: LevyTriplet, delta_t: float, n: int, grid: UGrid, seed: int, trials: int):
-    """ECF on the grid of each trial's sample, keyed by (seed, trial index)."""
+    """Each trial's ECF on the grid, keyed by (seed, trial index) and checked above rounding."""
     for tr in range(trials):
-        yield ecf(sample_increments(model, delta_t, n, SeedSpec(seed, tr)), grid)
+        sample = sample_increments(model, delta_t, n, SeedSpec(seed, tr))
+        _check_ecf_above_rounding(sample.values, grid.u_max)
+        yield ecf(sample, grid)
 
 
 def _thresholded_errors(model: LevyTriplet, delta_t: float, n: int, grid: UGrid,

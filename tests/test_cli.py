@@ -662,6 +662,30 @@ def test_estimate_on_an_ecf_of_rounding_noise_exits_3_without_output(
     assert not (tmp_path / "d_ecf.csv").exists()
 
 
+@pytest.mark.parametrize("which, delta", [("thm1", "1e16"), ("thm4", "1e16"), ("thm4", "1e20")])
+def test_check_bounds_on_an_ecf_of_rounding_noise_exits_3(which, delta, capsys):
+    # Cauchy increments at scale delta put eps * u_max * mean|x| past 1/sqrt(n), as
+    # estimate refuses; the trials' ECFs would be rounding noise, not a bound check
+    assert run(["check-bounds", "--which", which, "--delta", delta, "--n", "1000",
+                "--trials", "5"]) == 3
+    captured = capsys.readouterr()
+    assert "eps * u_max * mean|x|" in captured.err
+    assert "1/sqrt(n) = 0.0316228" in captured.err
+    assert "VIOLATED" not in captured.out and "PASS" not in captured.out
+
+
+def test_risk_table_on_an_ecf_of_rounding_noise_exits_3_without_output(tmp_path, capsys):
+    cfg = {"model": {"jumps": {"P": 0.3183098861837907, "Q": 0.3183098861837907,
+                               "alpha": 1.0}},
+           "delta_t": 1e16, "u_max": 10, "n_list": [1000], "trials": 5}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "risk.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["risk-table", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "eps * u_max * mean|x|" in err and "1/sqrt(n) = 0.0316228" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "calibrate"])
 def test_a_grid_too_large_to_allocate_exits_3_without_output(
         command, increments_file, tmp_path, capsys):

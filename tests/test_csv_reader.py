@@ -6,6 +6,7 @@ differ from it in speed.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,14 @@ from levyspec.cli import _read_values_fast, _read_values_loop, read_values_csv
 from levyspec.sampling import write_increments_csv
 
 
+def loop(path, difference=False):
+    """The oracle: the per-line loop's values, differenced as the format says."""
+    data = _read_values_loop(path)
+    if difference and data.size < 2:
+        raise ValueError(f"{path}: need at least 2 level observations to difference")
+    return np.diff(data) if difference else data
+
+
 def outcome(reader, path, difference):
     try:
         return reader(str(path), difference=difference)
@@ -28,7 +37,7 @@ def outcome(reader, path, difference):
 
 def assert_same_as_loop(path, difference=False):
     got = outcome(read_values_csv, path, difference)
-    want = outcome(_read_values_loop, path, difference)
+    want = outcome(loop, path, difference)
     if isinstance(want, str):
         assert got == want
     else:
@@ -109,6 +118,35 @@ def test_reader_without_kernels_matches_loop(text, difference, tmp_path, monkeyp
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     assert_same_as_loop(path, difference)
+
+
+SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
+def parses(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("space", SPACES, ids=[f"U+{ord(c):04X}" for c in SPACES])
+def test_rows_read_with_the_whitespace_float_strips(space, tmp_path):
+    # The line's strip characters must be float()'s whitespace: all of str.isspace()
+    # but the ASCII separators \x1c-\x1f, which float() rejects around a number.
+    # The one-cell row, the # line and the blank line after the data see the strip
+    # itself; the cell of the two-cell row is left for float() to strip.
+    path = tmp_path / "data.csv"
+    path.write_bytes(f"0,{space}1.5{space}\n{space}2.5{space}\n{space}#{space}\n{space}\n"
+                     .encode("utf-8"))
+    want = assert_same_as_loop(path)
+    assert len(SPACES) == 29
+    if parses(space + "1" + space):
+        assert want.tolist() == [1.5, 2.5]
+    else:
+        assert "\x1c" <= space <= "\x1f"
+        assert want == f"{path}: no numeric rows found"
 
 
 PREAMBLE_LINES = ["", "   ", "# levyspec 0.1.0 sample", "#", "# a,b,c", "value",

@@ -201,6 +201,35 @@ def test_two_processes_building_into_one_empty_cache_both_load(kernels, tmp_path
     assert [p.suffix for p in (tmp_path / "levyspec").iterdir()] == [".so"]
 
 
+CHECK_PRIVATE_BUILD = """
+import os
+import numpy as np
+from levyspec import IncrementSample, UGrid, _native, ecf
+lib = _native.library()
+assert lib is not None, "the kernels did not load"
+sample = IncrementSample(np.random.default_rng(8).standard_cauchy(5000))
+grids = [UGrid(10.0, 0.05), UGrid(100.0, 0.1)]
+native = [ecf(sample, g).values.tobytes() for g in grids]
+_native.library = lambda: None
+assert [ecf(sample, g).values.tobytes() for g in grids] == native
+assert not os.path.exists(lib._name)  # the private directory is gone, the library loaded
+print(lib._name)
+"""
+
+
+def test_kernels_build_privately_where_the_cache_cannot_be_made(kernels, tmp_path):
+    # XDG_CACHE_HOME names a regular file, so its levyspec directory cannot be
+    # made: library() builds into a temporary directory of the process instead
+    blocker = tmp_path / "cache-file"
+    blocker.write_bytes(b"")
+    proc = _python(CHECK_PRIVATE_BUILD, blocker)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert Path(out.strip()).name.startswith("kernels-")
+    assert not out.strip().startswith(str(blocker))
+    assert blocker.read_bytes() == b""
+
+
 def test_without_a_compiler_library_is_none_and_the_ecf_runs(tmp_path):
     code = ("import numpy as np\n"
             "from levyspec import _native, ecf, IncrementSample, UGrid\n"
