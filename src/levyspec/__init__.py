@@ -15,8 +15,8 @@ from .calibration import (FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile,
 from .errors import (LevySpecError, NoStabilizationError, QuadratureError,
                      UnsupportedModelError)
 from .estimator import (ECFGrid, SpectralEstimate, UGrid, adaptive_estimate,
-                        default_u_max, default_u_step, default_x_grid, ecf,
-                        plancherel_l2, sample_bulk, spectral_estimate, threshold_cf,
+                        default_u_grid, default_u_max, default_u_step, default_x_grid,
+                        ecf, plancherel_l2, spectral_estimate, threshold_cf,
                         threshold_level, trapezoid_weights, unthresholded_mask,
                         write_ecf_csv, write_estimate_csv)
 from .models import (CustomJumpDensity, LevyTriplet, ModelClass, StableJumpDensity,

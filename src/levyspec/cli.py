@@ -22,9 +22,8 @@ import numpy as np
 from . import __version__
 from .calibration import FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile, write_chi_csv
 from .errors import NoStabilizationError, QuadratureError, UnsupportedModelError
-from .estimator import (ECFGrid, UGrid, _check_ecf_above_rounding, adaptive_estimate,
-                        default_u_max, default_x_grid, ecf, sample_bulk, write_ecf_csv,
-                        write_estimate_csv)
+from .estimator import (ECFGrid, _check_ecf_above_rounding, adaptive_estimate,
+                        default_u_grid, default_x_grid, ecf, write_ecf_csv, write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
 from .risk import (ExperimentConfig, adaptive_risk_bound_check,
                    cutoff_risk_bound_check, risk_table, risk_table_csv)
@@ -171,11 +170,10 @@ def _cmd_sample(args) -> int:
 
 
 def _read_and_ecf(args) -> tuple[IncrementSample, ECFGrid]:
-    """The increments of --data and their ECF on the grid cut to [-n, n]; an ECF
-    that would be rounding noise is an ArithmeticError, raised before it is computed."""
+    """The increments of --data and their ECF on ``default_u_grid``; an ECF that
+    would be rounding noise is an ArithmeticError, raised before it is computed."""
     sample = IncrementSample(read_values_csv(args.data, difference=args.difference))
-    u_max = args.umax if args.umax is not None else default_u_max(args.delta)
-    grid = UGrid.make(u_max, args.step).restrict(float(sample.n))
+    grid = default_u_grid(args.delta, sample.n, args.umax, args.step)
     _check_ecf_above_rounding(sample.values, grid.u_max)
     return sample, ecf(sample, grid)
 
@@ -223,18 +221,6 @@ def _kappa_or_auto(text: str) -> float | str:
     return kappa
 
 
-def _check_bulk_within_half_period(median: float, spread: float, step: float) -> None:
-    """The data's bulk, |median| + 8 spread, must lie within pi/step: the inversion
-    repeats with period 2 pi/step in x, so mass beyond it would show folded."""
-    reach, half_period = abs(median) + 8.0 * spread, math.pi / step
-    if not reach <= half_period:
-        raise ValueError(
-            f"the x-grid must lie within the alias half-period pi/step = {half_period:g} "
-            f"and cover the data's bulk, got |median| + 8 IQR = {reach:g} (median "
-            f"{median:g}); the inversion repeats with period 2 pi/step in x, so this "
-            f"data needs --step <= pi/{reach:g} = {math.pi / reach:.3g}")
-
-
 def _cmd_estimate(args) -> int:
     if args.xgrid < 2:
         raise ValueError(f"--xgrid must be at least 2, got {args.xgrid}")
@@ -243,14 +229,12 @@ def _cmd_estimate(args) -> int:
         raise ValueError(f"--out {args.out} and --ecf-out {ecf_out} name the same file")
     kgrid = KappaGrid(args.kappa_step, args.kappa_count)
     sample, phi_hat = _read_and_ecf(args)
-    median, spread = sample_bulk(sample.values)
-    _check_bulk_within_half_period(median, spread, phi_hat.grid.step)
+    x_grid = default_x_grid(sample.values, phi_hat.grid.step, points=args.xgrid)
     if args.kappa == "auto":
         kappa, fell_back = calibrate(phi_hat, kgrid, args.fallback)
         kappa_note = f"auto->{'fallback ' if fell_back else ''}{kappa:g}"
     else:
         kappa, kappa_note = args.kappa, f"{args.kappa:g}"
-    x_grid = default_x_grid(spread, points=args.xgrid)
     est = adaptive_estimate(phi_hat, kappa, x_grid)
     resolved = {"delta": args.delta, "umax": phi_hat.grid.u_max, "step": phi_hat.grid.step,
                 "kappa": kappa_note, "n": sample.n, "xgrid": args.xgrid}

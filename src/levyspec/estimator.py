@@ -43,7 +43,7 @@ from .sampling import IncrementSample, write_rows
 
 __all__ = ["UGrid", "ECFGrid", "SpectralEstimate", "ecf", "spectral_estimate",
            "unthresholded_mask", "threshold_cf", "adaptive_estimate", "plancherel_l2",
-           "default_u_max", "default_u_step", "default_x_grid", "sample_bulk",
+           "default_u_max", "default_u_step", "default_u_grid", "default_x_grid",
            "write_estimate_csv", "write_ecf_csv", "threshold_level", "trapezoid_weights"]
 
 
@@ -95,7 +95,18 @@ class UGrid:
     def restrict(self, u_max: float) -> "UGrid":
         if u_max >= self.u_max:
             return self
-        return UGrid(math.floor(u_max / self.step + 1e-9) * self.step, self.step)
+        k = math.floor(u_max / self.step + 1e-9)
+        if k < 1:
+            raise ValueError(f"the grid cut to [-n, n] = [-{u_max:g}, {u_max:g}] holds only "
+                             f"u = 0: its step {self.step:g} must be at most n")
+        return UGrid(k * self.step, self.step)
+
+
+def default_u_grid(delta_t: float, n: int, u_max: float | None = None,
+                   step: float | None = None) -> UGrid:
+    """The estimator's frequency grid: ``UGrid.make`` of u_max (default_u_max when
+    None) and step, cut to [-n, n]."""
+    return UGrid.make(default_u_max(delta_t) if u_max is None else u_max, step).restrict(float(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,19 +334,25 @@ def _check_ecf_above_rounding(values: np.ndarray, u_max: float) -> None:
 # ---------------------------------------------------------------------------
 # inversion
 
-def sample_bulk(values: np.ndarray) -> tuple[float, float]:
-    """Median and spread of a sample from one percentile pass; the spread is
-    the interquartile range, or max(std, 1) when that is 0."""
+def _check_within_half_period(reach: float, step: float, what: str) -> None:
+    """The inversion repeats with period 2 pi/step in x: past pi/step it shows folded."""
+    half_period = math.pi / step
+    if not reach <= half_period:
+        raise ValueError(
+            f"the x-grid must lie within the alias half-period pi/step = {half_period:g}, "
+            f"got {what} = {reach:g}; the inversion repeats with period 2 pi/step in x, "
+            f"so this needs a step (--step) <= pi/{reach:g} = {math.pi / reach:.3g}")
+
+
+def default_x_grid(values: np.ndarray, step: float, points: int = 512) -> np.ndarray:
+    """Uniform x-grid spanning +-8 spreads around 0, the spread being the sample's
+    interquartile range, or max(std, 1) when that is 0; the bulk |median| + 8
+    spreads must lie within the alias half-period pi/step."""
     q75, median, q25 = np.percentile(values, [75.0, 50.0, 25.0])
-    iqr = q75 - q25
-    if iqr <= 0:
-        iqr = max(float(np.std(values)), 1.0)
-    return float(median), float(iqr)
-
-
-def default_x_grid(spread: float, points: int = 512) -> np.ndarray:
-    """Uniform x-grid spanning +-8 spreads (``sample_bulk``) around 0."""
-    spread = float(spread)
+    spread = float(q75 - q25)
+    if spread <= 0:
+        spread = max(float(np.std(values)), 1.0)
+    _check_within_half_period(abs(float(median)) + 8.0 * spread, step, "|median| + 8 IQR")
     return np.linspace(-8.0 * spread, 8.0 * spread, points)
 
 
@@ -403,10 +420,7 @@ def spectral_estimate(ecf_grid: ECFGrid, m: float, x_grid) -> SpectralEstimate:
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size == 0:
         raise ValueError("the x-grid is empty")
-    reach, half_period = float(np.max(np.abs(x_grid))), math.pi / ecf_grid.grid.step
-    if not reach <= half_period:  # the inversion is periodic in x with period 2 pi/step
-        raise ValueError(f"the x-grid must lie within the alias half-period pi/step = "
-                         f"{half_period:g}, got max |x| = {reach:g}")
+    _check_within_half_period(float(np.max(np.abs(x_grid))), ecf_grid.grid.step, "max |x|")
     u = ecf_grid.grid.points
     keep = np.abs(u) <= m * (1 + 1e-12)
     f = _invert(u[keep], ecf_grid.values[keep], x_grid, ecf_grid.grid.step)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .calibration import FALLBACK_KAPPA, calibrate
 from .errors import UnsupportedModelError
-from .estimator import (UGrid, _check_ecf_above_rounding, default_u_max, ecf, plancherel_l2,
+from .estimator import (UGrid, _check_ecf_above_rounding, default_u_grid, ecf, plancherel_l2,
                         threshold_cf, threshold_level, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, StableLaw, _spectral_tail,
                      cauchy_triplet, increment_stable_law, levy_khintchine_cf)
@@ -66,12 +66,13 @@ class ExperimentConfig:
             raise ValueError(f"kappa_mode is 'auto' or a finite number >= 0, got {kappa!r}")
         if not self.delta_t > 0:
             raise ValueError(f"delta_t must be positive, got {self.delta_t!r}")
+        try:  # every cell's grid, before any trial runs
+            for n in self.n_list:
+                default_u_grid(self.delta_t, n, self.u_max, self.u_step)
+        except ValueError as exc:
+            raise ValueError(f"u_max {self.u_max!r}, u_step {self.u_step!r}: {exc}") from None
         SeedSpec(self.master_seed)  # the master-seed range, [0, 2^64)
         _check_label(self.label)
-
-    def grid(self) -> UGrid:
-        u_max = self.u_max if self.u_max is not None else default_u_max(self.delta_t)
-        return UGrid.make(u_max, self.u_step)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -264,7 +265,6 @@ def relative_l2_risk(config: ExperimentConfig) -> list[RiskReport]:
     The norm is computed once per config and the reference CF and tail once
     per cell; each trial's risk is the arithmetic of :func:`relative_risk_of_cf`.
     """
-    grid_full = config.grid()
     kappa = None if config.kappa_mode == "auto" else float(config.kappa_mode)
     model, delta_t = config.model, config.delta_t
     alpha = model.jumps.alpha if isinstance(model.jumps, StableJumpDensity) else None
@@ -272,7 +272,7 @@ def relative_l2_risk(config: ExperimentConfig) -> list[RiskReport]:
     reports = []
     for idx, n in enumerate(config.n_list):
         errors, kappas, fallbacks = _thresholded_errors(
-            model, delta_t, n, grid_full.restrict(float(n)),
+            model, delta_t, n, default_u_grid(delta_t, n, config.u_max, config.u_step),
             derive_seed(config.master_seed, idx), config.trials, kappa)
         risks = errors / norm
         if kappa is None:
@@ -354,7 +354,7 @@ def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KA
         raise ValueError(f"kappa={kappa!r} is too large: the bound's (1 + (kappa + 2) "
                          f"sqrt(log n))^2 is not finite") from None
     model = cauchy_triplet()
-    grid = UGrid.make(default_u_max(delta_t))
+    grid = default_u_grid(delta_t, n)
     errors, _, _ = _thresholded_errors(model, delta_t, n, grid, master_seed, trials, kappa)
     rhs = min(9.0 * reference_tail_integral(model, delta_t, m) + m / (math.pi * n) * variance
               for m in np.linspace(grid.u_max / 20.0, grid.u_max, 20).tolist())

@@ -331,6 +331,26 @@ def test_risk_table_wrongly_typed_config_value_exits_2(key, value, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad, named", [
+    ({"u_step": 0}, "u_step 0.0"), ({"u_max": -1}, "u_max -1.0"),
+    ({"n_list": [500, 1], "u_step": 2}, "step 2 must be at most n")],
+    ids=["u_step-0", "u_max-negative", "cut-empty"])
+def test_risk_table_refuses_a_later_configs_grid_before_any_trial(
+        bad, named, tmp_path, capsys, monkeypatch):
+    # the second config's grid is checked when the document is parsed, not when its
+    # turn comes after the first config's 3000 trials
+    def no_trials(configs):
+        raise AssertionError("trials ran before the document was checked")
+    monkeypatch.setattr(levyspec.cli, "risk_table", no_trials)
+    first = {"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [500], "trials": 3000}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([first, {**first, "trials": 2, **bad}]))
+    out = tmp_path / "r.csv"
+    assert run(["risk-table", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "CR", "LF"])
 def test_risk_table_label_that_would_break_the_csv_exits_2(char, tmp_path, capsys):
     # the label is written unquoted as the first cell of each row
@@ -805,6 +825,15 @@ def _bad_value(draw, key):
     return value
 
 
+def _step_past_n(draw, d) -> list:
+    """estimate or calibrate on n <= 3 rows at a step above n, so that the grid cut
+    to [-n, n] keeps only u = 0."""
+    n = draw(st.integers(1, 3))
+    return [draw(st.sampled_from(["estimate", "calibrate"])), "--delta", "1",
+            "--data", _write(d, "value\n" + "0.5\n" * n), "--step",
+            repr(draw(st.floats(1.01 * n, 1e3))), *draw(st.sampled_from([[], ["--umax", "10"]]))]
+
+
 def _unstable_csv(d) -> str:
     """The data of ``unstable_file``: chi keeps changing on a three-step kappa grid."""
     path = d / "in.csv"
@@ -893,7 +922,13 @@ EXIT_CONTRACT = {
     "config-label-breaks-csv": (2, lambda draw, d: _risk_table(d, {
         **_BASE_CONFIG, "label": draw(st.text(max_size=3)) + draw(
             st.sampled_from([",", '"', "\r", "\n"])) + draw(st.text(max_size=3))})),
+    # a grid whose cut to [-n, n] keeps only u = 0, or a nonpositive u_max or u_step
+    "config-grid": (2, lambda draw, d: _risk_table(d, {**_BASE_CONFIG, **draw(st.one_of(
+        st.builds(lambda key, value: {key: value}, st.sampled_from(["u_max", "u_step"]),
+                  st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
+        st.builds(lambda step: {"n_list": [50, 1], "u_step": step}, st.floats(1.01, 1e3))))})),
     # data the estimator cannot represent
+    "frequency-cut-empty": (2, lambda draw, d: _step_past_n(draw, d)),
     "bulk-past-alias-half-period": (2, lambda draw, d: [
         "estimate", "--delta", "1", "--data", _normal_csv(
             d, draw, draw(st.floats(-1e4, 1e4)), draw(st.floats(10.0, 100.0)))]),

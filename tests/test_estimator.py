@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpec,
-                      UGrid, adaptive_estimate, cauchy_triplet, default_u_max, ecf,
-                      levy_khintchine_cf, mixed_cutoff, optimal_cutoff, plancherel_l2,
-                      sample_increments, sample_bulk, spectral_estimate, threshold_cf,
+                      UGrid, adaptive_estimate, cauchy_triplet, default_u_max, default_x_grid,
+                      ecf, levy_khintchine_cf, mixed_cutoff, optimal_cutoff, plancherel_l2,
+                      sample_increments, spectral_estimate, threshold_cf,
                       threshold_level, trapezoid_weights, unthresholded_mask)
 import levyspec
 from levyspec.estimator import _TERMS, _ecf_bins, _ecf_weights, _invert
@@ -56,6 +57,20 @@ def test_ugrid_validation_and_restrict():
     r = g.restrict(50.0)
     assert r.u_max == 50.0 and r.step == 0.1
     assert g.restrict(200.0) is g
+
+
+@pytest.mark.parametrize("n, step", [(1, 2.0), (2, 3.0), (3, 3.5)])
+def test_an_empty_cut_names_the_bound_and_the_step(n, step):
+    # step > n leaves only u = 0 in [-n, n]; the error is not the "u_max and step must
+    # be finite and positive, got 0.0" of a u_max never asked for
+    message = re.escape(f"[-{n}, {n}] holds only u = 0: its step {step:g} must be at most n")
+    grid = UGrid.make(10.0, step)
+    with pytest.raises(ValueError, match=message):
+        grid.restrict(float(n))
+    with pytest.raises(ValueError, match=message):  # an ECF of n increments
+        adaptive_estimate(ECFGrid(grid, np.ones(len(grid.points), dtype=complex), n), 0.1,
+                          np.array([0.0]))
+    assert grid.restrict(step).u_max == step  # a step of exactly n keeps +-n
 
 
 @pytest.mark.parametrize("u_max, step", [(math.inf, 0.05), (math.nan, 0.05),
@@ -344,7 +359,13 @@ def test_spectral_estimate_accepts_an_x_grid_reaching_the_half_period():
     ([3.0] * 5, 1.0),
 ], ids=["std", "std-below-1", "constant"])
 def test_sample_bulk_spread_is_max_of_std_and_1_when_the_iqr_is_0(values, spread):
-    assert sample_bulk(np.array(values)) == (float(np.median(values)), spread)
+    # the grid spans +-8 spreads, and its bulk check sits at |median| + 8 spreads
+    values = np.array(values)
+    edge = math.pi / (abs(float(np.median(values))) + 8.0 * spread)
+    x = default_x_grid(values, edge * (1 - 1e-12), points=3)
+    assert x.tolist() == [-8.0 * spread, 0.0, 8.0 * spread]
+    with pytest.raises(ValueError, match="alias half-period"):
+        default_x_grid(values, edge * (1 + 1e-12), points=3)
 
 
 def test_spectral_estimate_real_for_symmetric_input():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import levyspec.models
 from levyspec import (CustomJumpDensity, KappaGrid, LevyTriplet, ModelClass,
                       QuadratureError, StableJumpDensity, StableLaw, cauchy_triplet,
                       check_small_jump_bound, gamma_process_density,
@@ -50,6 +51,26 @@ def test_type_validation():
 def test_custom_density_rejects_negative_evaluator():
     with pytest.raises(ValueError):
         CustomJumpDensity(lambda x: -1.0)
+
+
+def _two_sided_power_law(x: float) -> float:
+    # 2 x^-1.5 on the right, |x|^-1.5 on the left: int min(x^2, 1) p(x) dx = 8
+    return (2.0 if x > 0 else 1.0) * abs(x) ** -1.5 if x else 0.0
+
+
+@pytest.mark.parametrize("evaluator, mass", [
+    # int_0^1 x e^-x dx + E_1(1) = 1 - 2/e + 0.21938393439552...
+    (gamma_process_density().evaluator, 1.0 - 2.0 / math.e + 0.21938393439552029),
+    (_two_sided_power_law, 8.0)], ids=["gamma", "power-law"])
+def test_custom_density_accepts_a_valid_density_and_evaluates_arrays_pointwise(
+        evaluator, mass):
+    d = CustomJumpDensity(evaluator)  # the checked path: the probes and the Levy mass
+    assert levyspec.models._levy_mass(d) == pytest.approx(mass, rel=1e-6)
+    x = np.array([[0.37, -0.61, 1.9], [-2.4, 0.013, 5.0]])
+    got = d(x)
+    assert got.shape == x.shape
+    assert got.tolist() == [[d(v) for v in row] for row in x.tolist()]
+    assert d(0.37) == evaluator(0.37)
 
 
 def _divergent_density(x: float) -> float:

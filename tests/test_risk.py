@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from levyspec import (FALLBACK_KAPPA, ExperimentConfig, KappaGrid, LevyTriplet,
                       NoStabilizationError, SeedSpec, StableJumpDensity, UGrid,
                       adaptive_risk_bound_check, cauchy_triplet,
-                      cutoff_risk_bound_check, default_u_max,
+                      cutoff_risk_bound_check, default_u_grid, default_u_max,
                       derive_seed, ecf, plancherel_l2, reference_cf,
                       reference_l2_norm, reference_tail_integral, relative_l2_risk,
                       relative_risk_of_cf, RiskReport, risk_table, risk_table_csv,
@@ -129,7 +129,7 @@ def test_relative_risk_equals_per_trial_pipeline(kappa_mode):
                            master_seed=77)
     reports = relative_l2_risk(cfg)
     for idx, (n, rep) in enumerate(zip(cfg.n_list, reports)):
-        grid = cfg.grid().restrict(float(n))
+        grid = default_u_grid(cfg.delta_t, n, cfg.u_max, cfg.u_step)
         risks, kappas, fallbacks = [], [], 0
         for tr in range(cfg.trials):
             sample = sample_increments(CAUCHY, 1.0, n, SeedSpec(derive_seed(77, idx), tr))
@@ -273,6 +273,18 @@ def test_adaptive_risk_bound_matches_per_trial_pipeline(kappa):
     assert rep.passed == row["ok"] == (emp <= bound + 3.0 * se)
 
 
+def test_adaptive_risk_bound_evaluates_the_estimator_cut_to_minus_n_n():
+    # at dt = 0.1 the default domain is |u| <= 100, so n = 50 cuts it, as the sweep
+    # and adaptive_estimate do; the uncut grid gives a different mean error
+    kappa, trials, seed = 0.5, 30, 8
+    rep = adaptive_risk_bound_check(0.1, 50, kappa=kappa, trials=trials, master_seed=seed)
+    cut, uncut = UGrid.make(100.0).restrict(50.0), UGrid.make(100.0)
+    errors = {grid: float(np.mean(levyspec.risk._thresholded_errors(
+        CAUCHY, 0.1, 50, grid, seed, trials, kappa)[0])) for grid in (cut, uncut)}
+    assert errors[cut] != errors[uncut]
+    assert rep.rows[0]["empirical"] == errors[cut]
+
+
 # ---------------------------------------------------------------------------
 # config and table serialization
 
@@ -377,6 +389,28 @@ def test_config_validation():
         ExperimentConfig(CAUCHY, 1.0, (10,), trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(CAUCHY, 1.0, (10,), kappa_mode="bogus")
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"u_step": 0.0}, "u_step 0.0"),
+    ({"u_step": -0.1}, "u_step -0.1"),
+    ({"u_max": -5.0}, "u_max -5.0"),
+    ({"u_max": 0.0}, "u_max 0.0"),
+    ({"u_step": 2.0}, "step 2 must be at most n"),  # the cut to [-1, 1] at n = 1
+], ids=["step-0", "step-negative", "umax-negative", "umax-0", "cut-empty"])
+def test_config_checks_each_cells_grid_when_built(fields, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ExperimentConfig(GAUSS, 1.0, (50, 1), trials=2, **fields)
+
+
+def test_default_u_grid_is_the_default_domain_cut_to_minus_n_n():
+    # the grid of relative_l2_risk, adaptive_risk_bound_check and the CLI
+    for n, u_max in ((3, 3.0), (7, 7.0), (500, 10.0)):
+        grid = default_u_grid(1.0, n)
+        assert (grid.u_max, grid.step) == (u_max, 0.05)
+        assert grid == UGrid.make(default_u_max(1.0)).restrict(float(n))
+    assert default_u_grid(0.1, 50, step=0.5) == UGrid(50.0, 0.5)
+    assert default_u_grid(0.1, 10 ** 4, u_max=20.0) == UGrid(20.0, 0.1)
 
 
 def test_risk_table_csv_format():
