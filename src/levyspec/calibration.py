@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoStabilizationError
+from .errors import NoStabilizationError, _require_count, _require_positive
 from .estimator import ECFGrid, threshold_level
 from .sampling import write_rows
 
@@ -45,10 +45,8 @@ class KappaGrid:
     count: int = 100
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta_step) and self.delta_step > 0):
-            raise ValueError(f"delta_step must be finite and positive, got {self.delta_step!r}")
-        if self.count < 3:
-            raise ValueError("count must be at least 3")
+        _require_positive("delta_step", self.delta_step)
+        _require_count("count", self.count, 3)
         try:
             top = self.count * self.delta_step
         except OverflowError:  # a count beyond the float range

@@ -21,7 +21,9 @@ import numpy as np
 
 from . import __version__
 from .calibration import FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile, write_chi_csv
-from .errors import NoStabilizationError, QuadratureError, UnsupportedModelError
+from .errors import (NoStabilizationError, QuadratureError, UnsupportedModelError,
+                     _require_count, _require_finite, _require_nonnegative,
+                     _require_positive)
 from .estimator import (ECFGrid, _check_ecf_above_rounding, adaptive_estimate,
                         default_u_grid, default_x_grid, ecf, write_ecf_csv, write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
@@ -81,7 +83,7 @@ def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
     data = _read_values_fast(path)
     if data is None:
         data = _read_values_loop(path)
-    if difference and data.size < 2:
+    if difference and not data.size >= 2:
         raise ValueError(f"{path}: need at least 2 level observations to difference")
     return np.diff(data) if difference else data
 
@@ -181,30 +183,29 @@ def _read_and_ecf(args) -> tuple[IncrementSample, ECFGrid]:
 def _finite_float(text: str) -> float:
     """argparse type of every float flag: a finite number."""
     try:
-        value = float(text)
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        return _require_finite("the flag", float(text))
+    except ValueError:  # float()'s, or the check's
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
 
 
-def _bounded_float(name: str, strict: bool):
-    """argparse type of a finite float flag that must be > 0 (strict) or >= 0;
-    the error names the flag and the library value ``name`` it sets."""
-    def parse(text: str) -> float:
-        value = _finite_float(text)
-        if value > 0 or (value == 0 and not strict):
-            return value
-        rule = "positive" if strict else "nonnegative"
-        raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text!r}")
-    return parse
+def _argument(require, name: str, value: float) -> float:
+    """``require(name, value)``, the library's own check of the value ``name`` that a
+    flag sets, with its message as the argument parser's error."""
+    try:
+        return require(name, value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_DELTA = _bounded_float("delta_t", strict=True)
-_UMAX = _bounded_float("u_max", strict=True)
-_STEP = _bounded_float("step", strict=True)
-_KAPPA_STEP = _bounded_float("delta_step", strict=True)
+def _checked_float(require, name: str):
+    """argparse type of a finite float flag that sets the library value ``name``."""
+    return lambda text: _argument(require, name, _finite_float(text))
+
+
+_DELTA = _checked_float(_require_positive, "delta_t")
+_UMAX = _checked_float(_require_positive, "u_max")
+_STEP = _checked_float(_require_positive, "step")
+_KAPPA_STEP = _checked_float(_require_positive, "delta_step")
 
 
 def _kappa_or_auto(text: str) -> float | str:
@@ -216,14 +217,11 @@ def _kappa_or_auto(text: str) -> float | str:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--kappa must be 'auto' or a number, got {text!r}") from None
-    if not (math.isfinite(kappa) and kappa >= 0):
-        raise argparse.ArgumentTypeError(f"--kappa must be a finite number >= 0, got {text}")
-    return kappa
+    return _argument(_require_nonnegative, "kappa", kappa)
 
 
 def _cmd_estimate(args) -> int:
-    if args.xgrid < 2:
-        raise ValueError(f"--xgrid must be at least 2, got {args.xgrid}")
+    _require_count("--xgrid", args.xgrid, 2)
     ecf_out = args.ecf_out or _derived_path(args.out, "_ecf")
     if os.path.realpath(ecf_out) == os.path.realpath(args.out):
         raise ValueError(f"--out {args.out} and --ecf-out {ecf_out} name the same file")
@@ -389,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--delta", type=_DELTA, required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--trials", type=int, default=100)
-    pb.add_argument("--kappa", type=_bounded_float("kappa", strict=False), default=None,
+    pb.add_argument("--kappa", type=_checked_float(_require_nonnegative, "kappa"), default=None,
                     help="thm4 threshold constant (default 2*sqrt(2)); not with thm1")
     pb.add_argument("--seed", type=int, default=None)
     pb.set_defaults(func=_cmd_check_bounds)

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types, and the checks of numeric parameters, shared across the package.
+
+Each check returns its value or raises a ValueError that names the parameter.
+"""
+
+import math
+
+import numpy as np
 
 
 class LevySpecError(Exception):
@@ -23,3 +30,40 @@ class NoStabilizationError(LevySpecError):
     def __init__(self, message, chis):
         super().__init__(message)
         self.chis = list(chis)
+
+
+def _require_below_inf(name: str, value, low, strict: bool, rule: str):
+    """``value`` when low < value < inf (low <= value unless ``strict``): single
+    comparisons, which NaN fails, as does a value that compares with no number."""
+    try:
+        if (low < value if strict else low <= value) and value < math.inf:
+            return value
+    except TypeError:  # None, a string
+        pass
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _require_finite(name: str, value):
+    return _require_below_inf(name, value, -math.inf, True, "finite")
+
+
+def _require_positive(name: str, value):
+    return _require_below_inf(name, value, 0, True, "finite and positive")
+
+
+def _require_nonnegative(name: str, value):
+    return _require_below_inf(name, value, 0, False, "finite and nonnegative")
+
+
+def _require_integer(name: str, value):
+    """An int or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _require_count(name: str, value, least: int = 1):
+    """An integer >= least."""
+    if not _require_integer(name, value) >= least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return value

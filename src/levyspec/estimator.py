@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _require_count, _require_nonnegative, _require_positive
 from .sampling import IncrementSample, write_rows
 
 __all__ = ["UGrid", "ECFGrid", "SpectralEstimate", "ecf", "spectral_estimate",
@@ -49,16 +50,11 @@ __all__ = ["UGrid", "ECFGrid", "SpectralEstimate", "ecf", "spectral_estimate",
 
 def default_u_max(delta_t: float) -> float:
     """Estimation domain half-width: 10/delta_t clamped to [10, 100]."""
-    return float(min(100.0, max(10.0, 10.0 / delta_t)))
+    return float(min(100.0, max(10.0, 10.0 / _require_positive("delta_t", delta_t))))
 
 
 def default_u_step(u_max: float) -> float:
-    return 0.05 if u_max <= 10.0 else 0.1
-
-
-def _check_grid_values(u_max: float, step: float) -> None:
-    if not (math.isfinite(u_max) and math.isfinite(step) and u_max > 0 and step > 0):
-        raise ValueError(f"u_max and step must be finite and positive, got {u_max}, {step}")
+    return 0.05 if _require_positive("u_max", u_max) <= 10.0 else 0.1
 
 
 @dataclass(frozen=True)
@@ -69,17 +65,17 @@ class UGrid:
     step: float
 
     def __post_init__(self):
-        _check_grid_values(self.u_max, self.step)
+        _require_positive("u_max", self.u_max)
+        _require_positive("step", self.step)
         k = round(self.u_max / self.step)
-        if k < 1 or abs(k * self.step - self.u_max) > 1e-9 * self.u_max:
+        if not (k >= 1 and abs(k * self.step - self.u_max) <= 1e-9 * self.u_max):
             raise ValueError("u_max must be a positive integer multiple of step")
 
     @classmethod
     def make(cls, u_max: float, step: float | None = None) -> "UGrid":
         """Build a grid with the default step rule, snapping u_max onto it."""
-        if step is None:
-            step = default_u_step(u_max)
-        _check_grid_values(u_max, step)
+        _require_positive("u_max", u_max)
+        step = _require_positive("step", default_u_step(u_max) if step is None else step)
         k = max(1, round(u_max / step))
         return cls(k * step, step)
 
@@ -93,10 +89,10 @@ class UGrid:
         return np.arange(-k, k + 1) * self.step
 
     def restrict(self, u_max: float) -> "UGrid":
-        if u_max >= self.u_max:
+        if _require_positive("u_max", u_max) >= self.u_max:
             return self
         k = math.floor(u_max / self.step + 1e-9)
-        if k < 1:
+        if not k >= 1:
             raise ValueError(f"the grid cut to [-n, n] = [-{u_max:g}, {u_max:g}] holds only "
                              f"u = 0: its step {self.step:g} must be at most n")
         return UGrid(k * self.step, self.step)
@@ -106,7 +102,8 @@ def default_u_grid(delta_t: float, n: int, u_max: float | None = None,
                    step: float | None = None) -> UGrid:
     """The estimator's frequency grid: ``UGrid.make`` of u_max (default_u_max when
     None) and step, cut to [-n, n]."""
-    return UGrid.make(default_u_max(delta_t) if u_max is None else u_max, step).restrict(float(n))
+    return UGrid.make(default_u_max(delta_t) if u_max is None else u_max, step).restrict(
+        float(_require_count("n", n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,18 +121,19 @@ class ECFGrid:
             bad = np.flatnonzero(~np.isfinite(self.values))
             raise ValueError(f"ECF values must be finite; value {self.values[bad[0]]!r} "
                              f"at index {bad[0]}")
-        if self.n <= 0:
-            raise ValueError("n must be positive")
+        _require_count("n", self.n)
 
 
 def threshold_level(kappa, n: int):
-    """Threshold level (1 + kappa sqrt(log n)) / sqrt(n); ``kappa`` may be an array,
-    each entry a finite number >= 0."""
-    ok = np.isfinite(kappa) & (kappa >= 0)
-    if not np.all(ok):
-        bad = np.flatnonzero(~ok)[0]
-        at = f" at index {bad}" if np.ndim(kappa) else ""
-        raise ValueError(f"kappa must be a finite number >= 0, got {np.ravel(kappa)[bad]}{at}")
+    """Threshold level (1 + kappa sqrt(log n)) / sqrt(n) for an integer n >= 1;
+    ``kappa`` may be an array, each entry a finite number >= 0."""
+    _require_count("n", n)
+    if not isinstance(kappa, np.ndarray):
+        _require_nonnegative("kappa", kappa)
+    else:
+        bad = np.flatnonzero(~((kappa >= 0) & (kappa < math.inf)))
+        if bad.size:
+            _require_nonnegative(f"kappa[{bad[0]}]", kappa.flat[bad[0]].item())
     return (1.0 + kappa * math.sqrt(math.log(n))) / math.sqrt(n)
 
 
@@ -348,6 +346,8 @@ def default_x_grid(values: np.ndarray, step: float, points: int = 512) -> np.nda
     """Uniform x-grid spanning +-8 spreads around 0, the spread being the sample's
     interquartile range, or max(std, 1) when that is 0; the bulk |median| + 8
     spreads must lie within the alias half-period pi/step."""
+    _require_positive("step", step)
+    _require_count("points", points)
     q75, median, q25 = np.percentile(values, [75.0, 50.0, 25.0])
     spread = float(q75 - q25)
     if spread <= 0:
@@ -358,7 +358,8 @@ def default_x_grid(values: np.ndarray, step: float, points: int = 512) -> np.nda
 
 def trapezoid_weights(count: int, step: float) -> np.ndarray:
     """Trapezoid-rule weights of ``count`` points ``step`` apart; one point weighs 0."""
-    w = np.zeros(count)
+    _require_positive("step", step)
+    w = np.zeros(_require_count("count", count, 0))
     w[1:] += step / 2.0
     w[:-1] += step / 2.0
     return w
@@ -413,8 +414,7 @@ def _invert(u: np.ndarray, phi: np.ndarray, x_grid: np.ndarray, step: float):
 
 def spectral_estimate(ecf_grid: ECFGrid, m: float, x_grid) -> SpectralEstimate:
     """Cutoff estimator: invert the ECF restricted to frequencies |u| <= m."""
-    if not m > 0:
-        raise ValueError(f"cutoff m must be positive, got {m}")
+    _require_positive("m", m)
     if m > ecf_grid.grid.u_max * (1 + 1e-12):
         raise ValueError(f"cutoff m={m} exceeds the grid domain u_max={ecf_grid.grid.u_max}")
     x_grid = np.asarray(x_grid, dtype=float)

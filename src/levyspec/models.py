@@ -37,7 +37,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import (QuadratureError, _require_count, _require_finite, _require_nonnegative,
+                     _require_positive)
 
 __all__ = [
     "StableJumpDensity", "CustomJumpDensity", "LevyTriplet", "StableLaw",
@@ -63,13 +64,6 @@ _GAMMA_MAX_ITER = 500  # about 120 terms suffice at a = 171.6, where Gamma(a) ov
 # ---------------------------------------------------------------------------
 # domain types
 
-def _check_finite(obj, *names: str) -> None:
-    """A nan or infinite field of a value object is a ValueError naming it."""
-    for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
-
-
 @dataclass(frozen=True)
 class StableJumpDensity:
     """Two-sided power-law jump density P/x^{1+alpha} (x>0), Q/|x|^{1+alpha} (x<0)."""
@@ -79,11 +73,10 @@ class StableJumpDensity:
     alpha: float
 
     def __post_init__(self):
-        _check_finite(self, "P", "Q", "alpha")
-        if self.P < 0 or self.Q < 0 or self.P + self.Q <= 0:
-            raise ValueError("need P, Q >= 0 with P + Q > 0")
+        total = _require_nonnegative("P", self.P) + _require_nonnegative("Q", self.Q)
+        _require_positive("P + Q", total)
         if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha!r}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -119,9 +112,7 @@ class CustomJumpDensity:
         if self.check:
             probe = [0.37, -0.61, 1.9, -2.4, 0.013]
             for x in probe:
-                v = float(self.evaluator(x))
-                if v < 0 or math.isnan(v):
-                    raise ValueError(f"jump density negative or nan at x={x}: {v}")
+                _require_nonnegative(f"the jump density at x={x}", float(self.evaluator(x)))
             try:
                 finite = math.isfinite(_levy_mass(self))
             except QuadratureError:
@@ -147,9 +138,8 @@ class LevyTriplet:
     jumps: JumpDensity | None = None
 
     def __post_init__(self):
-        _check_finite(self, "b", "sigma2")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        _require_finite("b", self.b)
+        _require_nonnegative("sigma2", self.sigma2)
         if self.jumps is None and self.sigma2 == 0:
             raise ValueError("a triplet with no jumps needs sigma2 > 0 "
                              "for the increment to have a density")
@@ -165,13 +155,12 @@ class StableLaw:
     delta: float
 
     def __post_init__(self):
-        _check_finite(self, "alpha", "gamma", "beta", "delta")
         if not 0.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.gamma <= 0:
-            raise ValueError("scale gamma must be positive")
-        if abs(self.beta) > 1:
-            raise ValueError("skew beta must lie in [-1, 1]")
+            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha!r}")
+        _require_positive("gamma", self.gamma)
+        if not -1.0 <= self.beta <= 1.0:
+            raise ValueError(f"beta must lie in [-1, 1], got {self.beta!r}")
+        _require_finite("delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -189,10 +178,9 @@ class ModelClass:
             if self.M is not None or self.alpha is not None:
                 raise ValueError("gaussian class carries no (M, alpha)")
         else:
-            if self.M is None or self.M <= 0:
-                raise ValueError("jump class needs M > 0")
+            _require_positive("M", self.M)
             if self.alpha is None or not 0.0 < self.alpha < 2.0:
-                raise ValueError("jump class needs alpha in (0, 2)")
+                raise ValueError(f"alpha must lie in (0, 2), got {self.alpha!r}")
 
     @classmethod
     def gaussian_dominant(cls) -> "ModelClass":
@@ -310,8 +298,8 @@ def _levy_mass(p: CustomJumpDensity) -> float:
 
 def truncated_second_moment(density: JumpDensity, eta: float, rtol: float = 1e-8) -> float:
     """int_{-eta}^{eta} x^2 p(x) dx by adaptive quadrature."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _require_positive("eta", eta)
+    _require_positive("rtol", rtol)
     brk = getattr(density, "breakpoints", ())
     f = lambda x: x * x * float(density(x))
     pos, ep = _quad_pieces(f, 0.0, eta, brk, rtol, "truncated second moment")
@@ -373,8 +361,7 @@ def levy_khintchine_cf(triplet: LevyTriplet, t: float, u):
     increment law; custom densities are integrated numerically (split at 0
     and +-1 plus any declared breakpoints).
     """
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be finite and positive, got {t!r}")
+    _require_positive("t", t)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     expo = 1j * u_arr * (triplet.b * t) - t * triplet.sigma2 * u_arr ** 2 / 2.0
     if isinstance(triplet.jumps, CustomJumpDensity):
@@ -393,8 +380,7 @@ def increment_stable_law(jumps: StableJumpDensity, delta_t: float) -> StableLaw:
     zero drift, so ``stable_cf`` of the result equals ``levy_khintchine_cf``
     of the triplet (0, 0, jumps).
     """
-    if not 0 < delta_t < math.inf:
-        raise ValueError(f"delta_t must be finite and positive, got {delta_t!r}")
+    _require_positive("delta_t", delta_t)
     alpha = jumps.alpha
     gamma = (delta_t * _stable_scale_constant(jumps.P, jumps.Q, alpha)) ** (1.0 / alpha)
     if gamma == 0.0:
@@ -435,13 +421,15 @@ def check_small_jump_bound(density: JumpDensity, M: float, alpha: float,
     The comparison allows relative slack 100*rtol so that densities meeting
     the bound with equality are accepted despite quadrature error.
     """
-    if M <= 0:
-        raise ValueError("M must be positive")
+    _require_positive("M", M)
     if not 0 < alpha < 2:
-        raise ValueError("alpha must lie in (0, 2)")
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha!r}")
     etas = np.geomspace(1e-4, 1.0, 32) if eta_grid is None else np.asarray(eta_grid, dtype=float)
-    if etas.size == 0 or np.any(etas <= 0) or np.any(etas > 1):
-        raise ValueError("eta grid must be nonempty with values in (0, 1]")
+    if etas.size == 0:
+        raise ValueError("eta_grid must be nonempty")
+    for i, eta in enumerate(etas.tolist()):
+        if not 0 < eta <= 1:
+            raise ValueError(f"eta_grid[{i}] must lie in (0, 1], got {eta!r}")
     slack = 100 * rtol
     for eta in etas:
         moment = truncated_second_moment(density, float(eta), rtol)
@@ -459,19 +447,10 @@ def truncated_moment_ratio(density: JumpDensity, eta: float, gamma_exp: float,
     the activity index.
     """
     if not 0 < eta <= 1:
-        raise ValueError("eta must lie in (0, 1]")
+        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
     if not 0 < gamma_exp < 2:
-        raise ValueError("gamma_exp must lie in (0, 2)")
+        raise ValueError(f"gamma_exp must lie in (0, 2), got {gamma_exp!r}")
     return eta ** (gamma_exp - 2.0) * truncated_second_moment(density, eta, rtol)
-
-
-def _check_picard_constants(M: float, alpha: float, t: float) -> None:
-    """M > 0, t > 0 and alpha in (0, 2), each refused by name; NaN fails every test."""
-    for name, value in (("M", M), ("t", t)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    if not 0 < alpha < 2:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
 
 
 def picard_cf_bound(M: float, alpha: float, t: float, u):
@@ -480,9 +459,12 @@ def picard_cf_bound(M: float, alpha: float, t: float, u):
     Valid for |u| >= pi/2 when the jump density meets the small-jump lower
     bound with constants (M, alpha).
     """
-    _check_picard_constants(M, alpha, t)
+    _require_positive("M", M)
+    if not 0 < alpha < 2:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha!r}")
+    _require_positive("t", t)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(np.abs(u_arr) < math.pi / 2.0 - 1e-12):
+    if not np.all(np.abs(u_arr) >= math.pi / 2.0 - 1e-12):
         raise ValueError("bound only valid for |u| >= pi/2")
     out = np.exp(-(2.0 ** alpha * M / math.pi ** alpha) * np.abs(u_arr) ** alpha * t)
     return out if np.ndim(u) else float(out[0])
@@ -532,9 +514,11 @@ def _upper_gamma(a: float, x: float) -> float:
 
 def picard_derivative_bound(k: int, t: float, M: float, alpha: float) -> float:
     """Uniform bound on |f_t^{(k)}|: the k-th derivative of the increment density."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    _check_picard_constants(M, alpha, t)
+    _require_count("k", k, 0)
+    _require_positive("t", t)
+    _require_positive("M", M)
+    if not 0 < alpha < 2:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha!r}")
     first = (math.pi / 2.0) ** (k + 1) / (math.pi * (k + 1))
     scale = (math.pi / (2.0 * (t * M) ** (1.0 / alpha))) ** (k + 1)
     return first + scale * _upper_gamma((k + 1) / alpha, t * M) / alpha
@@ -568,17 +552,14 @@ def spectral_bias_bound(model_class: ModelClass, sigma2: float, m: float,
     e^{-(2/pi)^alpha M t u^alpha} of :func:`picard_cf_bound`, valid for
     m >= pi/2.
     """
-    if not 0 < delta_t < math.inf:
-        raise ValueError(f"delta_t must be finite and positive, got {delta_t!r}")
+    _require_positive("delta_t", delta_t)
     if model_class.tag == GAUSSIAN:
-        if m < 0:
-            raise ValueError("m must be nonnegative")
-        if sigma2 <= 0:
-            raise ValueError("gaussian branch needs sigma2 > 0")
+        _require_nonnegative("m", m)
+        _require_positive("sigma2", sigma2)
         return _spectral_tail(delta_t * sigma2, 0.0, 2.0, m)
     if model_class.tag == PURE_JUMP:
-        if m < math.pi / 2.0:
-            raise ValueError("jump branch needs m >= pi/2")
+        if not math.pi / 2.0 <= m < math.inf:
+            raise ValueError(f"m must lie in [pi/2, inf) in the jump branch, got {m!r}")
         M, alpha = model_class.M, model_class.alpha
         return _spectral_tail(0.0, (2.0 / math.pi) ** alpha * M * delta_t, alpha, m)
     raise ValueError("bias bound is defined for the gaussian and pure-jump branches")
@@ -591,20 +572,16 @@ def optimal_cutoff(model_class, sigma2: float, n: float, delta_t: float) -> floa
     Pure-jump:        (pi/2) (log n / (M delta_t))^(1/alpha).
     Mixed classes delegate to :func:`mixed_cutoff`.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not 0 < delta_t < math.inf:
-        raise ValueError(f"delta_t must be finite and positive, got {delta_t!r}")
+    if not 2 <= n < math.inf:
+        raise ValueError(f"n must lie in [2, inf), got {n!r}")
+    _require_positive("delta_t", delta_t)
     logn = math.log(n)
     if model_class.tag == GAUSSIAN:
-        if sigma2 <= 0:
-            raise ValueError("gaussian-dominant class with sigma2 = 0 is inconsistent")
+        _require_positive("sigma2", sigma2)
         return math.sqrt(logn / (delta_t * sigma2))
     if model_class.tag == PURE_JUMP:
         return (math.pi / 2.0) * (logn / (model_class.M * delta_t)) ** (1.0 / model_class.alpha)
-    if model_class.tag == MIXED:
-        return mixed_cutoff(sigma2, model_class.M, model_class.alpha, delta_t, n)
-    raise ValueError(f"unknown class tag {model_class.tag!r}")
+    return mixed_cutoff(sigma2, model_class.M, model_class.alpha, delta_t, n)
 
 
 def mixed_cutoff(sigma2: float, M: float, alpha: float, delta_t: float, n: float) -> float:
@@ -614,13 +591,14 @@ def mixed_cutoff(sigma2: float, M: float, alpha: float, delta_t: float, n: float
     degenerate branch is returned.  The root is guaranteed to satisfy the
     equation to an absolute residual below 1e-10.
     """
-    if sigma2 < 0 or M < 0 or (sigma2 == 0 and M == 0):
-        raise ValueError("need sigma2 >= 0, M >= 0, not both zero")
-    if not 0 < delta_t < math.inf:
-        raise ValueError(f"delta_t must be finite and positive, got {delta_t!r}")
+    total = _require_nonnegative("sigma2", sigma2) + _require_nonnegative("M", M)
+    _require_positive("sigma2 + M", total)
+    if not 0 < alpha < 2:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha!r}")
+    _require_positive("delta_t", delta_t)
+    if not 1 < n < math.inf:
+        raise ValueError(f"n must lie in (1, inf), got {n!r}")
     logn = math.log(n)
-    if logn <= 0:
-        raise ValueError("need log n > 0, i.e. n > 1")
     c_alpha = 2.0 * M * (2.0 / math.pi) ** alpha
     if sigma2 == 0.0:
         return (logn / (c_alpha * delta_t)) ** (1.0 / alpha)

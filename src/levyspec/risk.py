@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from .calibration import FALLBACK_KAPPA, calibrate
-from .errors import UnsupportedModelError
+from .errors import (UnsupportedModelError, _require_count, _require_nonnegative,
+                     _require_positive)
 from .estimator import (UGrid, _check_ecf_above_rounding, default_u_grid, ecf, plancherel_l2,
                         threshold_cf, threshold_level, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, StableLaw, _spectral_tail,
@@ -56,16 +56,14 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
-        _check_trials(self.trials)
+        _require_count("trials", self.trials)
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
-        if min(self.n_list) < 1:
-            raise ValueError(f"n_list entries must be at least 1, got {list(self.n_list)}")
-        kappa = self.kappa_mode
-        if not (kappa == "auto" or isinstance(kappa, Real) and math.isfinite(kappa) and kappa >= 0):
-            raise ValueError(f"kappa_mode is 'auto' or a finite number >= 0, got {kappa!r}")
-        if not self.delta_t > 0:
-            raise ValueError(f"delta_t must be positive, got {self.delta_t!r}")
+        for i, n in enumerate(self.n_list):
+            _require_count(f"n_list[{i}]", n)
+        if self.kappa_mode != "auto":
+            _require_nonnegative("kappa_mode other than 'auto'", self.kappa_mode)
+        _require_positive("delta_t", self.delta_t)
         try:  # every cell's grid, before any trial runs
             for n in self.n_list:
                 default_u_grid(self.delta_t, n, self.u_max, self.u_step)
@@ -143,11 +141,6 @@ _CONFIG_FIELDS = {
     "kappa_mode": lambda v: v if v == "auto" else _float(v), "master_seed": _int, "label": _str}
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-
-
 def _check_label(label: str) -> None:
     """A label is written unquoted as the first cell of a risk-table row."""
     if any(c in label for c in ',"\r\n'):
@@ -187,6 +180,7 @@ class BoundCheckReport:
 # reference quantities
 
 def _stable_part(model: LevyTriplet, delta_t: float) -> StableLaw | None:
+    _require_positive("delta_t", delta_t)
     if model.jumps is None:
         return None
     if not isinstance(model.jumps, StableJumpDensity):
@@ -204,8 +198,7 @@ def reference_tail_integral(model: LevyTriplet, delta_t: float, u_max: float) ->
     """(1/pi) int_{u_max}^inf |phi(u)|^2 du, with |phi|^2 = exp(-dt sigma^2 u^2
     - 2 gamma^alpha u^alpha): the risk's tail beyond u_max, the bias^2 of a
     cutoff at u_max, ||f||^2 at 0."""
-    if not u_max >= 0:
-        raise ValueError(f"u_max must be >= 0, got {u_max!r}")
+    _require_nonnegative("u_max", u_max)
     law = _stable_part(model, delta_t)
     c, alpha = (0.0, 2.0) if law is None else (2.0 * law.gamma ** law.alpha, law.alpha)
     return _spectral_tail(delta_t * model.sigma2, c, alpha, u_max)
@@ -316,11 +309,13 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
     (1/pi) int_m^inf |phi|^2 of both sides is the reference tail integral,
     e^{-2 delta_t m}/(2 pi delta_t).
     """
-    _check_trials(trials)
+    _require_count("trials", trials)
     model = cauchy_triplet()
     if m_grid is None:
         m_grid = np.linspace(0.5, 8.0, 10)
     m_grid = np.asarray(m_grid, dtype=float)
+    for i, m in enumerate(m_grid.tolist()):
+        _require_nonnegative(f"m_grid[{i}]", m)
     grid = UGrid.make(float(np.max(m_grid)))
     phi_ref = reference_cf(model, delta_t, grid)
     diff2 = np.array([np.abs(phi_hat.values - phi_ref) ** 2
@@ -345,8 +340,8 @@ def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KA
     RHS: inf over a 20-point m-grid of 9 bias^2(m) + (m/pi n)(5 + (1 +
     (kappa+2) sqrt(log n))^2), plus the remainder 64 n^{1 - kappa^2/4}.
     """
-    _check_trials(trials)
-    threshold_level(kappa, n)  # a finite kappa >= 0, before any trial runs
+    _require_count("trials", trials)
+    threshold_level(kappa, n)  # a finite kappa >= 0 and an integer n >= 1, before any trial
     try:
         variance = 5.0 + (1.0 + (kappa + 2.0) * math.sqrt(math.log(n))) ** 2
         remainder = 64.0 * n ** (1.0 - kappa ** 2 / 4.0)

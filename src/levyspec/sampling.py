@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedModelError
+from .errors import (UnsupportedModelError, _require_count, _require_finite, _require_integer,
+                     _require_positive)
 from .models import CustomJumpDensity, LevyTriplet, StableLaw, increment_stable_law
 
 __all__ = ["SeedSpec", "IncrementSample", "stable_sample", "sample_increments",
@@ -25,18 +26,6 @@ __all__ = ["SeedSpec", "IncrementSample", "stable_sample", "sample_increments",
 
 _GAUSSIAN_STREAM = 0
 _STABLE_STREAM = 1
-
-
-def _check_int(name: str, value) -> None:
-    """An int or numpy integer, not a bool; anything else is a ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_count(n) -> None:
-    _check_int("n", n)
-    if n <= 0:
-        raise ValueError("n must be positive")
 
 
 @dataclass(frozen=True)
@@ -47,12 +36,9 @@ class SeedSpec:
     trial_index: int = 0
 
     def __post_init__(self):
-        _check_int("master_seed", self.master_seed)
-        if not 0 <= self.master_seed < 2 ** 64:
+        if not 0 <= _require_integer("master_seed", self.master_seed) < 2 ** 64:
             raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
-        _check_int("trial_index", self.trial_index)
-        if self.trial_index < 0:
-            raise ValueError("trial_index must be nonnegative")
+        _require_count("trial_index", self.trial_index, 0)
 
     def generator(self, substream: int = 0) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.master_seed,
@@ -62,7 +48,8 @@ class SeedSpec:
 
 def derive_seed(master_seed: int, *lane: int) -> int:
     """Derive a 64-bit sub-master seed, e.g. one per experiment cell."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(lane))
+    ss = np.random.SeedSequence(entropy=_require_count("master_seed", master_seed, 0),
+                                spawn_key=tuple(lane))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -142,9 +129,9 @@ def _stable_sample(values: np.ndarray, law: StableLaw) -> IncrementSample:
 
 def stable_sample(law: StableLaw, n: int, seed: SeedSpec) -> IncrementSample:
     """n i.i.d. variates with characteristic function ``stable_cf(law, .)``."""
-    _check_count(n)
+    _require_count("n", n)
     if not 0 < law.alpha < 2:
-        raise ValueError("sampler requires alpha in (0, 2)")
+        raise ValueError(f"alpha must lie in (0, 2) for the sampler, got {law.alpha!r}")
     return _stable_sample(_cms(law, seed.generator(_STABLE_STREAM), n), law)
 
 
@@ -156,16 +143,14 @@ def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
     substreams of the same seed.  Each value is (b dt + Gaussian) + jump,
     summed in place in that order.
     """
-    if not 0 < delta_t < math.inf:
-        raise ValueError(f"delta_t must be finite and positive, got {delta_t!r}")
-    _check_count(n)
+    _require_positive("delta_t", delta_t)
+    _require_count("n", n)
     if isinstance(triplet.jumps, CustomJumpDensity):
         raise UnsupportedModelError("custom jump densities are not samplable; "
                                     "only stable or empty jump parts")
-    drift, variance = triplet.b * delta_t, triplet.sigma2 * delta_t
-    if not (math.isfinite(drift) and math.isfinite(variance)):
-        raise ValueError(f"the increment's drift b * delta_t = {drift!r} and variance "
-                         f"sigma2 * delta_t = {variance!r} must be finite")
+    drift = _require_finite("the increment's drift b * delta_t", triplet.b * delta_t)
+    variance = _require_finite("the increment's variance sigma2 * delta_t",
+                               triplet.sigma2 * delta_t)
     law = None if triplet.jumps is None else increment_stable_law(triplet.jumps, delta_t)
     if triplet.sigma2 > 0:
         values = seed.generator(_GAUSSIAN_STREAM).standard_normal(n)

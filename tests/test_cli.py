@@ -177,9 +177,9 @@ def test_estimate_calibrates_once_through_the_calibration_module(
     (["--xgrid", "0"], "--xgrid must be at least 2, got 0"),
     (["--xgrid", "1"], "--xgrid must be at least 2, got 1"),
     (["--kappa-count", "2"], "count must be at least 3"),
-    (["--kappa-step", "0"], "delta_step must be positive"),
+    (["--kappa-step", "0"], "delta_step must be finite and positive, got 0.0"),
     (["--kappa", "abc"], "--kappa must be 'auto' or a number, got 'abc'"),
-    (["--kappa", "-1"], "--kappa must be a finite number >= 0, got -1"),
+    (["--kappa", "-1"], "kappa must be finite and nonnegative, got -1.0"),
 ], ids=["xgrid-0", "xgrid-1", "kappa-count-2", "kappa-step-0", "kappa-abc", "kappa--1"])
 def test_estimate_rejects_bad_grid_flags_before_reading_data(
         flags, message, increments_file, tmp_path, monkeypatch, capsys):
@@ -467,11 +467,11 @@ def test_estimate_from_data_writes_no_seed(increments_file, tmp_path, monkeypatc
     ({"experiments": [{"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [300]}],
       "trails": 5}, "unknown document key(s): 'trails'"),
     ({"model": {"sigma2": 1.0}, "delta_t": 1.0, "n_list": [0]},
-     "n_list entries must be at least 1, got [0]"),
+     "n_list[0] must be at least 1, got 0"),
     ({"model": {"sigma2": 1.0}, "delta_t": 0, "n_list": [50], "trials": 2},
-     "delta_t must be positive, got 0.0"),
+     "delta_t must be finite and positive, got 0.0"),
     ({"model": {"sigma2": 1.0}, "delta_t": -1, "n_list": [50], "trials": 2},
-     "delta_t must be positive, got -1.0"),
+     "delta_t must be finite and positive, got -1.0"),
 ], ids=["number", "experiments-number", "experiments-beside-unknown-key", "n_list-0",
         "delta_t-0", "delta_t--1"])
 def test_risk_table_malformed_document_exits_2(doc, problem, tmp_path, capsys):
@@ -605,7 +605,9 @@ def test_out_of_range_float_flag_exits_2_before_any_work(
     out = tmp_path / "out.csv"
     argv = [a.format(data=increments_file, out=out) for a in NON_FINITE_BASE[command]]
     assert run([*argv, f"{flag}={value}"]) == 2
-    assert f"argument {flag}: {rule}, got '{value}'" in capsys.readouterr().err
+    name, _, kind = rule.partition(" must be ")
+    said = f"argument {flag}: {name} must be finite and {kind}, got {float(value)!r}"
+    assert said in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -890,6 +892,13 @@ EXIT_CONTRACT = {
         draw(st.integers(-9, 2)))),
     "trials-below-1": (2, lambda draw, d: _with_flag(
         draw, d, [("check-bounds", "--trials")], draw(st.integers(-9, 0)))),
+    # thm4's threshold level takes log n: an n below 1 is named, not a math domain error
+    "check-bounds-thm4-n-0": (2, lambda draw, d: [
+        "check-bounds", "--which", "thm4", "--delta", "1", "--n", "0", "--trials", "2"],
+        "error: n must be at least 1, got 0\n"),
+    "check-bounds-thm4-n-negative": (2, lambda draw, d: [
+        "check-bounds", "--which", "thm4", "--delta", "1", "--n", "-3", "--trials", "2"],
+        "error: n must be at least 1, got -3\n"),
     "unknown-flag": (2, lambda draw, d: _with_flag(
         draw, d, [(c, "--zz") for c in NON_FINITE_BASE],
         draw(st.text(_ASCII, max_size=5)))),
@@ -980,7 +989,7 @@ EXIT_CONTRACT = {
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_malformed_input_exits_with_its_documented_code_and_writes_nothing(case, data):
-    code, argv_of = EXIT_CONTRACT[case]
+    code, argv_of, *said = EXIT_CONTRACT[case]  # said: what stderr must hold, if given
     with tempfile.TemporaryDirectory() as tmp:
         d = pathlib.Path(tmp)
         argv = [str(a) for a in argv_of(data.draw, d)]
@@ -994,6 +1003,7 @@ def test_malformed_input_exits_with_its_documented_code_and_writes_nothing(case,
         assert got == code, err.getvalue()
         assert "Traceback" not in err.getvalue()
         assert err.getvalue().startswith(("error: ", "usage: "))
+        assert all(text in err.getvalue() for text in said), err.getvalue()
         assert set(d.iterdir()) == inputs, "an output file was written"
 
 

@@ -51,73 +51,79 @@ def tokens_file(token):
     return f"index,value\n0,0.5\n1,{token}\n2,2.5\n"
 
 
-# (file text, --difference, whether the C reader accepts the file)
+# (file text, --difference, whether the C reader takes the file, whether the
+# np.loadtxt path, which reads where the kernels do not load, takes it)
 CASES = {
-    "header": ("value\n1.0\n2.5\n", False, True),
-    "header-rows": ("# levyspec sample\nindex,value\nunit,x\n0,1.0\n1,2.5\n", False, True),
-    "comments-before": ("# a\n#b,c,d\n\n0.5\n1.5\n", False, True),
-    "comment-after-data": ("0.5\n# note\n1.5\n", False, False),
-    "comment-at-end": ("value\n0.5\n1.5\n# done\n", False, False),
-    "blank-lines": ("\n\nvalue\n\n0.5\n\n1.5\n\n", False, True),
-    "whitespace-line": ("0.5\n   \n1.5\n", False, True),
-    "crlf": ("index,value\r\n0,0.5\r\n1,1.5\r\n", False, True),
-    "cr": ("# c\r\rindex,value\r0,0.5\r1,1.5\r", False, True),
-    "one-column": ("0.5\n-1.5\n", False, True),
-    "two-columns": ("0,0.5\n1,-1.5\n", False, True),
-    "one-then-two-columns": ("0.5\n1,1.5\n", False, True),
-    "text-first-column": ("a,0.5\nb,1.5\n", False, True),
-    "ragged": ("0,1.5\n1,2.5,3\n2,4\n", False, False),
-    "three-columns": ("0,1.5,2.0\n", False, False),
-    "three-column-header": ("a,b,c\n1.5\n", False, False),
-    "header-only": ("index,value\n", False, False),
-    "empty": ("", False, False),
-    "comments-only": ("# a\n\n# b\n", False, False),
-    "header-after-data": ("value\n0.5\nvalue\n", False, False),
-    "difference-1-row": ("value\n1.5\n", True, True),
-    "difference-2-rows": ("value\n1.5\n4.0\n", True, True),
-    "difference-2-columns": ("index,level\n0,1.5\n1,4.0\n2,3.0\n", True, True),
-    "signed-zero-subnormal": ("-0.0\n5e-324\n1e-400\n-1.7976931348623157e308\n", False, True),
-    "token-1_000": (tokens_file("1_000"), False, False),
-    "token-1_000-first": ("value\n1_000\n0.5\n", False, False),
-    "token-space-inf": (tokens_file(" inf"), False, False),
-    "token-1e400": (tokens_file("1e400"), False, False),
-    "token-nan": (tokens_file("nan"), False, False),
-    "token-nan-first": ("value\nnan\n0.5\n", False, False),
-    "token-1e": (tokens_file("1e"), False, False),
-    "token-plus-minus": (tokens_file("+-1"), False, False),
-    "token-hex": (tokens_file("0x1p3"), False, False),
-    "token-trailing-comment": (tokens_file("1.0 # c"), False, False),
-    "token-fullwidth-digit": (tokens_file("１"), False, False),
-    "token-padded": (tokens_file("  1.25\t"), False, True),
-    "token-unit-separator": (tokens_file("0\x1f"), False, False),
-    "file-separator-header": ("value\n\x1c1.5\n0.5\n", False, True),
-    "separator-line": ("value\n0.5\n\x1e\n1.5\n", False, False),
-    "token-nbsp": (tokens_file("1.25\xa0"), False, False),
-    "lone-cr-in-data": ("value\r0.5\r1.5\n2.5\r\n", False, True),
-    "nul-byte": ("value\n0.5\n1\x00.5\n", False, False),
-    "nul-byte-first-column": ("value\n0,0.5\n\x00,1.5\n", False, False),
-    "no-trailing-newline": ("value\n0.5\n1.5", False, True),
-    "400-digit-cell": ("value\n9007199254740993." + "0" * 383 + "1\n", False, True),
-    "two-cells-after-data": ("value\n0.5\n1,2\n", False, True),
+    "header": ("value\n1.0\n2.5\n", False, True, True),
+    "header-rows": ("# levyspec sample\nindex,value\nunit,x\n0,1.0\n1,2.5\n", False, True, True),
+    "comments-before": ("# a\n#b,c,d\n\n0.5\n1.5\n", False, True, True),
+    "comment-after-data": ("0.5\n# note\n1.5\n", False, False, False),
+    "comment-at-end": ("value\n0.5\n1.5\n# done\n", False, False, False),
+    "blank-lines": ("\n\nvalue\n\n0.5\n\n1.5\n\n", False, True, True),
+    "whitespace-line": ("0.5\n   \n1.5\n", False, True, False),
+    "crlf": ("index,value\r\n0,0.5\r\n1,1.5\r\n", False, True, True),
+    "cr": ("# c\r\rindex,value\r0,0.5\r1,1.5\r", False, True, True),
+    "one-column": ("0.5\n-1.5\n", False, True, True),
+    "two-columns": ("0,0.5\n1,-1.5\n", False, True, True),
+    "one-then-two-columns": ("0.5\n1,1.5\n", False, True, False),
+    "text-first-column": ("a,0.5\nb,1.5\n", False, True, False),
+    "ragged": ("0,1.5\n1,2.5,3\n2,4\n", False, False, False),
+    "three-columns": ("0,1.5,2.0\n", False, False, False),
+    "three-column-header": ("a,b,c\n1.5\n", False, False, False),
+    "header-only": ("index,value\n", False, False, False),
+    "empty": ("", False, False, False),
+    "comments-only": ("# a\n\n# b\n", False, False, False),
+    "header-after-data": ("value\n0.5\nvalue\n", False, False, False),
+    "difference-1-row": ("value\n1.5\n", True, True, True),
+    "difference-2-rows": ("value\n1.5\n4.0\n", True, True, True),
+    "difference-2-columns": ("index,level\n0,1.5\n1,4.0\n2,3.0\n", True, True, True),
+    "signed-zero-subnormal": (
+        "-0.0\n5e-324\n1e-400\n-1.7976931348623157e308\n", False, True, True),
+    "token-1_000": (tokens_file("1_000"), False, False, False),
+    "token-1_000-first": ("value\n1_000\n0.5\n", False, False, False),
+    "token-space-inf": (tokens_file(" inf"), False, False, False),
+    "token-1e400": (tokens_file("1e400"), False, False, False),
+    "token-nan": (tokens_file("nan"), False, False, False),
+    "token-nan-first": ("value\nnan\n0.5\n", False, False, False),
+    "token-1e": (tokens_file("1e"), False, False, False),
+    "token-plus-minus": (tokens_file("+-1"), False, False, False),
+    "token-hex": (tokens_file("0x1p3"), False, False, False),
+    "token-trailing-comment": (tokens_file("1.0 # c"), False, False, False),
+    "token-fullwidth-digit": (tokens_file("１"), False, False, False),
+    "token-padded": (tokens_file("  1.25\t"), False, True, True),
+    "token-unit-separator": (tokens_file("0\x1f"), False, False, False),
+    "file-separator-header": ("value\n\x1c1.5\n0.5\n", False, True, False),
+    "separator-line": ("value\n0.5\n\x1e\n1.5\n", False, False, False),
+    "token-nbsp": (tokens_file("1.25\xa0"), False, False, True),
+    "lone-cr-in-data": ("value\r0.5\r1.5\n2.5\r\n", False, True, True),
+    "nul-byte": ("value\n0.5\n1\x00.5\n", False, False, False),
+    "nul-byte-first-column": ("value\n0,0.5\n\x00,1.5\n", False, False, False),
+    "no-trailing-newline": ("value\n0.5\n1.5", False, True, True),
+    "400-digit-cell": ("value\n9007199254740993." + "0" * 383 + "1\n", False, True, True),
+    "two-cells-after-data": ("value\n0.5\n1,2\n", False, True, False),
 }
 
 
-@pytest.mark.parametrize("text, difference, fast", CASES.values(), ids=CASES.keys())
-def test_reader_matches_loop(text, difference, fast, tmp_path):
+@pytest.mark.parametrize("text, difference, c_reader, loadtxt", CASES.values(),
+                         ids=CASES.keys())
+def test_reader_matches_loop(text, difference, c_reader, loadtxt, tmp_path):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     assert_same_as_loop(path, difference)
-    assert (_read_values_fast(str(path)) is not None) == fast
+    taken = c_reader if levyspec._native.library() is not None else loadtxt
+    assert (_read_values_fast(str(path)) is not None) == taken
 
 
-@pytest.mark.parametrize("text, difference", [case[:2] for case in CASES.values()],
-                         ids=CASES.keys())
-def test_reader_without_kernels_matches_loop(text, difference, tmp_path, monkeypatch):
+@pytest.mark.parametrize("text, difference, loadtxt", [
+    (text, difference, loadtxt) for text, difference, _, loadtxt in CASES.values()],
+    ids=CASES.keys())
+def test_reader_without_kernels_matches_loop(text, difference, loadtxt, tmp_path, monkeypatch):
     # np.loadtxt is the fast path then; the outcome must still be the loop's
     monkeypatch.setattr(levyspec._native, "library", lambda: None)
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     assert_same_as_loop(path, difference)
+    assert (_read_values_fast(str(path)) is not None) == loadtxt
 
 
 SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]

@@ -1,19 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import levyspec.models
-from levyspec import (CustomJumpDensity, KappaGrid, LevyTriplet, ModelClass,
-                      QuadratureError, StableJumpDensity, StableLaw, cauchy_triplet,
-                      check_small_jump_bound, gamma_process_density,
-                      increment_stable_law, levy_khintchine_cf, mixed_cutoff,
-                      optimal_cutoff, oscillating_density, partition_density, picard_cf_bound,
-                      picard_derivative_bound, reference_l2_norm,
-                      reference_tail_integral, spectral_bias_bound, stable_cf,
-                      stable_density_l2_norm, truncated_moment_ratio,
-                      truncated_second_moment)
+from levyspec import (CustomJumpDensity, ECFGrid, KappaGrid, LevyTriplet, ModelClass,
+                      QuadratureError, SeedSpec, StableJumpDensity, StableLaw, UGrid,
+                      adaptive_risk_bound_check, cauchy_triplet, check_small_jump_bound,
+                      cutoff_risk_bound_check, default_u_grid, default_u_max, default_x_grid,
+                      derive_seed, gamma_process_density, increment_stable_law,
+                      levy_khintchine_cf, mixed_cutoff, optimal_cutoff, oscillating_density,
+                      partition_density, picard_cf_bound, picard_derivative_bound,
+                      reference_cf, reference_l2_norm, reference_tail_integral,
+                      sample_increments, spectral_bias_bound, spectral_estimate, stable_cf,
+                      stable_density_l2_norm, stable_sample, threshold_level,
+                      trapezoid_weights, truncated_moment_ratio, truncated_second_moment)
 
 U_GRID = np.array([-7.3, -2.0, -0.9, -0.31, 0.4, 1.0, 2.6, 5.5])
 
@@ -427,22 +430,120 @@ def test_jump_bias_bound_is_the_tail_of_the_picard_envelope(alpha, M, dt, m):
         tail / math.pi, rel=1e-10)
 
 
-_TIMED = {
-    "levy_khintchine_cf": (lambda t: levy_khintchine_cf(LevyTriplet(0.0, 1.0, None), t,
-                                                        [0.5, 1.0]), "t"),
-    "spectral_bias_bound": (lambda t: spectral_bias_bound(
-        ModelClass.gaussian_dominant(), 1.0, 3.0, t), "delta_t"),
-    "optimal_cutoff": (lambda t: optimal_cutoff(ModelClass.gaussian_dominant(), 1.0, 500.0,
-                                                t), "delta_t"),
-    "mixed_cutoff": (lambda t: mixed_cutoff(1.0, 1.0, 1.2, t, 500.0), "delta_t"),
+_DENSITY = StableJumpDensity(1.0, 1.0, 1.0)
+_GAUSS = LevyTriplet(0.0, 1.0, None)
+_GAUSSIAN_CLASS = ModelClass.gaussian_dominant()
+_ONES = ECFGrid(UGrid(1.0, 0.5), np.ones(5, dtype=complex), 100)
+
+# Every numeric parameter of a public function or value object: (call of the value,
+# the name its error gives, values out of its range besides nan, inf and -inf).
+_NUMERIC = {
+    # models
+    "StableJumpDensity-P": (lambda v: StableJumpDensity(v, 1.0, 1.0), "P", (-1.0,)),
+    "StableJumpDensity-Q": (lambda v: StableJumpDensity(1.0, v, 1.0), "Q", (-1.0,)),
+    "StableJumpDensity-alpha": (lambda v: StableJumpDensity(1.0, 1.0, v), "alpha", (2.0,)),
+    "LevyTriplet-b": (lambda v: LevyTriplet(v, 1.0), "b", ()),
+    "LevyTriplet-sigma2": (lambda v: LevyTriplet(0.0, v), "sigma2", (-1.0,)),
+    "StableLaw-alpha": (lambda v: StableLaw(v, 1.0, 0.0, 0.0), "alpha", (2.5,)),
+    "StableLaw-gamma": (lambda v: StableLaw(1.0, v, 0.0, 0.0), "gamma", (0.0,)),
+    "StableLaw-beta": (lambda v: StableLaw(1.0, 1.0, v, 0.0), "beta", (1.5,)),
+    "StableLaw-delta": (lambda v: StableLaw(1.0, 1.0, 0.0, v), "delta", ()),
+    "ModelClass-M": (lambda v: ModelClass.pure_jump(v, 1.0), "M", (0.0,)),
+    "ModelClass-alpha": (lambda v: ModelClass.mixed(1.0, v), "alpha", (2.0,)),
+    "truncated_second_moment-eta": (lambda v: truncated_second_moment(_DENSITY, v), "eta",
+                                    (0.0,)),
+    "truncated_second_moment-rtol": (lambda v: truncated_second_moment(_DENSITY, 0.5, v),
+                                     "rtol", (0.0,)),
+    "levy_khintchine_cf": (lambda v: levy_khintchine_cf(_GAUSS, v, [0.5, 1.0]), "t",
+                           (0.0, -1.0)),
+    "increment_stable_law": (lambda v: increment_stable_law(_DENSITY, v), "delta_t", (0.0,)),
+    "check_small_jump_bound-M": (lambda v: check_small_jump_bound(_DENSITY, v, 1.0), "M",
+                                 (0.0,)),
+    "check_small_jump_bound-alpha": (lambda v: check_small_jump_bound(_DENSITY, 1.0, v),
+                                     "alpha", (2.0,)),
+    "check_small_jump_bound-eta_grid": (lambda v: check_small_jump_bound(
+        _DENSITY, 1e6, 1.0, eta_grid=[0.5, v]), "eta_grid[1]", (0.0, 1.5)),
+    "truncated_moment_ratio-eta": (lambda v: truncated_moment_ratio(_DENSITY, v, 1.0), "eta",
+                                   (0.0, 1.5)),
+    "truncated_moment_ratio-gamma_exp": (lambda v: truncated_moment_ratio(_DENSITY, 0.5, v),
+                                         "gamma_exp", (2.0,)),
+    "picard_cf_bound-M": (lambda v: picard_cf_bound(v, 1.0, 1.0, 2.0), "M", (0.0,)),
+    "picard_cf_bound-alpha": (lambda v: picard_cf_bound(1.0, v, 1.0, 2.0), "alpha", (0.0,)),
+    "picard_cf_bound-t": (lambda v: picard_cf_bound(1.0, 1.0, v, 2.0), "t", (0.0,)),
+    "picard_derivative_bound-k": (lambda v: picard_derivative_bound(v, 1.0, 1.0, 1.0), "k",
+                                  (-1, 1.5)),
+    "spectral_bias_bound": (lambda v: spectral_bias_bound(_GAUSSIAN_CLASS, 1.0, 3.0, v),
+                            "delta_t", (0.0, -1.0)),
+    "spectral_bias_bound-sigma2": (lambda v: spectral_bias_bound(_GAUSSIAN_CLASS, v, 1.0, 1.0),
+                                   "sigma2", (0.0,)),
+    "spectral_bias_bound-m": (lambda v: spectral_bias_bound(_GAUSSIAN_CLASS, 1.0, v, 1.0), "m",
+                              (-1.0,)),
+    "spectral_bias_bound-jump-m": (lambda v: spectral_bias_bound(
+        ModelClass.pure_jump(1.0, 1.0), 0.0, v, 1.0), "m", (1.0,)),
+    "optimal_cutoff": (lambda v: optimal_cutoff(_GAUSSIAN_CLASS, 1.0, 500.0, v), "delta_t",
+                       (0.0, -1.0)),
+    "optimal_cutoff-n": (lambda v: optimal_cutoff(_GAUSSIAN_CLASS, 1.0, v, 1.0), "n", (1.5,)),
+    "optimal_cutoff-sigma2": (lambda v: optimal_cutoff(_GAUSSIAN_CLASS, v, 500.0, 1.0),
+                              "sigma2", (0.0,)),
+    "mixed_cutoff": (lambda v: mixed_cutoff(1.0, 1.0, 1.2, v, 500.0), "delta_t", (0.0, -1.0)),
+    "mixed_cutoff-sigma2": (lambda v: mixed_cutoff(v, 1.0, 1.2, 1.0, 500.0), "sigma2", (-1.0,)),
+    "mixed_cutoff-M": (lambda v: mixed_cutoff(1.0, v, 1.2, 1.0, 500.0), "M", (-1.0,)),
+    "mixed_cutoff-alpha": (lambda v: mixed_cutoff(1.0, 1.0, v, 1.0, 100.0), "alpha", (3.0,)),
+    "mixed_cutoff-n": (lambda v: mixed_cutoff(1.0, 1.0, 1.2, 1.0, v), "n", (1.0,)),
+    # sampling
+    "SeedSpec-trial_index": (lambda v: SeedSpec(1, v), "trial_index", (-1,)),
+    "derive_seed-master_seed": (lambda v: derive_seed(v, 0), "master_seed", (-1,)),
+    "stable_sample-n": (lambda v: stable_sample(StableLaw(1.0, 1.0, 0.0, 0.0), v, SeedSpec(1)),
+                        "n", (0,)),
+    "stable_sample-alpha": (lambda v: stable_sample(StableLaw(v, 1.0, 0.0, 0.0), 5, SeedSpec(1)),
+                            "alpha", (2.0,)),
+    "sample_increments-n": (lambda v: sample_increments(_GAUSS, 1.0, v, SeedSpec(1)), "n",
+                            (0,)),
+    # estimator
+    "UGrid-restrict": (lambda v: UGrid(1.0, 0.1).restrict(v), "u_max", (0.0,)),
+    "default_u_max": (lambda v: default_u_max(v), "delta_t", (0.0,)),
+    "default_u_grid-delta_t": (lambda v: default_u_grid(v, 50), "delta_t", (0.0,)),
+    "default_u_grid-n": (lambda v: default_u_grid(1.0, v), "n", (0, 2.5)),
+    "ECFGrid-n": (lambda v: ECFGrid(_ONES.grid, _ONES.values, v), "n", (0,)),
+    "threshold_level-kappa": (lambda v: threshold_level(v, 100), "kappa", (-1.0,)),
+    "threshold_level-n": (lambda v: threshold_level(1.0, v), "n", (0, -3)),
+    "spectral_estimate-m": (lambda v: spectral_estimate(_ONES, v, [0.0]), "m", (0.0,)),
+    "default_x_grid-step": (lambda v: default_x_grid(np.array([0.0, 1.0]), v), "step", (0.0,)),
+    "trapezoid_weights-step": (lambda v: trapezoid_weights(3, v), "step", (0.0,)),
+    # calibration
+    "KappaGrid-delta_step": (lambda v: KappaGrid(v), "delta_step", (0.0,)),
+    "KappaGrid-count": (lambda v: KappaGrid(0.05, v), "count", (2, 3.5)),
+    # risk
+    "reference_cf-delta_t": (lambda v: reference_cf(_GAUSS, v, _ONES.grid), "delta_t", (0.0,)),
+    "reference_tail_integral-u_max": (lambda v: reference_tail_integral(_GAUSS, 1.0, v),
+                                      "u_max", (-1.0,)),
+    "cutoff_risk_bound_check-delta_t": (lambda v: cutoff_risk_bound_check(v, 100, trials=2),
+                                        "delta_t", (0.0,)),
+    "cutoff_risk_bound_check-n": (lambda v: cutoff_risk_bound_check(1.0, v, trials=2), "n",
+                                  (0,)),
+    "cutoff_risk_bound_check-m_grid": (lambda v: cutoff_risk_bound_check(
+        1.0, 100, m_grid=[1.0, v], trials=2), "m_grid[1]", (-1.0,)),
+    "cutoff_risk_bound_check-trials": (lambda v: cutoff_risk_bound_check(1.0, 100, trials=v),
+                                       "trials", (0, 2.5)),
+    "adaptive_risk_bound_check-delta_t": (lambda v: adaptive_risk_bound_check(v, 100, trials=2),
+                                          "delta_t", (0.0,)),
+    "adaptive_risk_bound_check-n": (lambda v: adaptive_risk_bound_check(1.0, v, trials=2), "n",
+                                    (0, -3)),
+    "adaptive_risk_bound_check-kappa": (lambda v: adaptive_risk_bound_check(
+        1.0, 100, kappa=v, trials=2), "kappa", (-1.0,)),
+    "adaptive_risk_bound_check-trials": (lambda v: adaptive_risk_bound_check(
+        1.0, 100, trials=v), "trials", (0, 2.5)),
 }
+_NUMERIC_CASES = [(name, value) for name, (_, _, out) in _NUMERIC.items()
+                  for value in (math.nan, math.inf, -math.inf, *out)]
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-@pytest.mark.parametrize("name", sorted(_TIMED))
+@pytest.mark.parametrize("name, t", _NUMERIC_CASES,
+                         ids=[f"{name}-{t!r}" for name, t in _NUMERIC_CASES])
 def test_a_time_that_is_not_finite_and_positive_is_named(name, t):
-    call, field = _TIMED[name]
-    with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got {t!r}$"):
+    # each row fails at its own boundary, before any work, naming the parameter
+    call, field, _ = _NUMERIC[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must .*, got {re.escape(repr(t))}$"):
         call(t)
 
 

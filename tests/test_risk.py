@@ -74,13 +74,13 @@ def test_cauchy_l2_norm_closed_form():
 def test_tail_integral_rejects_u_max_below_zero_or_nan(model, u_max):
     # each law used to answer differently: 2||f||^2, a complex-power TypeError,
     # the incomplete gamma's "x must be nonnegative", or nan
-    with pytest.raises(ValueError, match=re.escape(f"u_max must be >= 0, got {u_max!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"u_max must be finite and nonnegative, got {u_max!r}")):
         reference_tail_integral(model, 1.0, u_max)
 
 
 @pytest.mark.parametrize("m_grid", [[-1.0], [-1.0, 2.0]])
 def test_cutoff_risk_bound_rejects_a_negative_cutoff(m_grid):
-    with pytest.raises(ValueError, match="u_max"):
+    with pytest.raises(ValueError, match=r"m_grid\[0\] must be finite and nonnegative"):
         cutoff_risk_bound_check(1.0, 100, m_grid=m_grid, trials=2)
 
 
@@ -233,7 +233,7 @@ def test_adaptive_risk_bound_names_a_kappa_whose_bound_overflows(kappa):
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -1.0])
 def test_adaptive_risk_bound_rejects_non_finite_or_negative_kappa(kappa):
-    with pytest.raises(ValueError, match="kappa must be a finite number >= 0"):
+    with pytest.raises(ValueError, match="kappa must be finite and nonnegative"):
         adaptive_risk_bound_check(1.0, 50, kappa=kappa, trials=2, master_seed=1)
 
 
@@ -333,8 +333,8 @@ def test_config_reads_an_integral_float_as_an_integer():
     (lambda d: d["model"]["jumps"].update(beta=0.5), "'beta'"),
     (lambda d: d.pop("model"), "missing config key(s): 'model'"),
     (lambda d: d.update(model=5), "model must be a JSON object"),
-    (lambda d: d.update(n_list=[0]), "n_list entries must be at least 1, got [0]"),
-    (lambda d: d.update(n_list=[500, -5]), "n_list entries must be at least 1, got [500, -5]"),
+    (lambda d: d.update(n_list=[0]), "n_list[0] must be at least 1, got 0"),
+    (lambda d: d.update(n_list=[500, -5]), "n_list[1] must be at least 1, got -5"),
 ], ids=["config-trails", "model-sigma", "jumps-beta", "missing-model", "model-not-object",
         "n_list-0", "n_list--5"])
 def test_config_rejects_unknown_and_missing_keys(edit, key):
@@ -355,7 +355,8 @@ def test_config_accepts_any_finite_kappa_mode_from_zero(kappa):
 
 @pytest.mark.parametrize("kappa", [-1.0, -1e-300, math.nan, math.inf, "bogus", "0.5", None])
 def test_config_rejects_kappa_mode_other_than_auto_or_finite_nonnegative(kappa):
-    with pytest.raises(ValueError, match="kappa_mode is 'auto' or a finite number >= 0"):
+    with pytest.raises(ValueError,
+                       match="kappa_mode other than 'auto' must be finite and nonnegative"):
         ExperimentConfig(CAUCHY, 1.0, (10,), kappa_mode=kappa)
 
 
@@ -397,10 +398,15 @@ def test_config_validation():
     ({"u_max": -5.0}, "u_max -5.0"),
     ({"u_max": 0.0}, "u_max 0.0"),
     ({"u_step": 2.0}, "step 2 must be at most n"),  # the cut to [-1, 1] at n = 1
-], ids=["step-0", "step-negative", "umax-negative", "umax-0", "cut-empty"])
+    # built, these failed only inside the first trial
+    ({"delta_t": math.inf}, "delta_t must be finite and positive, got inf"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+], ids=["step-0", "step-negative", "umax-negative", "umax-0", "cut-empty", "delta_t-inf",
+        "trials-2.5"])
 def test_config_checks_each_cells_grid_when_built(fields, named):
     with pytest.raises(ValueError, match=re.escape(named)):
-        ExperimentConfig(GAUSS, 1.0, (50, 1), trials=2, **fields)
+        ExperimentConfig(**{"model": GAUSS, "delta_t": 1.0, "n_list": (50, 1), "trials": 2,
+                            **fields})
 
 
 def test_default_u_grid_is_the_default_domain_cut_to_minus_n_n():
