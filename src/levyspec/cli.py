@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .calibration import FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile, write_chi_csv
 from .errors import (NoStabilizationError, QuadratureError, UnsupportedModelError,
-                     _require_count, _require_finite, _require_nonnegative,
-                     _require_positive)
+                     _require_count, _require_nonnegative, _require_positive)
 from .estimator import (ECFGrid, _check_ecf_above_rounding, adaptive_estimate,
                         default_u_grid, default_x_grid, ecf, write_ecf_csv, write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
@@ -83,7 +82,7 @@ def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
     data = _read_values_fast(path)
     if data is None:
         data = _read_values_loop(path)
-    if difference and not data.size >= 2:
+    if difference and data.size < 2:
         raise ValueError(f"{path}: need at least 2 level observations to difference")
     return np.diff(data) if difference else data
 
@@ -183,9 +182,12 @@ def _read_and_ecf(args) -> tuple[IncrementSample, ECFGrid]:
 def _finite_float(text: str) -> float:
     """argparse type of every float flag: a finite number."""
     try:
-        return _require_finite("the flag", float(text))
-    except ValueError:  # float()'s, or the check's
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
 
 
 def _argument(require, name: str, value: float) -> float:

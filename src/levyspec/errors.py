@@ -32,38 +32,45 @@ class NoStabilizationError(LevySpecError):
         self.chis = list(chis)
 
 
-def _require_below_inf(name: str, value, low, strict: bool, rule: str):
-    """``value`` when low < value < inf (low <= value unless ``strict``): single
-    comparisons, which NaN fails, as does a value that compares with no number."""
+def _require_between(name: str, value, low, high, rule: str = "", closed: bool = False):
+    """``value`` when low < value < high (low <= value when ``closed``): comparisons
+    that NaN fails, as does a value that compares with no number.  The error says
+    ``{name} must {rule}``, by default ``lie in (low, high)``."""
     try:
-        if (low < value if strict else low <= value) and value < math.inf:
+        if (low <= value if closed else low < value) and value < high:
             return value
     except TypeError:  # None, a string
         pass
-    raise ValueError(f"{name} must be {rule}, got {value!r}")
+    rule = rule or f"lie in {'[' if closed else '('}{low:g}, {high:g})"
+    raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
 def _require_finite(name: str, value):
-    return _require_below_inf(name, value, -math.inf, True, "finite")
+    return _require_between(name, value, -math.inf, math.inf, "be finite")
 
 
 def _require_positive(name: str, value):
-    return _require_below_inf(name, value, 0, True, "finite and positive")
+    return _require_between(name, value, 0, math.inf, "be finite and positive")
 
 
 def _require_nonnegative(name: str, value):
-    return _require_below_inf(name, value, 0, False, "finite and nonnegative")
-
-
-def _require_integer(name: str, value):
-    """An int or numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+    return _require_between(name, value, 0, math.inf, "be finite and nonnegative", closed=True)
 
 
 def _require_count(name: str, value, least: int = 1):
-    """An integer >= least."""
-    if not _require_integer(name, value) >= least:
+    """An int or numpy integer, not a bool, at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
     return value
+
+
+def _require_finite_entries(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` when every entry is finite: one ``np.isfinite`` scan; the error
+    names the first entry that is not, by its index."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{name} must be finite; value {values.flat[i].item()!r} at index {i}")
+    return values

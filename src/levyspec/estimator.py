@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _require_count, _require_nonnegative, _require_positive
+from .errors import (_require_count, _require_finite_entries, _require_nonnegative,
+                     _require_positive)
 from .sampling import IncrementSample, write_rows
 
 __all__ = ["UGrid", "ECFGrid", "SpectralEstimate", "ecf", "spectral_estimate",
@@ -68,7 +69,7 @@ class UGrid:
         _require_positive("u_max", self.u_max)
         _require_positive("step", self.step)
         k = round(self.u_max / self.step)
-        if not (k >= 1 and abs(k * self.step - self.u_max) <= 1e-9 * self.u_max):
+        if k < 1 or abs(k * self.step - self.u_max) > 1e-9 * self.u_max:
             raise ValueError("u_max must be a positive integer multiple of step")
 
     @classmethod
@@ -92,7 +93,7 @@ class UGrid:
         if _require_positive("u_max", u_max) >= self.u_max:
             return self
         k = math.floor(u_max / self.step + 1e-9)
-        if not k >= 1:
+        if k < 1:
             raise ValueError(f"the grid cut to [-n, n] = [-{u_max:g}, {u_max:g}] holds only "
                              f"u = 0: its step {self.step:g} must be at most n")
         return UGrid(k * self.step, self.step)
@@ -117,10 +118,7 @@ class ECFGrid:
     def __post_init__(self):
         if len(self.values) != 2 * self.grid.half_count + 1:
             raise ValueError("values length does not match the grid")
-        if not np.isfinite(self.values).all():
-            bad = np.flatnonzero(~np.isfinite(self.values))
-            raise ValueError(f"ECF values must be finite; value {self.values[bad[0]]!r} "
-                             f"at index {bad[0]}")
+        _require_finite_entries("ECF values", self.values)
         _require_count("n", self.n)
 
 

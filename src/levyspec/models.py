@@ -37,8 +37,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import (QuadratureError, _require_count, _require_finite, _require_nonnegative,
-                     _require_positive)
+from .errors import (QuadratureError, _require_between, _require_count, _require_finite,
+                     _require_finite_entries, _require_nonnegative, _require_positive)
 
 __all__ = [
     "StableJumpDensity", "CustomJumpDensity", "LevyTriplet", "StableLaw",
@@ -75,8 +75,7 @@ class StableJumpDensity:
     def __post_init__(self):
         total = _require_nonnegative("P", self.P) + _require_nonnegative("Q", self.Q)
         _require_positive("P + Q", total)
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha!r}")
+        _require_between("alpha", self.alpha, 0, 2)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -179,8 +178,7 @@ class ModelClass:
                 raise ValueError("gaussian class carries no (M, alpha)")
         else:
             _require_positive("M", self.M)
-            if self.alpha is None or not 0.0 < self.alpha < 2.0:
-                raise ValueError(f"alpha must lie in (0, 2), got {self.alpha!r}")
+            _require_between("alpha", self.alpha, 0, 2)
 
     @classmethod
     def gaussian_dominant(cls) -> "ModelClass":
@@ -362,7 +360,7 @@ def levy_khintchine_cf(triplet: LevyTriplet, t: float, u):
     and +-1 plus any declared breakpoints).
     """
     _require_positive("t", t)
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    u_arr = _require_finite_entries("u", np.atleast_1d(np.asarray(u, dtype=float)))
     expo = 1j * u_arr * (triplet.b * t) - t * triplet.sigma2 * u_arr ** 2 / 2.0
     if isinstance(triplet.jumps, CustomJumpDensity):
         vals = np.array([_custom_jump_exponent(triplet.jumps, float(x)) for x in u_arr])
@@ -395,7 +393,7 @@ def increment_stable_law(jumps: StableJumpDensity, delta_t: float) -> StableLaw:
 
 def stable_cf(law: StableLaw, u):
     """Characteristic function of a stable law in the one-parameterization."""
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    u_arr = _require_finite_entries("u", np.atleast_1d(np.asarray(u, dtype=float)))
     au = np.abs(u_arr)
     sg = np.sign(u_arr)
     if law.alpha == 1.0:
@@ -422,8 +420,7 @@ def check_small_jump_bound(density: JumpDensity, M: float, alpha: float,
     the bound with equality are accepted despite quadrature error.
     """
     _require_positive("M", M)
-    if not 0 < alpha < 2:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha!r}")
+    _require_between("alpha", alpha, 0, 2)
     etas = np.geomspace(1e-4, 1.0, 32) if eta_grid is None else np.asarray(eta_grid, dtype=float)
     if etas.size == 0:
         raise ValueError("eta_grid must be nonempty")
@@ -448,8 +445,7 @@ def truncated_moment_ratio(density: JumpDensity, eta: float, gamma_exp: float,
     """
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
-    if not 0 < gamma_exp < 2:
-        raise ValueError(f"gamma_exp must lie in (0, 2), got {gamma_exp!r}")
+    _require_between("gamma_exp", gamma_exp, 0, 2)
     return eta ** (gamma_exp - 2.0) * truncated_second_moment(density, eta, rtol)
 
 
@@ -460,11 +456,10 @@ def picard_cf_bound(M: float, alpha: float, t: float, u):
     bound with constants (M, alpha).
     """
     _require_positive("M", M)
-    if not 0 < alpha < 2:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha!r}")
+    _require_between("alpha", alpha, 0, 2)
     _require_positive("t", t)
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.all(np.abs(u_arr) >= math.pi / 2.0 - 1e-12):
+    u_arr = _require_finite_entries("u", np.atleast_1d(np.asarray(u, dtype=float)))
+    if np.any(np.abs(u_arr) < math.pi / 2.0 - 1e-12):
         raise ValueError("bound only valid for |u| >= pi/2")
     out = np.exp(-(2.0 ** alpha * M / math.pi ** alpha) * np.abs(u_arr) ** alpha * t)
     return out if np.ndim(u) else float(out[0])
@@ -517,8 +512,7 @@ def picard_derivative_bound(k: int, t: float, M: float, alpha: float) -> float:
     _require_count("k", k, 0)
     _require_positive("t", t)
     _require_positive("M", M)
-    if not 0 < alpha < 2:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha!r}")
+    _require_between("alpha", alpha, 0, 2)
     first = (math.pi / 2.0) ** (k + 1) / (math.pi * (k + 1))
     scale = (math.pi / (2.0 * (t * M) ** (1.0 / alpha))) ** (k + 1)
     return first + scale * _upper_gamma((k + 1) / alpha, t * M) / alpha
@@ -558,8 +552,8 @@ def spectral_bias_bound(model_class: ModelClass, sigma2: float, m: float,
         _require_positive("sigma2", sigma2)
         return _spectral_tail(delta_t * sigma2, 0.0, 2.0, m)
     if model_class.tag == PURE_JUMP:
-        if not math.pi / 2.0 <= m < math.inf:
-            raise ValueError(f"m must lie in [pi/2, inf) in the jump branch, got {m!r}")
+        _require_between("m", m, math.pi / 2.0, math.inf,
+                         "lie in [pi/2, inf) in the jump branch", closed=True)
         M, alpha = model_class.M, model_class.alpha
         return _spectral_tail(0.0, (2.0 / math.pi) ** alpha * M * delta_t, alpha, m)
     raise ValueError("bias bound is defined for the gaussian and pure-jump branches")
@@ -572,8 +566,7 @@ def optimal_cutoff(model_class, sigma2: float, n: float, delta_t: float) -> floa
     Pure-jump:        (pi/2) (log n / (M delta_t))^(1/alpha).
     Mixed classes delegate to :func:`mixed_cutoff`.
     """
-    if not 2 <= n < math.inf:
-        raise ValueError(f"n must lie in [2, inf), got {n!r}")
+    _require_between("n", n, 2, math.inf, closed=True)
     _require_positive("delta_t", delta_t)
     logn = math.log(n)
     if model_class.tag == GAUSSIAN:
@@ -593,11 +586,9 @@ def mixed_cutoff(sigma2: float, M: float, alpha: float, delta_t: float, n: float
     """
     total = _require_nonnegative("sigma2", sigma2) + _require_nonnegative("M", M)
     _require_positive("sigma2 + M", total)
-    if not 0 < alpha < 2:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha!r}")
+    _require_between("alpha", alpha, 0, 2)
     _require_positive("delta_t", delta_t)
-    if not 1 < n < math.inf:
-        raise ValueError(f"n must lie in (1, inf), got {n!r}")
+    _require_between("n", n, 1, math.inf)
     logn = math.log(n)
     c_alpha = 2.0 * M * (2.0 / math.pi) ** alpha
     if sigma2 == 0.0:

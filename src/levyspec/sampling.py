@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (UnsupportedModelError, _require_count, _require_finite, _require_integer,
-                     _require_positive)
+from .errors import (UnsupportedModelError, _require_between, _require_count, _require_finite,
+                     _require_finite_entries, _require_positive)
 from .models import CustomJumpDensity, LevyTriplet, StableLaw, increment_stable_law
 
 __all__ = ["SeedSpec", "IncrementSample", "stable_sample", "sample_increments",
@@ -26,6 +26,13 @@ __all__ = ["SeedSpec", "IncrementSample", "stable_sample", "sample_increments",
 
 _GAUSSIAN_STREAM = 0
 _STABLE_STREAM = 1
+
+
+def _require_seed(master_seed):
+    """A master seed: an integer in [0, 2^64)."""
+    if _require_count("master_seed", master_seed, 0) >= 2 ** 64:
+        raise ValueError(f"master_seed must lie in [0, 2^64), got {master_seed}")
+    return master_seed
 
 
 @dataclass(frozen=True)
@@ -36,8 +43,7 @@ class SeedSpec:
     trial_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= _require_integer("master_seed", self.master_seed) < 2 ** 64:
-            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
+        _require_seed(self.master_seed)
         _require_count("trial_index", self.trial_index, 0)
 
     def generator(self, substream: int = 0) -> np.random.Generator:
@@ -48,7 +54,7 @@ class SeedSpec:
 
 def derive_seed(master_seed: int, *lane: int) -> int:
     """Derive a 64-bit sub-master seed, e.g. one per experiment cell."""
-    ss = np.random.SeedSequence(entropy=_require_count("master_seed", master_seed, 0),
+    ss = np.random.SeedSequence(entropy=_require_seed(master_seed),
                                 spawn_key=tuple(lane))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -60,10 +66,7 @@ class IncrementSample:
     values: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.values).all():
-            bad = np.flatnonzero(~np.isfinite(self.values))
-            raise ValueError(f"increments must be finite; value {self.values[bad[0]]!r} "
-                             f"at index {bad[0]}")
+        _require_finite_entries("increments", self.values)
 
     @property
     def n(self) -> int:
@@ -130,8 +133,7 @@ def _stable_sample(values: np.ndarray, law: StableLaw) -> IncrementSample:
 def stable_sample(law: StableLaw, n: int, seed: SeedSpec) -> IncrementSample:
     """n i.i.d. variates with characteristic function ``stable_cf(law, .)``."""
     _require_count("n", n)
-    if not 0 < law.alpha < 2:
-        raise ValueError(f"alpha must lie in (0, 2) for the sampler, got {law.alpha!r}")
+    _require_between("alpha", law.alpha, 0, 2, "lie in (0, 2) for the sampler")
     return _stable_sample(_cms(law, seed.generator(_STABLE_STREAM), n), law)
 
 

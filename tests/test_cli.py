@@ -399,7 +399,7 @@ def test_non_integer_env_seed_exits_2_naming_the_variable(tmp_path, monkeypatch,
     ("1.5", [], None, "LEVYSPEC_SEED must be an integer, got '1.5'"),
     ("-3", [], None, "LEVYSPEC_SEED must lie in [0, 2^64), got -3"),
     (None, ["--seed", "-1"], None, "--seed must lie in [0, 2^64), got -1"),
-    (None, [], -5, "master_seed must lie in [0, 2^64), got -5"),
+    (None, [], -5, "master_seed must be at least 0, got -5"),
     (None, [], 2 ** 64 + 5, f"master_seed must lie in [0, 2^64), got {2 ** 64 + 5}"),
     (str(2 ** 64), [], None, f"LEVYSPEC_SEED must lie in [0, 2^64), got {2 ** 64}"),
     (None, ["--seed", str(2 ** 64)], None, f"--seed must lie in [0, 2^64), got {2 ** 64}"),

@@ -435,116 +435,158 @@ _GAUSS = LevyTriplet(0.0, 1.0, None)
 _GAUSSIAN_CLASS = ModelClass.gaussian_dominant()
 _ONES = ECFGrid(UGrid(1.0, 0.5), np.ones(5, dtype=complex), 100)
 
-# Every numeric parameter of a public function or value object: (call of the value,
-# the name its error gives, values out of its range besides nan, inf and -inf).
+# Every numeric parameter of a public function or value object: (call of the value, the
+# name its error gives, the rule it gives for nan, inf and -inf, and the values out of its
+# range besides these, each with that rule, or a dict of them to their own rules).
+_POS, _NONNEG, _FINITE = "be finite and positive", "be finite and nonnegative", "be finite"
+_INT, _ALPHA = "be an integer", "lie in (0, 2)"
 _NUMERIC = {
     # models
-    "StableJumpDensity-P": (lambda v: StableJumpDensity(v, 1.0, 1.0), "P", (-1.0,)),
-    "StableJumpDensity-Q": (lambda v: StableJumpDensity(1.0, v, 1.0), "Q", (-1.0,)),
-    "StableJumpDensity-alpha": (lambda v: StableJumpDensity(1.0, 1.0, v), "alpha", (2.0,)),
-    "LevyTriplet-b": (lambda v: LevyTriplet(v, 1.0), "b", ()),
-    "LevyTriplet-sigma2": (lambda v: LevyTriplet(0.0, v), "sigma2", (-1.0,)),
-    "StableLaw-alpha": (lambda v: StableLaw(v, 1.0, 0.0, 0.0), "alpha", (2.5,)),
-    "StableLaw-gamma": (lambda v: StableLaw(1.0, v, 0.0, 0.0), "gamma", (0.0,)),
-    "StableLaw-beta": (lambda v: StableLaw(1.0, 1.0, v, 0.0), "beta", (1.5,)),
-    "StableLaw-delta": (lambda v: StableLaw(1.0, 1.0, 0.0, v), "delta", ()),
-    "ModelClass-M": (lambda v: ModelClass.pure_jump(v, 1.0), "M", (0.0,)),
-    "ModelClass-alpha": (lambda v: ModelClass.mixed(1.0, v), "alpha", (2.0,)),
+    "StableJumpDensity-P": (lambda v: StableJumpDensity(v, 1.0, 1.0), "P", _NONNEG, (-1.0,)),
+    "StableJumpDensity-Q": (lambda v: StableJumpDensity(1.0, v, 1.0), "Q", _NONNEG, (-1.0,)),
+    "StableJumpDensity-alpha": (lambda v: StableJumpDensity(1.0, 1.0, v), "alpha", _ALPHA,
+                                (2.0,)),
+    "LevyTriplet-b": (lambda v: LevyTriplet(v, 1.0), "b", _FINITE, ()),
+    "LevyTriplet-sigma2": (lambda v: LevyTriplet(0.0, v), "sigma2", _NONNEG, (-1.0,)),
+    "StableLaw-alpha": (lambda v: StableLaw(v, 1.0, 0.0, 0.0), "alpha", "lie in (0, 2]",
+                        (2.5,)),
+    "StableLaw-gamma": (lambda v: StableLaw(1.0, v, 0.0, 0.0), "gamma", _POS, (0.0,)),
+    "StableLaw-beta": (lambda v: StableLaw(1.0, 1.0, v, 0.0), "beta", "lie in [-1, 1]", (1.5,)),
+    "StableLaw-delta": (lambda v: StableLaw(1.0, 1.0, 0.0, v), "delta", _FINITE, ()),
+    "ModelClass-M": (lambda v: ModelClass.pure_jump(v, 1.0), "M", _POS, (0.0,)),
+    "ModelClass-alpha": (lambda v: ModelClass.mixed(1.0, v), "alpha", _ALPHA, (2.0,)),
     "truncated_second_moment-eta": (lambda v: truncated_second_moment(_DENSITY, v), "eta",
-                                    (0.0,)),
+                                    _POS, (0.0,)),
     "truncated_second_moment-rtol": (lambda v: truncated_second_moment(_DENSITY, 0.5, v),
-                                     "rtol", (0.0,)),
-    "levy_khintchine_cf": (lambda v: levy_khintchine_cf(_GAUSS, v, [0.5, 1.0]), "t",
+                                     "rtol", _POS, (0.0,)),
+    "levy_khintchine_cf": (lambda v: levy_khintchine_cf(_GAUSS, v, [0.5, 1.0]), "t", _POS,
                            (0.0, -1.0)),
-    "increment_stable_law": (lambda v: increment_stable_law(_DENSITY, v), "delta_t", (0.0,)),
+    "increment_stable_law": (lambda v: increment_stable_law(_DENSITY, v), "delta_t", _POS,
+                             (0.0,)),
     "check_small_jump_bound-M": (lambda v: check_small_jump_bound(_DENSITY, v, 1.0), "M",
-                                 (0.0,)),
+                                 _POS, (0.0,)),
     "check_small_jump_bound-alpha": (lambda v: check_small_jump_bound(_DENSITY, 1.0, v),
-                                     "alpha", (2.0,)),
+                                     "alpha", _ALPHA, (2.0,)),
     "check_small_jump_bound-eta_grid": (lambda v: check_small_jump_bound(
-        _DENSITY, 1e6, 1.0, eta_grid=[0.5, v]), "eta_grid[1]", (0.0, 1.5)),
+        _DENSITY, 1e6, 1.0, eta_grid=[0.5, v]), "eta_grid[1]", "lie in (0, 1]", (0.0, 1.5)),
     "truncated_moment_ratio-eta": (lambda v: truncated_moment_ratio(_DENSITY, v, 1.0), "eta",
-                                   (0.0, 1.5)),
+                                   "lie in (0, 1]", (0.0, 1.5)),
     "truncated_moment_ratio-gamma_exp": (lambda v: truncated_moment_ratio(_DENSITY, 0.5, v),
-                                         "gamma_exp", (2.0,)),
-    "picard_cf_bound-M": (lambda v: picard_cf_bound(v, 1.0, 1.0, 2.0), "M", (0.0,)),
-    "picard_cf_bound-alpha": (lambda v: picard_cf_bound(1.0, v, 1.0, 2.0), "alpha", (0.0,)),
-    "picard_cf_bound-t": (lambda v: picard_cf_bound(1.0, 1.0, v, 2.0), "t", (0.0,)),
+                                         "gamma_exp", _ALPHA, (2.0,)),
+    "picard_cf_bound-M": (lambda v: picard_cf_bound(v, 1.0, 1.0, 2.0), "M", _POS, (0.0,)),
+    "picard_cf_bound-alpha": (lambda v: picard_cf_bound(1.0, v, 1.0, 2.0), "alpha", _ALPHA,
+                              (0.0,)),
+    "picard_cf_bound-t": (lambda v: picard_cf_bound(1.0, 1.0, v, 2.0), "t", _POS, (0.0,)),
     "picard_derivative_bound-k": (lambda v: picard_derivative_bound(v, 1.0, 1.0, 1.0), "k",
-                                  (-1, 1.5)),
+                                  _INT, {-1: "be at least 0", 1.5: _INT}),
     "spectral_bias_bound": (lambda v: spectral_bias_bound(_GAUSSIAN_CLASS, 1.0, 3.0, v),
-                            "delta_t", (0.0, -1.0)),
+                            "delta_t", _POS, (0.0, -1.0)),
     "spectral_bias_bound-sigma2": (lambda v: spectral_bias_bound(_GAUSSIAN_CLASS, v, 1.0, 1.0),
-                                   "sigma2", (0.0,)),
+                                   "sigma2", _POS, (0.0,)),
     "spectral_bias_bound-m": (lambda v: spectral_bias_bound(_GAUSSIAN_CLASS, 1.0, v, 1.0), "m",
-                              (-1.0,)),
+                              _NONNEG, (-1.0,)),
     "spectral_bias_bound-jump-m": (lambda v: spectral_bias_bound(
-        ModelClass.pure_jump(1.0, 1.0), 0.0, v, 1.0), "m", (1.0,)),
+        ModelClass.pure_jump(1.0, 1.0), 0.0, v, 1.0), "m",
+        "lie in [pi/2, inf) in the jump branch", (1.0,)),
     "optimal_cutoff": (lambda v: optimal_cutoff(_GAUSSIAN_CLASS, 1.0, 500.0, v), "delta_t",
-                       (0.0, -1.0)),
-    "optimal_cutoff-n": (lambda v: optimal_cutoff(_GAUSSIAN_CLASS, 1.0, v, 1.0), "n", (1.5,)),
+                       _POS, (0.0, -1.0)),
+    "optimal_cutoff-n": (lambda v: optimal_cutoff(_GAUSSIAN_CLASS, 1.0, v, 1.0), "n",
+                         "lie in [2, inf)", (1.5,)),
     "optimal_cutoff-sigma2": (lambda v: optimal_cutoff(_GAUSSIAN_CLASS, v, 500.0, 1.0),
-                              "sigma2", (0.0,)),
-    "mixed_cutoff": (lambda v: mixed_cutoff(1.0, 1.0, 1.2, v, 500.0), "delta_t", (0.0, -1.0)),
-    "mixed_cutoff-sigma2": (lambda v: mixed_cutoff(v, 1.0, 1.2, 1.0, 500.0), "sigma2", (-1.0,)),
-    "mixed_cutoff-M": (lambda v: mixed_cutoff(1.0, v, 1.2, 1.0, 500.0), "M", (-1.0,)),
-    "mixed_cutoff-alpha": (lambda v: mixed_cutoff(1.0, 1.0, v, 1.0, 100.0), "alpha", (3.0,)),
-    "mixed_cutoff-n": (lambda v: mixed_cutoff(1.0, 1.0, 1.2, 1.0, v), "n", (1.0,)),
+                              "sigma2", _POS, (0.0,)),
+    "mixed_cutoff": (lambda v: mixed_cutoff(1.0, 1.0, 1.2, v, 500.0), "delta_t", _POS,
+                     (0.0, -1.0)),
+    "mixed_cutoff-sigma2": (lambda v: mixed_cutoff(v, 1.0, 1.2, 1.0, 500.0), "sigma2",
+                            _NONNEG, (-1.0,)),
+    "mixed_cutoff-M": (lambda v: mixed_cutoff(1.0, v, 1.2, 1.0, 500.0), "M", _NONNEG, (-1.0,)),
+    "mixed_cutoff-alpha": (lambda v: mixed_cutoff(1.0, 1.0, v, 1.0, 100.0), "alpha", _ALPHA,
+                           (3.0,)),
+    "mixed_cutoff-n": (lambda v: mixed_cutoff(1.0, 1.0, 1.2, 1.0, v), "n", "lie in (1, inf)",
+                       (1.0,)),
     # sampling
-    "SeedSpec-trial_index": (lambda v: SeedSpec(1, v), "trial_index", (-1,)),
-    "derive_seed-master_seed": (lambda v: derive_seed(v, 0), "master_seed", (-1,)),
+    "SeedSpec-master_seed": (lambda v: SeedSpec(v), "master_seed", _INT,
+                             {-1: "be at least 0", 2 ** 64: "lie in [0, 2^64)"}),
+    "SeedSpec-trial_index": (lambda v: SeedSpec(1, v), "trial_index", _INT,
+                             {-1: "be at least 0"}),
+    "derive_seed-master_seed": (lambda v: derive_seed(v, 0), "master_seed", _INT,
+                                {-1: "be at least 0", 2 ** 64: "lie in [0, 2^64)"}),
     "stable_sample-n": (lambda v: stable_sample(StableLaw(1.0, 1.0, 0.0, 0.0), v, SeedSpec(1)),
-                        "n", (0,)),
+                        "n", _INT, {0: "be at least 1"}),
     "stable_sample-alpha": (lambda v: stable_sample(StableLaw(v, 1.0, 0.0, 0.0), 5, SeedSpec(1)),
-                            "alpha", (2.0,)),
+                            "alpha", "lie in (0, 2]", {2.0: "lie in (0, 2) for the sampler"}),
     "sample_increments-n": (lambda v: sample_increments(_GAUSS, 1.0, v, SeedSpec(1)), "n",
-                            (0,)),
+                            _INT, {0: "be at least 1"}),
     # estimator
-    "UGrid-restrict": (lambda v: UGrid(1.0, 0.1).restrict(v), "u_max", (0.0,)),
-    "default_u_max": (lambda v: default_u_max(v), "delta_t", (0.0,)),
-    "default_u_grid-delta_t": (lambda v: default_u_grid(v, 50), "delta_t", (0.0,)),
-    "default_u_grid-n": (lambda v: default_u_grid(1.0, v), "n", (0, 2.5)),
-    "ECFGrid-n": (lambda v: ECFGrid(_ONES.grid, _ONES.values, v), "n", (0,)),
-    "threshold_level-kappa": (lambda v: threshold_level(v, 100), "kappa", (-1.0,)),
-    "threshold_level-n": (lambda v: threshold_level(1.0, v), "n", (0, -3)),
-    "spectral_estimate-m": (lambda v: spectral_estimate(_ONES, v, [0.0]), "m", (0.0,)),
-    "default_x_grid-step": (lambda v: default_x_grid(np.array([0.0, 1.0]), v), "step", (0.0,)),
-    "trapezoid_weights-step": (lambda v: trapezoid_weights(3, v), "step", (0.0,)),
+    "UGrid-restrict": (lambda v: UGrid(1.0, 0.1).restrict(v), "u_max", _POS, (0.0,)),
+    "default_u_max": (lambda v: default_u_max(v), "delta_t", _POS, (0.0,)),
+    "default_u_grid-delta_t": (lambda v: default_u_grid(v, 50), "delta_t", _POS, (0.0,)),
+    "default_u_grid-n": (lambda v: default_u_grid(1.0, v), "n", _INT,
+                         {0: "be at least 1", 2.5: _INT}),
+    "ECFGrid-n": (lambda v: ECFGrid(_ONES.grid, _ONES.values, v), "n", _INT,
+                  {0: "be at least 1"}),
+    "threshold_level-kappa": (lambda v: threshold_level(v, 100), "kappa", _NONNEG, (-1.0,)),
+    "threshold_level-n": (lambda v: threshold_level(1.0, v), "n", _INT,
+                          {0: "be at least 1", -3: "be at least 1"}),
+    "spectral_estimate-m": (lambda v: spectral_estimate(_ONES, v, [0.0]), "m", _POS, (0.0,)),
+    "default_x_grid-step": (lambda v: default_x_grid(np.array([0.0, 1.0]), v), "step", _POS,
+                            (0.0,)),
+    "trapezoid_weights-step": (lambda v: trapezoid_weights(3, v), "step", _POS, (0.0,)),
     # calibration
-    "KappaGrid-delta_step": (lambda v: KappaGrid(v), "delta_step", (0.0,)),
-    "KappaGrid-count": (lambda v: KappaGrid(0.05, v), "count", (2, 3.5)),
+    "KappaGrid-delta_step": (lambda v: KappaGrid(v), "delta_step", _POS, (0.0,)),
+    "KappaGrid-count": (lambda v: KappaGrid(0.05, v), "count", _INT,
+                        {2: "be at least 3", 3.5: _INT}),
     # risk
-    "reference_cf-delta_t": (lambda v: reference_cf(_GAUSS, v, _ONES.grid), "delta_t", (0.0,)),
+    "reference_cf-delta_t": (lambda v: reference_cf(_GAUSS, v, _ONES.grid), "delta_t", _POS,
+                             (0.0,)),
     "reference_tail_integral-u_max": (lambda v: reference_tail_integral(_GAUSS, 1.0, v),
-                                      "u_max", (-1.0,)),
+                                      "u_max", _NONNEG, (-1.0,)),
     "cutoff_risk_bound_check-delta_t": (lambda v: cutoff_risk_bound_check(v, 100, trials=2),
-                                        "delta_t", (0.0,)),
+                                        "delta_t", _POS, (0.0,)),
     "cutoff_risk_bound_check-n": (lambda v: cutoff_risk_bound_check(1.0, v, trials=2), "n",
-                                  (0,)),
+                                  _INT, {0: "be at least 1"}),
     "cutoff_risk_bound_check-m_grid": (lambda v: cutoff_risk_bound_check(
-        1.0, 100, m_grid=[1.0, v], trials=2), "m_grid[1]", (-1.0,)),
+        1.0, 100, m_grid=[1.0, v], trials=2), "m_grid[1]", _NONNEG, (-1.0,)),
     "cutoff_risk_bound_check-trials": (lambda v: cutoff_risk_bound_check(1.0, 100, trials=v),
-                                       "trials", (0, 2.5)),
+                                       "trials", _INT, {0: "be at least 1", 2.5: _INT}),
     "adaptive_risk_bound_check-delta_t": (lambda v: adaptive_risk_bound_check(v, 100, trials=2),
-                                          "delta_t", (0.0,)),
+                                          "delta_t", _POS, (0.0,)),
     "adaptive_risk_bound_check-n": (lambda v: adaptive_risk_bound_check(1.0, v, trials=2), "n",
-                                    (0, -3)),
+                                    _INT, {0: "be at least 1", -3: "be at least 1"}),
     "adaptive_risk_bound_check-kappa": (lambda v: adaptive_risk_bound_check(
-        1.0, 100, kappa=v, trials=2), "kappa", (-1.0,)),
+        1.0, 100, kappa=v, trials=2), "kappa", _NONNEG, (-1.0,)),
     "adaptive_risk_bound_check-trials": (lambda v: adaptive_risk_bound_check(
-        1.0, 100, trials=v), "trials", (0, 2.5)),
+        1.0, 100, trials=v), "trials", _INT, {0: "be at least 1", 2.5: _INT}),
 }
-_NUMERIC_CASES = [(name, value) for name, (_, _, out) in _NUMERIC.items()
+_NUMERIC_CASES = [(name, value, out.get(value, rule) if isinstance(out, dict) else rule)
+                  for name, (_, _, rule, out) in _NUMERIC.items()
                   for value in (math.nan, math.inf, -math.inf, *out)]
 
 
-@pytest.mark.parametrize("name, t", _NUMERIC_CASES,
-                         ids=[f"{name}-{t!r}" for name, t in _NUMERIC_CASES])
-def test_a_time_that_is_not_finite_and_positive_is_named(name, t):
-    # each row fails at its own boundary, before any work, naming the parameter
-    call, field, _ = _NUMERIC[name]
-    with pytest.raises(ValueError, match=f"^{re.escape(field)} must .*, got {re.escape(repr(t))}$"):
+@pytest.mark.parametrize("name, t, rule", _NUMERIC_CASES,
+                         ids=[f"{name}-{t!r}" for name, t, _ in _NUMERIC_CASES])
+def test_a_time_that_is_not_finite_and_positive_is_named(name, t, rule):
+    # each row fails at its own boundary, before any work, naming the parameter and its rule
+    call, field = _NUMERIC[name][:2]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must {rule}, got {t!r}')}$"):
         call(t)
+
+
+_ARRAYS = {  # a public function of an array of frequencies: (call, the name its error gives)
+    "stable_cf": (lambda u: stable_cf(StableLaw(1.0, 1.0, 0.0, 0.0), u), "u"),
+    "levy_khintchine_cf": (lambda u: levy_khintchine_cf(cauchy_triplet(), 1.0, u), "u"),
+    "picard_cf_bound": (lambda u: picard_cf_bound(1.0, 1.0, 1.0, u), "u"),
+}
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(_ARRAYS))
+def test_an_entry_that_is_not_finite_is_named_by_its_index(name, v):
+    call, field = _ARRAYS[name]
+    with pytest.raises(ValueError, match=f"^{field} must be finite; value {re.escape(repr(v))} "
+                                         r"at index 1$"):
+        call([2.0, v, 3.0])
+    with pytest.raises(ValueError, match=f"^{field} must be finite; .* at index 0$"):
+        call(v)
 
 
 def test_a_delta_t_whose_stable_scale_underflows_is_named():
