@@ -1,8 +1,13 @@
 /* Native kernels of levyspec, built and loaded through ctypes by _native.py.
    read_last_cells leaves any file outside its narrow grammar to the line loop
-   of cli.py (-1); bin_moments and ecf_contract are estimator._bin_moments_numpy
-   and estimator._ecf_contract_numpy operation for operation, the same bytes
-   when built with -ffp-contract=off, no -ffast-math. */
+   of cli.py (-1), and rounds each cell to the nearest double by Eisel-Lemire
+   (Lemire, "Number Parsing at a Gigabyte per Second", SPE 2021; Mushtak and
+   Lemire, "Fast Number Parsing Without Fallback", SPE 2023), which leaves to
+   strtod a cell of more than 19 significant digits, a decimal exponent outside
+   its table and the case it cannot decide: both round correctly, so a cell
+   gives the bytes of strtod and float().  bin_moments and ecf_contract are
+   estimator._bin_moments_numpy and estimator._ecf_contract_numpy operation for
+   operation, the same bytes when built with -ffp-contract=off, no -ffast-math. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -11,13 +16,103 @@
 
 #define BUFFER 65536 /* bytes per read; a longer line returns -1 */
 #define BLANK(c) ((c) == ' ' || (c) == '\t')
-#define DIGIT(c) ((c) >= '0' && (c) <= '9')
+#define DIGIT(c) ((unsigned)((c) - '0') < 10u) /* c read once: DIGIT(*++p) */
 #define BLOCK 64 /* frequencies per block of ecf_contract */
+#define LEAST_POWER (-342) /* the powers of ten of the table, 10^-342 .. 10^308 */
+#define MOST_POWER 308
+
+/* *hi and *lo, the high and low words of the 128-bit product a b */
+static void multiply(uint64_t a, uint64_t b, uint64_t *hi, uint64_t *lo)
+{
+#ifdef __SIZEOF_INT128__
+    __extension__ unsigned __int128 r = (unsigned __int128)a * b;
+    *hi = (uint64_t)(r >> 64);
+    *lo = (uint64_t)r;
+#else  /* four 32 x 32-bit partial products */
+    uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    *lo = mid << 32 | (p00 & 0xFFFFFFFFu);
+#endif
+}
+
+/* The double nearest (-1)^negative w 10^q, 0 < w < 2^64 and q in the table, into
+   *out: 1, or 0 when the truncated product cannot decide it.  powers[2 (q + 342)]
+   and the word after it are the leading 128 bits of 10^q, those of 5^q, rounded
+   as in the table of Lemire's fast_float. */
+static int eisel_lemire(uint64_t w, int64_t q, int negative, const uint64_t *powers,
+                        double *out)
+{
+    const uint64_t *power = powers + 2 * (q - LEAST_POWER);
+    uint64_t hi, lo, hi2, lo2, bits;
+    int lz = 0, s, upper, shift;
+    int64_t exponent;
+    for (s = 32; s > 0; s >>= 1)  /* normalise w: its top bit set */
+        if (!(w >> (64 - s))) w <<= s, lz += s;
+    multiply(w, power[0], &hi, &lo);
+    if ((hi & 0x1FF) == 0x1FF) {  /* the 55 bits kept may take a carry from below */
+        multiply(w, power[1], &hi2, &lo2);
+        lo += hi2;
+        hi += lo < hi2;
+    }
+    if (lo == UINT64_MAX && (q < -27 || q > 55)) return 0;  /* a carry still possible */
+    upper = (int)(hi >> 63);
+    shift = upper + 9;  /* 54 bits kept: 53 and a rounding bit */
+    bits = hi >> shift;
+    /* floor(q log2 10) + 63 by a product, then the bias 1023 */
+    exponent = ((217706 * q) >> 16) + 63 + upper - lz + 1023;
+    if (exponent <= 0) {  /* subnormal, or zero */
+        bits = -exponent + 1 < 64 ? bits >> (-exponent + 1) : 0;
+        bits = (bits + (bits & 1)) >> 1;
+        exponent = bits >= (UINT64_C(1) << 52);  /* rounded up to the least normal */
+    } else {
+        /* a tie between two doubles, exact only where 5^q fits in 64 bits: to even */
+        if (lo <= 1 && q >= -4 && q <= 23 && (bits & 3) == 1 && bits << shift == hi)
+            bits &= ~UINT64_C(1);
+        bits = (bits + (bits & 1)) >> 1;
+        if (bits >= (UINT64_C(2) << 52)) bits = UINT64_C(1) << 52, exponent++;
+        bits &= ~(UINT64_C(1) << 52);
+        if (exponent >= 0x7FF) bits = 0, exponent = 0x7FF;  /* infinity */
+    }
+    bits |= (uint64_t)exponent << 52 | (uint64_t)negative << 63;
+    memcpy(out, &bits, sizeof bits);
+    return 1;
+}
+
+/* The cell [+-]digits[.digits][(e|E)[+-]digits] at s, already matched, into *out:
+   1, or 0 to leave it to strtod. */
+static int decimal(const char *s, const uint64_t *powers, double *out)
+{
+    const char *p = s + (*s == '+' || *s == '-');
+    uint64_t w = 0;
+    int64_t q = 0, e = 0;
+    int digits = 0, negative = *s == '-';
+    while (*p == '0') p++;
+    for (; DIGIT(*p); p++, digits++) w = 10 * w + (uint64_t)(*p - '0');
+    if (*p == '.') {
+        for (p++; w == 0 && *p == '0'; p++) q--;  /* zeros before the first digit */
+        for (; DIGIT(*p); p++, digits++, q--) w = 10 * w + (uint64_t)(*p - '0');
+    }
+    if (*p == 'e' || *p == 'E') {
+        int below = *++p == '-';
+        for (p += *p == '+' || *p == '-'; DIGIT(*p); p++)
+            if (e < 100000) e = 10 * e + (*p - '0');  /* far past the table either way */
+        q += below ? -e : e;
+    }
+    if (digits > 19) return 0;  /* w has wrapped */
+    if (w == 0) {
+        *out = negative ? -0.0 : 0.0;
+        return 1;
+    }
+    return q >= LEAST_POWER && q <= MOST_POWER && eisel_lemire(w, q, negative, powers, out);
+}
 
 /* The line at p, ended by \n, \r or `limit`, the end of the data: 1 with its
    value in *out, 0 for a blank line, -1 for a line to leave to the loop, 2 for
    a line cut by `limit` before the end of the file.  *next is the next line. */
-static int parse_line(char *p, const char *limit, int eof, char **next, double *out)
+static int parse_line(char *p, const char *limit, int eof, const uint64_t *powers,
+                      char **next, double *out)
 {
     char *cell = p, *end = p, *stop;
     int commas = 0;
@@ -51,13 +146,18 @@ static int parse_line(char *p, const char *limit, int eof, char **next, double *
         while (DIGIT(*p)) p++;
     }
     if (p != end) return -1;
-    *out = strtod(cell, &stop);
-    return stop == end && isfinite(*out) ? 1 : -1;
+    if (!decimal(cell, powers, out)) {  /* strtod, which must stop at the same end */
+        *out = strtod(cell, &stop);
+        if (stop != end) return -1;
+    }
+    return isfinite(*out) ? 1 : -1;
 }
 
 /* The values of the lines after the first `skip` (a line ends at \n, \r or
-   \r\n), at most `cap`, into out: their count, or -1. */
-int64_t read_last_cells(const char *path, int64_t skip, double *out, int64_t cap)
+   \r\n), at most `cap`, into out: their count, or -1.  powers is the table of
+   eisel_lemire, 2 (308 + 342 + 1) words. */
+int64_t read_last_cells(const char *path, int64_t skip, double *out, int64_t cap,
+                        const uint64_t *powers)
 {
     char *buf = malloc(BUFFER + 1), *p, *limit, *next;
     FILE *f = buf ? fopen(path, "rb") : NULL;
@@ -76,7 +176,8 @@ int64_t read_last_cells(const char *path, int64_t skip, double *out, int64_t cap
         }
         while (status >= 0 && p < limit) {
             double value;
-            if ((status = parse_line(p, limit, eof, &next, &value)) < 0 || status == 2) break;
+            if ((status = parse_line(p, limit, eof, powers, &next, &value)) < 0 || status == 2)
+                break;
             if (status == 1 && rows == cap) status = -1;
             else if (status == 1) out[rows++] = value;
             p = next;

@@ -10,6 +10,12 @@ directory of this process.  Nothing is built or loaded at import.  Without a
 compiler, or when a build or load fails, ``library()`` is None: the moment
 pass and the ECF's contraction run their numpy definitions and the CSV reader
 ``np.loadtxt``, with the same bytes.
+
+The CSV reader converts decimals by Eisel-Lemire against a table of the
+leading 128 bits of 10^-342 .. 10^308, which ``_powers_of_ten`` builds from
+Python integers at library load (about 1 ms, 10 KiB) and each call passes to
+C; cells the algorithm leaves to ``strtod`` (more than 19 significant digits,
+an exponent outside the table, an undecided product) get the same bytes.
 """
 
 from __future__ import annotations
@@ -52,11 +58,30 @@ def _build(source: bytes, target: str) -> None:
             os.unlink(tmp)
 
 
+def _powers_of_ten() -> np.ndarray:
+    """(651, 2) uint64: for q = -342 .. 308 the high and low words of the leading
+    128 bits of 5^q, which are those of 10^q, as fast_float's table rounds them:
+    truncated for q >= 0, the reciprocal floor(2^b / 5^-q) + 1 for q < 0, cut
+    to 128 bits where 5^-q passes 2^64."""
+    words = []
+    for q in range(-342, 309):
+        power = 5 ** abs(q)
+        if q >= 0:
+            lead = (power << 128) >> power.bit_length()
+        else:
+            bits = power.bit_length()
+            lead = (1 << (bits + 127 if q >= -27 else 2 * bits + 128)) // power + 1
+            lead >>= lead.bit_length() - 128
+        words += (lead >> 64, lead & 0xFFFF_FFFF_FFFF_FFFF)
+    return np.array(words, dtype=np.uint64).reshape(-1, 2)
+
+
 def _load(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.read_last_cells.argtypes = (ctypes.c_char_p, i64, ptr, i64)
+    lib.read_last_cells.argtypes = (ctypes.c_char_p, i64, ptr, i64, ptr)
     lib.read_last_cells.restype = i64
+    lib.powers_of_ten = _powers_of_ten()  # read_last_cells's table, held as long as lib
     lib.bin_moments.argtypes = (ptr, i64, i64, ctypes.c_double, i64, i64, ptr)
     lib.bin_moments.restype = ctypes.c_int
     lib.ecf_contract.argtypes = (ptr, i64, ptr, i64, i64, ctypes.c_double, ptr)
@@ -104,7 +129,8 @@ def read_last_cells(path: str, skip: int) -> np.ndarray | None:
         while size := fh.readinto(block):
             cap += np.count_nonzero(block[:size] == 10) + np.count_nonzero(block[:size] == 13)
     out = np.empty(cap)
-    rows = lib.read_last_cells(os.fsencode(path), skip, out.ctypes.data, cap)
+    rows = lib.read_last_cells(os.fsencode(path), skip, out.ctypes.data, cap,
+                               lib.powers_of_ten.ctypes.data)
     if rows <= 0:
         return None
     out.resize(rows, refcheck=False)  # drops the slots of the header lines, in place

@@ -72,12 +72,16 @@ def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
     The body is read by ``read_last_cells`` of ``_kernels.c`` when the native
     kernels load (``_native.library``): one scan per line, a last cell that is
     a plain decimal ``[+-]digits[.digits][(e|E)[+-]digits]`` with spaces or tabs
-    around it, parsed in place by ``strtod``, whose end must be the end of that
-    match, so no locale, hex, inf or nan gets in.  Both ``strtod`` and ``float``
-    round correctly, so they give the same double.  Without the kernels the
-    body is parsed by ``np.loadtxt``, also in C.  Any file the fast path does
-    not take goes to ``_read_values_loop``, which defines the format and raises
-    its line-numbered errors.
+    around it, so no locale, hex, inf or nan gets in.  The cell is rounded in
+    place by the Eisel-Lemire algorithm, one or two 64x64-bit products against
+    a table of powers of ten; ``strtod`` takes the cells it leaves (more than 19
+    significant digits, a decimal exponent outside 10^-342..10^308, a product
+    too close to a rounding boundary), and its end must be the end of the
+    match.  Both round correctly, as ``float`` does, so every cell gives the
+    same double.  Without the kernels the body is parsed by ``np.loadtxt``,
+    also in C.  Any file the fast path does not take goes to
+    ``_read_values_loop``, which defines the format and raises its
+    line-numbered errors.
     """
     data = _read_values_fast(path)
     if data is None:

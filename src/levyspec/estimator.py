@@ -58,9 +58,27 @@ def default_u_step(u_max: float) -> float:
     return 0.05 if _require_positive("u_max", u_max) <= 10.0 else 0.1
 
 
+# The most frequencies K = u_max / step a UGrid holds on each side; see UGrid.
+_MAX_HALF_COUNT = 10 ** 6
+
+
+def _half_count(u_max: float, step: float) -> int:
+    """round(u_max / step), refused past ``_MAX_HALF_COUNT`` before any array exists."""
+    if not u_max / step < _MAX_HALF_COUNT + 0.5:
+        raise ValueError(f"u_max={u_max!r} over step={step!r} gives {u_max / step:.3g} "
+                         f"frequencies per side, more than the {_MAX_HALF_COUNT} a grid "
+                         f"holds: the smallest step that fits is {u_max / _MAX_HALF_COUNT!r}")
+    return round(u_max / step)
+
+
 @dataclass(frozen=True)
 class UGrid:
-    """Symmetric uniform frequency grid -u_max..u_max containing 0 exactly."""
+    """Symmetric uniform frequency grid -u_max..u_max containing 0 exactly.
+
+    Its half-count K = u_max / step is at most 10^6.  At that K the ECF holds
+    24 moment rows of M = 4^10 bins (201 MB), their rFFT (201 MB) and 24 (K + 1)
+    Bessel weights (192 MB) at once, about 0.6 GB.
+    """
 
     u_max: float
     step: float
@@ -68,7 +86,7 @@ class UGrid:
     def __post_init__(self):
         _require_positive("u_max", self.u_max)
         _require_positive("step", self.step)
-        k = round(self.u_max / self.step)
+        k = _half_count(self.u_max, self.step)
         if k < 1 or abs(k * self.step - self.u_max) > 1e-9 * self.u_max:
             raise ValueError("u_max must be a positive integer multiple of step")
 
@@ -77,8 +95,7 @@ class UGrid:
         """Build a grid with the default step rule, snapping u_max onto it."""
         _require_positive("u_max", u_max)
         step = _require_positive("step", default_u_step(u_max) if step is None else step)
-        k = max(1, round(u_max / step))
-        return cls(k * step, step)
+        return cls(max(1, _half_count(u_max, step)) * step, step)
 
     @property
     def half_count(self) -> int:
@@ -102,9 +119,13 @@ class UGrid:
 def default_u_grid(delta_t: float, n: int, u_max: float | None = None,
                    step: float | None = None) -> UGrid:
     """The estimator's frequency grid: ``UGrid.make`` of u_max (default_u_max when
-    None) and step, cut to [-n, n]."""
-    return UGrid.make(default_u_max(delta_t) if u_max is None else u_max, step).restrict(
-        float(_require_count("n", n)))
+    None) and step (default_u_step of that u_max when None), cut to [-n, n].  A
+    u_max past n is cut before the grid is made, which gives the same grid and
+    puts the size cap on the grid the estimator uses."""
+    u_max = default_u_max(delta_t) if u_max is None else _require_positive("u_max", u_max)
+    step = default_u_step(u_max) if step is None else _require_positive("step", step)
+    n = float(_require_count("n", n))
+    return UGrid.make(min(u_max, n), step).restrict(n)
 
 
 @dataclass(frozen=True, eq=False)

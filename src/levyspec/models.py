@@ -380,7 +380,13 @@ def increment_stable_law(jumps: StableJumpDensity, delta_t: float) -> StableLaw:
     """
     _require_positive("delta_t", delta_t)
     alpha = jumps.alpha
-    gamma = (delta_t * _stable_scale_constant(jumps.P, jumps.Q, alpha)) ** (1.0 / alpha)
+    try:
+        gamma = (delta_t * _stable_scale_constant(jumps.P, jumps.Q, alpha)) ** (1.0 / alpha)
+    except OverflowError:
+        gamma = math.inf
+    if gamma == math.inf:
+        raise ValueError(f"the increment's scale gamma = (delta_t C)^(1/alpha) overflows at "
+                         f"delta_t={delta_t!r}, alpha={alpha!r}")
     if gamma == 0.0:
         raise ValueError(f"delta_t={delta_t!r} is too small: the increment's scale "
                          f"gamma = (delta_t C)^(1/alpha) underflows to 0 at alpha={alpha!r}")

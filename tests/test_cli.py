@@ -709,14 +709,16 @@ def test_risk_table_on_an_ecf_of_rounding_noise_exits_3_without_output(tmp_path,
 
 
 @pytest.mark.parametrize("command", ["estimate", "calibrate"])
-def test_a_grid_too_large_to_allocate_exits_3_without_output(
+def test_a_grid_past_the_cap_exits_2_without_output(
         command, increments_file, tmp_path, capsys):
-    # 10^13 frequencies: the ECF's moment table asks for 9 PiB, past the address
-    # space, so numpy fails at once without touching memory
+    # 10^13 frequencies, whose moment table would be 9 PiB: the grid refuses its
+    # half-count before any array exists and names the smallest step that fits
     out = tmp_path / "d.csv"
     assert run([command, "--data", str(increments_file), "--delta", "1", "--step", "1e-12",
-                "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: u_max=10.0 over step=1e-12 gives 1e+13 frequencies per side, more than the "
+        "1000000 a grid holds: the smallest step that fits is 1e-05\n")
     assert list(tmp_path.iterdir()) == [increments_file]
 
 
@@ -877,6 +879,13 @@ EXIT_CONTRACT = {
     "sample-delta-scale-underflows": (2, lambda draw, d: [
         "sample", "--alpha", "0.7", "--P", "1", "--Q", "0", "--n", "5",
         "--delta", repr(draw(st.floats(1e-320, 1e-250)))]),
+    # ... or overflows: through the power, or through C ~ 2/alpha
+    "sample-delta-scale-overflows": (2, lambda draw, d: [
+        "sample", "--alpha", "0.3", "--P", "1", "--Q", "0", "--n", "5",
+        "--delta", repr(draw(st.floats(1e200, 1e300)))], "gamma", "overflows"),
+    "sample-alpha-scale-overflows": (2, lambda draw, d: [
+        "sample", "--alpha", repr(draw(st.floats(5e-324, 1e-300))), "--P", "1", "--Q", "1",
+        "--n", "5", "--delta", "1"], "gamma", "overflows"),
     # thm1 checks fixed cutoffs: a kappa there would be ignored, not used
     "check-bounds-kappa-with-thm1": (2, lambda draw, d: [
         "check-bounds", "--which", "thm1", "--delta", "1", "--n", "300", "--trials", "5",
@@ -960,10 +969,12 @@ EXIT_CONTRACT = {
         "estimate", "--delta", "1", "--kappa", "1", "--data", _normal_csv(d, draw),
         "--out", d / "same.csv", "--ecf-out", draw(st.sampled_from(
             [d / "same.csv", d / "." / "same.csv", d / "sub" / ".." / "same.csv"]))]),
-    # a request past the address space fails at once, before touching memory
-    "grid-too-large-to-allocate": (3, lambda draw, d: [
+    # a grid past the cap on u_max / step fails at once, before any array exists
+    "grid-too-large-to-allocate": (2, lambda draw, d: [
         draw(st.sampled_from(["estimate", "calibrate"])), "--delta", "1",
-        "--data", _normal_csv(d, draw), "--step", repr(draw(st.floats(1e-13, 1e-12)))]),
+        "--data", _normal_csv(d, draw), "--step", repr(draw(st.one_of(
+            st.just(1e-300), st.floats(5e-324, 1e-12))))],
+        "u_max=", "step=", "the smallest step that fits is"),
     # a seed outside the master-seed range [0, 2^64)
     "seed-out-of-range": (2, lambda draw, d: _with_flag(
         draw, d, [(c, "--seed") for c in SEED_COMMANDS],

@@ -5,7 +5,9 @@ a ValueError with the same text.  The loop is the oracle; the reader may only
 differ from it in speed.
 """
 
+import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -216,3 +218,109 @@ def test_a_pipe_is_read_once():
         assert read_values_csv(f"/dev/fd/{read_end}").tobytes() == values.tobytes()
     finally:
         os.close(read_end)
+
+
+# ---------------------------------------------------------------------------
+# decimal conversion: the C reader rounds by Eisel-Lemire and leaves the cells it
+# cannot decide to strtod; every cell must still be float()'s double
+
+def read_cells(cells, tmp_path):
+    """read_values_csv of a file of the cells under a header, and whether the fast
+    path took it."""
+    path = tmp_path / "cells.csv"
+    path.write_text("value\n" + "\n".join(cells) + "\n")
+    return read_values_csv(str(path)), _read_values_fast(str(path)) is not None
+
+
+@st.composite
+def decimals(draw):
+    """[+-]digits[.digits][(e|E)[+-]digits]: 1-25 digits, leading zeros, the point
+    between any two digits, exponents within +-400."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.integers(0, len(digits) - 1))
+    cell = draw(st.sampled_from(["", "+", "-"])) + "0" * draw(st.integers(0, 3)) + (
+        digits[:point] + "." + digits[point:] if point else digits)
+    if draw(st.booleans()):
+        cell += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"])) + \
+            "0" * draw(st.integers(0, 2)) + str(draw(st.integers(0, 400)))
+    return cell
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cells=st.lists(decimals(), min_size=1, max_size=30))
+def test_every_decimal_cell_is_the_double_of_float(cells, tmp_path):
+    want = [float(cell) for cell in cells]
+    if not all(math.isfinite(v) for v in want):
+        # a cell past the largest double reaches the line loop, which names its line
+        line = next(i for i, v in enumerate(want) if not math.isfinite(v)) + 2
+        with pytest.raises(ValueError, match=f":{line}: non-finite cell "):
+            read_cells(cells, tmp_path)
+        return
+    got, fast = read_cells(cells, tmp_path)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert fast
+
+
+@pytest.mark.parametrize("cell, fast", [("1.5e-07", True), ("2.5E3", True), ("-0.0e0", True),
+                                        ("1.:5", False), ("1.5:", False)])
+def test_one_fraction_digit_before_an_exponent_or_a_stray_byte(cell, fast, tmp_path):
+    # the grammar reads the byte after the point once: a cell like 1.5e-07 is a
+    # plain decimal, and 1.:5 is not one, whatever follows its stray byte
+    path = tmp_path / "data.csv"
+    path.write_text(tokens_file(cell))
+    assert_same_as_loop(path)
+    assert (_read_values_fast(str(path)) is not None) == fast
+
+
+HARD_CELLS = [
+    # exact halfways between adjacent doubles, which round to the even one
+    "9007199254740993", "9007199254740995", "4503599627370496.5", "4503599627370497.5",
+    "18014398509481986", "18014398509481990", "1.8014398509481986e16",
+    "1152921504606847104", "1152921504606847360", "9.007199254740993000e15",
+    # just off a halfway, at 19 digits, and at 20 (left to strtod)
+    "9007199254740992.999", "9007199254740993.001", "9007199254740993.0001",
+    "1152921504606847103.9",
+    # 2^53 - 1 and 2^53, and the largest 19-digit integer
+    "9007199254740991", "9007199254740992", "9999999999999999999",
+    # the smallest subnormal, the halfway below it on both sides, the largest
+    # subnormal and the least normal
+    "4.9406564584124654e-324", "5e-324", "2.4703282292062328e-324",
+    "2.4703282292062327e-324", "2.2250738585072009e-308", "2.2250738585072011e-308",
+    "2.2250738585072014e-308",
+    # the largest normal, and just below the halfway to 2^1024
+    "1.7976931348623157e308", "1.7976931348623158e308", "-1.7976931348623157e308",
+    # signed zeros, far exponents, many zeros
+    "-0.0", "-0", "+0.000", "0e999999", "-0e-999999", "1e-400", "-1e-343", "1e-342",
+    "1e308", "0.000000000000000000000000000000001", "0000000000000000000000001.5",
+    "1.00000000000000011102230246251565404236316680908203125",
+]
+
+
+def test_hard_cells_are_the_doubles_of_float(tmp_path):
+    got, fast = read_cells(HARD_CELLS, tmp_path)
+    assert got.tobytes() == np.array([float(c) for c in HARD_CELLS]).tobytes()
+    assert fast
+    assert math.copysign(1.0, got[HARD_CELLS.index("-0.0")]) == -1.0
+
+
+@pytest.mark.parametrize("cell", ["1.7976931348623159e308", "-1.8e308", "1e309",
+                                  "179769313486231581e291"])
+def test_a_cell_that_rounds_to_infinity_is_named_by_its_line(cell, tmp_path):
+    with pytest.raises(ValueError, match=f":3: non-finite cell {re.escape(repr(cell))}$"):
+        read_cells(["0.5", cell, "1.5"], tmp_path)
+
+
+def test_100000_formatted_doubles_are_those_of_float(tmp_path):
+    # %.17g, %.15g and %.6e of doubles with random bits, a fifth of them subnormal
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2 ** 63, 100_000, dtype=np.uint64)
+    bits[::5] &= np.uint64(2 ** 52 - 1)  # a zero exponent field: subnormal
+    values = bits.view(float)
+    values = np.where(np.isfinite(values), values, 1.0)
+    values[1::2] *= -1
+    formats = ["{:.17g}", "{:.15g}", "{:.6e}"]
+    cells = [formats[i % 3].format(v) for i, v in enumerate(values)]
+    got, fast = read_cells(cells, tmp_path)
+    assert got.tobytes() == np.array([float(c) for c in cells]).tobytes()
+    assert fast

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpec,
-                      UGrid, adaptive_estimate, cauchy_triplet, default_u_max, default_x_grid,
+                      UGrid, adaptive_estimate, cauchy_triplet, default_u_grid, default_u_max,
+                      default_x_grid,
                       ecf, levy_khintchine_cf, mixed_cutoff, optimal_cutoff, plancherel_l2,
                       sample_increments, spectral_estimate, threshold_cf,
                       threshold_level, trapezoid_weights, unthresholded_mask)
@@ -82,6 +83,39 @@ def test_ugrid_rejects_non_finite_or_nonpositive_values(u_max, step):
         UGrid.make(u_max, step)
     with pytest.raises(ValueError, match=message):
         UGrid(u_max, step)
+
+
+def test_ugrid_refuses_a_half_count_past_its_cap_before_any_array():
+    # K = 10^8 would ask the ECF for about 70 GB; the cap is checked on the ratio,
+    # so no array is built and the smallest step that fits is named
+    message = re.escape("u_max=10.0 over step=1e-07 gives 1e+08 frequencies per side, more "
+                        "than the 1000000 a grid holds: the smallest step that fits is 1e-05")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        UGrid(10.0, 1e-7)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        UGrid.make(10.0, 1e-7)
+    assert UGrid(10.0, 1e-5).half_count == UGrid.make(10.0, 1e-5).half_count == 10 ** 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(u_max=st.floats(1e-3, 1e4), step=st.floats(1e-3, 10.0), n=st.integers(1, 10 ** 5))
+def test_default_u_grid_is_the_grid_made_then_cut_to_n(u_max, step, n):
+    # it cuts u_max to n before making the grid, so the size cap sees the grid
+    # the estimator uses; below the cap that is the grid made and then cut
+    def outcome(make):
+        try:
+            return make()
+        except ValueError as exc:
+            return str(exc)
+    got = outcome(lambda: default_u_grid(1.0, n, u_max, step))
+    if u_max / step < 10 ** 6 + 0.5:
+        assert got == outcome(lambda: UGrid.make(u_max, step).restrict(float(n)))
+    elif n / step < 10 ** 6 and step <= n:  # past the cap before the cut, within it after
+        assert got == UGrid(math.floor(n / step + 1e-9) * step, step)  # restrict's cut
+
+
+def test_a_u_max_far_past_n_is_cut_before_the_cap():
+    assert default_u_grid(1.0, 1000, u_max=1e9, step=1.0) == UGrid(1000.0, 1.0)
 
 
 def test_default_u_max_rule():

@@ -546,6 +546,10 @@ _NUMERIC = {
                                   _INT, {0: "be at least 1"}),
     "cutoff_risk_bound_check-m_grid": (lambda v: cutoff_risk_bound_check(
         1.0, 100, m_grid=[1.0, v], trials=2), "m_grid[1]", _NONNEG, (-1.0,)),
+    # the grid reaches the largest cutoff, so it must hold more than u = 0
+    "cutoff_risk_bound_check-m_grid-largest": (lambda v: cutoff_risk_bound_check(
+        1.0, 100, m_grid=[v, v], trials=2), "m_grid[0]", _NONNEG,
+        {0.0: "be positive, as the largest entry of m_grid", -1.0: _NONNEG}),
     "cutoff_risk_bound_check-trials": (lambda v: cutoff_risk_bound_check(1.0, 100, trials=v),
                                        "trials", _INT, {0: "be at least 1", 2.5: _INT}),
     "adaptive_risk_bound_check-delta_t": (lambda v: adaptive_risk_bound_check(v, 100, trials=2),
@@ -592,3 +596,13 @@ def test_an_entry_that_is_not_finite_is_named_by_its_index(name, v):
 def test_a_delta_t_whose_stable_scale_underflows_is_named():
     with pytest.raises(ValueError, match=r"delta_t=1e-300 is too small: .* underflows to 0"):
         increment_stable_law(StableJumpDensity(1.0, 0.0, 0.7), 1e-300)
+
+
+@pytest.mark.parametrize("P, Q, alpha, delta_t", [(1.0, 0.0, 0.3, 1e200), (1.0, 1.0, 1e-300, 1.0),
+                                                  (1.0, 1.0, 1e-310, 1.0)])
+def test_a_stable_scale_that_overflows_is_named(P, Q, alpha, delta_t):
+    # (delta_t C)^(1/alpha) raises OverflowError past the largest double, and is inf
+    # where C or 1/alpha already is
+    with pytest.raises(ValueError, match=re.escape(
+            f"gamma = (delta_t C)^(1/alpha) overflows at delta_t={delta_t!r}, alpha={alpha!r}")):
+        increment_stable_law(StableJumpDensity(P, Q, alpha), delta_t)
