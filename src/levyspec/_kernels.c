@@ -1,13 +1,13 @@
 /* Native kernels of levyspec, built and loaded through ctypes by _native.py.
    read_last_cells leaves any file outside its narrow grammar to the line loop
-   of cli.py (-1), and rounds each cell to the nearest double by Eisel-Lemire
-   (Lemire, "Number Parsing at a Gigabyte per Second", SPE 2021; Mushtak and
-   Lemire, "Fast Number Parsing Without Fallback", SPE 2023), which leaves to
-   strtod a cell of more than 19 significant digits, a decimal exponent outside
-   its table and the case it cannot decide: both round correctly, so a cell
-   gives the bytes of strtod and float().  bin_moments and ecf_contract are
-   estimator._bin_moments_numpy and estimator._ecf_contract_numpy operation for
-   operation, the same bytes when built with -ffp-contract=off, no -ffast-math. */
+   of cli.py (-1), and rounds each cell of at most 19 significant digits to the
+   nearest double by Eisel-Lemire (Lemire, "Number Parsing at a Gigabyte per
+   Second", SPE 2021), which with the table's 128 bits always decides (Mushtak
+   and Lemire, "Fast Number Parsing Without Fallback", SPE 2023); strtod takes a
+   longer cell.  Both round correctly, so a cell gives the bytes of strtod and
+   float().  bin_moments and ecf_contract are estimator._bin_moments_numpy and
+   estimator._ecf_contract_numpy operation for operation, the same bytes when
+   built with -ffp-contract=off, no -ffast-math. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -21,33 +21,31 @@
 #define LEAST_POWER (-342) /* the powers of ten of the table, 10^-342 .. 10^308 */
 #define MOST_POWER 308
 
-/* *hi and *lo, the high and low words of the 128-bit product a b */
+/* *hi and *lo, the high and low words of the 128-bit product a b, from four
+   32 x 32-bit partial products */
 static void multiply(uint64_t a, uint64_t b, uint64_t *hi, uint64_t *lo)
 {
-#ifdef __SIZEOF_INT128__
-    __extension__ unsigned __int128 r = (unsigned __int128)a * b;
-    *hi = (uint64_t)(r >> 64);
-    *lo = (uint64_t)r;
-#else  /* four 32 x 32-bit partial products */
     uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
     uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
     uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
     *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
     *lo = mid << 32 | (p00 & 0xFFFFFFFFu);
-#endif
 }
 
-/* The double nearest (-1)^negative w 10^q, 0 < w < 2^64 and q in the table, into
-   *out: 1, or 0 when the truncated product cannot decide it.  powers[2 (q + 342)]
-   and the word after it are the leading 128 bits of 10^q, those of 5^q, rounded
-   as in the table of Lemire's fast_float. */
-static int eisel_lemire(uint64_t w, int64_t q, int negative, const uint64_t *powers,
-                        double *out)
+/* The double nearest (-1)^negative w 10^q, w < 2^64, as its bits.  Past the
+   table w 10^q rounds to 0 (below 2^64 10^-343, under half the least subnormal)
+   or to infinity.  powers[2 (q + 342)] and the word after it are the leading 128
+   bits of 10^q, those of 5^q, rounded as in the table of Lemire's fast_float;
+   the second product is the last one needed, as Mushtak and Lemire prove. */
+static uint64_t eisel_lemire(uint64_t w, int64_t q, int negative, const uint64_t *powers)
 {
-    const uint64_t *power = powers + 2 * (q - LEAST_POWER);
+    const uint64_t *power;
     uint64_t hi, lo, hi2, lo2, bits;
     int lz = 0, s, upper, shift;
     int64_t exponent;
+    if (w == 0 || q < LEAST_POWER || q > MOST_POWER)
+        return (uint64_t)(w && q > MOST_POWER ? 0x7FF : 0) << 52 | (uint64_t)negative << 63;
+    power = powers + 2 * (q - LEAST_POWER);
     for (s = 32; s > 0; s >>= 1)  /* normalise w: its top bit set */
         if (!(w >> (64 - s))) w <<= s, lz += s;
     multiply(w, power[0], &hi, &lo);
@@ -56,7 +54,6 @@ static int eisel_lemire(uint64_t w, int64_t q, int negative, const uint64_t *pow
         lo += hi2;
         hi += lo < hi2;
     }
-    if (lo == UINT64_MAX && (q < -27 || q > 55)) return 0;  /* a carry still possible */
     upper = (int)(hi >> 63);
     shift = upper + 9;  /* 54 bits kept: 53 and a rounding bit */
     bits = hi >> shift;
@@ -75,17 +72,15 @@ static int eisel_lemire(uint64_t w, int64_t q, int negative, const uint64_t *pow
         bits &= ~(UINT64_C(1) << 52);
         if (exponent >= 0x7FF) bits = 0, exponent = 0x7FF;  /* infinity */
     }
-    bits |= (uint64_t)exponent << 52 | (uint64_t)negative << 63;
-    memcpy(out, &bits, sizeof bits);
-    return 1;
+    return bits | (uint64_t)exponent << 52 | (uint64_t)negative << 63;
 }
 
 /* The cell [+-]digits[.digits][(e|E)[+-]digits] at s, already matched, into *out:
-   1, or 0 to leave it to strtod. */
+   1, or 0 for a cell of more than 19 significant digits, left to strtod. */
 static int decimal(const char *s, const uint64_t *powers, double *out)
 {
     const char *p = s + (*s == '+' || *s == '-');
-    uint64_t w = 0;
+    uint64_t w = 0, bits;
     int64_t q = 0, e = 0;
     int digits = 0, negative = *s == '-';
     while (*p == '0') p++;
@@ -101,11 +96,9 @@ static int decimal(const char *s, const uint64_t *powers, double *out)
         q += below ? -e : e;
     }
     if (digits > 19) return 0;  /* w has wrapped */
-    if (w == 0) {
-        *out = negative ? -0.0 : 0.0;
-        return 1;
-    }
-    return q >= LEAST_POWER && q <= MOST_POWER && eisel_lemire(w, q, negative, powers, out);
+    bits = eisel_lemire(w, q, negative, powers);
+    memcpy(out, &bits, sizeof bits);
+    return 1;
 }
 
 /* The line at p, ended by \n, \r or `limit`, the end of the data: 1 with its

@@ -14,8 +14,8 @@ pass and the ECF's contraction run their numpy definitions and the CSV reader
 The CSV reader converts decimals by Eisel-Lemire against a table of the
 leading 128 bits of 10^-342 .. 10^308, which ``_powers_of_ten`` builds from
 Python integers at library load (about 1 ms, 10 KiB) and each call passes to
-C; cells the algorithm leaves to ``strtod`` (more than 19 significant digits,
-an exponent outside the table, an undecided product) get the same bytes.
+C; a cell of more than 19 significant digits goes to ``strtod``, with the
+same bytes.
 """
 
 from __future__ import annotations

@@ -74,14 +74,13 @@ def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
     a plain decimal ``[+-]digits[.digits][(e|E)[+-]digits]`` with spaces or tabs
     around it, so no locale, hex, inf or nan gets in.  The cell is rounded in
     place by the Eisel-Lemire algorithm, one or two 64x64-bit products against
-    a table of powers of ten; ``strtod`` takes the cells it leaves (more than 19
-    significant digits, a decimal exponent outside 10^-342..10^308, a product
-    too close to a rounding boundary), and its end must be the end of the
-    match.  Both round correctly, as ``float`` does, so every cell gives the
-    same double.  Without the kernels the body is parsed by ``np.loadtxt``,
-    also in C.  Any file the fast path does not take goes to
-    ``_read_values_loop``, which defines the format and raises its
-    line-numbered errors.
+    a table of 10^-342..10^308 (an exponent past it gives 0 or infinity);
+    ``strtod`` takes a cell of more than 19 significant digits, and its end
+    must be the end of the match.  Both round correctly, as ``float`` does,
+    so every cell gives the same double.  Without the kernels the body is
+    parsed by ``np.loadtxt``, also in C.  Any file the fast path does not
+    take goes to ``_read_values_loop``, which defines the format and raises
+    its line-numbered errors.
     """
     data = _read_values_fast(path)
     if data is None:

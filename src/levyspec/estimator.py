@@ -86,7 +86,7 @@ class UGrid:
     def __post_init__(self):
         _require_positive("u_max", self.u_max)
         _require_positive("step", self.step)
-        k = _half_count(self.u_max, self.step)
+        k = self.half_count
         if k < 1 or abs(k * self.step - self.u_max) > 1e-9 * self.u_max:
             raise ValueError("u_max must be a positive integer multiple of step")
 
@@ -99,7 +99,7 @@ class UGrid:
 
     @property
     def half_count(self) -> int:
-        return round(self.u_max / self.step)
+        return _half_count(self.u_max, self.step)
 
     @property
     def points(self) -> np.ndarray:
@@ -122,8 +122,9 @@ def default_u_grid(delta_t: float, n: int, u_max: float | None = None,
     None) and step (default_u_step of that u_max when None), cut to [-n, n].  A
     u_max past n is cut before the grid is made, which gives the same grid and
     puts the size cap on the grid the estimator uses."""
+    # an infinite u_max is refused here, since min() would cut it to n unseen
     u_max = default_u_max(delta_t) if u_max is None else _require_positive("u_max", u_max)
-    step = default_u_step(u_max) if step is None else _require_positive("step", step)
+    step = default_u_step(u_max) if step is None else step
     n = float(_require_count("n", n))
     return UGrid.make(min(u_max, n), step).restrict(n)
 

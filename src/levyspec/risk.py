@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import FALLBACK_KAPPA, calibrate
-from .errors import (UnsupportedModelError, _require_between, _require_count,
-                     _require_nonnegative, _require_positive)
+from .errors import (UnsupportedModelError, _require_count, _require_nonnegative,
+                     _require_positive)
 from .estimator import (UGrid, _check_ecf_above_rounding, default_u_grid, ecf, plancherel_l2,
                         threshold_cf, threshold_level, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, StableLaw, _spectral_tail,
@@ -316,9 +316,10 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
     m_grid = np.asarray(m_grid, dtype=float)
     for i, m in enumerate(m_grid.tolist()):
         _require_nonnegative(f"m_grid[{i}]", m)
-    top = int(np.argmax(m_grid))  # the grid's reach, so it must hold more than u = 0
-    grid = UGrid.make(_require_between(f"m_grid[{top}]", m_grid[top].item(), 0, math.inf,
-                                       "be positive, as the largest entry of m_grid"))
+    if not m_grid.max() > 0:  # every entry is 0; the grid must reach past u = 0
+        raise ValueError(f"m_grid[0] must be positive, as the largest entry of m_grid, "
+                         f"got {m_grid[0].item()!r}")
+    grid = UGrid.make(float(np.max(m_grid)))
     phi_ref = reference_cf(model, delta_t, grid)
     diff2 = np.array([np.abs(phi_hat.values - phi_ref) ** 2
                       for phi_hat in _trial_ecfs(model, delta_t, n, grid, master_seed, trials)])

@@ -221,8 +221,8 @@ def test_a_pipe_is_read_once():
 
 
 # ---------------------------------------------------------------------------
-# decimal conversion: the C reader rounds by Eisel-Lemire and leaves the cells it
-# cannot decide to strtod; every cell must still be float()'s double
+# decimal conversion: the C reader rounds by Eisel-Lemire and leaves cells of more
+# than 19 significant digits to strtod; every cell must still be float()'s double
 
 def read_cells(cells, tmp_path):
     """read_values_csv of a file of the cells under a header, and whether the fast

@@ -251,30 +251,11 @@ def test_reader_counts_a_crlf_across_its_buffer_edge_as_one_line(kernels, tmp_pa
 KERNELS = Path(_native.__file__).with_name("_kernels.c")
 
 
-@pytest.mark.parametrize("flags", [[], ["-U__SIZEOF_INT128__"]], ids=["int128", "portable"])
-def test_kernels_compile_without_a_warning(flags):
-    # CI's compile check, so a warning fails here too; -U__SIZEOF_INT128__ builds
-    # the 128-bit product from four 32 x 32-bit partial products
+def test_kernels_compile_without_a_warning():
+    # CI's compile check, so a warning fails here too
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     proc = subprocess.run(["cc", "-std=c99", "-O3", "-ffp-contract=off", "-Wall", "-Wextra",
-                           "-Werror", "-fsyntax-only", *flags, str(KERNELS)],
+                           "-Werror", "-fsyntax-only", str(KERNELS)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_reader_without_a_128_bit_integer_gives_the_same_bytes(kernels, tmp_path, monkeypatch):
-    target = tmp_path / "portable.so"
-    proc = subprocess.run([*_native._COMMAND, "-U__SIZEOF_INT128__", "-o", str(target)],
-                          input=KERNELS.read_bytes(), capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    bits = np.random.default_rng(12).integers(0, 2 ** 63, 20_000, dtype=np.uint64)
-    values = bits.view(float)
-    values = values[np.isfinite(values)]
-    path = tmp_path / "cells.csv"
-    path.write_text("value\n" + "".join(f"{v:.17g}\n{v:.6e}\n" for v in values))
-    native = _native.read_last_cells(str(path), 1)
-    portable = _native._load(str(target))
-    monkeypatch.setattr(_native, "library", lambda: portable)
-    assert _native.read_last_cells(str(path), 1).tobytes() == native.tobytes()
-    assert native[::2].tobytes() == values.tobytes()
