@@ -1,7 +1,7 @@
 /* Native kernels of levyspec, built and loaded through ctypes by _native.py.
-   read_last_cells leaves any file outside its narrow grammar to the line loop
-   of cli.py (-1), and rounds each cell of at most 19 significant digits to the
-   nearest double by Eisel-Lemire (Lemire, "Number Parsing at a Gigabyte per
+   read_last_cells leaves any file outside the grammar of decimal() to the line
+   loop of cli.py (-1), and rounds each cell of at most 19 significant digits to
+   the nearest double by Eisel-Lemire (Lemire, "Number Parsing at a Gigabyte per
    Second", SPE 2021), which with the table's 128 bits always decides (Mushtak
    and Lemire, "Fast Number Parsing Without Fallback", SPE 2023); strtod takes a
    longer cell.  Both round correctly, so a cell gives the bytes of strtod and
@@ -75,26 +75,35 @@ static uint64_t eisel_lemire(uint64_t w, int64_t q, int negative, const uint64_t
     return bits | (uint64_t)exponent << 52 | (uint64_t)negative << 63;
 }
 
-/* The cell [+-]digits[.digits][(e|E)[+-]digits] at s, already matched, into *out:
-   1, or 0 for a cell of more than 19 significant digits, left to strtod. */
-static int decimal(const char *s, const uint64_t *powers, double *out)
+/* The grammar of the C reader's cell [s, end), [+-]digits[.digits][(e|E)[+-]digits],
+   which strtod and float() read too, so no locale, hex, inf or nan: one walk
+   matches it and gathers the significant digits w and the exponent q.  -1 for
+   any other cell, left to the line loop; 0 for more than 19 significant digits,
+   left to strtod; else 1, the double in *out.  The walk stops at end, whose byte
+   (a blank, \n, \r or NUL) is outside the grammar. */
+static int decimal(const char *s, const char *end, const uint64_t *powers, double *out)
 {
     const char *p = s + (*s == '+' || *s == '-');
     uint64_t w = 0, bits;
     int64_t q = 0, e = 0;
     int digits = 0, negative = *s == '-';
+    if (!DIGIT(*p)) return -1;
     while (*p == '0') p++;
     for (; DIGIT(*p); p++, digits++) w = 10 * w + (uint64_t)(*p - '0');
     if (*p == '.') {
-        for (p++; w == 0 && *p == '0'; p++) q--;  /* zeros before the first digit */
+        if (!DIGIT(*++p)) return -1;
+        for (; w == 0 && *p == '0'; p++) q--;  /* zeros before the first digit */
         for (; DIGIT(*p); p++, digits++, q--) w = 10 * w + (uint64_t)(*p - '0');
     }
     if (*p == 'e' || *p == 'E') {
         int below = *++p == '-';
-        for (p += *p == '+' || *p == '-'; DIGIT(*p); p++)
+        p += *p == '+' || *p == '-';
+        if (!DIGIT(*p)) return -1;
+        for (; DIGIT(*p); p++)
             if (e < 100000) e = 10 * e + (*p - '0');  /* far past the table either way */
         q += below ? -e : e;
     }
+    if (p != end) return -1;
     if (digits > 19) return 0;  /* w has wrapped */
     bits = eisel_lemire(w, q, negative, powers);
     memcpy(out, &bits, sizeof bits);
@@ -108,7 +117,7 @@ static int parse_line(char *p, const char *limit, int eof, const uint64_t *power
                       char **next, double *out)
 {
     char *cell = p, *end = p, *stop;
-    int commas = 0;
+    int commas = 0, found;
     for (;; end++) {  /* the one scan of the line */
         unsigned char c = (unsigned char)*end;
         if (c == '\n' || c == '\r') break;
@@ -127,19 +136,8 @@ static int parse_line(char *p, const char *limit, int eof, const uint64_t *power
     if (*p == '#') return -1;
     while (BLANK(*cell)) cell++;
     while (end > cell && BLANK(end[-1])) end--;
-    /* [+-]digits[.digits][(e|E)[+-]digits], where strtod must stop too */
-    p = cell + (*cell == '+' || *cell == '-');
-    if (!DIGIT(*p)) return -1;
-    while (DIGIT(*p)) p++;
-    if (*p == '.' && !DIGIT(*++p)) return -1;
-    while (DIGIT(*p)) p++;
-    if (*p == 'e' || *p == 'E') {
-        p += 1 + (p[1] == '+' || p[1] == '-');
-        if (!DIGIT(*p)) return -1;
-        while (DIGIT(*p)) p++;
-    }
-    if (p != end) return -1;
-    if (!decimal(cell, powers, out)) {  /* strtod, which must stop at the same end */
+    if ((found = decimal(cell, end, powers, out)) < 0) return -1;
+    if (!found) {  /* strtod, which must stop at the same end */
         *out = strtod(cell, &stop);
         if (stop != end) return -1;
     }

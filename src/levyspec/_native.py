@@ -11,7 +11,8 @@ compiler, or when a build or load fails, ``library()`` is None: the moment
 pass and the ECF's contraction run their numpy definitions and the CSV reader
 ``np.loadtxt``, with the same bytes.
 
-The CSV reader converts decimals by Eisel-Lemire against a table of the
+The CSV reader takes the cells of the grammar in ``decimal()`` of
+``_kernels.c`` and converts them by Eisel-Lemire against a table of the
 leading 128 bits of 10^-342 .. 10^308, which ``_powers_of_ten`` builds from
 Python integers at library load (about 1 ms, 10 KiB) and each call passes to
 C; a cell of more than 19 significant digits goes to ``strtod``, with the

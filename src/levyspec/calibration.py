@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoStabilizationError, _require_count, _require_positive
-from .estimator import ECFGrid, threshold_level
+from .estimator import _MAX_GRID, ECFGrid, threshold_level
 from .sampling import write_rows
 
 __all__ = ["KappaGrid", "euler_characteristic", "chi_profile", "stabilization_index",
@@ -39,7 +39,7 @@ FALLBACK_KAPPA = 2.0 * math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class KappaGrid:
-    """Uniform kappa grid {k * delta_step, k = 0..count}."""
+    """Uniform kappa grid {k * delta_step, k = 0..count}, count at most 10^6."""
 
     delta_step: float = 0.05
     count: int = 100
@@ -54,6 +54,7 @@ class KappaGrid:
         if not math.isfinite(top):
             raise ValueError(f"the top kappa count * delta_step = {self.count} * "
                              f"{self.delta_step!r} overflows")
+        _require_count("count", self.count, 3, _MAX_GRID)  # past the floats, the top is named
 
     @property
     def kappas(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from . import __version__
 from .calibration import FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile, write_chi_csv
 from .errors import (NoStabilizationError, QuadratureError, UnsupportedModelError,
                      _require_count, _require_nonnegative, _require_positive)
-from .estimator import (ECFGrid, _check_ecf_above_rounding, adaptive_estimate,
+from .estimator import (_MAX_GRID, ECFGrid, _check_ecf_above_rounding, adaptive_estimate,
                         default_u_grid, default_x_grid, ecf, write_ecf_csv, write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
 from .risk import (ExperimentConfig, adaptive_risk_bound_check,
@@ -70,17 +70,17 @@ def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
     """Read one- or two-column numeric CSV; optional header and # comments.
 
     The body is read by ``read_last_cells`` of ``_kernels.c`` when the native
-    kernels load (``_native.library``): one scan per line, a last cell that is
-    a plain decimal ``[+-]digits[.digits][(e|E)[+-]digits]`` with spaces or tabs
-    around it, so no locale, hex, inf or nan gets in.  The cell is rounded in
-    place by the Eisel-Lemire algorithm, one or two 64x64-bit products against
-    a table of 10^-342..10^308 (an exponent past it gives 0 or infinity);
-    ``strtod`` takes a cell of more than 19 significant digits, and its end
-    must be the end of the match.  Both round correctly, as ``float`` does,
-    so every cell gives the same double.  Without the kernels the body is
-    parsed by ``np.loadtxt``, also in C.  Any file the fast path does not
-    take goes to ``_read_values_loop``, which defines the format and raises
-    its line-numbered errors.
+    kernels load (``_native.library``): one scan per line, a last cell in the
+    plain-decimal grammar that ``decimal()`` there states and matches, with
+    spaces or tabs around it.  The cell is rounded in the same walk by the
+    Eisel-Lemire algorithm, one or two 64x64-bit products against a table of
+    10^-342..10^308 (an exponent past it gives 0 or infinity); ``strtod``
+    takes a cell of more than 19 significant digits, and its end must be the
+    end of the cell.  Both round correctly, as ``float`` does, so every cell
+    gives the same double.  Without the kernels the body is parsed by
+    ``np.loadtxt``, also in C.  Any file the fast path does not take goes to
+    ``_read_values_loop``, which defines the format and raises its
+    line-numbered errors.  A leading UTF-8 byte-order mark is not data.
     """
     data = _read_values_fast(path)
     if data is None:
@@ -96,7 +96,7 @@ def _read_values_fast(path: str) -> np.ndarray | None:
     if not os.path.isfile(path):  # a pipe can be read only once, and this opens it twice
         return None
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not a header
             lineno, _ = next(_data_rows(fh, path))
     except (ValueError, StopIteration):  # StopIteration: no numeric row
         return None
@@ -150,7 +150,7 @@ def _data_rows(fh, path: str):
 
 def _read_values_loop(path: str) -> np.ndarray:
     """The CSV format, one line at a time: the values ``_data_rows`` yields."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         values = [value for _, value in _data_rows(fh, path)]
     if not values:
         raise ValueError(f"{path}: no numeric rows found")
@@ -225,12 +225,17 @@ def _kappa_or_auto(text: str) -> float | str:
     return _argument(_require_nonnegative, "kappa", kappa)
 
 
+def _kappa_grid(args) -> KappaGrid:
+    """The grid of --kappa-step and --kappa-count, whose count error names the flag."""
+    _require_count("--kappa-count", args.kappa_count, 3, _MAX_GRID)
+    return KappaGrid(args.kappa_step, args.kappa_count)
+
+
 def _cmd_estimate(args) -> int:
-    _require_count("--xgrid", args.xgrid, 2)
+    _require_count("--xgrid", args.xgrid, 2, _MAX_GRID)
     ecf_out = args.ecf_out or _derived_path(args.out, "_ecf")
-    if os.path.realpath(ecf_out) == os.path.realpath(args.out):
-        raise ValueError(f"--out {args.out} and --ecf-out {ecf_out} name the same file")
-    kgrid = KappaGrid(args.kappa_step, args.kappa_count)
+    _require_distinct_files(("--data", args.data), ("--out", args.out), ("--ecf-out", ecf_out))
+    kgrid = _kappa_grid(args)
     sample, phi_hat = _read_and_ecf(args)
     x_grid = default_x_grid(sample.values, phi_hat.grid.step, points=args.xgrid)
     if args.kappa == "auto":
@@ -250,6 +255,18 @@ def _cmd_estimate(args) -> int:
     print(f"kappa={kappa:.17g}")
     print(f"wrote density to {args.out} and ECF to {ecf_out}")
     return EXIT_OK
+
+
+def _require_distinct_files(*flags: tuple[str, str]) -> None:
+    """A ValueError when two of the (flag, path) pairs name one file, so that no
+    output overwrites --data or another output.  Real paths open nothing, so a
+    pipe such as ``--data <(...)`` is still read once."""
+    seen = {}
+    for flag, path in flags:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{seen[real]} and {flag} {path} name the same file")
+        seen[real] = f"{flag} {path}"
 
 
 def _derived_path(path: str, suffix: str) -> str:
@@ -287,7 +304,9 @@ def _cmd_risk_table(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    kgrid = KappaGrid(args.kappa_step, args.kappa_count)
+    if args.out:
+        _require_distinct_files(("--data", args.data), ("--out", args.out))
+    kgrid = _kappa_grid(args)
     _, phi_hat = _read_and_ecf(args)
     kappas, chis = chi_profile(phi_hat, kgrid)
     if not args.out:  # printed before calibrate, so an exit 4 still shows the profile

@@ -57,12 +57,14 @@ def _require_nonnegative(name: str, value):
     return _require_between(name, value, 0, math.inf, "be finite and nonnegative", closed=True)
 
 
-def _require_count(name: str, value, least: int = 1):
-    """An int or numpy integer, not a bool, at least ``least``."""
+def _require_count(name: str, value, least: int = 1, most: float = math.inf):
+    """An int or numpy integer, not a bool, at least ``least`` and at most ``most``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
     return value
 
 

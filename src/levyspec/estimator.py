@@ -58,16 +58,18 @@ def default_u_step(u_max: float) -> float:
     return 0.05 if _require_positive("u_max", u_max) <= 10.0 else 0.1
 
 
-# The most frequencies K = u_max / step a UGrid holds on each side; see UGrid.
-_MAX_HALF_COUNT = 10 ** 6
+# The most points of a grid the user sizes: the frequencies K = u_max / step a
+# UGrid holds on each side (see UGrid), the x points of default_x_grid and the
+# kappas of a KappaGrid, refused past it before any array exists.
+_MAX_GRID = 10 ** 6
 
 
 def _half_count(u_max: float, step: float) -> int:
-    """round(u_max / step), refused past ``_MAX_HALF_COUNT`` before any array exists."""
-    if not u_max / step < _MAX_HALF_COUNT + 0.5:
+    """round(u_max / step), refused past ``_MAX_GRID`` before any array exists."""
+    if not u_max / step < _MAX_GRID + 0.5:
         raise ValueError(f"u_max={u_max!r} over step={step!r} gives {u_max / step:.3g} "
-                         f"frequencies per side, more than the {_MAX_HALF_COUNT} a grid "
-                         f"holds: the smallest step that fits is {u_max / _MAX_HALF_COUNT!r}")
+                         f"frequencies per side, more than the {_MAX_GRID} a grid "
+                         f"holds: the smallest step that fits is {u_max / _MAX_GRID!r}")
     return round(u_max / step)
 
 
@@ -367,7 +369,7 @@ def default_x_grid(values: np.ndarray, step: float, points: int = 512) -> np.nda
     interquartile range, or max(std, 1) when that is 0; the bulk |median| + 8
     spreads must lie within the alias half-period pi/step."""
     _require_positive("step", step)
-    _require_count("points", points)
+    _require_count("points", points, 1, _MAX_GRID)
     q75, median, q25 = np.percentile(values, [75.0, 50.0, 25.0])
     spread = float(q75 - q25)
     if spread <= 0:

@@ -212,6 +212,27 @@ def test_estimate_out_and_ecf_out_naming_one_file_exits_2_before_reading_data(
     assert not (tmp_path / "same.csv").exists()
 
 
+@pytest.mark.parametrize("command, outputs, named", [
+    ("estimate", ["--out", "inc_ecf.csv"], "--out inc_ecf.csv"),
+    ("estimate", ["--out", "d.csv", "--ecf-out", "./inc_ecf.csv"], "--ecf-out ./inc_ecf.csv"),
+    ("estimate", ["--out", "inc.csv"], "--ecf-out inc_ecf.csv"),  # the derived ECF path
+    ("calibrate", ["--out", "sub/../inc_ecf.csv"], "--out sub/../inc_ecf.csv"),
+], ids=["estimate-out", "estimate-ecf-out", "estimate-derived-ecf-out", "calibrate-out"])
+def test_an_output_that_names_the_data_exits_2_before_reading_it(
+        command, outputs, named, increments_file, tmp_path, monkeypatch, capsys):
+    def refuse_read(*args, **kwargs):
+        raise AssertionError("data read before the output paths were validated")
+
+    data = increments_file.rename(tmp_path / "inc_ecf.csv")
+    text = data.read_bytes()
+    monkeypatch.setattr(levyspec.cli, "read_values_csv", refuse_read)
+    monkeypatch.chdir(tmp_path)
+    assert run([command, "--data", "inc_ecf.csv", "--delta", "1", *outputs]) == 2
+    assert f"--data inc_ecf.csv and {named} name the same file" in capsys.readouterr().err
+    assert data.read_bytes() == text
+    assert [p.name for p in tmp_path.iterdir()] == ["inc_ecf.csv"]
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -899,6 +920,12 @@ EXIT_CONTRACT = {
     "kappa-count-below-3": (2, lambda draw, d: _with_flag(
         draw, d, [("estimate", "--kappa-count"), ("calibrate", "--kappa-count")],
         draw(st.integers(-9, 2)))),
+    # a grid past the 10^6 cap fails at once, naming its flag, before any array exists
+    "xgrid-above-cap": (2, lambda draw, d: _with_flag(
+        draw, d, [("estimate", "--xgrid")], 10 ** 13), "--xgrid must be at most 1000000"),
+    "kappa-count-above-cap": (2, lambda draw, d: _with_flag(
+        draw, d, [("estimate", "--kappa-count"), ("calibrate", "--kappa-count")], 10 ** 13),
+        "--kappa-count must be at most 1000000"),
     "trials-below-1": (2, lambda draw, d: _with_flag(
         draw, d, [("check-bounds", "--trials")], draw(st.integers(-9, 0)))),
     # thm4's threshold level takes log n: an n below 1 is named, not a math domain error

@@ -530,11 +530,13 @@ _NUMERIC = {
     "spectral_estimate-m": (lambda v: spectral_estimate(_ONES, v, [0.0]), "m", _POS, (0.0,)),
     "default_x_grid-step": (lambda v: default_x_grid(np.array([0.0, 1.0]), v), "step", _POS,
                             (0.0,)),
+    "default_x_grid-points": (lambda v: default_x_grid(np.array([0.0, 1.0]), 1.0, v), "points",
+                              _INT, {0: "be at least 1", 10 ** 13: "be at most 1000000"}),
     "trapezoid_weights-step": (lambda v: trapezoid_weights(3, v), "step", _POS, (0.0,)),
     # calibration
     "KappaGrid-delta_step": (lambda v: KappaGrid(v), "delta_step", _POS, (0.0,)),
     "KappaGrid-count": (lambda v: KappaGrid(0.05, v), "count", _INT,
-                        {2: "be at least 3", 3.5: _INT}),
+                        {2: "be at least 3", 3.5: _INT, 10 ** 13: "be at most 1000000"}),
     # risk
     "reference_cf-delta_t": (lambda v: reference_cf(_GAUSS, v, _ONES.grid), "delta_t", _POS,
                              (0.0,)),

@@ -255,7 +255,7 @@ def test_kernels_compile_without_a_warning():
     # CI's compile check, so a warning fails here too
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    proc = subprocess.run(["cc", "-std=c99", "-O3", "-ffp-contract=off", "-Wall", "-Wextra",
-                           "-Werror", "-fsyntax-only", str(KERNELS)],
+    proc = subprocess.run(["cc", "-std=c99", "-pedantic", "-O3", "-ffp-contract=off", "-Wall",
+                           "-Wextra", "-Werror", "-fsyntax-only", str(KERNELS)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
