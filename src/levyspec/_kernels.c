@@ -7,7 +7,10 @@
    longer cell.  Both round correctly, so a cell gives the bytes of strtod and
    float().  bin_moments and ecf_contract are estimator._bin_moments_numpy and
    estimator._ecf_contract_numpy operation for operation, the same bytes when
-   built with -ffp-contract=off, no -ffast-math. */
+   built with -ffp-contract=off, no -ffast-math.  bin_moments takes the sorted
+   samples in tiles of whole bins that fit L1, makes two Chebyshev terms per
+   sweep of a tile's rows, each by numpy's two roundings, and finds the bin as
+   floor(m * (1 / size)), which is m / size exactly for a power-of-2 size. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -18,6 +21,7 @@
 #define BLANK(c) ((c) == ' ' || (c) == '\t')
 #define DIGIT(c) ((unsigned)((c) - '0') < 10u) /* c read once: DIGIT(*++p) */
 #define BLOCK 64 /* frequencies per block of ecf_contract */
+#define TILE 512 /* samples per tile of bin_moments: its three rows, 12 KiB, stay in L1 */
 #define LEAST_POWER (-342) /* the powers of ten of the table, 10^-342 .. 10^308 */
 #define MOST_POWER 308
 
@@ -197,43 +201,83 @@ static double pairwise(const double *a, int64_t n)
     return res;
 }
 
-/* moments[p * size + b] += the sum of T_p(d_j) over bin b, chunk by chunk, each
-   row T_p summed once made, so 4 rows of scratch do: 0, or -1 if memory ran out
-   or a bin fell outside [0, size). */
+/* np.add.reduceat's sum of the run r[0 .. count): r[0] plus numpy's pairwise sum
+   of the rest, whose serial loop below 8 values is inlined (-0.0 + r[1] is r[1]) */
+static double run_sum(const double *r, int64_t count)
+{
+    double s;
+    int64_t i;
+    if (count > 8) return r[0] + pairwise(r + 1, count - 1);
+    if (count == 1) return r[0];
+    for (s = r[1], i = 2; i < count; i++) s += r[i];
+    return r[0] + s;
+}
+
+/* T_p into even and T_{p+1} into odd, in place from T_{p-2} and T_{p-1}, each by
+   numpy's two roundings, the product by twice = 2 d and then the difference */
+static void sweep(double *restrict even, double *restrict odd, const double *restrict twice,
+                  int64_t len)
+{
+    int64_t i;
+    for (i = 0; i < len; i++) {
+        double t = twice[i] * odd[i] - even[i];
+        even[i] = t;
+        odd[i] = twice[i] * t - odd[i];
+    }
+}
+
+/* moments[p * size + b] += the sum of T_p(d_j) over bin b, chunk by chunk: 0, or
+   -1 if memory ran out, a bin fell outside [0, size) or size is no power of 2
+   (m / size is then not m * (1 / size)).  After a stable counting sort by bin,
+   the sorted d_j are taken in tiles of whole bins, at most TILE samples unless
+   one bin holds more.  A tile's rows (2 d, the even and the odd terms, the odd
+   ones in place of the sorted d) stay in L1 while the sweeps make T_2, T_3, ...
+   two at a time and each run is summed for both; T_0's run sum is its count.
+   Three rows of the chunk are all the scratch. */
 int bin_moments(const double *x, int64_t n, int64_t size, double scale, int64_t terms,
                 int64_t chunk, double *moments)
 {
-    int64_t width = n < chunk ? n : chunk, lo, i, b, k, p, runs;
-    double *rows = malloc((size_t)(4 * width) * sizeof(double));
-    int64_t *bins = malloc((size_t)(width + size + 1) * sizeof(int64_t));
+    int64_t width = n < chunk ? n : chunk, lo, i, b, j, k, next, p, runs;
+    double *rows, inverse = 1.0 / (double)size;
+    int64_t *bins;
+    if (size & (size - 1)) return -1;
+    rows = malloc((size_t)(3 * width) * sizeof(double));
+    bins = malloc((size_t)(width + size + 1) * sizeof(int64_t));
     for (lo = 0; rows && bins && lo < n; lo += chunk) {
         int64_t len = n - lo < chunk ? n - lo : chunk, start = 0, *ends = bins + width;
-        double *row[3] = {rows, rows + width, rows + 2 * width}, *t = rows + 3 * width;
-        const double *r, *before = row[0], *last = t;  /* T_{p-2} and T_{p-1} */
+        double *twice = rows, *even = rows + width, *sorted = rows + 2 * width;
         memset(ends, 0, (size_t)size * sizeof(int64_t));
         for (i = 0; i < len; i++) {
             double q = x[lo + i] * scale, m;
             q = q < -0x1p1000 ? -0x1p1000 : q > 0x1p1000 ? 0x1p1000 : q;
             m = rint(q);
-            row[1][i] = 2.0 * (q - m);  /* d_j in sample order, until T_4 is made */
-            m -= (double)size * floor(m / (double)size);
+            twice[i] = 2.0 * (q - m);  /* d_j in sample order, until sorted */
+            m -= (double)size * floor(m * inverse);
             if (!(m >= 0.0 && m < (double)size)) break;  /* a NaN, left to numpy */
             ends[bins[i] = (int64_t)m]++;
         }
         if (i < len) break;  /* so lo < n: the call fails */
         for (b = 0; b < size; b++) start = ends[b] += start;  /* ends[b]: end of bin b */
-        for (i = len - 1; i >= 0; i--) t[--ends[bins[i]]] = row[1][i];  /* stable: T_1 */
+        for (i = len - 1; i >= 0; i--) sorted[--ends[bins[i]]] = twice[i];  /* stable */
         ends[size] = len;  /* ends[b] is now the start of bin b */
         for (b = runs = 0; b < size; b++) if (ends[b + 1] > ends[b]) bins[runs++] = b;
-        for (i = 0; i < len; i++) row[0][i] = 1.0;
-        for (p = 0; p < terms; p++, before = last, last = r) {
-            r = p == 0 ? row[0] : p == 1 ? t : row[p % 3];
-            for (i = 0; p >= 2 && i < len; i++)  /* two roundings, as numpy */
-                row[p % 3][i] = (t[i] + t[i]) * last[i] - before[i];
-            for (k = 0; k < runs; k++) {  /* each run summed as np.add.reduceat does */
-                int64_t first = ends[bins[k]], count = ends[bins[k] + 1] - first;
-                moments[p * size + bins[k]] +=
-                    count > 1 ? r[first] + pairwise(r + first + 1, count - 1) : r[first];
+        for (k = 0; k < runs; k = next) {  /* the tile of runs k .. next - 1 */
+            int64_t first = ends[bins[k]], count;
+            double *odd = sorted + first;  /* T_1, then the odd terms */
+            for (next = k + 1; next < runs && ends[bins[next] + 1] - first <= TILE; next++)
+                continue;
+            count = ends[bins[next - 1] + 1] - first;
+            for (i = 0; i < count; i++) twice[i] = odd[i] + odd[i], even[i] = 1.0;
+            for (p = 0; p < terms; p += 2) {
+                if (p >= 2 && p + 1 < terms) sweep(even, odd, twice, count);
+                for (i = 0; p >= 2 && p + 1 == terms && i < count; i++)
+                    even[i] = twice[i] * odd[i] - even[i];
+                for (j = k; j < next; j++) {  /* each run summed as np.add.reduceat does */
+                    int64_t at = ends[bins[j]] - first, run = ends[bins[j] + 1] - first - at;
+                    moments[p * size + bins[j]] += p ? run_sum(even + at, run) : (double)run;
+                    if (p + 1 < terms)
+                        moments[(p + 1) * size + bins[j]] += run_sum(odd + at, run);
+                }
             }
         }
     }

@@ -259,14 +259,21 @@ def _cmd_estimate(args) -> int:
 
 def _require_distinct_files(*flags: tuple[str, str]) -> None:
     """A ValueError when two of the (flag, path) pairs name one file, so that no
-    output overwrites --data or another output.  Real paths open nothing, so a
-    pipe such as ``--data <(...)`` is still read once."""
+    output overwrites --data or another output.  Paths are compared by their real
+    paths and, where they exist, by device and inode, which a hard link shares.
+    Neither opens the file, so a pipe such as ``--data <(...)`` is still read once."""
     seen = {}
     for flag, path in flags:
-        real = os.path.realpath(path)
-        if real in seen:
-            raise ValueError(f"{seen[real]} and {flag} {path} name the same file")
-        seen[real] = f"{flag} {path}"
+        keys = [os.path.realpath(path)]
+        try:
+            stat = os.stat(path)
+            keys.append((stat.st_dev, stat.st_ino))
+        except OSError:  # a file not made yet has no inode
+            pass
+        for key in keys:
+            if key in seen:
+                raise ValueError(f"{seen[key]} and {flag} {path} name the same file")
+        seen.update(dict.fromkeys(keys, f"{flag} {path}"))
 
 
 def _derived_path(path: str, suffix: str) -> str:

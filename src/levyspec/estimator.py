@@ -223,11 +223,13 @@ def _bin_moments(values: np.ndarray, size: int, scale: float) -> np.ndarray:
     Computed by ``bin_moments`` of ``_kernels.c`` when the native kernels load
     (``_native.library``), else by ``_bin_moments_numpy``, the definition.  The
     C pass gives the same bytes: per chunk it computes q, m, d and the bin by
-    the same double operations in the same order, sorts by bin stably (a
-    counting sort, the permutation of the stable argsort), fills the rows by the
-    same two roundings per term (contraction into FMAs is off) and sums each
-    bin's run as ``np.add.reduceat`` does, the first value plus numpy's
-    pairwise sum of the rest, before one addition into S.
+    the same double operations (m / M as m * (1 / M), exact for the power of 4
+    M), sorts by bin stably (a counting sort, the permutation of the stable
+    argsort) and sums each bin's run as ``np.add.reduceat`` does, the first
+    value plus numpy's pairwise sum of the rest, before one addition into S.
+    It walks the sorted samples in tiles of whole bins, about 512 samples, so
+    that a tile's rows stay in L1 while its sweeps make two terms each, every
+    T_p by the same two roundings as numpy (contraction into FMAs is off).
     """
     from . import _native  # at the first ECF, not at import
     moments = _native.bin_moments(values, size, scale, _TERMS, _ECF_CHUNK)

@@ -233,6 +233,19 @@ def test_an_output_that_names_the_data_exits_2_before_reading_it(
     assert [p.name for p in tmp_path.iterdir()] == ["inc_ecf.csv"]
 
 
+def test_an_output_hard_linked_to_the_data_exits_2_and_leaves_it(increments_file, tmp_path,
+                                                                  monkeypatch, capsys):
+    # a hard link has its own real path but shares the data's inode
+    data = increments_file.rename(tmp_path / "d.csv")
+    text = data.read_bytes()
+    os.link(data, tmp_path / "link.csv")
+    monkeypatch.chdir(tmp_path)
+    assert run(["calibrate", "--data", "d.csv", "--delta", "1", "--fallback",
+                "--out", "link.csv"]) == 2
+    assert "--data d.csv and --out link.csv name the same file" in capsys.readouterr().err
+    assert data.read_bytes() == text
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 

@@ -9,6 +9,7 @@ a silent fall-back cannot pass.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -203,6 +204,7 @@ def test_two_processes_building_into_one_empty_cache_both_load(kernels, tmp_path
 
 CHECK_PRIVATE_BUILD = """
 import os
+import re
 import numpy as np
 from levyspec import IncrementSample, UGrid, _native, ecf
 lib = _native.library()
@@ -259,3 +261,121 @@ def test_kernels_compile_without_a_warning():
                            "-Wextra", "-Werror", "-fsyntax-only", str(KERNELS)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+TILE = int(re.search(r"#define TILE (\d+)", KERNELS.read_text()).group(1))
+
+
+def _binned(counts, rng, size=1024):
+    """Values at scale 1 whose bins, from -size / 2 on, hold the counts in turn,
+    in a shuffled order; q = x, so each bin is rint(x) mod size."""
+    bins = np.repeat(np.arange(len(counts)) - size // 2, counts)
+    return rng.permutation(bins + rng.uniform(-0.45, 0.45, bins.size))
+
+
+def _tile_edge_cases():
+    """Inputs whose runs fall on the edges of the C pass: the serial sums of up to 8
+    values, pairwise's 8-wide and 128-value leaves, tiles of whole bins filled to
+    TILE - 1, TILE and TILE + 1, one bin of three tiles, and a bin whose samples
+    cross the edge between two chunks."""
+    rng = np.random.default_rng(28)
+    chunk_edge = np.concatenate([rng.uniform(-500.0, 500.0, _ECF_CHUNK - 6000),
+                                 np.full(20_000, 7.25), rng.uniform(-500.0, 500.0, 3000)])
+    return {
+        "runs-1-9": _binned(list(range(1, 10)) * 20, rng),
+        "runs-127-130": _binned([127, 128, 129, 130] * 3, rng),
+        "tile-edges": _binned([TILE - 1, 1, TILE, TILE + 1, 1, TILE - 1, 2, TILE - 2, 1], rng),
+        "three-tiles": _binned([3, 3 * TILE, 3], rng),
+        "mixed": _binned(rng.integers(1, 300, 200), rng),
+        "chunk-edge": chunk_edge,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_tile_edge_cases()))
+def test_c_moments_at_the_edges_of_tiles_and_runs(kernels, case):
+    values = _tile_edge_cases()[case]
+    for size in (256, 1024):
+        assert _native.bin_moments(values, size, 1.0, _TERMS, _ECF_CHUNK).tobytes() == \
+            _bin_moments_numpy(values, size, 1.0).tobytes(), (case, size)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4, 23])
+def test_c_moments_of_fewer_terms_are_the_leading_rows(kernels, terms):
+    # an odd count ends on a single-term sweep
+    values = _tile_edge_cases()["mixed"]
+    want = _bin_moments_numpy(values, 1024, 1.0)[:terms]
+    assert _native.bin_moments(values, 1024, 1.0, terms, _ECF_CHUNK).tobytes() == want.tobytes()
+
+
+def test_c_moments_refuse_a_bin_count_that_is_no_power_of_two(kernels):
+    # m * (1 / size) is m / size exactly only for a power of 2
+    assert _native.bin_moments(np.arange(10.0), 48, 1.0, _TERMS, _ECF_CHUNK) is None
+
+
+def test_c_moments_of_read_only_and_sliced_samples(kernels):
+    values = _tile_edge_cases()["mixed"]
+    frozen = values.copy()
+    frozen.flags.writeable = False
+    want = _bin_moments_numpy(values, 1024, 1.0).tobytes()
+    assert _bin_moments(frozen, 1024, 1.0).tobytes() == want
+    assert _bin_moments(values[:0], 1024, 1.0).tobytes() == np.zeros((_TERMS, 1024)).tobytes()
+    assert _bin_moments(values[7:], 1024, 1.0).tobytes() == \
+        _bin_moments_numpy(values[7:], 1024, 1.0).tobytes()
+
+
+def test_a_read_only_table_keeps_its_address_until_it_is_freed(kernels):
+    table = np.arange(6.0)
+    table.flags.writeable = False
+    key = id(table)
+    assert _native._table_address(table) == table.ctypes.data
+    assert _native._TABLE_ADDRESSES[key] == table.ctypes.data
+    del table
+    assert key not in _native._TABLE_ADDRESSES
+
+
+CHECK_BUILD = """
+import sys
+import numpy as np
+from levyspec import _native
+from levyspec.estimator import (_ECF_CHUNK, _TERMS, _bin_moments_numpy, _ecf_contract_numpy,
+                                _ecf_weights)
+lib = _native._load(sys.argv[1])
+_native.library = lambda: lib
+cases = np.load(sys.argv[2])
+for name in cases.files:
+    values = cases[name]
+    for size in (256, 1024):
+        moments = _bin_moments_numpy(values, size, 1.0)
+        got = _native.bin_moments(values, size, 1.0, _TERMS, _ECF_CHUNK)
+        assert got.tobytes() == moments.tobytes(), ("moments", name, size)
+        spectrum = np.fft.rfft(moments, axis=1)
+        for count in (1, size // 2 - 1, size // 2, size - 1):
+            weights = _ecf_weights(count, size)
+            got = _native.ecf_contract(spectrum, weights, size, values.size)
+            want = _ecf_contract_numpy(spectrum, weights, size, values.size)
+            assert got.tobytes() == want.tobytes(), ("contraction", name, size, count)
+print(len(cases.files))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O0"], ["-O1", "-fsanitize=undefined",
+                                             "-fno-sanitize-recover=all"]],
+                         ids=["O0", "O1-ubsan"])
+def test_other_builds_of_the_kernels_give_the_bytes_of_numpy(flags, tmp_path):
+    # a wrong restrict, or undefined behaviour that only -O3 exploits, shows as a
+    # difference between builds; UBSan aborts the child on the first fault
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    library = tmp_path / "kernels.so"
+    proc = subprocess.run(["cc", *flags, "-ffp-contract=off", "-fPIC", "-shared", "-o",
+                           str(library), str(KERNELS), "-lm"],
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0 and "ubsan" in proc.stderr:
+        pytest.skip(f"cc cannot link the UBSan runtime: {proc.stderr.strip()[-200:]}")
+    assert proc.returncode == 0, proc.stderr
+    np.savez(tmp_path / "cases.npz", **_tile_edge_cases())
+    out, err = subprocess.Popen(
+        [sys.executable, "-c", CHECK_BUILD, str(library), str(tmp_path / "cases.npz")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}).communicate(timeout=300)
+    assert err == "" and out.strip() == str(len(_tile_edge_cases())), err
