@@ -153,9 +153,9 @@ def threshold_level(kappa, n: int):
     if not isinstance(kappa, np.ndarray):
         _require_nonnegative("kappa", kappa)
     else:
-        bad = np.flatnonzero(~((kappa >= 0) & (kappa < math.inf)))
-        if bad.size:
-            _require_nonnegative(f"kappa[{bad[0]}]", kappa.flat[bad[0]].item())
+        if kappa.size and not (kappa.min() >= 0 and kappa.max() < math.inf):  # NaN fails both
+            bad = np.flatnonzero(~((kappa >= 0) & (kappa < math.inf)))[0]
+            _require_nonnegative(f"kappa[{bad}]", kappa.flat[bad].item())
     return (1.0 + kappa * math.sqrt(math.log(n))) / math.sqrt(n)
 
 
@@ -389,6 +389,14 @@ def trapezoid_weights(count: int, step: float) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=8)
+def _trapezoid_row(count: int, step: float) -> np.ndarray:
+    """``trapezoid_weights(count, step)``, read-only and kept for the next call."""
+    row = trapezoid_weights(count, step)
+    row.flags.writeable = False
+    return row
+
+
 _CHUNK = 4096  # x points per inversion product; the phase tables hold (A + B) * _CHUNK values
 
 
@@ -474,7 +482,7 @@ def plancherel_l2(a: np.ndarray, b: np.ndarray, grid: UGrid) -> float:
     if a.shape != b.shape:
         raise ValueError(f"operands have different shapes, {a.shape} and {b.shape}")
     diff = np.abs(a - b) ** 2
-    return float(diff @ trapezoid_weights(diff.size, grid.step) / (2.0 * math.pi))
+    return float(diff @ _trapezoid_row(diff.size, grid.step) / (2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------

@@ -1089,21 +1089,23 @@ def test_seed_rows_are_the_subcommands_with_a_seed():
 
 
 # ---------------------------------------------------------------------------
-# scipy is imported only by the numerical integrals and the root finder
+# scipy is imported only by the numerical integrals and the root finder, and
+# numpy.random only by the first random generator
 
-_SCIPY_MODULES = """
+_LOADED_MODULES = """
 import json, sys
 {body}
-print(json.dumps([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]))
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m == "numpy.random" or m.startswith("numpy.random.")]))
 """
 
 
-def _scipy_modules_after(body: str, cwd) -> list:
-    """The scipy modules loaded in a fresh interpreter after running ``body``."""
+def _modules_after(body: str, cwd) -> list:
+    """The scipy and numpy.random modules loaded in a fresh interpreter after running ``body``."""
     src = os.path.dirname(os.path.dirname(levyspec.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _SCIPY_MODULES.format(body=body)],
+    done = subprocess.run([sys.executable, "-c", _LOADED_MODULES.format(body=body)],
                           cwd=cwd, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -1113,9 +1115,12 @@ def _main_exits_0(argv) -> str:
     return f"import levyspec.cli\nassert levyspec.cli.main({argv!r}) == 0"
 
 
-@pytest.mark.parametrize("case", ["import", "import-cli", "sample", "estimate", "calibrate",
-                                  "risk-table", "risk-table-stable", "check-bounds-thm1",
-                                  "risk-table-mixed"])
+_SEEDED = {"sample", "risk-table", "risk-table-stable", "check-bounds-thm1", "risk-table-mixed"}
+
+
+@pytest.mark.parametrize("case", ["import", "import-cli", "config", "sample", "estimate",
+                                  "calibrate", "risk-table", "risk-table-stable",
+                                  "check-bounds-thm1", "risk-table-mixed"])
 def test_only_the_reference_quantities_load_scipy(case, increments_file, tmp_path):
     # only a mixed law's tail integrates numerically, through the quad imported inside
     # models._spectral_tail, so a broken one fails here; Gaussian and stable laws have
@@ -1129,6 +1134,8 @@ def test_only_the_reference_quantities_load_scipy(case, increments_file, tmp_pat
     body = {
         "import": "import levyspec",
         "import-cli": "import levyspec.cli",
+        "config": "import levyspec\n"
+                  "levyspec.ExperimentConfig(levyspec.cauchy_triplet(), 1.0, (300,))",
         "sample": _main_exits_0(["sample", *CAUCHY_FLAGS, "--delta", "1", "--n", "100",
                                  "--seed", "1", "--out", "s.csv"]),
         "estimate": _main_exits_0(["estimate", *data, "--kappa", "auto", "--out", "d.csv"]),
@@ -1141,8 +1148,14 @@ def test_only_the_reference_quantities_load_scipy(case, increments_file, tmp_pat
         "risk-table-mixed": _main_exits_0(["risk-table", "--config", "mixed.json",
                                            "--out", "r.csv"]),
     }[case]
-    modules = _scipy_modules_after(body, tmp_path)
+    modules = _modules_after(body, tmp_path)
+    scipy = [m for m in modules if m.startswith("scipy")]
     if case == "risk-table-mixed":
-        assert "scipy.integrate" in modules
+        assert "scipy.integrate" in scipy
     else:
-        assert modules == []
+        assert scipy == []
+    # numpy.random (about 16 ms of a fresh process) comes with the first generator, so
+    # importing the package, building a config, estimating or calibrating loads none of it
+    assert ("numpy.random" in modules) == (case in _SEEDED)
+    if case not in _SEEDED:
+        assert modules == scipy

@@ -487,6 +487,7 @@ def test_threshold_level_formula():
     kappas = np.array([0.0, 0.5, 2.0])
     np.testing.assert_array_equal(threshold_level(kappas, 10_000),
                                   [threshold_level(k, 10_000) for k in kappas])
+    assert threshold_level(np.array([]), 10_000).size == 0
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, -1.0])
@@ -671,6 +672,20 @@ def test_plancherel_matches_numpy_trapezoid(half_count):
     a, b = rng.standard_normal((2, g.points.size)) + 1j * rng.standard_normal((2, g.points.size))
     want = np.trapezoid(np.abs(a - b) ** 2, dx=g.step) / (2.0 * math.pi)
     assert plancherel_l2(a, b, grid=g) == pytest.approx(want, rel=1e-14)
+
+
+def test_plancherel_takes_the_public_trapezoid_weights_from_a_cached_row():
+    g = UGrid(1.0, 0.05)
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, g.points.size)) + 1j * rng.standard_normal((2, g.points.size))
+    diff = np.abs(a - b) ** 2
+    want = float(diff @ trapezoid_weights(diff.size, g.step) / (2.0 * math.pi))
+    assert plancherel_l2(a, b, g) == want == plancherel_l2(a, b, g)
+    # the cached row is read-only; the public weights stay a fresh, writable array
+    weights = trapezoid_weights(diff.size, g.step)
+    weights[0] = 7.0
+    assert plancherel_l2(a, b, g) == want
+    assert trapezoid_weights(diff.size, g.step)[0] == g.step / 2.0
 
 
 def test_plancherel_grid_mismatch():

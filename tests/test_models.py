@@ -510,6 +510,10 @@ _NUMERIC = {
                              {-1: "be at least 0"}),
     "derive_seed-master_seed": (lambda v: derive_seed(v, 0), "master_seed", _INT,
                                 {-1: "be at least 0", 2 ** 64: "lie in [0, 2^64)"}),
+    "derive_seed-lane": (lambda v: derive_seed(1, 0, v), "lane[1]", _INT,
+                         {-1: "be at least 0", 1.5: _INT, True: _INT}),
+    "SeedSpec-generator-substream": (lambda v: SeedSpec(1).generator(v), "substream", _INT,
+                                     {-1: "be at least 0", 1.5: _INT, True: _INT}),
     "stable_sample-n": (lambda v: stable_sample(StableLaw(1.0, 1.0, 0.0, 0.0), v, SeedSpec(1)),
                         "n", _INT, {0: "be at least 1"}),
     "stable_sample-alpha": (lambda v: stable_sample(StableLaw(v, 1.0, 0.0, 0.0), 5, SeedSpec(1)),

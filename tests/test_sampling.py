@@ -1,4 +1,6 @@
 import math
+import pickle
+import random
 import re
 import warnings
 
@@ -14,7 +16,7 @@ from levyspec import (CustomJumpDensity, ECFGrid, IncrementSample, LevyTriplet,
                       write_increments_csv)
 from levyspec.calibration import write_chi_csv
 from levyspec.models import increment_stable_law
-from levyspec.sampling import _cms_standard
+from levyspec.sampling import _cms_standard, _key_block
 
 
 def hoeffding_band(n: int) -> float:
@@ -364,3 +366,71 @@ def test_seed_spec_takes_numpy_integers():
     a = SeedSpec(np.uint64(2 ** 64 - 1), np.int32(3)).generator().random(4)
     b = SeedSpec(2 ** 64 - 1, 3).generator().random(4)
     assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the key schedule: a trial's stream is numpy's SeedSequence stream
+
+_RANDOM_MASTERS = random.Random(2029)
+_MASTERS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+            *(_RANDOM_MASTERS.getrandbits(64) for _ in range(20))]
+_TRIALS = [0, 63, 64, 127, 2 ** 32 - 1, 2 ** 32, 2 ** 70]
+
+
+def _numpy_stream(master_seed, trial, substream):
+    seq = np.random.SeedSequence(master_seed, spawn_key=(trial, substream))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+@pytest.mark.parametrize("master_seed", _MASTERS)
+def test_a_trial_stream_is_the_numpy_seed_sequence_stream(master_seed):
+    for trial in _TRIALS:
+        for substream in (0, 1, 7, 2 ** 33):
+            want = np.random.SeedSequence(master_seed, spawn_key=(trial, substream))
+            key = _key_block(master_seed, substream, trial // 64)[trial % 64]
+            assert key.tobytes() == want.generate_state(2, np.uint64).tobytes()
+            got = SeedSpec(master_seed, trial).generator(substream)
+            oracle = _numpy_stream(master_seed, trial, substream)
+            np.testing.assert_equal(got.bit_generator.state, oracle.bit_generator.state)
+            for draw in ("random", "exponential", "standard_normal"):
+                want = getattr(oracle, draw)(size=8)
+                assert getattr(got, draw)(size=8).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lane", [(), (0,), (5,), (2 ** 32,), (1, 2), (0, 2 ** 70),
+                                  (3, 0, 2 ** 64 - 1), (np.uint8(4), 2 ** 32 - 1, 7)])
+@pytest.mark.parametrize("master_seed", [0, 2 ** 32, 2 ** 64 - 1, 20406080])
+def test_derive_seed_is_the_numpy_seed_sequence_state(master_seed, lane):
+    want = np.random.SeedSequence(master_seed, spawn_key=lane).generate_state(1, np.uint64)
+    assert derive_seed(master_seed, *lane) == int(want[0])
+
+
+def test_a_trial_stream_does_not_depend_on_the_order_of_draws():
+    def draws(order):
+        return {trial: SeedSpec(11, trial).generator(1).random(16).tobytes() for trial in order}
+    _key_block.cache_clear()
+    in_order = draws([3, 70])
+    late_first = draws([70, 3])
+    _key_block.cache_clear()
+    cleared = draws([70, 3])
+    oracle = {trial: _numpy_stream(11, trial, 1).random(16).tobytes() for trial in (3, 70)}
+    assert in_order == late_first == cleared == oracle
+
+
+def test_the_seed_seq_spawns_and_reads_as_the_numpy_seed_sequence():
+    got, oracle = SeedSpec(5, 9).generator(1), _numpy_stream(5, 9, 1)
+    seq, want = got.bit_generator.seed_seq, oracle.bit_generator.seed_seq
+    for child, twin in zip(seq.spawn(2), want.spawn(2)):
+        assert (child.entropy, child.spawn_key) == (twin.entropy, twin.spawn_key)
+        assert child.generate_state(4).tobytes() == twin.generate_state(4).tobytes()
+    # the count of children spawned carries over to the generator's own spawn
+    for child, twin in zip(got.spawn(2), oracle.spawn(2)):
+        assert child.random(4).tobytes() == twin.random(4).tobytes()
+    assert (seq.entropy, seq.spawn_key, seq.n_children_spawned) == (5, (9, 1), 4)
+    assert seq.generate_state(3).tobytes() == want.generate_state(3).tobytes()
+    key = seq.generate_state(2, np.uint64)
+    key[0] = 0  # a fresh array each time; the cached block stays read-only
+    assert seq.generate_state(2, np.uint64).tobytes() == want.generate_state(2, np.uint64).tobytes()
+    assert not _key_block(5, 1, 0).flags.writeable
+    copy = pickle.loads(pickle.dumps(got))
+    assert copy.random(4).tobytes() == got.random(4).tobytes()
