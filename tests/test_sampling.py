@@ -386,9 +386,9 @@ def _numpy_stream(master_seed, trial, substream):
 def test_a_trial_stream_is_the_numpy_seed_sequence_stream(master_seed):
     for trial in _TRIALS:
         for substream in (0, 1, 7, 2 ** 33):
-            want = np.random.SeedSequence(master_seed, spawn_key=(trial, substream))
+            seq = np.random.SeedSequence(master_seed, spawn_key=(trial, substream))
             key = _key_block(master_seed, substream, trial // 64)[trial % 64]
-            assert key.tobytes() == want.generate_state(2, np.uint64).tobytes()
+            assert key.tobytes() == seq.generate_state(2, np.uint64).tobytes()
             got = SeedSpec(master_seed, trial).generator(substream)
             oracle = _numpy_stream(master_seed, trial, substream)
             np.testing.assert_equal(got.bit_generator.state, oracle.bit_generator.state)
