@@ -115,8 +115,9 @@ static int decimal(const char *s, const char *end, const uint64_t *powers, doubl
 }
 
 /* The line at p, ended by \n, \r or `limit`, the end of the data: 1 with its
-   value in *out, 0 for a blank line, -1 for a line to leave to the loop, 2 for
-   a line cut by `limit` before the end of the file.  *next is the next line. */
+   value in *out, 0 for a blank or # line, -1 for a line to leave to the loop,
+   2 for a line cut by `limit` before the end of the file.  *next is the next
+   line. */
 static int parse_line(char *p, const char *limit, int eof, const uint64_t *powers,
                       char **next, double *out)
 {
@@ -136,8 +137,7 @@ static int parse_line(char *p, const char *limit, int eof, const uint64_t *power
     }
     *next = end == limit ? end : end + 1;
     while (p < end && BLANK(*p)) p++;
-    if (p == end) return 0;
-    if (*p == '#') return -1;
+    if (p == end || *p == '#') return 0;
     while (BLANK(*cell)) cell++;
     while (end > cell && BLANK(end[-1])) end--;
     if ((found = decimal(cell, end, powers, out)) < 0) return -1;

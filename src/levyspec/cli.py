@@ -22,13 +22,15 @@ import numpy as np
 from . import __version__
 from .calibration import FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile, write_chi_csv
 from .errors import (NoStabilizationError, QuadratureError, UnsupportedModelError,
-                     _require_count, _require_nonnegative, _require_positive)
+                     _require_between, _require_count, _require_finite, _require_nonnegative,
+                     _require_positive)
 from .estimator import (_MAX_GRID, ECFGrid, _check_ecf_above_rounding, adaptive_estimate,
                         default_u_grid, default_x_grid, ecf, write_ecf_csv, write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
 from .risk import (ExperimentConfig, adaptive_risk_bound_check,
                    cutoff_risk_bound_check, risk_table, risk_table_csv)
-from .sampling import IncrementSample, SeedSpec, sample_increments, write_increments_csv
+from .sampling import (IncrementSample, SeedSpec, _require_seed, sample_increments,
+                       write_increments_csv)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -38,19 +40,18 @@ EXIT_NO_STABILIZATION = 4
 
 
 def _env_seed(value: int | None) -> int:
-    """The --seed flag, else LEVYSPEC_SEED, else 0: an integer in [0, 2^64), the
-    range of a master seed; an error names the flag or the variable it came from."""
-    source, env = "--seed", os.environ.get("LEVYSPEC_SEED")
-    if value is None:
-        if not env:
-            return 0
-        try:
-            source, value = "LEVYSPEC_SEED", int(env)
-        except ValueError:
-            raise ValueError(f"LEVYSPEC_SEED must be an integer, got {env!r}") from None
-    if not 0 <= value < 2 ** 64:
-        raise ValueError(f"{source} must lie in [0, 2^64), got {value}")
-    return value
+    """The --seed flag, which the parser has checked, else LEVYSPEC_SEED, else 0;
+    an error in the variable names it."""
+    if value is not None:
+        return value
+    env = os.environ.get("LEVYSPEC_SEED")
+    if not env:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        raise ValueError(f"LEVYSPEC_SEED must be an integer, got {env!r}") from None
+    return _require_seed("LEVYSPEC_SEED", seed)
 
 
 def _meta(args: argparse.Namespace, command: str, resolved: dict) -> list[str]:
@@ -182,60 +183,10 @@ def _read_and_ecf(args) -> tuple[IncrementSample, ECFGrid]:
     return sample, ecf(sample, grid)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of every float flag: a finite number."""
-    try:
-        value = float(text)
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-
-
-def _argument(require, name: str, value: float) -> float:
-    """``require(name, value)``, the library's own check of the value ``name`` that a
-    flag sets, with its message as the argument parser's error."""
-    try:
-        return require(name, value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _checked_float(require, name: str):
-    """argparse type of a finite float flag that sets the library value ``name``."""
-    return lambda text: _argument(require, name, _finite_float(text))
-
-
-_DELTA = _checked_float(_require_positive, "delta_t")
-_UMAX = _checked_float(_require_positive, "u_max")
-_STEP = _checked_float(_require_positive, "step")
-_KAPPA_STEP = _checked_float(_require_positive, "delta_step")
-
-
-def _kappa_or_auto(text: str) -> float | str:
-    """argparse type of ``estimate --kappa``: 'auto' or a finite number >= 0."""
-    if text == "auto":
-        return text
-    try:
-        kappa = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--kappa must be 'auto' or a number, got {text!r}") from None
-    return _argument(_require_nonnegative, "kappa", kappa)
-
-
-def _kappa_grid(args) -> KappaGrid:
-    """The grid of --kappa-step and --kappa-count, whose count error names the flag."""
-    _require_count("--kappa-count", args.kappa_count, 3, _MAX_GRID)
-    return KappaGrid(args.kappa_step, args.kappa_count)
-
-
 def _cmd_estimate(args) -> int:
-    _require_count("--xgrid", args.xgrid, 2, _MAX_GRID)
     ecf_out = args.ecf_out or _derived_path(args.out, "_ecf")
     _require_distinct_files(("--data", args.data), ("--out", args.out), ("--ecf-out", ecf_out))
-    kgrid = _kappa_grid(args)
+    kgrid = KappaGrid(args.kappa_step, args.kappa_count)
     sample, phi_hat = _read_and_ecf(args)
     x_grid = default_x_grid(sample.values, phi_hat.grid.step, points=args.xgrid)
     if args.kappa == "auto":
@@ -313,7 +264,7 @@ def _cmd_risk_table(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.out:
         _require_distinct_files(("--data", args.data), ("--out", args.out))
-    kgrid = _kappa_grid(args)
+    kgrid = KappaGrid(args.kappa_step, args.kappa_count)
     _, phi_hat = _read_and_ecf(args)
     kappas, chis = chi_profile(phi_hat, kgrid)
     if not args.out:  # printed before calibrate, so an exit 4 still shows the profile
@@ -353,6 +304,41 @@ def _cmd_check_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _flag(require, name: str, *bounds, kind=float):
+    """argparse type of a numeric flag that sets the library value ``name``: its text
+    as an int (``kind=int``) or a finite float, then ``require(name, value, *bounds)``,
+    the library's own check of that value, whose message is the parser's error."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or (kind is float and not math.isfinite(value)):
+            noun = "a finite number" if kind is float else "an integer"
+            raise argparse.ArgumentTypeError(f"must be {noun}, got {text!r}")
+        try:
+            return require(name, value, *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+_DELTA = _flag(_require_positive, "delta_t")
+_KAPPA = _flag(_require_nonnegative, "kappa")
+_SEED = _flag(_require_seed, "master_seed", kind=int)
+
+
+def _kappa_or_auto(text: str) -> float | str:
+    """argparse type of ``estimate --kappa``: 'auto' or the value of ``_KAPPA``."""
+    if text == "auto":
+        return text
+    try:
+        float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be 'auto' or a number, got {text!r}") from None
+    return _KAPPA(text)
+
+
 def _add_calibration_flags(p: argparse.ArgumentParser) -> None:
     """The data, grid and calibration flags that estimate and calibrate share."""
     p.add_argument("--data", required=True,
@@ -360,31 +346,44 @@ def _add_calibration_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--difference", action="store_true",
                    help="difference level observations to increments")
     p.add_argument("--delta", type=_DELTA, required=True, help="sampling rate")
-    p.add_argument("--umax", type=_UMAX, default=None)
-    p.add_argument("--step", type=_STEP, default=None)
-    p.add_argument("--kappa-step", type=_KAPPA_STEP, default=0.05)
-    p.add_argument("--kappa-count", type=int, default=100)
+    p.add_argument("--umax", type=_flag(_require_positive, "u_max"), default=None)
+    p.add_argument("--step", type=_flag(_require_positive, "step"), default=None)
+    p.add_argument("--kappa-step", type=_flag(_require_positive, "delta_step"), default=0.05)
+    p.add_argument("--kappa-count", type=_flag(_require_count, "count", 3, _MAX_GRID, kind=int),
+                   default=100)
     p.add_argument("--fallback", action="store_true",
                    help="fall back to kappa=2*sqrt(2) when calibration fails")
     p.add_argument("--no-meta", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """The parser of levyspec and, as their class, of its subcommands: a refused
+    argument raises the ValueError that ``main`` prints as one error line, exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: a prefix such as --n must not stand for --no-meta
-    ap = argparse.ArgumentParser(prog="levyspec", allow_abbrev=False,
-                                 description="Spectral estimation of Levy increment densities")
+    ap = _Parser(prog="levyspec", allow_abbrev=False,
+                 description="Spectral estimation of Levy increment densities")
     sub = ap.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("sample", help="simulate increments to CSV", allow_abbrev=False)
-    ps.add_argument("--alpha", type=_finite_float, default=None, help="stable index in (0,2)")
-    ps.add_argument("--P", type=_finite_float, default=0.0, help="right tail constant")
-    ps.add_argument("--Q", type=_finite_float, default=0.0, help="left tail constant")
-    ps.add_argument("--sigma2", type=_finite_float, default=0.0, help="diffusion coefficient")
-    ps.add_argument("--b", type=_finite_float, default=0.0, help="drift")
+    ps.add_argument("--alpha", type=_flag(_require_between, "alpha", 0, 2), default=None,
+                    help="stable index in (0,2)")
+    ps.add_argument("--P", type=_flag(_require_nonnegative, "P"), default=0.0,
+                    help="right tail constant")
+    ps.add_argument("--Q", type=_flag(_require_nonnegative, "Q"), default=0.0,
+                    help="left tail constant")
+    ps.add_argument("--sigma2", type=_flag(_require_nonnegative, "sigma2"), default=0.0,
+                    help="diffusion coefficient")
+    ps.add_argument("--b", type=_flag(_require_finite, "b"), default=0.0, help="drift")
     ps.add_argument("--delta", type=_DELTA, required=True, help="sampling rate")
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--trial", type=int, default=0)
+    ps.add_argument("--n", type=_flag(_require_count, "n", kind=int), required=True)
+    ps.add_argument("--seed", type=_SEED, default=None)
+    ps.add_argument("--trial", type=_flag(_require_count, "trial_index", 0, kind=int), default=0)
     ps.add_argument("--out", required=True)
     ps.add_argument("--no-meta", action="store_true")
     ps.set_defaults(func=_cmd_sample)
@@ -393,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_calibration_flags(pe)
     pe.add_argument("--kappa", type=_kappa_or_auto, default="auto",
                     help="threshold constant or 'auto'")
-    pe.add_argument("--xgrid", type=int, default=512, help="number of x points")
+    pe.add_argument("--xgrid", type=_flag(_require_count, "points", 2, _MAX_GRID, kind=int),
+                    default=512, help="number of x points")
     pe.add_argument("--out", required=True)
     pe.add_argument("--ecf-out", default=None)
     pe.set_defaults(func=_cmd_estimate)
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("risk-table", help="Monte-Carlo relative-risk table", allow_abbrev=False)
     pr.add_argument("--config", required=True, help="JSON experiment config")
     pr.add_argument("--out", required=True)
-    pr.add_argument("--seed", type=int, default=None, help="override master seed")
+    pr.add_argument("--seed", type=_SEED, default=None, help="override master seed")
     pr.add_argument("--no-meta", action="store_true")
     pr.set_defaults(func=_cmd_risk_table)
 
@@ -416,23 +416,21 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--which", choices=("thm1", "thm4"), required=True,
                     help="thm1: fixed-cutoff risk bound; thm4: adaptive oracle bound")
     pb.add_argument("--delta", type=_DELTA, required=True)
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--trials", type=int, default=100)
-    pb.add_argument("--kappa", type=_checked_float(_require_nonnegative, "kappa"), default=None,
+    pb.add_argument("--n", type=_flag(_require_count, "n", kind=int), required=True)
+    pb.add_argument("--trials", type=_flag(_require_count, "trials", kind=int), default=100)
+    pb.add_argument("--kappa", type=_KAPPA, default=None,
                     help="thm4 threshold constant (default 2*sqrt(2)); not with thm1")
-    pb.add_argument("--seed", type=int, default=None)
+    pb.add_argument("--seed", type=_SEED, default=None)
     pb.set_defaults(func=_cmd_check_bounds)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:  # argparse uses 2 for usage errors
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help exits 0
+        return int(exc.code or 0)
     except NoStabilizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_STABILIZATION

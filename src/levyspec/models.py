@@ -37,8 +37,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import (QuadratureError, _require_between, _require_count, _require_finite,
-                     _require_finite_entries, _require_nonnegative, _require_positive)
+from .errors import (QuadratureError, UnsupportedModelError, _require_between, _require_count,
+                     _require_finite, _require_finite_entries, _require_nonnegative,
+                     _require_positive)
 
 __all__ = [
     "StableJumpDensity", "CustomJumpDensity", "LevyTriplet", "StableLaw",
@@ -395,6 +396,22 @@ def increment_stable_law(jumps: StableJumpDensity, delta_t: float) -> StableLaw:
     else:
         delta = (jumps.Q - jumps.P) * delta_t / (1.0 - alpha)
     return StableLaw(alpha, gamma, jumps.skew, delta)
+
+
+def _increment_parts(triplet: LevyTriplet, delta_t: float) -> tuple[float, StableLaw | None]:
+    """The increment's Gaussian variance sigma2 * delta_t and its stable law, None
+    without jumps: the law the sampler draws and the risk's reference.  The variance
+    is finite, and positive without jumps, as a triplet without jumps needs
+    sigma2 > 0; a custom jump density has no closed-form law."""
+    _require_positive("delta_t", delta_t)
+    if isinstance(triplet.jumps, CustomJumpDensity):
+        raise UnsupportedModelError("a custom jump density has no closed-form increment law; "
+                                    "only stable or empty jump parts")
+    name = "the increment's variance sigma2 * delta_t"
+    variance = _require_finite(name, triplet.sigma2 * delta_t)
+    if triplet.jumps is None:
+        return _require_positive(name, variance), None
+    return variance, increment_stable_law(triplet.jumps, delta_t)
 
 
 def stable_cf(law: StableLaw, u):

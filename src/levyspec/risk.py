@@ -25,12 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import FALLBACK_KAPPA, calibrate
-from .errors import (UnsupportedModelError, _require_count, _require_nonnegative,
-                     _require_positive)
+from .errors import _require_count, _require_nonnegative, _require_positive
 from .estimator import (UGrid, _check_ecf_above_rounding, default_u_grid, ecf, plancherel_l2,
                         threshold_cf, threshold_level, trapezoid_weights)
-from .models import (LevyTriplet, StableJumpDensity, StableLaw, _spectral_tail,
-                     cauchy_triplet, increment_stable_law, levy_khintchine_cf)
+from .models import (LevyTriplet, StableJumpDensity, _increment_parts, _spectral_tail,
+                     cauchy_triplet, levy_khintchine_cf)
 from .sampling import SeedSpec, derive_seed, sample_increments
 
 __all__ = ["ExperimentConfig", "RiskReport", "BoundCheckReport", "reference_cf",
@@ -179,29 +178,25 @@ class BoundCheckReport:
 # ---------------------------------------------------------------------------
 # reference quantities
 
-def _stable_part(model: LevyTriplet, delta_t: float) -> StableLaw | None:
-    _require_positive("delta_t", delta_t)
-    if model.jumps is None:
-        return None
-    if not isinstance(model.jumps, StableJumpDensity):
-        raise UnsupportedModelError("reference laws need stable or empty jumps")
-    return increment_stable_law(model.jumps, delta_t)
-
-
 def reference_cf(model: LevyTriplet, delta_t: float, grid: UGrid) -> np.ndarray:
     """Exact CF of the increment on the grid: Gaussian factor times stable factor."""
-    _stable_part(model, delta_t)  # rejects jump parts without a closed form
+    _increment_parts(model, delta_t)  # refuses jump parts without a closed form
     return levy_khintchine_cf(model, delta_t, grid.points)
 
 
 def reference_tail_integral(model: LevyTriplet, delta_t: float, u_max: float) -> float:
     """(1/pi) int_{u_max}^inf |phi(u)|^2 du, with |phi|^2 = exp(-dt sigma^2 u^2
     - 2 gamma^alpha u^alpha): the risk's tail beyond u_max, the bias^2 of a
-    cutoff at u_max, ||f||^2 at 0."""
+    cutoff at u_max, ||f||^2 at 0.  A law too concentrated for it to be finite
+    is refused."""
     _require_nonnegative("u_max", u_max)
-    law = _stable_part(model, delta_t)
+    variance, law = _increment_parts(model, delta_t)
     c, alpha = (0.0, 2.0) if law is None else (2.0 * law.gamma ** law.alpha, law.alpha)
-    return _spectral_tail(delta_t * model.sigma2, c, alpha, u_max)
+    tail = _spectral_tail(variance, c, alpha, u_max)
+    if not math.isfinite(tail):
+        raise ValueError(f"the reference tail (1/pi) int_u^inf |phi(u)|^2 du from u = "
+                         f"{u_max!r} is not finite at delta_t={delta_t!r}, alpha={alpha!r}")
+    return tail
 
 
 def reference_l2_norm(model: LevyTriplet, delta_t: float) -> float:
@@ -321,6 +316,7 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
                          f"got {m_grid[0].item()!r}")
     grid = UGrid.make(float(np.max(m_grid)))
     phi_ref = reference_cf(model, delta_t, grid)
+    bias2 = [reference_tail_integral(model, delta_t, m) for m in m_grid.tolist()]
     diff2 = np.array([np.abs(phi_hat.values - phi_ref) ** 2
                       for phi_hat in _trial_ecfs(model, delta_t, n, grid, master_seed, trials)])
     # one row of trapezoid weights per band |u| <= m, zero outside the band
@@ -328,7 +324,6 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
     weights = np.zeros(bands.shape)
     for row, band in zip(weights, bands):
         row[band] = trapezoid_weights(np.count_nonzero(band), grid.step)
-    bias2 = [reference_tail_integral(model, delta_t, m) for m in m_grid.tolist()]
     mises = diff2 @ weights.T / (2.0 * math.pi) + bias2
     rows = tuple(_bound_row(mises[:, j], b2 + m / (math.pi * n), m=m)
                  for j, (m, b2) in enumerate(zip(m_grid.tolist(), bias2)))

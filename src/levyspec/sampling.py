@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (UnsupportedModelError, _require_between, _require_count, _require_finite,
-                     _require_finite_entries, _require_positive)
-from .models import CustomJumpDensity, LevyTriplet, StableLaw, increment_stable_law
+from .errors import (_require_between, _require_count, _require_finite, _require_finite_entries,
+                     _require_positive)
+from .models import LevyTriplet, StableLaw, _increment_parts
 
 __all__ = ["SeedSpec", "IncrementSample", "stable_sample", "sample_increments",
            "derive_seed", "write_increments_csv"]
@@ -39,11 +39,12 @@ _GAUSSIAN_STREAM = 0
 _STABLE_STREAM = 1
 
 
-def _require_seed(master_seed):
-    """A master seed: an integer in [0, 2^64)."""
-    if _require_count("master_seed", master_seed, 0) >= 2 ** 64:
-        raise ValueError(f"master_seed must lie in [0, 2^64), got {master_seed}")
-    return master_seed
+def _require_seed(name: str, value):
+    """A master seed: an integer in [0, 2^64), named in an error as ``name``, the
+    parameter, flag or variable it came from."""
+    if _require_count(name, value, 0) >= 2 ** 64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    return value
 
 
 # numpy's SeedSequence hash (bit_generator.pyx) at its default pool of 4 words
@@ -182,7 +183,7 @@ class SeedSpec:
     trial_index: int = 0
 
     def __post_init__(self):
-        _require_seed(self.master_seed)
+        _require_seed("master_seed", self.master_seed)
         _require_count("trial_index", self.trial_index, 0)
 
     def generator(self, substream: int = 0) -> np.random.Generator:
@@ -198,7 +199,7 @@ class SeedSpec:
 def derive_seed(master_seed: int, *lane: int) -> int:
     """Derive a 64-bit sub-master seed, e.g. one per experiment cell:
     ``SeedSequence(master_seed, spawn_key=lane).generate_state(1, uint64)``."""
-    _require_seed(master_seed)
+    _require_seed("master_seed", master_seed)
     words = [word for i, value in enumerate(lane)
              for word in _words(int(_require_count(f"lane[{i}]", value, 0)))]
     low, high = _spawn_state(int(master_seed), words, 2)[:, 0].tolist()
@@ -293,13 +294,8 @@ def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
     """
     _require_positive("delta_t", delta_t)
     _require_count("n", n)
-    if isinstance(triplet.jumps, CustomJumpDensity):
-        raise UnsupportedModelError("custom jump densities are not samplable; "
-                                    "only stable or empty jump parts")
+    variance, law = _increment_parts(triplet, delta_t)
     drift = _require_finite("the increment's drift b * delta_t", triplet.b * delta_t)
-    variance = _require_finite("the increment's variance sigma2 * delta_t",
-                               triplet.sigma2 * delta_t)
-    law = None if triplet.jumps is None else increment_stable_law(triplet.jumps, delta_t)
     if triplet.sigma2 > 0:
         values = seed.generator(_GAUSSIAN_STREAM).standard_normal(n)
         values *= math.sqrt(variance)

@@ -135,8 +135,8 @@ def test_estimate_refuses_the_flags_of_sample(flag, increments_file, tmp_path, c
     out = tmp_path / "d.csv"
     assert run(["estimate", "--data", str(increments_file), "--delta", "1", "--kappa", "1",
                 flag, SIMULATION_FLAGS[flag], "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: ") and "unrecognized arguments:" in err
+    assert capsys.readouterr().err == (
+        f"error: unrecognized arguments: {flag} {SIMULATION_FLAGS[flag]}\n")
     assert list(tmp_path.iterdir()) == [increments_file]
 
 
@@ -174,12 +174,13 @@ def test_estimate_calibrates_once_through_the_calibration_module(
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--xgrid", "0"], "--xgrid must be at least 2, got 0"),
-    (["--xgrid", "1"], "--xgrid must be at least 2, got 1"),
-    (["--kappa-count", "2"], "count must be at least 3"),
-    (["--kappa-step", "0"], "delta_step must be finite and positive, got 0.0"),
-    (["--kappa", "abc"], "--kappa must be 'auto' or a number, got 'abc'"),
-    (["--kappa", "-1"], "kappa must be finite and nonnegative, got -1.0"),
+    (["--xgrid", "0"], "argument --xgrid: points must be at least 2, got 0"),
+    (["--xgrid", "1"], "argument --xgrid: points must be at least 2, got 1"),
+    (["--kappa-count", "2"], "argument --kappa-count: count must be at least 3, got 2"),
+    (["--kappa-step", "0"], "argument --kappa-step: delta_step must be finite and positive, "
+                            "got 0.0"),
+    (["--kappa", "abc"], "argument --kappa: must be 'auto' or a number, got 'abc'"),
+    (["--kappa", "-1"], "argument --kappa: kappa must be finite and nonnegative, got -1.0"),
 ], ids=["xgrid-0", "xgrid-1", "kappa-count-2", "kappa-step-0", "kappa-abc", "kappa--1"])
 def test_estimate_rejects_bad_grid_flags_before_reading_data(
         flags, message, increments_file, tmp_path, monkeypatch, capsys):
@@ -191,7 +192,7 @@ def test_estimate_rejects_bad_grid_flags_before_reading_data(
     code = run(["estimate", "--data", str(increments_file), "--delta", "1",
                 *flags, "--out", str(out)])
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
     assert not (tmp_path / "d_ecf.csv").exists()
 
@@ -431,12 +432,13 @@ def test_non_integer_env_seed_exits_2_naming_the_variable(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("env, flags, config_seed, message", [
     ("1.5", [], None, "LEVYSPEC_SEED must be an integer, got '1.5'"),
-    ("-3", [], None, "LEVYSPEC_SEED must lie in [0, 2^64), got -3"),
-    (None, ["--seed", "-1"], None, "--seed must lie in [0, 2^64), got -1"),
+    ("-3", [], None, "LEVYSPEC_SEED must be at least 0, got -3"),
+    (None, ["--seed", "-1"], None, "argument --seed: master_seed must be at least 0, got -1"),
     (None, [], -5, "master_seed must be at least 0, got -5"),
     (None, [], 2 ** 64 + 5, f"master_seed must lie in [0, 2^64), got {2 ** 64 + 5}"),
     (str(2 ** 64), [], None, f"LEVYSPEC_SEED must lie in [0, 2^64), got {2 ** 64}"),
-    (None, ["--seed", str(2 ** 64)], None, f"--seed must lie in [0, 2^64), got {2 ** 64}"),
+    (None, ["--seed", str(2 ** 64)], None,
+     f"argument --seed: master_seed must lie in [0, 2^64), got {2 ** 64}"),
 ], ids=["env-1.5", "env--3", "flag--1", "config--5", "config-2^64+5", "env-2^64",
         "flag-2^64"])
 def test_risk_table_bad_seed_exits_2_naming_it(env, flags, config_seed, message, tmp_path,
@@ -478,9 +480,10 @@ def test_out_of_range_seed_exits_2_naming_its_source(command, source, seed, tmp_
         monkeypatch.setenv("LEVYSPEC_SEED", str(seed))
     else:
         argv += ["--seed", str(seed)]
-    name = "LEVYSPEC_SEED" if source == "env" else "--seed"
+    name = "LEVYSPEC_SEED" if source == "env" else "argument --seed: master_seed"
+    rule = "be at least 0" if seed < 0 else "lie in [0, 2^64)"
     assert run(argv) == 2
-    assert f"error: {name} must lie in [0, 2^64), got {seed}\n" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {name} must {rule}, got {seed}\n"
     assert not out.exists()
 
 
@@ -580,6 +583,7 @@ NON_FINITE_BASE = {
     "calibrate": ["calibrate", "--data", "{data}", "--delta", "1", "--out", "{out}"],
     "check-bounds": ["check-bounds", "--which", "thm4", "--delta", "1", "--n", "300",
                      "--trials", "5"],
+    "risk-table": ["risk-table", "--config", "{data}", "--out", "{out}"],
 }
 
 
@@ -805,12 +809,13 @@ def _write(d, text: str) -> str:
 
 _ASCII = st.characters(codec="ascii", exclude_characters=",#\r\n")
 _NOT_A_NUMBER = st.text(_ASCII, min_size=1, max_size=8).filter(
-    lambda t: t.strip() and _not_a_float(t))
+    lambda t: t.strip() and _not_a_float(t) and t != "auto")  # estimate --kappa takes auto
 _NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400",
                                "-1e999"])
 _SEED = st.integers(0, 2 ** 32 - 1)
 _FLOAT_FLAGS = [(c, f) for c in ("estimate", "calibrate")
                 for f in ("--delta", "--umax", "--step", "--kappa-step")] + [
+    ("estimate", "--kappa")] + [
     ("sample", f) for f in ("--delta", "--alpha", "--P", "--Q", "--sigma2", "--b")] + [
     ("check-bounds", "--delta"), ("check-bounds", "--kappa")]
 _POSITIVE_FLAGS = [(c, f) for c, f in _FLOAT_FLAGS
@@ -920,13 +925,28 @@ EXIT_CONTRACT = {
     "sample-alpha-scale-overflows": (2, lambda draw, d: [
         "sample", "--alpha", repr(draw(st.floats(5e-324, 1e-300))), "--P", "1", "--Q", "1",
         "--n", "5", "--delta", "1"], "gamma", "overflows"),
+    # a stable law so concentrated that its reference ||f||^2 overflows: no NaN risk
+    "risk-table-reference-overflows": (2, lambda draw, d: _risk_table(d, {
+        **_BASE_CONFIG, **draw(st.sampled_from([
+            {"model": {"jumps": {"P": 1, "Q": 1, "alpha": 0.7}}, "delta_t": 1e-218},
+            *({"model": {"jumps": {"P": 1 / math.pi, "Q": 1 / math.pi, "alpha": 1}},
+               "delta_t": dt} for dt in (5e-324, 1e-320, 1e-310))]))}),
+        "is not finite at delta_t="),
+    "check-bounds-reference-overflows": (2, lambda draw, d: [
+        "check-bounds", "--which", draw(st.sampled_from(["thm1", "thm4"])),
+        "--delta", "5e-324", "--n", "50", "--trials", "2"], "is not finite at delta_t=5e-324"),
+    # a law without jumps whose variance sigma2 * delta_t underflows: a point mass
+    "gaussian-variance-underflows": (2, lambda draw, d: draw(st.sampled_from([
+        ["sample", "--n", "3", "--sigma2", "1e-300", "--delta", "1e-300"],
+        _risk_table(d, {**_BASE_CONFIG, "model": {"sigma2": 1e-300}, "delta_t": 1e-300})])),
+        "the increment's variance sigma2 * delta_t must be finite and positive, got 0.0"),
     # thm1 checks fixed cutoffs: a kappa there would be ignored, not used
     "check-bounds-kappa-with-thm1": (2, lambda draw, d: [
         "check-bounds", "--which", "thm1", "--delta", "1", "--n", "300", "--trials", "5",
         "--kappa", repr(draw(st.floats(0.0, 100.0)))]),
     "estimate-kappa": (2, lambda draw, d: _with_flag(
         draw, d, [("estimate", "--kappa")], draw(st.one_of(
-            _NOT_A_NUMBER.filter(lambda t: t != "auto"), _NON_FINITE,
+            _NOT_A_NUMBER, _NON_FINITE,
             st.floats(max_value=-1e-300, allow_infinity=False).map(repr))))),
     "xgrid-below-2": (2, lambda draw, d: _with_flag(
         draw, d, [("estimate", "--xgrid")], draw(st.integers(-9, 1)))),
@@ -935,19 +955,27 @@ EXIT_CONTRACT = {
         draw(st.integers(-9, 2)))),
     # a grid past the 10^6 cap fails at once, naming its flag, before any array exists
     "xgrid-above-cap": (2, lambda draw, d: _with_flag(
-        draw, d, [("estimate", "--xgrid")], 10 ** 13), "--xgrid must be at most 1000000"),
+        draw, d, [("estimate", "--xgrid")], 10 ** 13),
+        "argument --xgrid: points must be at most 1000000"),
     "kappa-count-above-cap": (2, lambda draw, d: _with_flag(
         draw, d, [("estimate", "--kappa-count"), ("calibrate", "--kappa-count")], 10 ** 13),
-        "--kappa-count must be at most 1000000"),
+        "argument --kappa-count: count must be at most 1000000"),
     "trials-below-1": (2, lambda draw, d: _with_flag(
-        draw, d, [("check-bounds", "--trials")], draw(st.integers(-9, 0)))),
+        draw, d, [("check-bounds", "--trials")], draw(st.integers(-9, 0))),
+        "error: argument --trials: trials must be at least 1, got "),
+    "sample-n-below-1": (2, lambda draw, d: _with_flag(
+        draw, d, [("sample", "--n")], draw(st.integers(-9, 0))),
+        "error: argument --n: n must be at least 1, got "),
+    "sample-trial-negative": (2, lambda draw, d: _with_flag(
+        draw, d, [("sample", "--trial")], draw(st.integers(-9, -1))),
+        "error: argument --trial: trial_index must be at least 0, got "),
     # thm4's threshold level takes log n: an n below 1 is named, not a math domain error
     "check-bounds-thm4-n-0": (2, lambda draw, d: [
         "check-bounds", "--which", "thm4", "--delta", "1", "--n", "0", "--trials", "2"],
-        "error: n must be at least 1, got 0\n"),
+        "error: argument --n: n must be at least 1, got 0\n"),
     "check-bounds-thm4-n-negative": (2, lambda draw, d: [
         "check-bounds", "--which", "thm4", "--delta", "1", "--n", "-3", "--trials", "2"],
-        "error: n must be at least 1, got -3\n"),
+        "error: argument --n: n must be at least 1, got -3\n"),
     "unknown-flag": (2, lambda draw, d: _with_flag(
         draw, d, [(c, "--zz") for c in NON_FINITE_BASE],
         draw(st.text(_ASCII, max_size=5)))),
@@ -1053,7 +1081,7 @@ def test_malformed_input_exits_with_its_documented_code_and_writes_nothing(case,
         assert got in (0, 2, 3, 4)
         assert got == code, err.getvalue()
         assert "Traceback" not in err.getvalue()
-        assert err.getvalue().startswith(("error: ", "usage: "))
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert all(text in err.getvalue() for text in said), err.getvalue()
         assert set(d.iterdir()) == inputs, "an output file was written"
 
@@ -1081,6 +1109,66 @@ def test_float_flag_rows_are_the_float_options_of_the_parser():
     options = [(c, a.option_strings[0]) for c, p in _subcommands().items()
                for a in p._actions if _refuses_nan(a)]
     assert sorted(_FLOAT_FLAGS) == sorted(options)
+
+
+# every numeric option of the parser, with a value its check refuses and that check's
+# message; an int flag refuses 'nan' as not an integer, a float flag as not finite
+NUMERIC_FLAG_RULES = {
+    **{(c, f): rule for c in ("estimate", "calibrate") for f, rule in {
+        "--delta": ("0", "delta_t must be finite and positive, got 0.0"),
+        "--umax": ("-1", "u_max must be finite and positive, got -1.0"),
+        "--step": ("0", "step must be finite and positive, got 0.0"),
+        "--kappa-step": ("-0.05", "delta_step must be finite and positive, got -0.05"),
+        "--kappa-count": ("1000001", "count must be at most 1000000, got 1000001"),
+    }.items()},
+    ("estimate", "--kappa"): ("-1", "kappa must be finite and nonnegative, got -1.0"),
+    ("estimate", "--xgrid"): ("1", "points must be at least 2, got 1"),
+    ("sample", "--alpha"): ("2", "alpha must lie in (0, 2), got 2.0"),
+    ("sample", "--P"): ("-1", "P must be finite and nonnegative, got -1.0"),
+    ("sample", "--Q"): ("-1e-300", "Q must be finite and nonnegative, got -1e-300"),
+    ("sample", "--sigma2"): ("-2", "sigma2 must be finite and nonnegative, got -2.0"),
+    ("sample", "--b"): ("1e400", "must be a finite number, got '1e400'"),
+    ("sample", "--delta"): ("-1", "delta_t must be finite and positive, got -1.0"),
+    ("sample", "--n"): ("0", "n must be at least 1, got 0"),
+    ("sample", "--seed"): ("-1", "master_seed must be at least 0, got -1"),
+    ("sample", "--trial"): ("-1", "trial_index must be at least 0, got -1"),
+    ("risk-table", "--seed"): (str(2 ** 64), f"master_seed must lie in [0, 2^64), got {2 ** 64}"),
+    ("check-bounds", "--delta"): ("0", "delta_t must be finite and positive, got 0.0"),
+    ("check-bounds", "--n"): ("-3", "n must be at least 1, got -3"),
+    ("check-bounds", "--trials"): ("0", "trials must be at least 1, got 0"),
+    ("check-bounds", "--kappa"): ("-1", "kappa must be finite and nonnegative, got -1.0"),
+    ("check-bounds", "--seed"): (str(2 ** 64),
+                                 f"master_seed must lie in [0, 2^64), got {2 ** 64}"),
+}
+_INT_FLAGS = {"--n", "--trials", "--trial", "--seed", "--xgrid", "--kappa-count"}
+
+
+def test_numeric_flag_rules_are_the_numeric_options_of_the_parser():
+    # an option with a type is numeric: one added without a rule fails here
+    options = [(c, a.option_strings[0]) for c, p in _subcommands().items()
+               for a in p._actions if a.type is not None]
+    assert sorted(options) == sorted(NUMERIC_FLAG_RULES)
+
+
+@pytest.mark.parametrize("refused", ["nan", "out-of-range"])
+@pytest.mark.parametrize("command, flag", sorted(NUMERIC_FLAG_RULES))
+def test_every_numeric_option_is_checked_at_parse_time(
+        command, flag, refused, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the flags were validated")
+
+    for name in ("read_values_csv", "sample_increments", "cutoff_risk_bound_check",
+                 "adaptive_risk_bound_check", "risk_table"):
+        monkeypatch.setattr(levyspec.cli, name, refuse)
+    value, message = NUMERIC_FLAG_RULES[command, flag]
+    if refused == "nan":
+        value = "nan"
+        message = f"must be {'an integer' if flag in _INT_FLAGS else 'a finite number'}, got 'nan'"
+    argv = [a.format(data=tmp_path / "missing.csv", out=tmp_path / "out.csv")
+            for a in NON_FINITE_BASE[command]]
+    assert run([*argv, f"{flag}={value}"]) == 2
+    assert capsys.readouterr() == ("", f"error: argument {flag}: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_seed_rows_are_the_subcommands_with_a_seed():

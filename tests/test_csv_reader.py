@@ -59,8 +59,13 @@ CASES = {
     "header": ("value\n1.0\n2.5\n", False, True, True),
     "header-rows": ("# levyspec sample\nindex,value\nunit,x\n0,1.0\n1,2.5\n", False, True, True),
     "comments-before": ("# a\n#b,c,d\n\n0.5\n1.5\n", False, True, True),
-    "comment-after-data": ("0.5\n# note\n1.5\n", False, False, False),
-    "comment-at-end": ("value\n0.5\n1.5\n# done\n", False, False, False),
+    "comment-after-data": ("0.5\n# note\n1.5\n", False, True, False),
+    "comment-at-end": ("value\n0.5\n1.5\n# done\n", False, True, False),
+    "indented-comment-after-data": ("0.5\n \t# note\n1.5\n", False, True, False),
+    # a # line that the C scan refuses before it sees the # goes to the loop
+    "comment-two-commas": ("0.5\n# a,b,c\n1.5\n", False, False, False),
+    "comment-control-byte": ("0.5\n# a\x01b\n1.5\n", False, False, False),
+    "comment-non-ascii": ("0.5\n# caf\u00e9\n1.5\n", False, False, False),
     "blank-lines": ("\n\nvalue\n\n0.5\n\n1.5\n\n", False, True, True),
     "whitespace-line": ("0.5\n   \n1.5\n", False, True, False),
     "crlf": ("index,value\r\n0,0.5\r\n1,1.5\r\n", False, True, True),

@@ -78,6 +78,30 @@ def test_tail_integral_rejects_u_max_below_zero_or_nan(model, u_max):
         reference_tail_integral(model, 1.0, u_max)
 
 
+@pytest.mark.parametrize("model, delta_t, named", [
+    (CAUCHY, 5e-324, "is not finite at delta_t=5e-324, alpha=1.0"),
+    (CAUCHY, 1e-310, "is not finite at delta_t=1e-310, alpha=1.0"),
+    (LevyTriplet(0.0, 0.0, StableJumpDensity(1.0, 1.0, 0.7)), 1e-218,
+     "is not finite at delta_t=1e-218, alpha=0.7"),
+    (LevyTriplet(0.0, 1e-300, None), 1e-300,
+     "the increment's variance sigma2 * delta_t must be finite and positive, got 0.0")],
+    ids=["cauchy-5e-324", "cauchy-1e-310", "stable-0.7", "gaussian-variance-0"])
+def test_a_reference_norm_that_is_not_finite_is_refused(model, delta_t, named):
+    # the risk would be divided by an infinite or undefined ||f||^2 and read nan
+    with pytest.raises(ValueError, match=re.escape(named)):
+        reference_l2_norm(model, delta_t)
+
+
+@pytest.mark.parametrize("check", [cutoff_risk_bound_check, adaptive_risk_bound_check])
+def test_a_bound_check_whose_reference_tail_overflows_is_refused_before_any_trial(
+        check, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(levyspec.risk, "sample_increments", no_trials)
+    with pytest.raises(ValueError, match="is not finite at delta_t=5e-324"):
+        check(5e-324, 50, trials=2, master_seed=1)
+
+
 @pytest.mark.parametrize("m_grid", [[-1.0], [-1.0, 2.0]])
 def test_cutoff_risk_bound_rejects_a_negative_cutoff(m_grid):
     with pytest.raises(ValueError, match=r"m_grid\[0\] must be finite and nonnegative"):

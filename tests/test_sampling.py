@@ -57,6 +57,16 @@ def test_an_increment_drift_or_variance_past_the_doubles_is_bad_input(b, sigma2,
         sample_increments(LevyTriplet(b, sigma2, jumps), 10.0, 5, SeedSpec(1))
 
 
+def test_a_law_without_jumps_whose_variance_underflows_is_bad_input():
+    # sigma2 * delta_t = 0 would sample a point mass at b * delta_t; with jumps the
+    # Gaussian part may vanish beside them
+    with pytest.raises(ValueError, match=r"^the increment's variance sigma2 \* delta_t must be "
+                                         r"finite and positive, got 0.0$"):
+        sample_increments(LevyTriplet(0.0, 1e-300, None), 1e-300, 3, SeedSpec(1))
+    mixed = LevyTriplet(0.0, 1e-300, StableJumpDensity(1.0, 1.0, 1.5))
+    assert sample_increments(mixed, 1e-300, 3, SeedSpec(1)).n == 3
+
+
 def test_determinism():
     law = StableLaw(0.7, 2.0, 0.3, -1.0)
     a = stable_sample(law, 1000, SeedSpec(42, 3))
