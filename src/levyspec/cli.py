@@ -24,8 +24,8 @@ from .calibration import FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile, writ
 from .errors import (NoStabilizationError, QuadratureError, UnsupportedModelError,
                      _require_between, _require_count, _require_finite, _require_nonnegative,
                      _require_positive)
-from .estimator import (_MAX_GRID, ECFGrid, _check_ecf_above_rounding, adaptive_estimate,
-                        default_u_grid, default_x_grid, ecf, write_ecf_csv, write_estimate_csv)
+from .estimator import (_MAX_GRID, ECFGrid, adaptive_estimate, default_u_grid, default_x_grid,
+                        ecf, write_ecf_csv, write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
 from .risk import (ExperimentConfig, adaptive_risk_bound_check,
                    cutoff_risk_bound_check, risk_table, risk_table_csv)
@@ -175,12 +175,9 @@ def _cmd_sample(args) -> int:
 
 
 def _read_and_ecf(args) -> tuple[IncrementSample, ECFGrid]:
-    """The increments of --data and their ECF on ``default_u_grid``; an ECF that
-    would be rounding noise is an ArithmeticError, raised before it is computed."""
+    """The increments of --data and their ECF on ``default_u_grid``."""
     sample = IncrementSample(read_values_csv(args.data, difference=args.difference))
-    grid = default_u_grid(args.delta, sample.n, args.umax, args.step)
-    _check_ecf_above_rounding(sample.values, grid.u_max)
-    return sample, ecf(sample, grid)
+    return sample, ecf(sample, default_u_grid(args.delta, sample.n, args.umax, args.step))
 
 
 def _cmd_estimate(args) -> int:
@@ -323,7 +320,13 @@ def _flag(require, name: str, *bounds, kind=float):
     return parse
 
 
+# The work a command may ask for: `sample` peaks at about 100 bytes per value, so
+# n = 10^7 stays near 1 GB; check-bounds runs at most 10^6 trials of that size.
+_MAX_N = 10 ** 7
+_MAX_TRIALS = 10 ** 6
+
 _DELTA = _flag(_require_positive, "delta_t")
+_N = _flag(_require_count, "n", 1, _MAX_N, kind=int)
 _KAPPA = _flag(_require_nonnegative, "kappa")
 _SEED = _flag(_require_seed, "master_seed", kind=int)
 
@@ -381,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="diffusion coefficient")
     ps.add_argument("--b", type=_flag(_require_finite, "b"), default=0.0, help="drift")
     ps.add_argument("--delta", type=_DELTA, required=True, help="sampling rate")
-    ps.add_argument("--n", type=_flag(_require_count, "n", kind=int), required=True)
+    ps.add_argument("--n", type=_N, required=True)
     ps.add_argument("--seed", type=_SEED, default=None)
     ps.add_argument("--trial", type=_flag(_require_count, "trial_index", 0, kind=int), default=0)
     ps.add_argument("--out", required=True)
@@ -416,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--which", choices=("thm1", "thm4"), required=True,
                     help="thm1: fixed-cutoff risk bound; thm4: adaptive oracle bound")
     pb.add_argument("--delta", type=_DELTA, required=True)
-    pb.add_argument("--n", type=_flag(_require_count, "n", kind=int), required=True)
-    pb.add_argument("--trials", type=_flag(_require_count, "trials", kind=int), default=100)
+    pb.add_argument("--n", type=_N, required=True)
+    pb.add_argument("--trials", type=_flag(_require_count, "trials", 1, _MAX_TRIALS, kind=int),
+                    default=100)
     pb.add_argument("--kappa", type=_KAPPA, default=None,
                     help="thm4 threshold constant (default 2*sqrt(2)); not with thm1")
     pb.add_argument("--seed", type=_SEED, default=None)

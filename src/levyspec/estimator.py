@@ -332,17 +332,20 @@ def ecf(sample: IncrementSample, grid: UGrid) -> ECFGrid:
 
     Only the nonnegative half-axis is summed, by ``_ecf_half``; the negative
     half is filled by conjugate symmetry, so phi_hat(0) = 1 exactly and
-    phi_hat(-u) = conj(phi_hat(u)) exactly.
+    phi_hat(-u) = conj(phi_hat(u)) exactly.  Before the moment pass, a sample
+    whose ECF is rounding noise raises ``_check_ecf_above_rounding``'s ArithmeticError.
     """
     if sample.n == 0:
         raise ValueError("sample must be nonempty")
-    vals = _ecf_half(np.asarray(sample.values, dtype=float), grid.half_count, grid.step)
-    return ECFGrid(grid, vals, sample.n)
+    values = np.asarray(sample.values, dtype=float)
+    _check_ecf_above_rounding(values, grid.u_max)
+    return ECFGrid(grid, _ecf_half(values, grid.half_count, grid.step), sample.n)
 
 
 def _check_ecf_above_rounding(values: np.ndarray, u_max: float) -> None:
     """Rounding u*x moves the ECF by up to eps * u_max * mean|x|; once that reaches
-    the sampling error 1/sqrt(n), the ECF is rounding noise (an overflow counts)."""
+    the sampling error 1/sqrt(n), the ECF is rounding noise (an overflow counts).
+    Checked in ``ecf`` only, so every caller of the ECF is held to it."""
     with np.errstate(over="ignore"):  # np.mean's sum, without the overhead of its wrapper
         rounding = math.ulp(1.0) * u_max * (float(np.add.reduce(np.abs(values))) / len(values))
     sampling = 1.0 / math.sqrt(len(values))

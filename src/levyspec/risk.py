@@ -26,8 +26,8 @@ import numpy as np
 
 from .calibration import FALLBACK_KAPPA, calibrate
 from .errors import _require_count, _require_nonnegative, _require_positive
-from .estimator import (UGrid, _check_ecf_above_rounding, default_u_grid, ecf, plancherel_l2,
-                        threshold_cf, threshold_level, trapezoid_weights)
+from .estimator import (UGrid, default_u_grid, ecf, plancherel_l2, threshold_cf,
+                        threshold_level, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, _increment_parts, _spectral_tail,
                      cauchy_triplet, levy_khintchine_cf)
 from .sampling import SeedSpec, derive_seed, sample_increments
@@ -215,11 +215,9 @@ def relative_risk_of_cf(phi_est, model: LevyTriplet, delta_t: float, grid: UGrid
 
 
 def _trial_ecfs(model: LevyTriplet, delta_t: float, n: int, grid: UGrid, seed: int, trials: int):
-    """Each trial's ECF on the grid, keyed by (seed, trial index) and checked above rounding."""
+    """Each trial's ECF on the grid, keyed by (seed, trial index); ``ecf`` checks its rounding."""
     for tr in range(trials):
-        sample = sample_increments(model, delta_t, n, SeedSpec(seed, tr))
-        _check_ecf_above_rounding(sample.values, grid.u_max)
-        yield ecf(sample, grid)
+        yield ecf(sample_increments(model, delta_t, n, SeedSpec(seed, tr)), grid)
 
 
 def _thresholded_errors(model: LevyTriplet, delta_t: float, n: int, grid: UGrid,
@@ -309,6 +307,8 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
     if m_grid is None:
         m_grid = np.linspace(0.5, 8.0, 10)
     m_grid = np.asarray(m_grid, dtype=float)
+    if m_grid.size == 0:
+        raise ValueError("m_grid must be nonempty")
     for i, m in enumerate(m_grid.tolist()):
         _require_nonnegative(f"m_grid[{i}]", m)
     if not m_grid.max() > 0:  # every entry is 0; the grid must reach past u = 0
@@ -317,14 +317,17 @@ def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 1
     grid = UGrid.make(float(np.max(m_grid)))
     phi_ref = reference_cf(model, delta_t, grid)
     bias2 = [reference_tail_integral(model, delta_t, m) for m in m_grid.tolist()]
-    diff2 = np.array([np.abs(phi_hat.values - phi_ref) ** 2
-                      for phi_hat in _trial_ecfs(model, delta_t, n, grid, master_seed, trials)])
     # one row of trapezoid weights per band |u| <= m, zero outside the band
     bands = np.abs(grid.points) <= m_grid[:, None] * (1 + 1e-12)
     weights = np.zeros(bands.shape)
     for row, band in zip(weights, bands):
         row[band] = trapezoid_weights(np.count_nonzero(band), grid.step)
-    mises = diff2 @ weights.T / (2.0 * math.pi) + bias2
+    # each trial's |phi_hat - phi|^2 row becomes its band integrals at once, so memory
+    # holds one float per trial and cutoff, not 2K + 1
+    mises = np.empty((trials, m_grid.size))
+    for tr, phi_hat in enumerate(_trial_ecfs(model, delta_t, n, grid, master_seed, trials)):
+        mises[tr] = weights @ np.abs(phi_hat.values - phi_ref) ** 2
+    mises = mises / (2.0 * math.pi) + bias2
     rows = tuple(_bound_row(mises[:, j], b2 + m / (math.pi * n), m=m)
                  for j, (m, b2) in enumerate(zip(m_grid.tolist(), bias2)))
     return BoundCheckReport(all(row["ok"] for row in rows), rows)

@@ -960,6 +960,14 @@ EXIT_CONTRACT = {
     "kappa-count-above-cap": (2, lambda draw, d: _with_flag(
         draw, d, [("estimate", "--kappa-count"), ("calibrate", "--kappa-count")], 10 ** 13),
         "argument --kappa-count: count must be at most 1000000"),
+    # the work a command asks for is capped at parse time, naming its flag
+    "n-above-cap": (2, lambda draw, d: _with_flag(
+        draw, d, [("sample", "--n"), ("check-bounds", "--n")],
+        draw(st.integers(10 ** 7 + 1, 10 ** 30))),
+        "error: argument --n: n must be at most 10000000, got "),
+    "trials-above-cap": (2, lambda draw, d: _with_flag(
+        draw, d, [("check-bounds", "--trials")], draw(st.integers(10 ** 6 + 1, 10 ** 30))),
+        "error: argument --trials: trials must be at most 1000000, got "),
     "trials-below-1": (2, lambda draw, d: _with_flag(
         draw, d, [("check-bounds", "--trials")], draw(st.integers(-9, 0))),
         "error: argument --trials: trials must be at least 1, got "),

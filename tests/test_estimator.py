@@ -16,7 +16,8 @@ from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpe
                       sample_increments, spectral_estimate, threshold_cf,
                       threshold_level, trapezoid_weights, unthresholded_mask)
 import levyspec
-from levyspec.estimator import _TERMS, _ecf_bins, _ecf_weights, _invert
+from levyspec.cli import main
+from levyspec.estimator import _TERMS, _ecf_bins, _ecf_half, _ecf_weights, _invert
 
 
 def sample_of(values):
@@ -227,21 +228,42 @@ def test_ecf_invariants_and_rounding_bound_over_random_shapes(family, seed, n, c
     # 4096-point chunk, random half-counts and random steps
     values = ECF_FAMILIES[family](np.random.default_rng(seed), n)
     g = UGrid(count * step, step)
+    rounding = np.finfo(float).eps * g.u_max * np.mean(np.abs(values))
+    if not rounding < 1.0 / math.sqrt(n):  # a draw past the rule: ecf refuses it
+        with pytest.raises(ArithmeticError, match="the ECF is rounding noise"):
+            ecf(sample_of(values), g)
+        return
     e = ecf(sample_of(values), g)
     check_ecf_invariants(e)
     err = np.abs(e.values[count:] - ecf_longdouble(values, count, step)).astype(float)
-    assert err.max() <= 1e-14 + np.finfo(float).eps * g.u_max * np.mean(np.abs(values))
+    assert err.max() <= 1e-14 + rounding
 
 
 def test_ecf_of_values_whose_phase_overflows_is_finite():
     # step * x overflows for x = +-1.7e308; such a phase is rounding noise, and the
-    # ECF must stay finite (no warning, which tier-1 turns into an error) so that
-    # the CLI's rounding check, not the ECFGrid check, rejects the data
+    # kernel must stay finite (no warning, which tier-1 turns into an error) so that
+    # ecf's rounding check, not the ECFGrid check, rejects the data
     values = np.array([0.5, 1.7e308, -1.7e308, 1e300])
     g = UGrid.make(10.0, 0.05)
-    e = ecf(sample_of(values), g)
+    e = ECFGrid(g, _ecf_half(values, g.half_count, g.step), values.size)
     check_ecf_invariants(e)
     assert np.all(np.isfinite(e.values))
+    with pytest.raises(ArithmeticError, match="the ECF is rounding noise"):
+        ecf(sample_of(values), g)
+
+
+def test_ecf_of_rounding_noise_raises_the_clis_error(tmp_path, capsys):
+    # N(10^15, 1): eps * u_max * mean|x| = 2.2 on UGrid.make(10.0), far past
+    # 1/sqrt(1000); the library call refuses it as levyspec estimate does
+    values = np.random.default_rng(8).normal(1e15, 1.0, 1000)
+    with pytest.raises(ArithmeticError) as refused:
+        ecf(sample_of(values), UGrid.make(10.0))
+    data = tmp_path / "far.csv"
+    data.write_text("\n".join(f"{v:.17g}" for v in values) + "\n")
+    assert main(["estimate", "--data", str(data), "--delta", "1", "--umax", "10",
+                 "--out", str(tmp_path / "d.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    assert "1/sqrt(n) = 0.0316228" in str(refused.value)
 
 
 _ECF_DIGEST = """

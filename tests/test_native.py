@@ -22,7 +22,7 @@ import pytest
 from levyspec import IncrementSample, UGrid, _native, ecf
 from levyspec.cli import _read_values_fast, _read_values_loop, read_values_csv
 from levyspec.estimator import (_ECF_CHUNK, _TERMS, _bin_moments, _bin_moments_numpy,
-                                _ecf_bins, _ecf_contract_numpy, _ecf_weights)
+                                _ecf_bins, _ecf_contract_numpy, _ecf_half, _ecf_weights)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -105,15 +105,20 @@ def test_c_contraction_is_the_bytes_of_the_numpy_definition(kernels, monkeypatch
     weights = _ecf_weights(count, size)
     samples = [_sample(kind, n, rng) for n in (1, 2, 500, 10_000)]
     grid = UGrid(count * step, step)
-    native = [ecf(IncrementSample(values), grid).values.tobytes() for values in samples]
+    native = [_ecf_half(values, count, step).tobytes() for values in samples]
     for values, got in zip(samples, native):
         moments = _bin_moments(values, size, step * size / (2.0 * np.pi))
         spectrum = np.fft.rfft(moments, axis=1)
         want = _ecf_contract_numpy(spectrum, weights, size, values.size).tobytes()
         assert _native.ecf_contract(spectrum, weights, size, values.size).tobytes() == want
         assert got == want, (values.size, kind)
+        if kind == "huge":  # eps * u_max * mean|x| is far past 1/sqrt(n): ecf refuses it
+            with pytest.raises(ArithmeticError, match="the ECF is rounding noise"):
+                ecf(IncrementSample(values), grid)
+        else:
+            assert ecf(IncrementSample(values), grid).values.tobytes() == got
     monkeypatch.setattr(_native, "library", lambda: None)
-    assert [ecf(IncrementSample(values), grid).values.tobytes() for values in samples] == native
+    assert [_ecf_half(values, count, step).tobytes() for values in samples] == native
 
 
 def test_warm_ecf_allocates_no_full_size_complex_temporaries(kernels):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import levyspec.calibration
 import levyspec.risk
@@ -102,9 +103,11 @@ def test_a_bound_check_whose_reference_tail_overflows_is_refused_before_any_tria
         check(5e-324, 50, trials=2, master_seed=1)
 
 
-@pytest.mark.parametrize("m_grid", [[-1.0], [-1.0, 2.0]])
+@pytest.mark.parametrize("m_grid", [[-1.0], [-1.0, 2.0], []])
 def test_cutoff_risk_bound_rejects_a_negative_cutoff(m_grid):
-    with pytest.raises(ValueError, match=r"m_grid\[0\] must be finite and nonnegative"):
+    # an empty grid is named too, not left to numpy's maximum of a zero-size array
+    with pytest.raises(ValueError, match=r"m_grid\[0\] must be finite and nonnegative"
+                       if m_grid else "^m_grid must be nonempty$"):
         cutoff_risk_bound_check(1.0, 100, m_grid=m_grid, trials=2)
 
 
@@ -228,6 +231,20 @@ def test_cutoff_risk_bound_matches_per_m_trapezoid():
             inner = np.trapezoid(diff2[keep], dx=grid.step) / (2.0 * math.pi)
             mises.append(inner + math.exp(-2.0 * m) / (2.0 * math.pi))
         assert row["empirical"] == pytest.approx(float(np.mean(mises)), rel=1e-13)
+
+
+def test_cutoff_risk_bound_memory_does_not_grow_with_the_trials():
+    # each trial's |phi_hat - phi|^2 row, 2K + 1 = 321 floats here, folds into its
+    # 10 band integrals as it arrives; keeping the rows would grow the peak by 0.82 MB
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            cutoff_risk_bound_check(1.0, 500, trials=trials, master_seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    cutoff_risk_bound_check(1.0, 500, trials=2, master_seed=3)  # fills the caches
+    assert peak(400) - peak(50) < 100_000
 
 
 def test_cutoff_risk_bound_degenerate_cutoff():
