@@ -24,8 +24,8 @@ from .calibration import FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile, writ
 from .errors import (NoStabilizationError, QuadratureError, UnsupportedModelError,
                      _require_between, _require_count, _require_finite, _require_nonnegative,
                      _require_positive)
-from .estimator import (_MAX_GRID, ECFGrid, adaptive_estimate, default_u_grid, default_x_grid,
-                        ecf, write_ecf_csv, write_estimate_csv)
+from .estimator import (_MAX_GRID, _MAX_N, _MAX_TRIALS, ECFGrid, adaptive_estimate,
+                        default_u_grid, default_x_grid, ecf, write_ecf_csv, write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
 from .risk import (ExperimentConfig, adaptive_risk_bound_check,
                    cutoff_risk_bound_check, risk_table, risk_table_csv)
@@ -319,11 +319,6 @@ def _flag(require, name: str, *bounds, kind=float):
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
-
-# The work a command may ask for: `sample` peaks at about 100 bytes per value, so
-# n = 10^7 stays near 1 GB; check-bounds runs at most 10^6 trials of that size.
-_MAX_N = 10 ** 7
-_MAX_TRIALS = 10 ** 6
 
 _DELTA = _flag(_require_positive, "delta_t")
 _N = _flag(_require_count, "n", 1, _MAX_N, kind=int)

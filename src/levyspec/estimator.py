@@ -62,6 +62,11 @@ def default_u_step(u_max: float) -> float:
 # UGrid holds on each side (see UGrid), the x points of default_x_grid and the
 # kappas of a KappaGrid, refused past it before any array exists.
 _MAX_GRID = 10 ** 6
+# The work a request may ask for, refused past it before any trial runs: sampling
+# peaks at about 100 bytes per value, so n = 10^7 stays near 1 GB, and a bound
+# check or a risk-table cell runs at most 10^6 trials of that size.
+_MAX_N = 10 ** 7
+_MAX_TRIALS = 10 ** 6
 
 
 def _half_count(u_max: float, step: float) -> int:
@@ -108,10 +113,15 @@ class UGrid:
         k = self.half_count
         return np.arange(-k, k + 1) * self.step
 
+    def _band(self, m: float) -> int:
+        """k, the half-count of the points with |u| <= m, which are the contiguous
+        slice K - k .. K + k of ``points``: the one rule of every cutoff."""
+        return min(self.half_count, math.floor(m / self.step + 1e-9))
+
     def restrict(self, u_max: float) -> "UGrid":
         if _require_positive("u_max", u_max) >= self.u_max:
             return self
-        k = math.floor(u_max / self.step + 1e-9)
+        k = self._band(u_max)
         if k < 1:
             raise ValueError(f"the grid cut to [-n, n] = [-{u_max:g}, {u_max:g}] holds only "
                              f"u = 0: its step {self.step:g} must be at most n")
@@ -369,13 +379,37 @@ def _check_within_half_period(reach: float, step: float, what: str) -> None:
             f"so this needs a step (--step) <= pi/{reach:g} = {math.pi / reach:.3g}")
 
 
+def _quartiles(values) -> list:
+    """``np.percentile(values, [75, 50, 25])`` from one sort, with its bytes but for
+    the sign of a zero quartile: -0.0 and 0.0 tie, and the sort orders them its way.
+
+    Its linear rule: quantile q sits at the index (n - 1) q, a fraction t past
+    the sorted value a and short of the next, b, and is interpolated from the
+    nearer of the two, a + (b - a) t for t < 1/2 and b - (b - a)(1 - t) else.  At
+    n = 1 numpy takes the one value at t = 1; a NaN sorts last and makes every
+    quartile NaN.
+    """
+    ordered = np.sort(values, axis=None)
+    if np.isnan(ordered[-1]):
+        ordered = ordered[-1:]
+    last = ordered.size - 1
+    quartiles = []
+    for q in (0.75, 0.5, 0.25):
+        index = last * q
+        lo = math.floor(index) if index < last else -1
+        t = index - lo
+        a, b = ordered[lo], ordered[min(lo + 1, last)]
+        quartiles.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return quartiles
+
+
 def default_x_grid(values: np.ndarray, step: float, points: int = 512) -> np.ndarray:
     """Uniform x-grid spanning +-8 spreads around 0, the spread being the sample's
     interquartile range, or max(std, 1) when that is 0; the bulk |median| + 8
     spreads must lie within the alias half-period pi/step."""
     _require_positive("step", step)
     _require_count("points", points, 1, _MAX_GRID)
-    q75, median, q25 = np.percentile(values, [75.0, 50.0, 25.0])
+    q75, median, q25 = _quartiles(values)
     spread = float(q75 - q25)
     if spread <= 0:
         spread = max(float(np.std(values)), 1.0)
@@ -448,17 +482,18 @@ def _invert(u: np.ndarray, phi: np.ndarray, x_grid: np.ndarray, step: float):
 
 
 def spectral_estimate(ecf_grid: ECFGrid, m: float, x_grid) -> SpectralEstimate:
-    """Cutoff estimator: invert the ECF restricted to frequencies |u| <= m."""
+    """Cutoff estimator: invert the ECF over the band |u| <= m of ``UGrid._band``."""
+    grid = ecf_grid.grid
     _require_positive("m", m)
-    if m > ecf_grid.grid.u_max * (1 + 1e-12):
-        raise ValueError(f"cutoff m={m} exceeds the grid domain u_max={ecf_grid.grid.u_max}")
+    if m > grid.u_max * (1 + 1e-12):
+        raise ValueError(f"cutoff m={m} exceeds the grid domain u_max={grid.u_max}")
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size == 0:
         raise ValueError("the x-grid is empty")
-    _check_within_half_period(float(np.max(np.abs(x_grid))), ecf_grid.grid.step, "max |x|")
-    u = ecf_grid.grid.points
-    keep = np.abs(u) <= m * (1 + 1e-12)
-    f = _invert(u[keep], ecf_grid.values[keep], x_grid, ecf_grid.grid.step)
+    _check_within_half_period(float(np.max(np.abs(x_grid))), grid.step, "max |x|")
+    K, k = grid.half_count, grid._band(m)
+    band = slice(K - k, K + k + 1)
+    f = _invert(grid.points[band], ecf_grid.values[band], x_grid, grid.step)
     return SpectralEstimate(x_grid, f.real, imag_residual=float(np.max(np.abs(f.imag))))
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .calibration import FALLBACK_KAPPA, calibrate
 from .errors import _require_count, _require_nonnegative, _require_positive
-from .estimator import (UGrid, default_u_grid, ecf, plancherel_l2, threshold_cf,
-                        threshold_level, trapezoid_weights)
+from .estimator import (_MAX_N, _MAX_TRIALS, UGrid, default_u_grid, ecf, plancherel_l2,
+                        threshold_cf, threshold_level, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, _increment_parts, _spectral_tail,
                      cauchy_triplet, levy_khintchine_cf)
 from .sampling import SeedSpec, derive_seed, sample_increments
@@ -38,6 +38,7 @@ __all__ = ["ExperimentConfig", "RiskReport", "BoundCheckReport", "reference_cf",
            "adaptive_risk_bound_check", "risk_table", "risk_table_csv"]
 
 _MARGIN_SE = 3.0  # a bound check passes while empirical <= bound + 3 standard errors
+_CUTOFFS = tuple(np.linspace(0.5, 8.0, 10).tolist())  # the cutoffs m of the cutoff bound check
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,11 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
-        _require_count("trials", self.trials)
+        _require_count("trials", self.trials, 1, _MAX_TRIALS)
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
         for i, n in enumerate(self.n_list):
-            _require_count(f"n_list[{i}]", n)
+            _require_count(f"n_list[{i}]", n, 1, _MAX_N)
         if self.kappa_mode != "auto":
             _require_nonnegative("kappa_mode other than 'auto'", self.kappa_mode)
         _require_positive("delta_t", self.delta_t)
@@ -293,43 +294,36 @@ def _bound_row(values: np.ndarray, bound: float, **at) -> dict:
             "ok": emp <= limit}
 
 
-def cutoff_risk_bound_check(delta_t: float, n: int, m_grid=None, trials: int = 100,
+def cutoff_risk_bound_check(delta_t: float, n: int, trials: int = 100,
                             master_seed: int = 20406080) -> BoundCheckReport:
-    """Check E||f_hat_m - f||^2 <= bias^2(m) + m/(pi n) + 3 se on an m-grid.
+    """Check E||f_hat_m - f||^2 <= bias^2(m) + m/(pi n) + 3 se at the ten cutoffs
+    m = 0.5, 1.33, ..., 8 of ``np.linspace(0.5, 8.0, 10)`` (``_CUTOFFS``).
 
     The empirical mean integrated squared error is computed per cutoff m over
-    seeded trials of the Cauchy law (:func:`cauchy_triplet`); the bias^2(m) =
-    (1/pi) int_m^inf |phi|^2 of both sides is the reference tail integral,
-    e^{-2 delta_t m}/(2 pi delta_t).
+    seeded trials of the Cauchy law (:func:`cauchy_triplet`) on ``UGrid.make(8.0)``;
+    the bias^2(m) = (1/pi) int_m^inf |phi|^2 of both sides is the reference tail
+    integral, e^{-2 delta_t m}/(2 pi delta_t).
     """
-    _require_count("trials", trials)
+    _require_count("trials", trials, 1, _MAX_TRIALS)
+    _require_count("n", n, 1, _MAX_N)
     model = cauchy_triplet()
-    if m_grid is None:
-        m_grid = np.linspace(0.5, 8.0, 10)
-    m_grid = np.asarray(m_grid, dtype=float)
-    if m_grid.size == 0:
-        raise ValueError("m_grid must be nonempty")
-    for i, m in enumerate(m_grid.tolist()):
-        _require_nonnegative(f"m_grid[{i}]", m)
-    if not m_grid.max() > 0:  # every entry is 0; the grid must reach past u = 0
-        raise ValueError(f"m_grid[0] must be positive, as the largest entry of m_grid, "
-                         f"got {m_grid[0].item()!r}")
-    grid = UGrid.make(float(np.max(m_grid)))
+    grid = UGrid.make(_CUTOFFS[-1])
     phi_ref = reference_cf(model, delta_t, grid)
-    bias2 = [reference_tail_integral(model, delta_t, m) for m in m_grid.tolist()]
+    bias2 = [reference_tail_integral(model, delta_t, m) for m in _CUTOFFS]
     # one row of trapezoid weights per band |u| <= m, zero outside the band
-    bands = np.abs(grid.points) <= m_grid[:, None] * (1 + 1e-12)
-    weights = np.zeros(bands.shape)
-    for row, band in zip(weights, bands):
-        row[band] = trapezoid_weights(np.count_nonzero(band), grid.step)
+    K = grid.half_count
+    weights = np.zeros((len(_CUTOFFS), 2 * K + 1))
+    for row, m in zip(weights, _CUTOFFS):
+        k = grid._band(m)
+        row[K - k:K + k + 1] = trapezoid_weights(2 * k + 1, grid.step)
     # each trial's |phi_hat - phi|^2 row becomes its band integrals at once, so memory
     # holds one float per trial and cutoff, not 2K + 1
-    mises = np.empty((trials, m_grid.size))
+    mises = np.empty((trials, len(_CUTOFFS)))
     for tr, phi_hat in enumerate(_trial_ecfs(model, delta_t, n, grid, master_seed, trials)):
         mises[tr] = weights @ np.abs(phi_hat.values - phi_ref) ** 2
     mises = mises / (2.0 * math.pi) + bias2
     rows = tuple(_bound_row(mises[:, j], b2 + m / (math.pi * n), m=m)
-                 for j, (m, b2) in enumerate(zip(m_grid.tolist(), bias2)))
+                 for j, (m, b2) in enumerate(zip(_CUTOFFS, bias2)))
     return BoundCheckReport(all(row["ok"] for row in rows), rows)
 
 
@@ -341,7 +335,8 @@ def adaptive_risk_bound_check(delta_t: float, n: int, kappa: float = FALLBACK_KA
     RHS: inf over a 20-point m-grid of 9 bias^2(m) + (m/pi n)(5 + (1 +
     (kappa+2) sqrt(log n))^2), plus the remainder 64 n^{1 - kappa^2/4}.
     """
-    _require_count("trials", trials)
+    _require_count("trials", trials, 1, _MAX_TRIALS)
+    _require_count("n", n, 1, _MAX_N)
     threshold_level(kappa, n)  # a finite kappa >= 0 and an integer n >= 1, before any trial
     try:
         variance = 5.0 + (1.0 + (kappa + 2.0) * math.sqrt(math.log(n))) ** 2

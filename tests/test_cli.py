@@ -1011,6 +1011,15 @@ EXIT_CONTRACT = {
         + [draw(st.integers(-10 ** 6, 0))]})),
     "config-trials-below-1": (2, lambda draw, d: _risk_table(d, {
         **_BASE_CONFIG, "trials": draw(st.integers(-10 ** 6, 0))})),
+    # the work a config asks for is capped as the CLI's flags are, before any trial runs
+    "config-trials-above-cap": (2, lambda draw, d: _risk_table(d, {
+        "model": {"sigma2": 1}, "delta_t": 1, "n_list": [100],
+        "trials": draw(st.one_of(st.just(1e20), st.integers(10 ** 6 + 1, 10 ** 30)))}),
+        "error: trials must be at most 1000000, got "),
+    "config-n-above-cap": (2, lambda draw, d: _risk_table(d, {
+        "model": {"sigma2": 1}, "delta_t": 1,
+        "n_list": [draw(st.one_of(st.just(10 ** 12), st.integers(10 ** 7 + 1, 10 ** 30)))]}),
+        "error: n_list[0] must be at most 10000000, got "),
     "config-empty-experiment-list": (2, lambda draw, d: _risk_table(
         d, draw(st.sampled_from([[], {"experiments": []}])))),
     "config-label-breaks-csv": (2, lambda draw, d: _risk_table(d, {
@@ -1185,19 +1194,20 @@ def test_seed_rows_are_the_subcommands_with_a_seed():
 
 
 # ---------------------------------------------------------------------------
-# scipy is imported only by the numerical integrals and the root finder, and
-# numpy.random only by the first random generator
+# scipy is imported only by the numerical integrals and the root finder,
+# numpy.random only by the first random generator, and numpy.ma by nothing
 
 _LOADED_MODULES = """
 import json, sys
 {body}
 print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"
-                  or m == "numpy.random" or m.startswith("numpy.random.")]))
+                  or m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])]))
 """
 
 
 def _modules_after(body: str, cwd) -> list:
-    """The scipy and numpy.random modules loaded in a fresh interpreter after running ``body``."""
+    """The scipy, numpy.random and numpy.ma modules loaded in a fresh interpreter
+    after running ``body``."""
     src = os.path.dirname(os.path.dirname(levyspec.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -1246,6 +1256,9 @@ def test_only_the_reference_quantities_load_scipy(case, increments_file, tmp_pat
     }[case]
     modules = _modules_after(body, tmp_path)
     scipy = [m for m in modules if m.startswith("scipy")]
+    # numpy.ma (masked arrays, which np.percentile imports) comes only with scipy.integrate
+    if not scipy:
+        assert not [m for m in modules if m.startswith("numpy.ma")]
     if case == "risk-table-mixed":
         assert "scipy.integrate" in scipy
     else:

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpec,
@@ -17,7 +17,8 @@ from levyspec import (ECFGrid, IncrementSample, LevyTriplet, ModelClass, SeedSpe
                       threshold_level, trapezoid_weights, unthresholded_mask)
 import levyspec
 from levyspec.cli import main
-from levyspec.estimator import _TERMS, _ecf_bins, _ecf_half, _ecf_weights, _invert
+from levyspec.estimator import (_TERMS, _ecf_bins, _ecf_half, _ecf_weights, _invert,
+                                _quartiles)
 
 
 def sample_of(values):
@@ -356,6 +357,26 @@ def test_spectral_estimate_single_point_band_is_zero():
     np.testing.assert_array_equal(est.values, 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(step=st.floats(1e-3, 1.0), count=st.integers(1, 300), j=st.integers(0, 300),
+       frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+       x=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_spectral_estimate_inverts_the_points_within_the_cutoff(step, count, j, frac, x, seed):
+    # a cutoff m keeps the points k step with |k| <= floor(m / step + 1e-9), byte for
+    # byte; a cutoff on a grid point, m = j step, may sit a rounding below it
+    rng = np.random.default_rng(seed)
+    e = ECFGrid(UGrid(count * step, step), rng.normal(size=2 * count + 1)
+                + 1j * rng.normal(size=2 * count + 1), 100)
+    m = (j + frac) * step if j < count else e.grid.u_max
+    assume(m > 0)
+    k = math.floor(m / step + 1e-9)
+    want = _invert(np.arange(-k, k + 1) * step, e.values[count - k:count + k + 1],
+                   np.array([x]), step)
+    est = spectral_estimate(e, m, [x])
+    assert est.values.tobytes() == want.real.tobytes()
+    assert est.imag_residual == float(np.max(np.abs(want.imag)))
+
+
 def test_spectral_estimate_dirichlet_kernel_coarse():
     g = UGrid.make(2.0, 0.002)
     e = synthetic_ecf(g, lambda u: np.ones_like(u))
@@ -422,6 +443,21 @@ def test_sample_bulk_spread_is_max_of_std_and_1_when_the_iqr_is_0(values, spread
     assert x.tolist() == [-8.0 * spread, 0.0, 8.0 * spread]
     with pytest.raises(ValueError, match="alias half-period"):
         default_x_grid(values, edge * (1 + 1e-12), points=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(st.lists(st.floats(), min_size=1, max_size=300),
+                        st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=300)))
+def test_quartiles_are_those_of_np_percentile(values):
+    # the bytes of np.percentile's linear rule from one sort, but for the sign of a
+    # zero quartile: -0.0 and 0.0 tie, and which comes first is the sort's choice
+    values = np.array(values)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        want = np.percentile(values, [75.0, 50.0, 25.0])
+        got = np.array(_quartiles(values))
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert (got[~nan] + 0.0).tobytes() == (want[~nan] + 0.0).tobytes()
 
 
 def test_spectral_estimate_real_for_symmetric_input():

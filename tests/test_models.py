@@ -6,8 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 import levyspec.models
-from levyspec import (CustomJumpDensity, ECFGrid, KappaGrid, LevyTriplet, ModelClass,
-                      QuadratureError, SeedSpec, StableJumpDensity, StableLaw, UGrid,
+from levyspec import (CustomJumpDensity, ECFGrid, ExperimentConfig, KappaGrid, LevyTriplet,
+                      ModelClass, QuadratureError, SeedSpec, StableJumpDensity, StableLaw, UGrid,
                       adaptive_risk_bound_check, cauchy_triplet, check_small_jump_bound,
                       cutoff_risk_bound_check, default_u_grid, default_u_max, default_x_grid,
                       derive_seed, gamma_process_density, increment_stable_law,
@@ -440,6 +440,7 @@ _ONES = ECFGrid(UGrid(1.0, 0.5), np.ones(5, dtype=complex), 100)
 # range besides these, each with that rule, or a dict of them to their own rules).
 _POS, _NONNEG, _FINITE = "be finite and positive", "be finite and nonnegative", "be finite"
 _INT, _ALPHA = "be an integer", "lie in (0, 2)"
+_AT_MOST_N, _AT_MOST_TRIALS = "be at most 10000000", "be at most 1000000"
 _NUMERIC = {
     # models
     "StableJumpDensity-P": (lambda v: StableJumpDensity(v, 1.0, 1.0), "P", _NONNEG, (-1.0,)),
@@ -548,24 +549,27 @@ _NUMERIC = {
                                       "u_max", _NONNEG, (-1.0,)),
     "cutoff_risk_bound_check-delta_t": (lambda v: cutoff_risk_bound_check(v, 100, trials=2),
                                         "delta_t", _POS, (0.0,)),
+    # the work a request asks for is capped where the library takes it, as the CLI's flags are
     "cutoff_risk_bound_check-n": (lambda v: cutoff_risk_bound_check(1.0, v, trials=2), "n",
-                                  _INT, {0: "be at least 1"}),
-    "cutoff_risk_bound_check-m_grid": (lambda v: cutoff_risk_bound_check(
-        1.0, 100, m_grid=[1.0, v], trials=2), "m_grid[1]", _NONNEG, (-1.0,)),
-    # the grid reaches the largest cutoff, so it must hold more than u = 0
-    "cutoff_risk_bound_check-m_grid-largest": (lambda v: cutoff_risk_bound_check(
-        1.0, 100, m_grid=[v, v], trials=2), "m_grid[0]", _NONNEG,
-        {0.0: "be positive, as the largest entry of m_grid", -1.0: _NONNEG}),
+                                  _INT, {0: "be at least 1", 10 ** 7 + 1: _AT_MOST_N}),
     "cutoff_risk_bound_check-trials": (lambda v: cutoff_risk_bound_check(1.0, 100, trials=v),
-                                       "trials", _INT, {0: "be at least 1", 2.5: _INT}),
+                                       "trials", _INT, {0: "be at least 1", 2.5: _INT,
+                                                        10 ** 6 + 1: _AT_MOST_TRIALS}),
     "adaptive_risk_bound_check-delta_t": (lambda v: adaptive_risk_bound_check(v, 100, trials=2),
                                           "delta_t", _POS, (0.0,)),
     "adaptive_risk_bound_check-n": (lambda v: adaptive_risk_bound_check(1.0, v, trials=2), "n",
-                                    _INT, {0: "be at least 1", -3: "be at least 1"}),
+                                    _INT, {0: "be at least 1", -3: "be at least 1",
+                                           10 ** 7 + 1: _AT_MOST_N}),
     "adaptive_risk_bound_check-kappa": (lambda v: adaptive_risk_bound_check(
         1.0, 100, kappa=v, trials=2), "kappa", _NONNEG, (-1.0,)),
     "adaptive_risk_bound_check-trials": (lambda v: adaptive_risk_bound_check(
-        1.0, 100, trials=v), "trials", _INT, {0: "be at least 1", 2.5: _INT}),
+        1.0, 100, trials=v), "trials", _INT, {0: "be at least 1", 2.5: _INT,
+                                              10 ** 6 + 1: _AT_MOST_TRIALS}),
+    "ExperimentConfig-trials": (lambda v: ExperimentConfig(_GAUSS, 1.0, (50,), trials=v),
+                                "trials", _INT,
+                                {0: "be at least 1", 10 ** 6 + 1: _AT_MOST_TRIALS}),
+    "ExperimentConfig-n_list": (lambda v: ExperimentConfig(_GAUSS, 1.0, (50, v)), "n_list[1]",
+                                _INT, {0: "be at least 1", 10 ** 7 + 1: _AT_MOST_N}),
 }
 _NUMERIC_CASES = [(name, value, out.get(value, rule) if isinstance(out, dict) else rule)
                   for name, (_, _, rule, out) in _NUMERIC.items()

@@ -103,14 +103,6 @@ def test_a_bound_check_whose_reference_tail_overflows_is_refused_before_any_tria
         check(5e-324, 50, trials=2, master_seed=1)
 
 
-@pytest.mark.parametrize("m_grid", [[-1.0], [-1.0, 2.0], []])
-def test_cutoff_risk_bound_rejects_a_negative_cutoff(m_grid):
-    # an empty grid is named too, not left to numpy's maximum of a zero-size array
-    with pytest.raises(ValueError, match=r"m_grid\[0\] must be finite and nonnegative"
-                       if m_grid else "^m_grid must be nonempty$"):
-        cutoff_risk_bound_check(1.0, 100, m_grid=m_grid, trials=2)
-
-
 # ---------------------------------------------------------------------------
 # risk of forced estimators
 
@@ -216,20 +208,21 @@ def test_cutoff_risk_bound_smoke():
 
 
 def test_cutoff_risk_bound_matches_per_m_trapezoid():
-    # the weight-matrix MISE against a trapezoid over each kept band separately
-    m_grid = np.array([0.0, 0.3, 1.0, 2.5, 4.0])
-    rep = cutoff_risk_bound_check(1.0, 400, m_grid=m_grid, trials=7, master_seed=4)
-    grid = UGrid.make(4.0, 0.05)
+    # the weight-matrix MISE against a trapezoid over each band |u| <= m, kept by
+    # a mask here: at step 0.05 the ten cutoffs keep 21, 53, ..., 321 points
+    rep = cutoff_risk_bound_check(1.0, 400, trials=7, master_seed=4)
+    grid = UGrid.make(8.0, 0.05)
     phi_ref = reference_cf(CAUCHY, 1.0, grid)
-    u = grid.points
-    for m, row in zip(m_grid, rep.rows):
-        mises = []
-        for tr in range(7):
-            sample = sample_increments(CAUCHY, 1.0, 400, SeedSpec(4, tr))
-            diff2 = np.abs(ecf(sample, grid).values - phi_ref) ** 2
-            keep = np.abs(u) <= m * (1 + 1e-12)
-            inner = np.trapezoid(diff2[keep], dx=grid.step) / (2.0 * math.pi)
-            mises.append(inner + math.exp(-2.0 * m) / (2.0 * math.pi))
+    diff2 = [np.abs(ecf(sample_increments(CAUCHY, 1.0, 400, SeedSpec(4, tr)), grid).values
+                    - phi_ref) ** 2 for tr in range(7)]
+    cutoffs = np.linspace(0.5, 8.0, 10).tolist()
+    assert [row["m"] for row in rep.rows] == cutoffs
+    kept = [np.abs(grid.points) <= m * (1 + 1e-12) for m in cutoffs]
+    assert [np.count_nonzero(keep) for keep in kept] == [
+        21, 53, 87, 121, 153, 187, 221, 253, 287, 321]
+    for m, keep, row in zip(cutoffs, kept, rep.rows):
+        mises = [np.trapezoid(d[keep], dx=grid.step) / (2.0 * math.pi)
+                 + math.exp(-2.0 * m) / (2.0 * math.pi) for d in diff2]
         assert row["empirical"] == pytest.approx(float(np.mean(mises)), rel=1e-13)
 
 
@@ -245,17 +238,6 @@ def test_cutoff_risk_bound_memory_does_not_grow_with_the_trials():
             tracemalloc.stop()
     cutoff_risk_bound_check(1.0, 500, trials=2, master_seed=3)  # fills the caches
     assert peak(400) - peak(50) < 100_000
-
-
-def test_cutoff_risk_bound_degenerate_cutoff():
-    # m = 0 keeps nothing: MISE collapses to ||f||^2 = 1/(2 pi dt), which
-    # matches the bound exactly, so the check holds with zero variance
-    rep = cutoff_risk_bound_check(1.0, 200, m_grid=[0.0, 1.0], trials=5,
-                                  master_seed=2)
-    assert rep.passed
-    row0 = rep.rows[0]
-    assert row0["empirical"] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
-    assert row0["empirical"] <= row0["bound"]
 
 
 def test_adaptive_risk_bound_smoke():
