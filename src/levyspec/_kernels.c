@@ -10,7 +10,9 @@
    built with -ffp-contract=off, no -ffast-math.  bin_moments takes the sorted
    samples in tiles of whole bins that fit L1, makes two Chebyshev terms per
    sweep of a tile's rows, each by numpy's two roundings, and finds the bin as
-   floor(m * (1 / size)), which is m / size exactly for a power-of-2 size. */
+   floor(m * (1 / size)), which is m / size exactly for a power-of-2 size.
+   format_rows is the reader's inverse: it writes the bytes of Python's
+   '%.17g' % x from one product with the same table, and of '%d' % i. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -24,6 +26,8 @@
 #define TILE 512 /* samples per tile of bin_moments: its three rows, 12 KiB, stay in L1 */
 #define LEAST_POWER (-342) /* the powers of ten of the table, 10^-342 .. 10^308 */
 #define MOST_POWER 308
+#define LEAST17 UINT64_C(10000000000000000) /* 10^16 and 10^17: 17 digits lie between */
+#define MOST17 UINT64_C(100000000000000000)
 
 /* *hi and *lo, the high and low words of the 128-bit product a b, from four
    32 x 32-bit partial products */
@@ -183,6 +187,120 @@ int64_t read_last_cells(const char *path, int64_t skip, double *out, int64_t cap
     if (f) fclose(f);
     free(buf);
     return !f || status < 0 || skip > 0 ? -1 : rows;
+}
+
+/* Python's '%.17g' % x at p for a finite x, digits written by hand so that no
+   locale reaches them: the end of the cell, or NULL for a cell left to Python.
+   With E = floor(log10 |x|) and s = 16 - E, |x| 10^s is N + f, 10^16 <= N < 10^17,
+   from the product of x's significand, normalised, with the table's 128 bits of
+   5^s.  N + f rounds half to even.  For 0 <= s <= 55 the entry is exact and so is
+   the product, and every tie at the 17th digit has such an s; other entries are
+   off by less than a unit of their last bit, so a product within 2^64 of a half
+   is left to Python, as is a non-finite x or an s past the table (|x| < 1e-292).
+   Python's %g layout: exponent form (two digits at least) for E < -4 or E >= 17,
+   trailing zeros stripped, -0 for -0.0. */
+static char *format_double(double x, char *p, const uint64_t *powers)
+{
+    const uint64_t *power;
+    uint64_t bits, w, hi, mid, lo, high, n, rest, half;
+    int64_t e, exponent, s = 0;
+    int lz = 0, shift = 0, tries, k, i;
+    uint32_t upper, lower;
+    char d[17];
+    memcpy(&bits, &x, sizeof bits);
+    e = (int64_t)(bits >> 52 & 0x7FF);
+    w = bits & ((UINT64_C(1) << 52) - 1);
+    if (e == 0x7FF) return NULL;
+    if (bits >> 63) *p++ = '-';
+    if (e == 0 && w == 0) {
+        *p++ = '0';
+        return p;
+    }
+    if (e) w |= UINT64_C(1) << 52, e -= 1075;
+    else e = -1074;
+    for (k = 32; k > 0; k >>= 1)  /* normalise w: |x| = w 2^(e - lz), top bit set */
+        if (!(w >> (64 - k))) w <<= k, lz += k;
+    /* floor(log10 2^(e - lz + 63)) by a product: E, or E - 1 */
+    exponent = ((e - lz + 63) * 78913) >> 18;
+    for (tries = 0, n = 0; n < LEAST17 || n >= MOST17; tries++) {
+        if (tries) exponent += n >= MOST17 ? 1 : -1;
+        s = 16 - exponent;
+        if (s < LEAST_POWER || s > MOST_POWER || tries == 2) return NULL;
+        power = powers + 2 * (s - LEAST_POWER);
+        multiply(w, power[0], &hi, &mid);  /* the 192-bit product (hi, mid, lo) */
+        multiply(w, power[1], &high, &lo);
+        mid += high;
+        hi += mid < high;
+        /* 5^s is the entry times 2^(floor(s log2 5) - 127): hi holds N's bits and shift of f's */
+        shift = (int)(lz - e - ((217706 * s) >> 16) - 1);
+        n = hi >> shift;
+    }
+    rest = hi & ((UINT64_C(1) << shift) - 1);
+    half = UINT64_C(1) << (shift - 1);
+    if ((s < 0 || s > 55)
+        && ((rest == half && mid == 0) || (rest == half - 1 && mid == UINT64_MAX)))
+        return NULL;
+    n += rest > half || (rest == half && (mid || lo || (n & 1)));
+    if (n == MOST17) n = LEAST17, exponent++;
+    upper = (uint32_t)(n / 100000000u), lower = (uint32_t)(n % 100000000u);
+    for (i = 16; i >= 9; i--) d[i] = (char)('0' + lower % 10), lower /= 10;
+    for (i = 8; i >= 0; i--) d[i] = (char)('0' + upper % 10), upper /= 10;
+    for (k = 17; d[k - 1] == '0'; k--) continue;  /* d[0] is no zero */
+    if (exponent < -4 || exponent >= 17) {
+        *p++ = d[0];
+        if (k > 1) *p++ = '.', memcpy(p, d + 1, (size_t)(k - 1)), p += k - 1;
+        *p++ = 'e';
+        *p++ = exponent < 0 ? '-' : '+';
+        exponent = exponent < 0 ? -exponent : exponent;
+        if (exponent >= 100) *p++ = (char)('0' + exponent / 100);
+        *p++ = (char)('0' + exponent / 10 % 10);
+        *p++ = (char)('0' + exponent % 10);
+    } else if (exponent < 0) {  /* "0." and -E - 1 zeros, then the digits */
+        memcpy(p, "0.000", (size_t)(1 - exponent));
+        memcpy(p + 1 - exponent, d, (size_t)k);
+        p += 1 - exponent + k;
+    } else if (k <= exponent + 1) {  /* an integer, zeros past the digits */
+        memcpy(p, d, (size_t)k);
+        memset(p + k, '0', (size_t)(exponent + 1 - k));
+        p += exponent + 1;
+    } else {
+        memcpy(p, d, (size_t)(exponent + 1));
+        p[exponent + 1] = '.';
+        memcpy(p + exponent + 2, d + exponent + 1, (size_t)(k - exponent - 1));
+        p += k + 1;
+    }
+    return p;
+}
+
+/* Python's '%d' % v at p: the end of the cell */
+static char *format_integer(int64_t v, char *p)
+{
+    char d[20];
+    int k = 20;
+    uint64_t u = v < 0 ? -(uint64_t)v : (uint64_t)v;
+    if (v < 0) *p++ = '-';
+    do d[--k] = (char)('0' + u % 10); while (u /= 10);
+    memcpy(p, d + k, (size_t)(20 - k));
+    return p + 20 - k;
+}
+
+/* `rows` rows of `count` cells into out, each cell as Python's % writes it,
+   '%d' of the int64 columns[j] where kinds[j] is 'd' and '%.17g' of the double
+   columns[j] elsewhere, joined by commas and each row ended by \n: the bytes
+   written, at most 25 a cell, or -1 for a cell that format_double leaves to
+   Python.  powers is the table of read_last_cells. */
+int64_t format_rows(const void *const *columns, const char *kinds, int64_t count, int64_t rows,
+                    char *out, const uint64_t *powers)
+{
+    char *p = out;
+    int64_t i, j;
+    for (i = 0; i < rows; i++)
+        for (j = 0; j < count; j++) {
+            if (kinds[j] == 'd') p = format_integer(((const int64_t *)columns[j])[i], p);
+            else if (!(p = format_double(((const double *)columns[j])[i], p, powers))) return -1;
+            *p++ = j + 1 < count ? ',' : '\n';
+        }
+    return p - out;
 }
 
 /* numpy's pairwise sum of float64: 8 accumulators up to 128 values, halves above */

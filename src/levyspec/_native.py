@@ -8,15 +8,19 @@ and renames it into place, so processes building at once all load a whole
 library.  When that directory cannot be written it builds into a temporary
 directory of this process.  Nothing is built or loaded at import.  Without a
 compiler, or when a build or load fails, ``library()`` is None: the moment
-pass and the ECF's contraction run their numpy definitions and the CSV reader
-``np.loadtxt``, with the same bytes.
+pass and the ECF's contraction run their numpy definitions, the CSV reader
+``np.loadtxt`` and the CSV writer Python's ``%``, with the same bytes.
 
 The CSV reader takes the cells of the grammar in ``decimal()`` of
 ``_kernels.c`` and converts them by Eisel-Lemire against a table of the
 leading 128 bits of 10^-342 .. 10^308, which ``_powers_of_ten`` builds from
 Python integers at library load (about 1 ms, 10 KiB) and each call passes to
 C; a cell of more than 19 significant digits goes to ``strtod``, with the
-same bytes.
+same bytes.  The CSV writer ``format_rows`` is its inverse: from one product
+of a double's significand with the same table it writes the bytes of
+``'%.17g' %``, digits by hand, so that no locale reaches them, and leaves to
+``%`` a block with a cell that is not finite, lies below about 1e-292, or
+whose rounding the table's 128 bits cannot decide.
 """
 
 from __future__ import annotations
@@ -110,6 +114,8 @@ def _load(path: str) -> ctypes.CDLL:
     lib.bin_moments.restype = ctypes.c_int
     lib.ecf_contract.argtypes = (ptr, i64, ptr, i64, i64, ctypes.c_double, ptr)
     lib.ecf_contract.restype = None
+    lib.format_rows.argtypes = (ptr, ctypes.c_char_p, i64, i64, ptr, ptr)
+    lib.format_rows.restype = i64
     return lib
 
 
@@ -159,6 +165,35 @@ def read_last_cells(path: str, skip: int) -> np.ndarray | None:
         return None
     out.resize(rows, refcheck=False)  # drops the slots of the header lines, in place
     return out
+
+
+_CELL_BYTES = 25  # the longest cell, "-1.2345678901234567e-308" or an int64, and its separator
+_CELL_KINDS = {"%d": "d", "%.17g": "g"}
+
+
+def format_rows(row_format: str, columns) -> str | None:
+    """``(row_format * rows) % cells``, the cells of the 1-d arrays ``columns``
+    interleaved row by row, for a format of ``%d`` and ``%.17g`` cells joined by
+    commas and ended by a newline over columns of one length, signed integers for
+    ``%d`` and float64 for ``%.17g``.  None for any other format or columns, when
+    the kernels are missing, or when they leave a cell to Python."""
+    cells = row_format[:-1].split(",") if row_format.endswith("\n") else []
+    kinds = "".join(_CELL_KINDS.get(cell, "?") for cell in cells)
+    if len(kinds) != len(columns) or "?" in kinds or any(
+            column.ndim != 1 or column.size != columns[0].size
+            or not (column.dtype.kind == "i" if kind == "d" else column.dtype == np.float64)
+            for kind, column in zip(kinds, columns)):
+        return None
+    lib = library()
+    if lib is None:
+        return None
+    columns = [np.ascontiguousarray(column, dtype=np.int64 if kind == "d" else np.float64)
+               for kind, column in zip(kinds, columns)]
+    out = np.empty(columns[0].size * len(columns) * _CELL_BYTES, dtype=np.uint8)
+    addresses = (ctypes.c_void_p * len(columns))(*map(_address, columns))
+    size = lib.format_rows(addresses, kinds.encode(), len(columns), columns[0].size,
+                           _address(out), lib.powers_of_ten.ctypes.data)
+    return None if size < 0 else str(out[:size].data, "ascii")
 
 
 def bin_moments(values: np.ndarray, size: int, scale: float, terms: int,

@@ -24,12 +24,12 @@ from .calibration import FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile, writ
 from .errors import (NoStabilizationError, QuadratureError, UnsupportedModelError,
                      _require_between, _require_count, _require_finite, _require_nonnegative,
                      _require_positive)
-from .estimator import (_MAX_GRID, _MAX_N, _MAX_TRIALS, ECFGrid, adaptive_estimate,
-                        default_u_grid, default_x_grid, ecf, write_ecf_csv, write_estimate_csv)
+from .estimator import (_MAX_GRID, _MAX_TRIALS, ECFGrid, adaptive_estimate, default_u_grid,
+                        default_x_grid, ecf, write_ecf_csv, write_estimate_csv)
 from .models import LevyTriplet, StableJumpDensity
 from .risk import (ExperimentConfig, adaptive_risk_bound_check,
                    cutoff_risk_bound_check, risk_table, risk_table_csv)
-from .sampling import (IncrementSample, SeedSpec, _require_seed, sample_increments,
+from .sampling import (_MAX_N, IncrementSample, SeedSpec, _require_seed, sample_increments,
                        write_increments_csv)
 
 EXIT_OK = 0

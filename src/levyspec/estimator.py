@@ -62,10 +62,8 @@ def default_u_step(u_max: float) -> float:
 # UGrid holds on each side (see UGrid), the x points of default_x_grid and the
 # kappas of a KappaGrid, refused past it before any array exists.
 _MAX_GRID = 10 ** 6
-# The work a request may ask for, refused past it before any trial runs: sampling
-# peaks at about 100 bytes per value, so n = 10^7 stays near 1 GB, and a bound
-# check or a risk-table cell runs at most 10^6 trials of that size.
-_MAX_N = 10 ** 7
+# The trials a request may ask for, refused past it before any trial runs: a
+# bound check or a risk-table cell runs at most 10^6 trials of up to _MAX_N values.
 _MAX_TRIALS = 10 ** 6
 
 
@@ -386,12 +384,12 @@ def _quartiles(values) -> list:
     Its linear rule: quantile q sits at the index (n - 1) q, a fraction t past
     the sorted value a and short of the next, b, and is interpolated from the
     nearer of the two, a + (b - a) t for t < 1/2 and b - (b - a)(1 - t) else.  At
-    n = 1 numpy takes the one value at t = 1; a NaN sorts last and makes every
-    quartile NaN.
+    n = 1 numpy takes the one value at t = 1.  A value that is not finite is
+    refused, named by its index, from the ends of the sort: no further pass.
     """
     ordered = np.sort(values, axis=None)
-    if np.isnan(ordered[-1]):
-        ordered = ordered[-1:]
+    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):  # -inf first; inf, NaN last
+        _require_finite_entries("values", np.asarray(values))
     last = ordered.size - 1
     quartiles = []
     for q in (0.75, 0.5, 0.25):

@@ -26,11 +26,11 @@ import numpy as np
 
 from .calibration import FALLBACK_KAPPA, calibrate
 from .errors import _require_count, _require_nonnegative, _require_positive
-from .estimator import (_MAX_N, _MAX_TRIALS, UGrid, default_u_grid, ecf, plancherel_l2,
+from .estimator import (_MAX_TRIALS, UGrid, default_u_grid, ecf, plancherel_l2,
                         threshold_cf, threshold_level, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, _increment_parts, _spectral_tail,
                      cauchy_triplet, levy_khintchine_cf)
-from .sampling import SeedSpec, derive_seed, sample_increments
+from .sampling import _MAX_N, SeedSpec, derive_seed, sample_increments
 
 __all__ = ["ExperimentConfig", "RiskReport", "BoundCheckReport", "reference_cf",
            "reference_tail_integral", "reference_l2_norm", "relative_l2_risk",

@@ -37,6 +37,9 @@ __all__ = ["SeedSpec", "IncrementSample", "stable_sample", "sample_increments",
 
 _GAUSSIAN_STREAM = 0
 _STABLE_STREAM = 1
+# The most values a request may sample, refused past it before any array exists:
+# sampling peaks at about 100 bytes per value, so n = 10^7 stays near 1 GB.
+_MAX_N = 10 ** 7
 
 
 def _require_seed(name: str, value):
@@ -279,7 +282,7 @@ def _stable_sample(values: np.ndarray, law: StableLaw) -> IncrementSample:
 
 def stable_sample(law: StableLaw, n: int, seed: SeedSpec) -> IncrementSample:
     """n i.i.d. variates with characteristic function ``stable_cf(law, .)``."""
-    _require_count("n", n)
+    _require_count("n", n, 1, _MAX_N)
     _require_between("alpha", law.alpha, 0, 2, "lie in (0, 2) for the sampler")
     return _stable_sample(_cms(law, seed.generator(_STABLE_STREAM), n), law)
 
@@ -293,7 +296,7 @@ def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
     summed in place in that order.
     """
     _require_positive("delta_t", delta_t)
-    _require_count("n", n)
+    _require_count("n", n, 1, _MAX_N)
     variance, law = _increment_parts(triplet, delta_t)
     drift = _require_finite("the increment's drift b * delta_t", triplet.b * delta_t)
     if triplet.sigma2 > 0:
@@ -313,19 +316,27 @@ _ROWS_PER_WRITE = 8192
 
 def write_rows(path, meta_lines, header: str, row_format: str, *columns) -> None:
     """Write ``# meta`` lines, a header and one ``row_format`` row per index of
-    the columns, formatting a block of rows with one ``%`` over the interleaved
-    columns (``%.17g`` writes the same bytes as ``f"{v:.17g}"``)."""
-    columns = [np.asarray(column).tolist() for column in columns]
+    the columns, a block of rows at a time.  ``%`` over the interleaved columns
+    defines a block (``%.17g`` writes the same bytes as ``f"{v:.17g}"``); where
+    the kernels load, ``_native.format_rows`` writes the same bytes in C, with no
+    locale, for a format of ``%d`` and ``%.17g`` cells, and leaves to ``%`` a
+    block holding a cell it cannot decide."""
+    from . import _native  # at the first write, not at import
+    columns = [np.asarray(column) for column in columns]
     with open(path, "w") as fh:
         for line in meta_lines:
             fh.write(f"# {line}\n")
         fh.write(f"{header}\n")
         for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
             block = [column[start:start + _ROWS_PER_WRITE] for column in columns]
-            rows = [None] * (len(columns) * len(block[0]))
-            for j, cells in enumerate(block):
-                rows[j::len(columns)] = cells
-            fh.write((row_format * len(block[0])) % tuple(rows))
+            text = _native.format_rows(row_format, block)
+            if text is None:
+                block = [column.tolist() for column in block]
+                rows = [None] * (len(columns) * len(block[0]))
+                for j, cells in enumerate(block):
+                    rows[j::len(columns)] = cells
+                text = (row_format * len(block[0])) % tuple(rows)
+            fh.write(text)
 
 
 def write_increments_csv(sample: IncrementSample, path, meta_lines=()) -> None:

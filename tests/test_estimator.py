@@ -446,18 +446,21 @@ def test_sample_bulk_spread_is_max_of_std_and_1_when_the_iqr_is_0(values, spread
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=st.one_of(st.lists(st.floats(), min_size=1, max_size=300),
-                        st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=300)))
-def test_quartiles_are_those_of_np_percentile(values):
+@given(values=st.one_of(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=1, max_size=300),
+                        st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=300)),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]), at=st.integers(0, 300))
+def test_quartiles_are_those_of_np_percentile(values, bad, at):
     # the bytes of np.percentile's linear rule from one sort, but for the sign of a
-    # zero quartile: -0.0 and 0.0 tie, and which comes first is the sort's choice
+    # zero quartile: -0.0 and 0.0 tie, and which comes first is the sort's choice;
+    # a value that is not finite is named by its index wherever it sorts
     values = np.array(values)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        want = np.percentile(values, [75.0, 50.0, 25.0])
-        got = np.array(_quartiles(values))
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert (got[~nan] + 0.0).tobytes() == (want[~nan] + 0.0).tobytes()
+    want = np.percentile(values, [75.0, 50.0, 25.0])
+    assert (np.array(_quartiles(values)) + 0.0).tobytes() == (want + 0.0).tobytes()
+    at = min(at, values.size - 1)
+    values[at:] = bad
+    with pytest.raises(ValueError, match=f"^values must be finite; value {bad!r} at index {at}$"):
+        _quartiles(values)
 
 
 def test_spectral_estimate_real_for_symmetric_input():

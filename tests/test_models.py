@@ -516,11 +516,11 @@ _NUMERIC = {
     "SeedSpec-generator-substream": (lambda v: SeedSpec(1).generator(v), "substream", _INT,
                                      {-1: "be at least 0", 1.5: _INT, True: _INT}),
     "stable_sample-n": (lambda v: stable_sample(StableLaw(1.0, 1.0, 0.0, 0.0), v, SeedSpec(1)),
-                        "n", _INT, {0: "be at least 1"}),
+                        "n", _INT, {0: "be at least 1", 10 ** 12: _AT_MOST_N}),
     "stable_sample-alpha": (lambda v: stable_sample(StableLaw(v, 1.0, 0.0, 0.0), 5, SeedSpec(1)),
                             "alpha", "lie in (0, 2]", {2.0: "lie in (0, 2) for the sampler"}),
     "sample_increments-n": (lambda v: sample_increments(_GAUSS, 1.0, v, SeedSpec(1)), "n",
-                            _INT, {0: "be at least 1"}),
+                            _INT, {0: "be at least 1", 10 ** 12: _AT_MOST_N}),
     # estimator
     "UGrid-restrict": (lambda v: UGrid(1.0, 0.1).restrict(v), "u_max", _POS, (0.0,)),
     "default_u_max": (lambda v: default_u_max(v), "delta_t", _POS, (0.0,)),
@@ -585,10 +585,11 @@ def test_a_time_that_is_not_finite_and_positive_is_named(name, t, rule):
         call(t)
 
 
-_ARRAYS = {  # a public function of an array of frequencies: (call, the name its error gives)
+_ARRAYS = {  # a public function of an array: (call, the name its error gives)
     "stable_cf": (lambda u: stable_cf(StableLaw(1.0, 1.0, 0.0, 0.0), u), "u"),
     "levy_khintchine_cf": (lambda u: levy_khintchine_cf(cauchy_triplet(), 1.0, u), "u"),
     "picard_cf_bound": (lambda u: picard_cf_bound(1.0, 1.0, 1.0, u), "u"),
+    "default_x_grid": (lambda x: default_x_grid(x, 0.05), "values"),
 }
 
 

@@ -1,28 +1,36 @@
 """The C kernels of ``_kernels.c`` against their Python definitions.
 
 The moment pass must give the bytes of ``_bin_moments_numpy``, the ECF's
-contraction those of ``_ecf_contract_numpy``, and the CSV reader those of
-``_read_values_loop``; with no kernels the moment pass and the contraction
-fall back to their numpy definitions and the reader to ``np.loadtxt``, with
-the same bytes.  Where a C compiler is on PATH the kernels must load, so that
-a silent fall-back cannot pass.
+contraction those of ``_ecf_contract_numpy``, the CSV reader those of
+``_read_values_loop`` and the CSV writer those of Python's ``%``; with no
+kernels the moment pass and the contraction fall back to their numpy
+definitions, the reader to ``np.loadtxt`` and the writer to ``%``, with the
+same bytes.  Where a C compiler is on PATH the kernels must load, so that a
+silent fall-back cannot pass.
 """
 
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from levyspec import IncrementSample, UGrid, _native, ecf
+from levyspec import (ECFGrid, IncrementSample, SpectralEstimate, UGrid, _native, ecf,
+                      write_ecf_csv, write_estimate_csv, write_increments_csv)
+from levyspec.calibration import write_chi_csv
 from levyspec.cli import _read_values_fast, _read_values_loop, read_values_csv
 from levyspec.estimator import (_ECF_CHUNK, _TERMS, _bin_moments, _bin_moments_numpy,
                                 _ecf_bins, _ecf_contract_numpy, _ecf_half, _ecf_weights)
+from levyspec.sampling import write_rows
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -346,6 +354,12 @@ from levyspec.estimator import (_ECF_CHUNK, _TERMS, _bin_moments_numpy, _ecf_con
                                 _ecf_weights)
 lib = _native._load(sys.argv[1])
 _native.library = lambda: lib
+cells = np.load(sys.argv[3])
+for name in cells.files:
+    values = cells[name]
+    ints = np.arange(values.size, dtype=np.int64) * 1_000_003 - 2 ** 62
+    got = _native.format_rows("%d,%.17g\\n", [ints, values])
+    assert got == "".join("%d,%.17g\\n" % row for row in zip(ints.tolist(), values.tolist())), name
 cases = np.load(sys.argv[2])
 for name in cases.files:
     values = cases[name]
@@ -368,7 +382,8 @@ print(len(cases.files))
                          ids=["O0", "O1-ubsan"])
 def test_other_builds_of_the_kernels_give_the_bytes_of_numpy(flags, tmp_path):
     # a wrong restrict, or undefined behaviour that only -O3 exploits, shows as a
-    # difference between builds; UBSan aborts the child on the first fault
+    # difference between builds; UBSan aborts the child on the first fault.  The
+    # writer's cells are checked against Python's % in the same child
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     library = tmp_path / "kernels.so"
@@ -379,8 +394,157 @@ def test_other_builds_of_the_kernels_give_the_bytes_of_numpy(flags, tmp_path):
         pytest.skip(f"cc cannot link the UBSan runtime: {proc.stderr.strip()[-200:]}")
     assert proc.returncode == 0, proc.stderr
     np.savez(tmp_path / "cases.npz", **_tile_edge_cases())
+    np.savez(tmp_path / "cells.npz", **{name: _decided(values)
+                                        for name, values in _writer_families().items()})
     out, err = subprocess.Popen(
-        [sys.executable, "-c", CHECK_BUILD, str(library), str(tmp_path / "cases.npz")],
+        [sys.executable, "-c", CHECK_BUILD, str(library), str(tmp_path / "cases.npz"),
+         str(tmp_path / "cells.npz")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": SRC}).communicate(timeout=300)
     assert err == "" and out.strip() == str(len(_tile_edge_cases())), err
+
+
+def _writer_families() -> dict:
+    """Doubles of each kind the CSV writer meets, by name: random bit patterns,
+    Cauchy and normal draws, subnormals, every power of two, the powers of ten and
+    their neighbours (13 of which round up to the next power at the 17th digit),
+    and ties at the 17th digit, m 2^-k of exactly 18 significant digits."""
+    rng = np.random.default_rng(33)
+    bits = rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(np.float64)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    tied = np.ldexp(rng.integers(2 ** 52, 2 ** 53, 40_000).astype(float),
+                    -rng.integers(1, 25, 40_000))
+    ties = [v for v in tied.tolist() if len(Decimal(v).normalize().as_tuple().digits) == 18]
+    signs = np.where(rng.random(len(ties)) < 0.5, -1.0, 1.0)
+    return {
+        "bits": bits[np.isfinite(bits)],
+        "cauchy": rng.standard_cauchy(20_000),
+        "normal": rng.standard_normal(20_000),
+        "subnormal": rng.integers(1, 2 ** 52, 2000, dtype=np.uint64).view(np.float64),
+        "two": np.ldexp(1.0, np.arange(-1074, 1024)),
+        "ten": np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)]),
+        "tie": np.array(ties) * signs,
+        "zero": np.array([0.0, -0.0, 1e-4, 1e-5, 1e16, 1e17, -1e17, 123456789012345678.0]),
+    }
+
+
+def _decided(values: np.ndarray) -> np.ndarray:
+    """The values the C writer decides itself: 0 and the finite ones of magnitude
+    at least 1e-291, whose 10^s lies in the table."""
+    return values[(values == 0) | (np.abs(values) >= 1e-291) & np.isfinite(values)]
+
+
+def _percent(row_format: str, *columns) -> str:
+    """The rows of ``row_format`` over the columns by Python's ``%``: the definition."""
+    return "".join(row_format % row for row in zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+@pytest.mark.parametrize("family", sorted(_writer_families()))
+def test_c_writer_gives_the_bytes_of_percent_on_each_family(kernels, family):
+    values = _writer_families()[family]
+    if family == "tie":
+        assert values.size > 500
+    decided = _decided(values)
+    assert decided.size == values.size or family in ("bits", "subnormal", "two", "ten")
+    assert _native.format_rows("%.17g\n", [decided]) == _percent("%.17g\n", decided)
+    assert _native.format_rows("%.17g\n", [-decided]) == _percent("%.17g\n", -decided)
+
+
+def test_c_writer_gives_the_bytes_of_percent_on_integer_columns(kernels):
+    ints = np.array([-2 ** 63, -2 ** 63 + 1, -10, -9, -1, 0, 1, 9, 10, 99, 100, 2 ** 53 + 1,
+                     2 ** 63 - 1], dtype=np.int64)
+    values = np.linspace(-3.0, 3.0, ints.size)
+    assert _native.format_rows("%d\n", [ints]) == _percent("%d\n", ints)
+    small = np.array([-2 ** 31, -1, 0, 2 ** 31 - 1], dtype=np.int32)
+    assert _native.format_rows("%d,%.17g\n", [small, values[:4]]) == \
+        _percent("%d,%.17g\n", small, values[:4])
+    assert _native.format_rows("%.17g,%d,%d\n", [values, ints, ints]) == \
+        _percent("%.17g,%d,%d\n", values, ints, ints)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(patterns=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+def test_c_writer_gives_the_bytes_of_percent_for_any_bit_pattern(kernels, patterns):
+    # a cell is left to Python only when it is not finite or too small for the table
+    for value in np.array(patterns, dtype=np.uint64).view(np.float64):
+        got = _native.format_rows("%.17g\n", [np.array([value])])
+        if got is None:
+            assert not math.isfinite(value) or 0.0 < abs(value) < 1e-291
+        else:
+            assert got == "%.17g\n" % value
+
+
+def test_every_writer_of_the_package_gives_the_bytes_of_percent(tmp_path, monkeypatch):
+    # each row format the package writes, over every family, subnormals included,
+    # with the kernels where they load and then without them
+    values = np.concatenate(list(_writer_families().values()))
+    chis = np.arange(values.size) % 7 - 3
+    grid = UGrid.make(8.192, 0.001)
+    cf = values[:grid.points.size] + 1j * values[-grid.points.size:]
+    writers = {
+        "inc.csv": (lambda p: write_increments_csv(IncrementSample(values), p, ["a=1"]),
+                    "# a=1\nindex,value\n" + _percent("%d,%.17g\n", np.arange(values.size),
+                                                      values)),
+        "est.csv": (lambda p: write_estimate_csv(SpectralEstimate(values, values[::-1]), p),
+                    "x,f_hat\n" + _percent("%.17g,%.17g\n", values, values[::-1])),
+        "ecf.csv": (lambda p: write_ecf_csv(ECFGrid(grid, cf, 1), p),
+                    "u,re,im\n" + _percent("%.17g,%.17g,%.17g\n", grid.points, cf.real,
+                                            cf.imag)),
+        "chi.csv": (lambda p: write_chi_csv(values, chis, p),
+                    "kappa,chi\n" + _percent("%.17g,%d\n", values, chis)),
+    }
+    for name, (write, want) in writers.items():
+        write(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == want.encode(), name
+    monkeypatch.setattr(_native, "library", lambda: None)
+    for name, (write, want) in writers.items():
+        write(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == want.encode(), name
+
+
+def _undecidable_table(lib) -> np.ndarray:
+    """The kernels' table with the entry of 5^-44 moved so that 2^200 lies exactly
+    on a half at its 17th digit.  2^200, about 1.6e60, has s = 16 - 60 = -44, and
+    the product of its significand 2^63 with the 128-bit entry leaves the entry's
+    low 74 bits as the fraction of N; an entry past 5^55 is not exact, so a
+    fraction of 2^73 of them must be left to Python."""
+    table = lib.powers_of_ten.copy()
+    lead = int(table[342 - 44, 0]) << 64 | int(table[342 - 44, 1])
+    lead = lead >> 74 << 74 | 1 << 73
+    table[342 - 44] = lead >> 64, lead & (2 ** 64 - 1)
+    return table
+
+
+@pytest.mark.parametrize("bad", ["nan", "1e-300", "undecidable"])
+def test_a_block_with_a_cell_the_c_writer_leaves_is_written_by_percent(kernels, bad, tmp_path,
+                                                                      monkeypatch):
+    values = np.random.default_rng(34).standard_cauchy(3 * 8192 + 5)
+    values[8192 + 17] = 2.0 ** 200 if bad == "undecidable" else float(bad)
+    blocks = [values[i:i + 8192] for i in range(0, values.size, 8192)]
+    assert _native.format_rows("%.17g\n", [np.array([2.0 ** 200])]) == "%.17g\n" % 2.0 ** 200
+    if bad == "undecidable":
+        monkeypatch.setattr(kernels, "powers_of_ten", _undecidable_table(kernels))
+    assert [_native.format_rows("%.17g\n", [block]) is None for block in blocks] == \
+        [False, True, False, False]
+    write_rows(tmp_path / "rows.csv", ["m"], "i,v", "%d,%.17g\n", np.arange(values.size), values)
+    want = "# m\ni,v\n" + _percent("%d,%.17g\n", np.arange(values.size), values)
+    assert (tmp_path / "rows.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("row_format, columns", [
+    ("%.6g\n", [np.arange(3.0)]),  # another conversion
+    ("%d;%d\n", [np.arange(3), np.arange(3)]),  # another separator
+    ("%d,%d", [np.arange(3), np.arange(3)]),  # no newline
+    ("%d,%d\n", [np.arange(3)]),  # fewer columns than cells
+    ("%d\n", [np.arange(3.0)]),  # a float column under %d
+    ("%.17g\n", [np.arange(3)]),  # an integer column under %.17g
+    ("%d\n", [np.arange(3, dtype=np.uint64)]),  # an unsigned column
+    ("%.17g,%.17g\n", [np.arange(3.0), np.arange(4.0)]),  # columns of two lengths
+], ids=["conversion", "separator", "newline", "count", "float-d", "int-g", "uint", "lengths"])
+def test_other_row_formats_and_columns_are_left_to_percent(kernels, row_format, columns,
+                                                           tmp_path):
+    assert _native.format_rows(row_format, columns) is None
+    if len({c.size for c in columns}) == 1 and row_format.count("%") == len(columns):
+        write_rows(tmp_path / "rows.csv", [], "h", row_format, *columns)
+        assert (tmp_path / "rows.csv").read_text() == "h\n" + _percent(row_format, *columns)
