@@ -153,8 +153,9 @@ static int parse_line(char *p, const char *limit, int eof, const uint64_t *power
 }
 
 /* The values of the lines after the first `skip` (a line ends at \n, \r or
-   \r\n), at most `cap`, into out: their count, or -1.  powers is the table of
-   eisel_lemire, 2 (308 + 342 + 1) words. */
+   \r\n), at most `cap`, into out: their count, or -1.  A UTF-8 byte-order mark
+   at byte 0 is not data.  powers is the table of eisel_lemire, 2 (308 + 342 + 1)
+   words. */
 int64_t read_last_cells(const char *path, int64_t skip, double *out, int64_t cap,
                         const uint64_t *powers)
 {
@@ -163,6 +164,8 @@ int64_t read_last_cells(const char *path, int64_t skip, double *out, int64_t cap
     int64_t rows = 0;
     size_t have = 0, got;
     int eof = 0, cr = 0, status = 0;
+    if (f && (fread(buf, 1, 3, f) != 3 || memcmp(buf, "\xEF\xBB\xBF", 3)))
+        rewind(f);  /* a byte-order mark at byte 0 is skipped */
     while (f && !eof && status >= 0) {
         got = fread(buf + have, 1, BUFFER - have, f);
         eof = got < BUFFER - have;

@@ -5,22 +5,22 @@
 (default ``~/.cache/levyspec``), under a name keyed by the CRC-32 of the
 source and the command line, and loads it.  A build writes a temporary file
 and renames it into place, so processes building at once all load a whole
-library.  When that directory cannot be written it builds into a temporary
-directory of this process.  Nothing is built or loaded at import.  Without a
-compiler, or when a build or load fails, ``library()`` is None: the moment
-pass and the ECF's contraction run their numpy definitions, the CSV reader
-``np.loadtxt`` and the CSV writer Python's ``%``, with the same bytes.
+library.  Nothing is built or loaded at import.  Without a compiler, with a
+cache that cannot be made or written, or when a build or load fails,
+``library()`` is None: the moment pass and the ECF's contraction run their
+numpy definitions, the CSV reader ``np.loadtxt`` and the CSV writer Python's
+``%``, with the same bytes.
 
 The CSV reader takes the cells of the grammar in ``decimal()`` of
 ``_kernels.c`` and converts them by Eisel-Lemire against a table of the
 leading 128 bits of 10^-342 .. 10^308, which ``_powers_of_ten`` builds from
 Python integers at library load (about 1 ms, 10 KiB) and each call passes to
 C; a cell of more than 19 significant digits goes to ``strtod``, with the
-same bytes.  The CSV writer ``format_rows`` is its inverse: from one product
-of a double's significand with the same table it writes the bytes of
-``'%.17g' %``, digits by hand, so that no locale reaches them, and leaves to
-``%`` a block with a cell that is not finite, lies below about 1e-292, or
-whose rounding the table's 128 bits cannot decide.
+same bytes.  The CSV writer ``format_rows`` is its inverse: it writes signed
+integer columns as ``'%d' %`` and float64 ones as ``'%.17g' %``, a double from
+one product of its significand with the same table, digits by hand, so that no
+locale reaches them, and leaves to ``%`` any other column and a block with a
+cell that is not finite, lies below about 1e-292, or is undecidable.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import shutil
 import tempfile
 import weakref
 import zlib
@@ -121,26 +122,18 @@ def _load(path: str) -> ctypes.CDLL:
 
 @functools.cache
 def library() -> ctypes.CDLL | None:
-    """The loaded kernels, built on the first call; None when they cannot be."""
+    """The loaded kernels, built into the cache on the first call; None when they cannot be."""
     try:
         source = _SOURCE.read_bytes()
         # a CRC tells source versions apart; hashlib would map OpenSSL, 3.6 MB resident
         name = f"kernels-{zlib.crc32(source + ' '.join(_COMMAND).encode()):08x}.so"
-    except OSError:
-        return None
-    try:
         path = os.path.join(_cache_dir(), name)
         if not os.path.exists(path):
+            if shutil.which(_COMMAND[0]) is None:
+                return None
             os.makedirs(os.path.dirname(path), exist_ok=True)
             _build(source, path)
         return _load(path)
-    except OSError:
-        pass
-    try:  # a private build; the loaded library outlives its file
-        with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
-            path = os.path.join(tmp, name)
-            _build(source, path)
-            return _load(path)
     except OSError:
         return None
 
@@ -168,21 +161,18 @@ def read_last_cells(path: str, skip: int) -> np.ndarray | None:
 
 
 _CELL_BYTES = 25  # the longest cell, "-1.2345678901234567e-308" or an int64, and its separator
-_CELL_KINDS = {"%d": "d", "%.17g": "g"}
 
 
-def format_rows(row_format: str, columns) -> str | None:
-    """``(row_format * rows) % cells``, the cells of the 1-d arrays ``columns``
-    interleaved row by row, for a format of ``%d`` and ``%.17g`` cells joined by
-    commas and ended by a newline over columns of one length, signed integers for
-    ``%d`` and float64 for ``%.17g``.  None for any other format or columns, when
-    the kernels are missing, or when they leave a cell to Python."""
-    cells = row_format[:-1].split(",") if row_format.endswith("\n") else []
-    kinds = "".join(_CELL_KINDS.get(cell, "?") for cell in cells)
-    if len(kinds) != len(columns) or "?" in kinds or any(
-            column.ndim != 1 or column.size != columns[0].size
-            or not (column.dtype.kind == "i" if kind == "d" else column.dtype == np.float64)
-            for kind, column in zip(kinds, columns)):
+def format_rows(columns) -> str | None:
+    """The rows of the 1-d arrays ``columns`` as ``sampling.write_rows`` writes them:
+    ``'%d' %`` of a signed integer column and ``'%.17g' %`` of a float64 one,
+    joined by commas, each row ended by a newline.  None for a column of another
+    dtype, for columns of two lengths, when the kernels are missing, or when they
+    leave a cell to Python."""
+    kinds = "".join("d" if column.dtype.kind == "i" else "g" if column.dtype == np.float64
+                    else "?" for column in columns)
+    if "?" in kinds or any(column.ndim != 1 or column.size != columns[0].size
+                           for column in columns):
         return None
     lib = library()
     if lib is None:

@@ -126,4 +126,4 @@ def calibrate(ecf_grid: ECFGrid, grid: KappaGrid | None = None,
 
 
 def write_chi_csv(kappas, chis, path, meta_lines=()) -> None:
-    write_rows(path, meta_lines, "kappa,chi", "%.17g,%d\n", kappas, chis)
+    write_rows(path, meta_lines, "kappa,chi", np.asarray(kappas, dtype=float), chis)

@@ -109,7 +109,8 @@ def _read_values_fast(path: str) -> np.ndarray | None:
     if any(byte in raw for byte in b"\x1c\x1d\x1e\x1f"):
         return None
     try:  # no kernels: np.loadtxt, also C, from the path in large chunks
-        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=lineno - 1)
+        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=lineno - 1,
+                           encoding="utf-8-sig")
     except ValueError:
         return None
     # At least one row, with the 1 or 2 columns of the first: loadtxt raises on ragged rows.
@@ -207,7 +208,7 @@ def _cmd_estimate(args) -> int:
 
 def _require_distinct_files(*flags: tuple[str, str]) -> None:
     """A ValueError when two of the (flag, path) pairs name one file, so that no
-    output overwrites --data or another output.  Paths are compared by their real
+    output overwrites --data, --config or another output.  Paths are compared by their real
     paths and, where they exist, by device and inode, which a hard link shares.
     Neither opens the file, so a pipe such as ``--data <(...)`` is still read once."""
     seen = {}
@@ -230,6 +231,7 @@ def _derived_path(path: str, suffix: str) -> str:
 
 
 def _cmd_risk_table(args) -> int:
+    _require_distinct_files(("--config", args.config), ("--out", args.out))
     with open(args.config) as fh:
         doc = json.load(fh)
     # one config object, a list of them, or {"experiments": [...]} with no other key

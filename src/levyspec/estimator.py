@@ -525,9 +525,9 @@ def plancherel_l2(a: np.ndarray, b: np.ndarray, grid: UGrid) -> float:
 # serialization
 
 def write_estimate_csv(est: SpectralEstimate, path, meta_lines=()) -> None:
-    write_rows(path, meta_lines, "x,f_hat", "%.17g,%.17g\n", est.x_grid, est.values)
+    write_rows(path, meta_lines, "x,f_hat", est.x_grid, est.values)
 
 
 def write_ecf_csv(ecf_grid: ECFGrid, path, meta_lines=()) -> None:
-    write_rows(path, meta_lines, "u,re,im", "%.17g,%.17g,%.17g\n", ecf_grid.grid.points,
-               np.real(ecf_grid.values), np.imag(ecf_grid.values))
+    write_rows(path, meta_lines, "u,re,im", ecf_grid.grid.points, np.real(ecf_grid.values),
+               np.imag(ecf_grid.values))

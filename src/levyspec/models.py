@@ -586,8 +586,10 @@ def optimal_cutoff(model_class, sigma2: float, n: float, delta_t: float) -> floa
     """Cutoff balancing squared bias against the variance proxy m/(pi n).
 
     Gaussian-dominant: sqrt(log n / (delta_t sigma^2)).
-    Pure-jump:        (pi/2) (log n / (M delta_t))^(1/alpha).
-    Mixed classes delegate to :func:`mixed_cutoff`.
+    Pure-jump:        (pi/2) (log n / (M delta_t))^(1/alpha), the root of
+    (2/pi)^alpha M delta_t m^alpha = log n, on the |phi| envelope of
+    :func:`spectral_bias_bound`.  Mixed classes delegate to :func:`mixed_cutoff`,
+    which balances |phi|^2: as sigma2 -> 0 its root is this one over 2^(1/alpha).
     """
     _require_between("n", n, 2, math.inf, closed=True)
     _require_positive("delta_t", delta_t)
@@ -603,9 +605,11 @@ def optimal_cutoff(model_class, sigma2: float, n: float, delta_t: float) -> floa
 def mixed_cutoff(sigma2: float, M: float, alpha: float, delta_t: float, n: float) -> float:
     """Positive root of sigma^2 dt m^2 + c_alpha dt m^alpha = log n, by Brent's method.
 
-    c_alpha = 2 M (2/pi)^alpha.  With sigma2 = 0 or M = 0 the closed-form
-    degenerate branch is returned.  The root is guaranteed to satisfy the
-    equation to an absolute residual below 1e-10.
+    c_alpha = 2 M (2/pi)^alpha, so it balances |phi|^2, where :func:`optimal_cutoff`'s
+    pure-jump branch solves (2/pi)^alpha M dt m^alpha = log n on |phi|: at sigma2 = 0
+    this root is that one over exactly 2^(1/alpha).  With sigma2 = 0 or M = 0 the
+    closed-form degenerate branch is returned.  The root is guaranteed to satisfy
+    the equation to an absolute residual below 1e-10.
     """
     total = _require_nonnegative("sigma2", sigma2) + _require_nonnegative("M", M)
     _require_positive("sigma2 + M", total)

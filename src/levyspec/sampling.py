@@ -314,22 +314,23 @@ def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
 _ROWS_PER_WRITE = 8192
 
 
-def write_rows(path, meta_lines, header: str, row_format: str, *columns) -> None:
-    """Write ``# meta`` lines, a header and one ``row_format`` row per index of
-    the columns, a block of rows at a time.  ``%`` over the interleaved columns
-    defines a block (``%.17g`` writes the same bytes as ``f"{v:.17g}"``); where
-    the kernels load, ``_native.format_rows`` writes the same bytes in C, with no
-    locale, for a format of ``%d`` and ``%.17g`` cells, and leaves to ``%`` a
-    block holding a cell it cannot decide."""
+def write_rows(path, meta_lines, header: str, *columns) -> None:
+    """Write ``# meta`` lines, a header and one row per index of the columns, a
+    block of rows at a time: an integer column's cells as ``%d`` and any other's
+    as ``%.17g`` (the bytes of ``f"{v:.17g}"``), joined by commas.  ``%`` over
+    the interleaved columns defines a block; where the kernels load,
+    ``_native.format_rows`` writes the same bytes in C, with no locale, and
+    leaves to ``%`` a block holding a cell it cannot decide."""
     from . import _native  # at the first write, not at import
     columns = [np.asarray(column) for column in columns]
+    row_format = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     with open(path, "w") as fh:
         for line in meta_lines:
             fh.write(f"# {line}\n")
         fh.write(f"{header}\n")
         for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
             block = [column[start:start + _ROWS_PER_WRITE] for column in columns]
-            text = _native.format_rows(row_format, block)
+            text = _native.format_rows(block)
             if text is None:
                 block = [column.tolist() for column in block]
                 rows = [None] * (len(columns) * len(block[0]))
@@ -341,4 +342,4 @@ def write_rows(path, meta_lines, header: str, row_format: str, *columns) -> None
 
 def write_increments_csv(sample: IncrementSample, path, meta_lines=()) -> None:
     """Dump increments as CSV with header ``index,value``, one ``%d,%.17g`` row each."""
-    write_rows(path, meta_lines, "index,value", "%d,%.17g\n", np.arange(sample.n), sample.values)
+    write_rows(path, meta_lines, "index,value", np.arange(sample.n), sample.values)

@@ -227,3 +227,11 @@ def test_write_chi_csv(tmp_path):
     path = tmp_path / "chi.csv"
     write_chi_csv([0.0, 0.05], [3, 1], path, ["n=100"])
     assert path.read_text() == "# n=100\nkappa,chi\n0,3\n0.050000000000000003,1\n"
+
+
+def test_write_chi_csv_writes_the_kappas_of_an_integer_step_as_floats(tmp_path):
+    # KappaGrid(10**12, 10**6).kappas is an integer array; a kappa cell is %.17g all the same
+    path = tmp_path / "chi.csv"
+    grid = KappaGrid(10 ** 12, 10 ** 6)
+    write_chi_csv(grid.kappas[-2:], [2, 1], path)
+    assert path.read_text() == "kappa,chi\n9.99999e+17,2\n1e+18,1\n"

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import levyspec.calibration
 import levyspec.cli
 import levyspec.estimator
+import levyspec.risk
 from levyspec.cli import main, read_values_csv
 
 CAUCHY_FLAGS = ["--alpha", "1", "--P", "0.3183098861837907", "--Q", "0.3183098861837907"]
@@ -245,6 +247,24 @@ def test_an_output_hard_linked_to_the_data_exits_2_and_leaves_it(increments_file
                 "--out", "link.csv"]) == 2
     assert "--data d.csv and --out link.csv name the same file" in capsys.readouterr().err
     assert data.read_bytes() == text
+
+
+@pytest.mark.parametrize("out", ["cfg.json", "./cfg.json", "link.json"])
+def test_risk_table_out_naming_its_config_exits_2_before_any_trial(out, tmp_path, monkeypatch,
+                                                                   capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the output path was validated")
+
+    monkeypatch.setattr(levyspec.cli, "risk_table", no_trials)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(_BASE_CONFIG))
+    text = config.read_bytes()
+    os.link(config, tmp_path / "link.json")
+    assert run(["risk-table", "--config", "cfg.json", "--out", out]) == 2
+    assert f"--config cfg.json and --out {out} name the same file" in capsys.readouterr().err
+    assert config.read_bytes() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "link.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -1054,6 +1074,11 @@ EXIT_CONTRACT = {
         "estimate", "--delta", "1", "--kappa", "1", "--data", _normal_csv(d, draw),
         "--out", d / "same.csv", "--ecf-out", draw(st.sampled_from(
             [d / "same.csv", d / "." / "same.csv", d / "sub" / ".." / "same.csv"]))]),
+    # an output in the config's file would replace it
+    "risk-table-out-is-config": (2, lambda draw, d: [
+        *(argv := _risk_table(d, _BASE_CONFIG)), "--out", draw(st.sampled_from(
+            [argv[-1], os.path.join(os.path.dirname(argv[-1]), ".", "in.csv")]))],
+        "name the same file"),
     # a grid past the cap on u_max / step fails at once, before any array exists
     "grid-too-large-to-allocate": (2, lambda draw, d: [
         draw(st.sampled_from(["estimate", "calibrate"])), "--delta", "1",
@@ -1191,6 +1216,35 @@ def test_every_numeric_option_is_checked_at_parse_time(
 def test_seed_rows_are_the_subcommands_with_a_seed():
     with_seed = {c for c, p in _subcommands().items() if "--seed" in p._option_string_actions}
     assert with_seed == set(SEED_COMMANDS) | {"risk-table"}
+
+
+def test_each_cli_default_is_the_library_default_it_restates(monkeypatch):
+    # the seeds are left out: the CLI's and the library's differ by design
+    def default(command, flag):
+        return _subcommands()[command]._option_string_actions[flag].default
+
+    def parameter(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    grid = levyspec.calibration.KappaGrid()
+    for command in ("estimate", "calibrate"):
+        assert default(command, "--kappa-step") == grid.delta_step
+        assert default(command, "--kappa-count") == grid.count
+    assert default("estimate", "--xgrid") == parameter(levyspec.estimator.default_x_grid,
+                                                       "points")
+    for check in (levyspec.risk.cutoff_risk_bound_check,
+                  levyspec.risk.adaptive_risk_bound_check):
+        assert default("check-bounds", "--trials") == parameter(check, "trials")
+    called = {}
+
+    def record(delta_t, n, **kwargs):
+        called.update(kwargs)
+        return levyspec.risk.BoundCheckReport(True, ())
+
+    monkeypatch.setattr(levyspec.cli, "adaptive_risk_bound_check", record)
+    assert run(["check-bounds", "--which", "thm4", "--delta", "1", "--n", "10"]) == 0
+    assert called["kappa"] == levyspec.calibration.FALLBACK_KAPPA == parameter(
+        levyspec.risk.adaptive_risk_bound_check, "kappa")
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,10 @@ CASES = {
     "400-digit-cell": ("value\n9007199254740993." + "0" * 383 + "1\n", False, True, True),
     "two-cells-after-data": ("value\n0.5\n1,2\n", False, True, False),
     # a UTF-8 byte-order mark, as spreadsheets' "CSV UTF-8" writes, is not part of the data
-    "bom-number": ("\ufeff1.5\n2.5\n", False, False, False),
+    # (both fast readers skip one at byte 0; one anywhere else is an error)
+    "bom-number": ("\ufeff1.5\n2.5\n", False, True, True),
     "bom-header": ("\ufeffvalue\n1.5\n2.5\n", False, True, True),
+    "bom-later": ("1.5\n\ufeff2.5\n", False, False, False),
 }
 
 
