@@ -164,7 +164,7 @@ _CELL_BYTES = 25  # the longest cell, "-1.2345678901234567e-308" or an int64, an
 
 
 def format_rows(columns) -> str | None:
-    """The rows of the 1-d arrays ``columns`` as ``sampling.write_rows`` writes them:
+    """The rows of the 1-d arrays ``columns`` as ``_csvio.write_rows`` writes them:
     ``'%d' %`` of a signed integer column and ``'%.17g' %`` of a float64 one,
     joined by commas, each row ended by a newline.  None for a column of another
     dtype, for columns of two lengths, when the kernels are missing, or when they

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import write_rows
 from .errors import NoStabilizationError, _require_count, _require_positive
 from .estimator import _MAX_GRID, ECFGrid, threshold_level
-from .sampling import write_rows
 
 __all__ = ["KappaGrid", "euler_characteristic", "chi_profile", "stabilization_index",
            "select_kappa", "calibrate", "FALLBACK_KAPPA", "write_chi_csv"]

@@ -10,6 +10,7 @@ failure or an allocation too large for memory, 4 calibration did not stabilize
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -17,9 +18,8 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
+from ._csvio import read_values_csv
 from .calibration import FALLBACK_KAPPA, KappaGrid, calibrate, chi_profile, write_chi_csv
 from .errors import (NoStabilizationError, QuadratureError, UnsupportedModelError,
                      _require_between, _require_count, _require_finite, _require_nonnegative,
@@ -67,98 +67,6 @@ def _triplet_from_args(args: argparse.Namespace) -> LevyTriplet:
     return LevyTriplet(args.b, args.sigma2, jumps)
 
 
-def read_values_csv(path: str, difference: bool = False) -> np.ndarray:
-    """Read one- or two-column numeric CSV; optional header and # comments.
-
-    The body is read by ``read_last_cells`` of ``_kernels.c`` when the native
-    kernels load (``_native.library``): one scan per line, a last cell in the
-    plain-decimal grammar that ``decimal()`` there states and matches, with
-    spaces or tabs around it.  The cell is rounded in the same walk by the
-    Eisel-Lemire algorithm, one or two 64x64-bit products against a table of
-    10^-342..10^308 (an exponent past it gives 0 or infinity); ``strtod``
-    takes a cell of more than 19 significant digits, and its end must be the
-    end of the cell.  Both round correctly, as ``float`` does, so every cell
-    gives the same double.  Without the kernels the body is parsed by
-    ``np.loadtxt``, also in C.  Any file the fast path does not take goes to
-    ``_read_values_loop``, which defines the format and raises its
-    line-numbered errors.  A leading UTF-8 byte-order mark is not data.
-    """
-    data = _read_values_fast(path)
-    if data is None:
-        data = _read_values_loop(path)
-    if difference and data.size < 2:
-        raise ValueError(f"{path}: need at least 2 level observations to difference")
-    return np.diff(data) if difference else data
-
-
-def _read_values_fast(path: str) -> np.ndarray | None:
-    """The last cells read by the C reader, or by ``np.loadtxt`` without the
-    kernels, from the first numeric row on; None for a file left to the loop."""
-    if not os.path.isfile(path):  # a pipe can be read only once, and this opens it twice
-        return None
-    try:
-        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not a header
-            lineno, _ = next(_data_rows(fh, path))
-    except (ValueError, StopIteration):  # StopIteration: no numeric row
-        return None
-    from . import _native  # at the first read, not at import
-    if _native.library() is not None:
-        return _native.read_last_cells(path, lineno - 1)
-    with open(path, "rb") as fh:  # np.loadtxt strips \x1c-\x1f around a number; float() does not
-        raw = fh.read()
-    if any(byte in raw for byte in b"\x1c\x1d\x1e\x1f"):
-        return None
-    try:  # no kernels: np.loadtxt, also C, from the path in large chunks
-        table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=lineno - 1,
-                           encoding="utf-8-sig")
-    except ValueError:
-        return None
-    # At least one row, with the 1 or 2 columns of the first: loadtxt raises on ragged rows.
-    values = np.ascontiguousarray(table[:, -1])
-    return values if np.isfinite(values).all() else None
-
-
-# The whitespace float() strips: that of str.isspace() but for the ASCII separators
-# \x1c-\x1f, which float() rejects, so a cell "0\x1f" is not a number.  A literal:
-# scanning every code point for it would cost about 85 ms at import.
-_BLANKS = ("\t\n\x0b\x0c\r \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
-           "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
-
-
-def _data_rows(fh, path: str):
-    """Yield (line number, value) for each row from the first whose last cell is a
-    number on.  Blank and # lines are skipped anywhere and rows before that one
-    are headers.  A row of other than 1 or 2 cells, a non-numeric last cell after
-    the first number and a non-finite one raise, naming the line."""
-    started = False
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip(_BLANKS)
-        if not line or line[0] == "#":
-            continue
-        first, _, cell = line.rpartition(",")
-        if "," in first:
-            raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns, got {line.count(',') + 1}")
-        try:
-            value = float(cell)
-        except ValueError:
-            if started:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
-            continue
-        if not math.isfinite(value):
-            raise ValueError(f"{path}:{lineno}: non-finite cell {cell!r}")
-        started = True
-        yield lineno, value
-
-
-def _read_values_loop(path: str) -> np.ndarray:
-    """The CSV format, one line at a time: the values ``_data_rows`` yields."""
-    with open(path, encoding="utf-8-sig") as fh:
-        values = [value for _, value in _data_rows(fh, path)]
-    if not values:
-        raise ValueError(f"{path}: no numeric rows found")
-    return np.asarray(values)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -175,9 +83,23 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _reading(flag: str, path: str):
+    """Refuse an input file that cannot be read, such as a directory, or that is
+    not UTF-8 text, as one ValueError naming ``flag`` and ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{flag} {path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise ValueError(f"{flag} {path}: {exc.strerror or exc}") from None
+
+
 def _read_and_ecf(args) -> tuple[IncrementSample, ECFGrid]:
     """The increments of --data and their ECF on ``default_u_grid``."""
-    sample = IncrementSample(read_values_csv(args.data, difference=args.difference))
+    with _reading("--data", args.data):
+        values = read_values_csv(args.data, difference=args.difference)
+    sample = IncrementSample(values)
     return sample, ecf(sample, default_u_grid(args.delta, sample.n, args.umax, args.step))
 
 
@@ -232,7 +154,7 @@ def _derived_path(path: str, suffix: str) -> str:
 
 def _cmd_risk_table(args) -> int:
     _require_distinct_files(("--config", args.config), ("--out", args.out))
-    with open(args.config) as fh:
+    with _reading("--config", args.config), open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
     # one config object, a list of them, or {"experiments": [...]} with no other key
     if isinstance(doc, dict) and "experiments" in doc:
@@ -267,9 +189,7 @@ def _cmd_calibrate(args) -> int:
     _, phi_hat = _read_and_ecf(args)
     kappas, chis = chi_profile(phi_hat, kgrid)
     if not args.out:  # printed before calibrate, so an exit 4 still shows the profile
-        print("kappa,chi")
-        for kap, chi in zip(kappas, chis):
-            print(f"{kap:.17g},{int(chi)}")
+        write_chi_csv(kappas, chis, sys.stdout)
     kappa, fell_back = calibrate(phi_hat, kgrid, args.fallback)
     if args.out:  # written after calibrate, so an exit 4 leaves no file
         write_chi_csv(kappas, chis, args.out, _meta(args, "calibrate", {

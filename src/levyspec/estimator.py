@@ -39,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import write_rows
 from .errors import (_require_count, _require_finite_entries, _require_nonnegative,
                      _require_positive)
-from .sampling import IncrementSample, write_rows
+from .sampling import IncrementSample
 
 __all__ = ["UGrid", "ECFGrid", "SpectralEstimate", "ecf", "spectral_estimate",
            "unthresholded_mask", "threshold_cf", "adaptive_estimate", "plancherel_l2",

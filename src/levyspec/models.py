@@ -58,6 +58,8 @@ _CUTOFF_RESIDUAL_TOL = 1e-10
 _JUMP_EXPONENT_RTOL = 1e-8  # relative tolerance of each quadrature of a custom jump exponent
 _QUADPACK_DIVERGENT = "The integral is probably divergent"  # scipy's report of QUADPACK ier 5
 _EPS = math.ulp(1.0)
+_TAIL_RTOL = 1e-10  # relative tolerance of the spectral tail's quadrature
+_EXP_UNDERFLOW = 746.0  # exp(-x) rounds to 0 in double for x >= 746
 _TINY = 1e-300  # keeps the Lentz recurrence off a zero divisor
 _GAMMA_MAX_ITER = 500  # about 120 terms suffice at a = 171.6, where Gamma(a) overflows
 
@@ -419,16 +421,19 @@ def stable_cf(law: StableLaw, u):
     u_arr = _require_finite_entries("u", np.atleast_1d(np.asarray(u, dtype=float)))
     au = np.abs(u_arr)
     sg = np.sign(u_arr)
+    with np.errstate(over="ignore"):  # a scale past the float range is inf
+        scale = law.gamma * au if law.alpha == 1.0 else law.gamma ** law.alpha * au ** law.alpha
+    # |phi| = exp(-scale) is 0 in double from 746 on, where the phase may not be finite
+    gone = ~(scale < _EXP_UNDERFLOW)
+    scale[gone] = 0.0
     if law.alpha == 1.0:
         lg = np.where(au > 0, np.log(np.where(au > 0, au, 1.0)), 0.0)
-        expo = (1j * law.delta * u_arr
-                - law.gamma * au * (1.0 + 1j * law.beta * (2.0 / math.pi) * sg * lg))
+        expo = 1j * law.delta * u_arr - scale * (1.0 + 1j * law.beta * (2.0 / math.pi) * sg * lg)
     else:
         tan = math.tan(math.pi * law.alpha / 2.0)
-        expo = (1j * law.delta * u_arr
-                - law.gamma ** law.alpha * au ** law.alpha
-                * (1.0 - 1j * law.beta * tan * sg))
+        expo = 1j * law.delta * u_arr - scale * (1.0 - 1j * law.beta * tan * sg)
     out = np.exp(expo)
+    out[gone] = 0.0
     return out if np.ndim(u) else complex(out[0])
 
 
@@ -547,17 +552,58 @@ def _spectral_tail(a: float, c: float, alpha: float, m: float) -> float:
     The tail beyond m of a law's |phi|^2, or of its Gaussian or Picard
     envelope: erfc(m sqrt(a)) / (2 sqrt(pi a)) when c = 0,
     Gamma(1/alpha, c m^alpha) / (pi alpha c^{1/alpha}) when a = 0, and
-    adaptive quadrature when both terms are present.
+    adaptive quadrature when both terms are present.  The quadrature runs in
+    the law's own width, where u exp(-g(u)), g(u) = a u^2 + c u^alpha, peaks for
+    either term alone: L = min((2a)^-1/2, (alpha c)^-1/alpha).  From m <= L it
+    integrates over t with u = L e^t, split at t = 0; from m past L it is
+    anchored at m, with u = m e^(k t), k = 1 / max(1, m g'(m)), and the factor
+    exp(-g(m)) taken out.  So neither a narrow law nor a deep tail falls between
+    QUADPACK's nodes.  The tolerance is relative only, and an error estimate
+    above it raises QuadratureError.
     """
     if c == 0.0:
         return math.erfc(m * math.sqrt(a)) / (2.0 * math.sqrt(math.pi * a))
     if a == 0.0:
         return _upper_gamma(1.0 / alpha, c * m ** alpha) / (
             math.pi * alpha * c ** (1.0 / alpha))
+    width = math.exp(min(-0.5 * math.log(2.0 * a), -math.log(alpha * c) / alpha))
+    if m <= width:
+        start, scale, lead = math.log(m / width) if m > 0.0 else -math.inf, width, 0.0
+
+        def log_integrand(t):
+            u = width * math.exp(t)
+            return t - a * u * u - c * u ** alpha
+    else:
+        am2 = a * m * m
+        try:
+            cma = c * m ** alpha
+        except OverflowError:
+            return 0.0
+        k = 1.0 / max(1.0, 2.0 * am2 + alpha * cma)
+        start, scale, lead = 0.0, m * k, am2 + cma
+        if math.exp(-lead) == 0.0:
+            return 0.0
+
+        def log_integrand(t):  # kt - (g(m e^(kt)) - g(m)), without cancellation
+            return k * t - am2 * math.expm1(2.0 * k * t) - cma * math.expm1(alpha * k * t)
+
+    def integrand(t):
+        try:
+            return math.exp(log_integrand(t))
+        except OverflowError:  # u or g(u) past the float range
+            return 0.0
+
     from scipy.integrate import quad
-    val, _ = quad(lambda u: math.exp(-a * u * u - c * u ** alpha), m, math.inf,
-                  epsrel=1e-10, limit=200)
-    return val / math.pi
+    val = err = 0.0
+    for lo, hi in ((start, 0.0), (0.0, math.inf)) if start < 0.0 else ((start, math.inf),):
+        piece, piece_err, *_ = quad(integrand, lo, hi, epsrel=_TAIL_RTOL, epsabs=0.0,
+                                    limit=200, full_output=1)
+        val, err = val + piece, err + piece_err
+    if not err <= _TAIL_RTOL * val:
+        raise QuadratureError(f"the spectral tail (1/pi) int_m^inf exp(-a u^2 - c u^alpha) du "
+                              f"from m={m!r}: error estimate {err:.2e} exceeds "
+                              f"{_TAIL_RTOL:g} of {val:.6e}")
+    return scale * val * math.exp(-lead) / math.pi
 
 
 def spectral_bias_bound(model_class: ModelClass, sigma2: float, m: float,

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import FALLBACK_KAPPA, calibrate
-from .errors import _require_count, _require_nonnegative, _require_positive
+from .errors import QuadratureError, _require_count, _require_nonnegative, _require_positive
 from .estimator import (_MAX_TRIALS, UGrid, default_u_grid, ecf, plancherel_l2,
                         threshold_cf, threshold_level, trapezoid_weights)
 from .models import (LevyTriplet, StableJumpDensity, _increment_parts, _spectral_tail,
@@ -193,10 +193,14 @@ def reference_tail_integral(model: LevyTriplet, delta_t: float, u_max: float) ->
     _require_nonnegative("u_max", u_max)
     variance, law = _increment_parts(model, delta_t)
     c, alpha = (0.0, 2.0) if law is None else (2.0 * law.gamma ** law.alpha, law.alpha)
-    tail = _spectral_tail(variance, c, alpha, u_max)
+    at = f"at delta_t={delta_t!r}, alpha={alpha!r}"
+    try:
+        tail = _spectral_tail(variance, c, alpha, u_max)
+    except QuadratureError as exc:
+        raise QuadratureError(f"{exc} {at}") from None
     if not math.isfinite(tail):
         raise ValueError(f"the reference tail (1/pi) int_u^inf |phi(u)|^2 du from u = "
-                         f"{u_max!r} is not finite at delta_t={delta_t!r}, alpha={alpha!r}")
+                         f"{u_max!r} is not finite {at}")
     return tail
 
 

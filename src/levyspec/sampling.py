@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import write_rows
 from .errors import (_require_between, _require_count, _require_finite, _require_finite_entries,
                      _require_positive)
 from .models import LevyTriplet, StableLaw, _increment_parts
@@ -309,35 +310,6 @@ def sample_increments(triplet: LevyTriplet, delta_t: float, n: int,
         values = _cms(law, seed.generator(_STABLE_STREAM), n)
         values += drift  # also when 0.0: it turns a -0.0 into +0.0, as 0.0 + x does
     return IncrementSample(values) if law is None else _stable_sample(values, law)
-
-
-_ROWS_PER_WRITE = 8192
-
-
-def write_rows(path, meta_lines, header: str, *columns) -> None:
-    """Write ``# meta`` lines, a header and one row per index of the columns, a
-    block of rows at a time: an integer column's cells as ``%d`` and any other's
-    as ``%.17g`` (the bytes of ``f"{v:.17g}"``), joined by commas.  ``%`` over
-    the interleaved columns defines a block; where the kernels load,
-    ``_native.format_rows`` writes the same bytes in C, with no locale, and
-    leaves to ``%`` a block holding a cell it cannot decide."""
-    from . import _native  # at the first write, not at import
-    columns = [np.asarray(column) for column in columns]
-    row_format = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    with open(path, "w") as fh:
-        for line in meta_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"{header}\n")
-        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            block = [column[start:start + _ROWS_PER_WRITE] for column in columns]
-            text = _native.format_rows(block)
-            if text is None:
-                block = [column.tolist() for column in block]
-                rows = [None] * (len(columns) * len(block[0]))
-                for j, cells in enumerate(block):
-                    rows[j::len(columns)] = cells
-                text = (row_format * len(block[0])) % tuple(rows)
-            fh.write(text)
 
 
 def write_increments_csv(sample: IncrementSample, path, meta_lines=()) -> None:

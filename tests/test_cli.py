@@ -292,6 +292,20 @@ def test_calibrate_without_out_prints_profile(increments_file, capsys):
     assert code in (0, 4)
 
 
+def test_calibrate_prints_the_rows_of_its_out_file(increments_file, tmp_path, capsys):
+    # one row formatter: the printed profile is the chi file's header and rows
+    flags = ["calibrate", "--data", str(increments_file), "--delta", "1", "--no-meta",
+             "--fallback"]
+    assert run(flags) == 0
+    printed = capsys.readouterr().out
+    assert run([*flags, "--out", str(tmp_path / "chi.csv")]) == 0
+    capsys.readouterr()
+    rows = [line for line in (tmp_path / "chi.csv").read_text().splitlines(keepends=True)
+            if not line.startswith("#")]
+    assert printed.startswith("".join(rows))
+    assert printed[len("".join(rows)):].startswith("kappa=")
+
+
 def test_calibrate_no_stabilization_exit_code(tmp_path, capsys):
     # coarse kappa grid on heavy-tailed data: chi keeps changing
     data = tmp_path / "stable07.csv"
@@ -353,6 +367,20 @@ def test_risk_table_runs_config(tmp_path):
     lines = [l for l in out1.read_text().splitlines() if not l.startswith("#")]
     assert lines[0].startswith("model,alpha,delta,n,")
     assert lines[1].split(",")[0] == "cauchy"
+
+
+def test_a_mixed_law_with_a_vanishing_gaussian_part_writes_a_finite_risk(tmp_path, capsys):
+    # its norm ||f||^2 was integrated as 0, so the row read nan after two numpy warnings
+    config = tmp_path / "mixed.json"
+    config.write_text(json.dumps({
+        "model": {"sigma2": 1e-12, "jumps": {"P": 1, "Q": 1, "alpha": 1.5}},
+        "delta_t": 1e10, "n_list": [1000], "trials": 5, "master_seed": 3}))
+    out = tmp_path / "risk.csv"
+    assert run(["risk-table", "--config", str(config), "--out", str(out), "--no-meta"]) == 0
+    assert capsys.readouterr().err == ""
+    header, row = out.read_text().splitlines()[-2:]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert all(math.isfinite(float(cells[key])) for key in ("mean_risk", "sd_risk"))
 
 
 def test_risk_table_unknown_config_key_exits_2(tmp_path, capsys):
@@ -827,6 +855,23 @@ def _write(d, text: str) -> str:
     return str(path)
 
 
+def _write_bytes(d, data: bytes, name: str = "in.csv") -> str:
+    path = d / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def _directory(d) -> str:
+    """A directory named as an input file."""
+    path = d / "in.csv"
+    path.mkdir()
+    return str(path)
+
+
+# a byte above 0x7f followed by an ASCII one is never UTF-8
+_NOT_UTF8 = st.integers(0x80, 0xFF).map(lambda byte: bytes([byte]))
+
+
 _ASCII = st.characters(codec="ascii", exclude_characters=",#\r\n")
 _NOT_A_NUMBER = st.text(_ASCII, min_size=1, max_size=8).filter(
     lambda t: t.strip() and _not_a_float(t) and t != "auto")  # estimate --kappa takes auto
@@ -919,6 +964,19 @@ EXIT_CONTRACT = {
         "estimate", "--delta", "1", "--difference", "--data",
         _write(d, f"level\n{draw(st.floats(-9.0, 9.0))!r}\n")]),
     "no-data-nor-model": (2, lambda draw, d: ["estimate", "--delta", "1"]),
+    # an input file that cannot be read: named by its flag and path, a CSV also by line
+    "data-not-utf8": (2, lambda draw, d: [
+        draw(st.sampled_from(["estimate", "calibrate"])), "--delta", "1", "--data",
+        _write_bytes(d, draw(st.sampled_from([b"val%bue\n", b"value\n1.5\n# caf%b\n"]))
+                     % draw(_NOT_UTF8) + b"2.5\n3.5\n")],
+        "error: --data ", "in.csv: not UTF-8 text (", " on line "),
+    "data-is-a-directory": (2, lambda draw, d: [
+        draw(st.sampled_from(["estimate", "calibrate"])), "--delta", "1",
+        "--data", _directory(d)], "error: --data ", "in.csv: "),
+    "config-not-utf8": (2, lambda draw, d: [
+        "risk-table", "--config", _write_bytes(d, json.dumps(
+            {**_BASE_CONFIG, "label": "caf?"}).encode().replace(b"?", draw(_NOT_UTF8)),
+            "in.json")], "error: --config ", "in.json: not UTF-8 text ("),
     # flags: rejected by the argument parser, naming the flag
     "flag-non-finite": (2, lambda draw, d: _with_flag(draw, d, _FLOAT_FLAGS, draw(_NON_FINITE))),
     "flag-not-a-number": (2, lambda draw, d: _with_flag(
@@ -998,6 +1056,12 @@ EXIT_CONTRACT = {
         draw, d, [("sample", "--trial")], draw(st.integers(-9, -1))),
         "error: argument --trial: trial_index must be at least 0, got "),
     # thm4's threshold level takes log n: an n below 1 is named, not a math domain error
+    # a law past the float range: its CF is 0 there, with no warning, and the
+    # sampler's overflow is a numeric failure
+    "check-bounds-delta-past-float-range": (3, lambda draw, d: [
+        "check-bounds", "--which", draw(st.sampled_from(["thm1", "thm4"])), "--delta",
+        repr(draw(st.sampled_from([1.7976931348623157e308, 1e308]))), "--n", "10",
+        "--trials", "2"], "non-finite variate"),
     "check-bounds-thm4-n-0": (2, lambda draw, d: [
         "check-bounds", "--which", "thm4", "--delta", "1", "--n", "0", "--trials", "2"],
         "error: argument --n: n must be at least 1, got 0\n"),

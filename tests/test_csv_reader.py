@@ -1,14 +1,16 @@
 """read_values_csv against the per-line loop that defines the CSV format.
 
-Every file must give the same outcome from both readers: bit-equal arrays, or
-a ValueError with the same text.  The loop is the oracle; the reader may only
-differ from it in speed.
+Every file must give the same outcome with and without the fast readers:
+bit-equal arrays, or a ValueError with the same text.  The loop, reached by
+patching the fast path off, is the oracle; the fast path may only differ from
+it in speed.
 """
 
 import math
 import os
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,18 +18,32 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import levyspec._native
-import levyspec.cli
-from levyspec import IncrementSample
-from levyspec.cli import _read_values_fast, _read_values_loop, read_values_csv
+from levyspec import IncrementSample, _csvio
+from levyspec._csvio import read_values_csv
 from levyspec.sampling import write_increments_csv
 
 
 def loop(path, difference=False):
-    """The oracle: the per-line loop's values, differenced as the format says."""
-    data = _read_values_loop(path)
-    if difference and data.size < 2:
-        raise ValueError(f"{path}: need at least 2 level observations to difference")
-    return np.diff(data) if difference else data
+    """The oracle: read_values_csv with its fast path off, so the per-line loop reads."""
+    with mock.patch.object(_csvio, "_read_values_fast", lambda path, lineno: None):
+        return read_values_csv(path, difference=difference)
+
+
+def fast_path_takes(path) -> bool:
+    """Whether read_values_csv hands ``path`` to a fast reader and that reader takes it."""
+    taken = []
+    real = _csvio._read_values_fast
+
+    def spy(*args):
+        taken.append(real(*args) is not None)
+        return None
+
+    with mock.patch.object(_csvio, "_read_values_fast", spy):
+        try:
+            read_values_csv(str(path))
+        except ValueError:
+            pass
+    return taken == [True]
 
 
 def outcome(reader, path, difference):
@@ -123,7 +139,7 @@ def test_reader_matches_loop(text, difference, c_reader, loadtxt, tmp_path):
     path.write_bytes(text.encode("utf-8"))
     assert_same_as_loop(path, difference)
     taken = c_reader if levyspec._native.library() is not None else loadtxt
-    assert (_read_values_fast(str(path)) is not None) == taken
+    assert fast_path_takes(path) == taken
 
 
 @pytest.mark.parametrize("text, difference, loadtxt", [
@@ -135,7 +151,7 @@ def test_reader_without_kernels_matches_loop(text, difference, loadtxt, tmp_path
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     assert_same_as_loop(path, difference)
-    assert (_read_values_fast(str(path)) is not None) == loadtxt
+    assert fast_path_takes(path) == loadtxt
 
 
 def test_a_byte_order_mark_does_not_hide_the_first_value(tmp_path):
@@ -192,35 +208,41 @@ def test_reader_bit_identical_on_random_finite_doubles(values, columns, fmt, pre
     path = tmp_path / "random.csv"
     path.write_text("\n".join(preamble + rows) + "\n")
     assert_same_as_loop(path)
-    assert _read_values_fast(str(path)) is not None
+    assert fast_path_takes(path)
     assert read_values_csv(str(path)).tobytes() == np.array(values, dtype=float).tobytes()
 
 
-def test_written_increments_take_the_c_path(tmp_path, monkeypatch):
+def test_written_increments_take_the_c_path(tmp_path):
     # A silent fall-back to the loop would keep every result and lose the speed.
-    def refuse(*args, **kwargs):
-        raise AssertionError("the per-line loop parsed a file the C path should take")
-
-    monkeypatch.setattr(levyspec.cli, "_read_values_loop", refuse)
     values = np.random.default_rng(5).standard_cauchy(1000)
     path = tmp_path / "inc.csv"
     write_increments_csv(IncrementSample(values), path,
                          ["levyspec 0.1.0 sample", "seed=5"])
+    assert fast_path_takes(path)
     assert read_values_csv(str(path)).tobytes() == values.tobytes()
     assert read_values_csv(str(path), difference=True).tobytes() == np.diff(values).tobytes()
 
 
 def test_written_increments_take_loadtxt_without_kernels(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the per-line loop parsed a file np.loadtxt should take")
-
     monkeypatch.setattr(levyspec._native, "library", lambda: None)
-    monkeypatch.setattr(levyspec.cli, "_read_values_loop", refuse)
     values = np.random.default_rng(5).standard_cauchy(1000)
     path = tmp_path / "inc.csv"
     write_increments_csv(IncrementSample(values), path,
                          ["levyspec 0.1.0 sample", "seed=5"])
+    assert fast_path_takes(path)
     assert read_values_csv(str(path)).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("head, bad, line", [
+    (b"", b"val\xe9ue\n", 1), (b"value\n" + b"1.5\n" * 5000, b"# caf\xe9\n", 5002),
+    (b"\xef\xbb\xbf# c\r\rvalue\r1.5\r", b"2.5\xff\r", 5)], ids=["header", "late", "cr"])
+def test_a_byte_that_is_not_utf8_is_named_by_its_line(head, bad, line, tmp_path):
+    # the codec's error named a position in an 8 KiB chunk of the file, not a line
+    path = tmp_path / "data.csv"
+    path.write_bytes(head + bad + b"3.5\n")
+    for read in (read_values_csv, loop):
+        with pytest.raises(UnicodeDecodeError, match=f" on line {line}$"):
+            read(str(path))
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -246,7 +268,7 @@ def read_cells(cells, tmp_path):
     path took it."""
     path = tmp_path / "cells.csv"
     path.write_text("value\n" + "\n".join(cells) + "\n")
-    return read_values_csv(str(path)), _read_values_fast(str(path)) is not None
+    return read_values_csv(str(path)), fast_path_takes(path)
 
 
 @st.composite
@@ -301,7 +323,7 @@ def test_one_fraction_digit_before_an_exponent_or_a_stray_byte(cell, fast, reads
     assert isinstance(assert_same_as_loop(path), np.ndarray) == reads
     # without the kernels np.loadtxt reads the body: it takes each of these cells float() reads
     taken = fast if levyspec._native.library() is not None else reads
-    assert (_read_values_fast(str(path)) is not None) == taken
+    assert fast_path_takes(path) == taken
 
 
 HARD_CELLS = [

@@ -235,6 +235,19 @@ def test_stable_cf_basics():
                                rtol=1e-13)
 
 
+@pytest.mark.parametrize("law", [StableLaw(1.0, 1e308, 0.5, 0.0), StableLaw(1.0, 1e300, -1.0, 0.0),
+                                 StableLaw(1.9, 1e160, 0.5, 0.0), StableLaw(0.5, 1e308, 1.0, 2.0)],
+                         ids=["cauchy-like", "alpha-1-skewed", "alpha-1.9", "alpha-0.5"])
+def test_stable_cf_past_the_float_range_is_its_limit_without_a_warning(law):
+    # gamma |u| past the largest double overflowed and then met a 0 in a complex
+    # product: two RuntimeWarnings, errors under this suite's filter
+    u = np.array([0.0, 1e-300, 3.0, -3.0, 1e10])
+    got = stable_cf(law, u)
+    assert not np.isnan(got).any()
+    assert got[0] == 1.0 and (got[2:] == 0.0).all()
+    assert stable_cf(law, 3.0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # small-jump activity
 

@@ -2,13 +2,14 @@
 
 The moment pass must give the bytes of ``_bin_moments_numpy``, the ECF's
 contraction those of ``_ecf_contract_numpy``, the CSV reader those of
-``_read_values_loop`` and the CSV writer those of Python's ``%``; with no
+the per-line loop and the CSV writer those of Python's ``%``; with no
 kernels the moment pass and the contraction fall back to their numpy
 definitions, the reader to ``np.loadtxt`` and the writer to ``%``, with the
 same bytes.  Where a C compiler is on PATH the kernels must load, so that a
 silent fall-back cannot pass.
 """
 
+import io
 import math
 import os
 import re
@@ -16,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 from decimal import Decimal
 from pathlib import Path
 
@@ -24,13 +26,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from levyspec import (ECFGrid, IncrementSample, SpectralEstimate, UGrid, _native, cli, ecf,
+from levyspec import (ECFGrid, IncrementSample, SpectralEstimate, UGrid, _csvio, _native, ecf,
                       write_ecf_csv, write_estimate_csv, write_increments_csv)
+from levyspec._csvio import read_values_csv, write_rows
 from levyspec.calibration import write_chi_csv
-from levyspec.cli import _read_values_fast, _read_values_loop, read_values_csv
 from levyspec.estimator import (_ECF_CHUNK, _TERMS, _bin_moments, _bin_moments_numpy,
                                 _ecf_bins, _ecf_contract_numpy, _ecf_half, _ecf_weights)
-from levyspec.sampling import write_rows
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -42,6 +43,19 @@ def kernels():
     lib = _native.library()
     assert lib is not None, "a C compiler is on PATH but the kernels did not load"
     return lib
+
+
+def _fast(path):
+    """What read_values_csv's fast reader gives for ``path`` from its first numeric row."""
+    with open(path, encoding="utf-8-sig") as fh:
+        lineno, _ = next(_csvio._data_rows(fh, str(path)))
+    return _csvio._read_values_fast(str(path), lineno)
+
+
+def _loop(path):
+    """read_values_csv with its fast path off: the per-line loop's values."""
+    with mock.patch.object(_csvio, "_read_values_fast", lambda path, lineno: None):
+        return read_values_csv(str(path))
 
 
 def test_kernels_load_where_a_compiler_is_on_path(kernels):
@@ -158,7 +172,7 @@ def test_without_kernels_the_ecf_and_the_reader_give_the_same_bytes(tmp_path, mo
     native = [ecf(sample, g).values.tobytes() for g in grids]
     native_csv = read_values_csv(str(path)).tobytes()
     monkeypatch.setattr(_native, "library", lambda: None)
-    assert _read_values_fast(str(path)).tobytes() == values.tobytes()  # by np.loadtxt
+    assert _fast(path).tobytes() == values.tobytes()  # by np.loadtxt
     assert [ecf(sample, g).values.tobytes() for g in grids] == native
     assert read_values_csv(str(path)).tobytes() == native_csv == values.tobytes()
 
@@ -177,35 +191,30 @@ def test_reader_across_its_buffer_with_mixed_line_endings(kernels, tmp_path):
                        for k in rng.integers(0, 200, 1000))
     path = tmp_path / "mixed.csv"
     path.write_bytes((preamble + "value\r\n" + _mixed_endings(values, rng)).encode())
-    assert _read_values_fast(str(path)).tobytes() == values.tobytes()
-    assert _read_values_loop(str(path)).tobytes() == values.tobytes()
+    assert _fast(path).tobytes() == values.tobytes()
+    assert _loop(path).tobytes() == values.tobytes()
 
 
 def test_reader_leaves_a_line_longer_than_its_buffer_to_the_loop(kernels, tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("value\n0.5\n1." + "5" * 70_000 + "\n2.5\n")
-    assert _read_values_fast(str(path)) is None
-    assert read_values_csv(str(path)).tobytes() == _read_values_loop(str(path)).tobytes()
+    assert _fast(path) is None
+    assert read_values_csv(str(path)).tobytes() == _loop(path).tobytes()
 
 
 @pytest.mark.parametrize("head", ["", "# c\n"], ids=["bare", "comment"])
 def test_a_leading_byte_order_mark_takes_the_fast_readers(head, tmp_path, monkeypatch):
-    # each reader gives the loop's bytes, so the loop itself may refuse to run
+    # each fast reader takes the file and gives the loop's bytes
     values = np.random.default_rng(9).standard_cauchy(2000)
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbf" + (head + "".join(f"{v!r}\n" for v in values.tolist()))
                      .encode())
-    assert _read_values_loop(str(path)).tobytes() == values.tobytes()
-
-    def no_loop(path):
-        raise AssertionError(f"{path} went to the line loop")
-
-    monkeypatch.setattr(cli, "_read_values_loop", no_loop)
+    assert _loop(path).tobytes() == values.tobytes()
     if shutil.which("cc") is not None:  # the C reader
         assert _native.library() is not None
-        assert read_values_csv(str(path)).tobytes() == values.tobytes()
+        assert _fast(path).tobytes() == values.tobytes()
     monkeypatch.setattr(_native, "library", lambda: None)  # np.loadtxt
-    assert read_values_csv(str(path)).tobytes() == values.tobytes()
+    assert _fast(path).tobytes() == values.tobytes()
 
 
 def _python(code: str, cache: Path, **env):
@@ -280,7 +289,7 @@ def test_reader_counts_a_crlf_across_its_buffer_edge_as_one_line(kernels, tmp_pa
     # the \r of the first line is the last byte of the first 65536-byte read
     path = tmp_path / "edge.csv"
     path.write_bytes(b"#" + b"x" * 65534 + b"\r\nvalue\n1.5\n2.5\n")
-    assert _read_values_fast(str(path)).tobytes() == np.array([1.5, 2.5]).tobytes()
+    assert _fast(path).tobytes() == np.array([1.5, 2.5]).tobytes()
 
 
 KERNELS = Path(_native.__file__).with_name("_kernels.c")
@@ -562,3 +571,20 @@ def test_other_columns_are_left_to_percent(kernels, columns, tmp_path):
         write_rows(tmp_path / "rows.csv", [], "h", *columns)
         row_format = "%d\n" if columns[0].dtype.kind == "u" else "%.17g\n"
         assert (tmp_path / "rows.csv").read_text() == "h\n" + _percent(row_format, *columns)
+
+
+def test_columns_of_two_lengths_are_refused_before_a_file_is_made(tmp_path):
+    # numpy's "attempt to assign sequence of size 4 to extended slice of size 3" left a
+    # file that held only the header
+    path = tmp_path / "est.csv"
+    with pytest.raises(ValueError, match=r"columns of lengths \[3, 4\]"):
+        write_estimate_csv(SpectralEstimate(np.arange(3.0), np.arange(4.0)), path)
+    assert not path.exists()
+
+
+def test_rows_written_to_a_stream_are_the_file_bytes(tmp_path):
+    values = np.random.default_rng(35).standard_cauchy(3 * 8192 + 5)
+    stream = io.StringIO()
+    write_rows(stream, ["m"], "i,v", np.arange(values.size), values)
+    write_rows(tmp_path / "rows.csv", ["m"], "i,v", np.arange(values.size), values)
+    assert stream.getvalue() == (tmp_path / "rows.csv").read_text()

@@ -10,7 +10,8 @@ import pytest
 from scipy.integrate import quad
 
 from levyspec import (FALLBACK_KAPPA, ExperimentConfig, KappaGrid, LevyTriplet,
-                      NoStabilizationError, SeedSpec, StableJumpDensity, UGrid,
+                      NoStabilizationError, QuadratureError, SeedSpec, StableJumpDensity,
+                      UGrid, increment_stable_law,
                       adaptive_risk_bound_check, cauchy_triplet,
                       cutoff_risk_bound_check, default_u_grid, default_u_max,
                       derive_seed, ecf, plancherel_l2, reference_cf,
@@ -91,6 +92,65 @@ def test_a_reference_norm_that_is_not_finite_is_refused(model, delta_t, named):
     # the risk would be divided by an infinite or undefined ||f||^2 and read nan
     with pytest.raises(ValueError, match=re.escape(named)):
         reference_l2_norm(model, delta_t)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, 5.0])
+@pytest.mark.parametrize("delta_t", [1.0, 1e10])
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("P, Q", [(1.0, 1.0), (13.0, 6.5)])
+def test_a_negligible_gaussian_part_leaves_the_pure_jump_tail(P, Q, alpha, delta_t, m):
+    # quad missed a law narrower than its nodes: ||f||^2 was 0 at alpha 1.5, delta_t 1e10,
+    # and 1.9e6 times too small at alpha 0.3, P 13, Q 6.5, delta_t 1
+    jumps = StableJumpDensity(P, Q, alpha)
+    want = reference_tail_integral(LevyTriplet(0.0, 0.0, jumps), delta_t, m)  # closed form
+    got = reference_tail_integral(LevyTriplet(0.0, 1e-12, jumps), delta_t, m)
+    law = increment_stable_law(jumps, delta_t)
+    width = (2.0 * law.gamma ** alpha) ** (-1.0 / alpha)
+    if 1e-12 * delta_t * max(width, m) ** 2 < 1e-10:  # exp(-a u^2) is 1 where the mass is
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+    else:
+        assert 0.0 <= got <= want
+
+
+@pytest.mark.parametrize("sigma2", [1e-12, 1e-6, 1e-2])
+def test_the_mixed_norm_of_a_narrow_law_is_its_jump_part(sigma2):
+    jumps = StableJumpDensity(13.0, 6.5, 0.3)
+    assert reference_l2_norm(LevyTriplet(0.0, sigma2, jumps), 1.0) == pytest.approx(
+        reference_l2_norm(LevyTriplet(0.0, 0.0, jumps), 1.0), rel=1e-9)
+    assert reference_l2_norm(LevyTriplet(0.0, 0.0, jumps), 1.0) == pytest.approx(1.6309e-7,
+                                                                               rel=1e-4)
+
+
+def test_the_mixed_norm_of_a_wide_law_is_its_gaussian_part():
+    # at delta_t 1e-300 the jump part is negligible: the norm read -0.318 with a warning
+    model = LevyTriplet(0.0, 1.0, StableJumpDensity(1.0, 1.0, 1.5))
+    assert reference_l2_norm(model, 1e-300) == pytest.approx(
+        1.0 / (2.0 * math.sqrt(math.pi * 1e-300)), rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 1.9, 1.99])
+@pytest.mark.parametrize("delta_t", [1e-300, 1e-100, 1.0, 1e10, 1e100])
+@pytest.mark.parametrize("sigma2", [1e-300, 1e-12, 1.0, 1e10])
+def test_a_mixed_tail_is_finite_or_refused_by_delta_t_and_alpha(alpha, delta_t, sigma2):
+    model = LevyTriplet(0.0, sigma2, StableJumpDensity(1.0, 1.0, alpha))
+    for m in (0.0, 0.5, 5.0, 1e3, 1e100):
+        try:
+            tail = reference_tail_integral(model, delta_t, m)
+        except (ValueError, ArithmeticError) as exc:
+            if "sigma2 * delta_t" in str(exc) or "gamma = (delta_t C)" in str(exc):
+                return  # the law itself is refused, by the checks of _increment_parts
+            assert f"delta_t={delta_t!r}, alpha={alpha!r}" in str(exc)
+            assert "\n" not in str(exc)
+        else:
+            assert math.isfinite(tail) and tail >= 0.0
+
+
+def test_an_unconverged_mixed_tail_is_refused_by_delta_t_and_alpha(monkeypatch):
+    # the error estimate is checked: one that misses the tolerance is a QuadratureError
+    import scipy.integrate
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (1.0, 0.5, {}))
+    with pytest.raises(QuadratureError, match=r"error estimate .* at delta_t=1\.0, alpha=1\.5$"):
+        reference_l2_norm(LevyTriplet(0.0, 1.0, StableJumpDensity(1.0, 1.0, 1.5)), 1.0)
 
 
 @pytest.mark.parametrize("check", [cutoff_risk_bound_check, adaptive_risk_bound_check])
